@@ -46,14 +46,7 @@ from .gas import (
     sound_speed,
     total_specific_enthalpy,
 )
-from .muscl import (
-    FaceStates,
-    Stencil4,
-    gradient_ratios,
-    muscl_face_pair,
-    reconstruct_faces,
-    van_leer_limiter,
-)
+from .muscl import reconstruct_faces, van_leer_limiter
 from .riemann import (
     ExactProfile,
     RiemannInput,
@@ -72,6 +65,7 @@ from .solver import (
     Grid1D,
     RunConfig,
     SolutionField,
+    advance,
     derive_dt,
     initialize_sod,
     run,

@@ -181,11 +181,8 @@ def timing_sweep(base_cfg: RunConfig, repetitions: int = 3) -> list[TimingReport
         samples = []
         for _ in range(repetitions):
             field = solver.initialize_sod(cfg)
-            q = field.cells
-            w = field.primitives(cfg.gas)
             start = time.perf_counter()
-            for k in range(n_steps):
-                q, w, _ = solver._advance_one(q, w, cfg, k)
+            solver.advance(field, cfg, n_steps)
             samples.append(time.perf_counter() - start)
         timings.append((method, statistics.median(samples)))
     timings.sort(key=lambda pair: pair[1])

@@ -4,8 +4,7 @@ Subcommands: ``exact`` (analytic profile CSV), ``solve`` (one numerical run),
 ``bench`` (22-method RMSE table), ``waves`` (wave-property report of the
 exact solution), ``timing`` (relative runtimes).  Defaults reproduce the
 benchmark configuration: 200 cells on [0, 1], jump at 0.5, gamma 1.4,
-dt 0.001, final time 0.2, van Leer limiter, Courant target 0.4 with wave
-speed estimate 2.
+dt 0.001, final time 0.2, Courant target 0.4 with wave speed estimate 2.
 """
 
 from __future__ import annotations
@@ -50,12 +49,6 @@ def _add_marching_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--co-max", type=float, default=0.4, help="target Courant number")
     p.add_argument("--s-max", type=float, default=2.0, help="maximum wave speed estimate")
-    p.add_argument(
-        "--limiter",
-        choices=["van-leer"],
-        default="van-leer",
-        help="flux limiter for the MUSCL step",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,8 +134,6 @@ def _run_config(args: argparse.Namespace, method: FluxMethod) -> RunConfig:
         gas=GasModel(gamma=args.gamma),
         dt=dt,
         t_final=args.time,
-        co_max_target=args.co_max,
-        s_max_estimate=args.s_max,
         jump_position=args.jump,
     )
 

@@ -32,7 +32,6 @@ from .gas import (
     flux_array,
     sound_speed_array,
 )
-from .muscl import FaceStates
 
 __all__ = [
     "FluxMethod",
@@ -47,8 +46,6 @@ __all__ = [
     "flux_roe",
     "flux_hll",
     "flux_hllc",
-    "flux_knp",
-    "flux_kt",
     "flux_sw_fvs",
     "flux_vanleer_fvs",
     "flux_ausm",
@@ -249,8 +246,7 @@ def flux_roe(wl, wr, gas: GasModel = GasModel(), cfg: SchemeConfig | None = None
 
 
 # ---------------------------------------------------------------------------
-# HLL / KNP two-wave fluxes (shared core so the structural identity
-# KNP == HLL-Davis2 holds bit for bit)
+# HLL two-wave fluxes
 # ---------------------------------------------------------------------------
 
 def _two_wave_flux(wl, wr, s_left, s_right, g: float) -> np.ndarray:
@@ -277,18 +273,6 @@ def flux_hll(variant: WaveSpeedEstimate, wl, wr, gas: GasModel = GasModel()) -> 
     """Harten-Lax-van Leer two-wave flux with the selected speed estimate."""
     wl, wr = _as_w(wl), _as_w(wr)
     s_left, s_right = wave_speed_estimate(variant, wl, wr, gas)
-    return _two_wave_flux(wl, wr, s_left, s_right, gas.gamma)
-
-
-def flux_knp(wl, wr, gas: GasModel = GasModel()) -> np.ndarray:
-    """Central-upwind flux with zero-anchored one-sided speeds.
-
-    a+ = max(u_L + a_L, u_R + a_R, 0) and a- = min(u_L - a_L, u_R - a_R, 0)
-    are exactly the Davis-2 estimates clamped around zero, so this shares the
-    two-wave core with the HLL family.
-    """
-    wl, wr = _as_w(wl), _as_w(wr)
-    s_left, s_right = wave_speed_estimate(WaveSpeedEstimate.DAVIS2, wl, wr, gas)
     return _two_wave_flux(wl, wr, s_left, s_right, gas.gamma)
 
 
@@ -334,7 +318,7 @@ def flux_hllc(variant: WaveSpeedEstimate, wl, wr, gas: GasModel = GasModel()) ->
 
 
 # ---------------------------------------------------------------------------
-# Central fluxes: Lax-Friedrichs, Rusanov, Kurganov-Tadmor
+# Central fluxes: Lax-Friedrichs, Rusanov
 # ---------------------------------------------------------------------------
 
 def _central_flux(wl, wr, speed, g: float) -> np.ndarray:
@@ -362,16 +346,6 @@ def _max_signal_speed(wl, wr, g: float):
 
 def flux_rusanov(wl, wr, gas: GasModel = GasModel()) -> np.ndarray:
     """Single-wave flux with the local maximum signal speed."""
-    wl, wr = _as_w(wl), _as_w(wr)
-    return _central_flux(wl, wr, _max_signal_speed(wl, wr, gas.gamma), gas.gamma)
-
-
-def flux_kt(wl, wr, gas: GasModel = GasModel()) -> np.ndarray:
-    """Kurganov-Tadmor central flux with fixed 0.5 weights.
-
-    Identical construction to :func:`flux_rusanov` (same spectral radius,
-    same averaging); the shared code path keeps the two bitwise equal.
-    """
     wl, wr = _as_w(wl), _as_w(wr)
     return _central_flux(wl, wr, _max_signal_speed(wl, wr, gas.gamma), gas.gamma)
 
@@ -573,68 +547,54 @@ def flux_aufs(wl, wr, gas: GasModel = GasModel()) -> np.ndarray:
 # Dispatcher
 # ---------------------------------------------------------------------------
 
-_HLL_VARIANTS = {
-    FluxMethod.HLL_DAVIS1: WaveSpeedEstimate.DAVIS1,
-    FluxMethod.HLL_DAVIS2: WaveSpeedEstimate.DAVIS2,
-    FluxMethod.HLL_ROE: WaveSpeedEstimate.ROE,
-    FluxMethod.HLL_EINFELDT: WaveSpeedEstimate.EINFELDT,
-    FluxMethod.HLL_PBASED: WaveSpeedEstimate.P_BASED,
-}
-_HLLC_VARIANTS = {
-    FluxMethod.HLLC_DAVIS1: WaveSpeedEstimate.DAVIS1,
-    FluxMethod.HLLC_DAVIS2: WaveSpeedEstimate.DAVIS2,
-    FluxMethod.HLLC_ROE: WaveSpeedEstimate.ROE,
-    FluxMethod.HLLC_EINFELDT: WaveSpeedEstimate.EINFELDT,
-    FluxMethod.HLLC_PBASED: WaveSpeedEstimate.P_BASED,
-}
-_AUSM_VARIANTS = {
-    FluxMethod.AUSM: AusmVariant.BASIC,
-    FluxMethod.AUSM_PLUS: AusmVariant.PLUS,
-    FluxMethod.AUSM_PLUS_UP: AusmVariant.PLUS_UP,
+_E = WaveSpeedEstimate
+
+# Every kernel takes (wl, wr, gas, cfg, dx, dt).  KNP's zero-anchored one-sided
+# speeds a+ = max(u_L + a_L, u_R + a_R, 0) and a- = min(u_L - a_L, u_R - a_R, 0)
+# are the Davis-2 estimates clamped around zero, and Kurganov-Tadmor with fixed
+# 0.5 weights is Rusanov's construction; sharing the kernels keeps
+# KNP == HLL-Davis2 and KT == Rusanov bit for bit.
+_KERNELS = {
+    FluxMethod.RIEMANN: lambda wl, wr, gas, *_: flux_exact(wl, wr, gas),
+    FluxMethod.ROE: lambda wl, wr, gas, cfg, *_: flux_roe(wl, wr, gas, cfg),
+    FluxMethod.KNP: lambda wl, wr, gas, *_: flux_hll(_E.DAVIS2, wl, wr, gas),
+    FluxMethod.KT: lambda wl, wr, gas, *_: flux_rusanov(wl, wr, gas),
+    FluxMethod.SW: lambda wl, wr, gas, *_: flux_sw_fvs(wl, wr, gas),
+    FluxMethod.VAN_LEER: lambda wl, wr, gas, *_: flux_vanleer_fvs(wl, wr, gas),
+    FluxMethod.AUSM: lambda wl, wr, gas, cfg, *_: flux_ausm(AusmVariant.BASIC, wl, wr, gas, cfg),
+    FluxMethod.AUSM_PLUS: (
+        lambda wl, wr, gas, cfg, *_: flux_ausm(AusmVariant.PLUS, wl, wr, gas, cfg)
+    ),
+    FluxMethod.AUSM_PLUS_UP: (
+        lambda wl, wr, gas, cfg, *_: flux_ausm(AusmVariant.PLUS_UP, wl, wr, gas, cfg)
+    ),
+    FluxMethod.AUFS: lambda wl, wr, gas, *_: flux_aufs(wl, wr, gas),
+    FluxMethod.HLL_DAVIS1: lambda wl, wr, gas, *_: flux_hll(_E.DAVIS1, wl, wr, gas),
+    FluxMethod.HLL_DAVIS2: lambda wl, wr, gas, *_: flux_hll(_E.DAVIS2, wl, wr, gas),
+    FluxMethod.HLL_ROE: lambda wl, wr, gas, *_: flux_hll(_E.ROE, wl, wr, gas),
+    FluxMethod.HLL_EINFELDT: lambda wl, wr, gas, *_: flux_hll(_E.EINFELDT, wl, wr, gas),
+    FluxMethod.HLL_PBASED: lambda wl, wr, gas, *_: flux_hll(_E.P_BASED, wl, wr, gas),
+    FluxMethod.HLLC_DAVIS1: lambda wl, wr, gas, *_: flux_hllc(_E.DAVIS1, wl, wr, gas),
+    FluxMethod.HLLC_DAVIS2: lambda wl, wr, gas, *_: flux_hllc(_E.DAVIS2, wl, wr, gas),
+    FluxMethod.HLLC_ROE: lambda wl, wr, gas, *_: flux_hllc(_E.ROE, wl, wr, gas),
+    FluxMethod.HLLC_EINFELDT: lambda wl, wr, gas, *_: flux_hllc(_E.EINFELDT, wl, wr, gas),
+    FluxMethod.HLLC_PBASED: lambda wl, wr, gas, *_: flux_hllc(_E.P_BASED, wl, wr, gas),
+    FluxMethod.LF: lambda wl, wr, gas, cfg, dx, dt: flux_lf(wl, wr, gas, dx, dt),
+    FluxMethod.RUSANOV: lambda wl, wr, gas, *_: flux_rusanov(wl, wr, gas),
 }
 
 
 def compute_face_flux(
     method: FluxMethod,
     wl,
-    wr=None,
+    wr,
     gas: GasModel = GasModel(),
     cfg: SchemeConfig = SchemeConfig(),
     dx: float | None = None,
     dt: float | None = None,
 ) -> np.ndarray:
-    """Dispatch to the selected method. Only Lax-Friedrichs consumes dx/dt.
-
-    The face pair may be given as two states/arrays or as one ``FaceStates``.
-    """
-    if isinstance(wl, FaceStates):
-        if wr is not None:
-            raise InvalidConfig("pass either a FaceStates pair or two sides, not both")
-        wl, wr = wl.left, wl.right
-    if wr is None:
-        raise InvalidConfig("face-right state missing")
-    if method is FluxMethod.RIEMANN:
-        return flux_exact(wl, wr, gas)
-    if method is FluxMethod.ROE:
-        return flux_roe(wl, wr, gas, cfg)
-    if method is FluxMethod.KNP:
-        return flux_knp(wl, wr, gas)
-    if method is FluxMethod.KT:
-        return flux_kt(wl, wr, gas)
-    if method is FluxMethod.SW:
-        return flux_sw_fvs(wl, wr, gas)
-    if method is FluxMethod.VAN_LEER:
-        return flux_vanleer_fvs(wl, wr, gas)
-    if method in _AUSM_VARIANTS:
-        return flux_ausm(_AUSM_VARIANTS[method], wl, wr, gas, cfg)
-    if method is FluxMethod.AUFS:
-        return flux_aufs(wl, wr, gas)
-    if method in _HLL_VARIANTS:
-        return flux_hll(_HLL_VARIANTS[method], wl, wr, gas)
-    if method in _HLLC_VARIANTS:
-        return flux_hllc(_HLLC_VARIANTS[method], wl, wr, gas)
-    if method is FluxMethod.LF:
-        return flux_lf(wl, wr, gas, dx, dt)
-    if method is FluxMethod.RUSANOV:
-        return flux_rusanov(wl, wr, gas)
-    raise InvalidConfig(f"unknown flux method {method!r}")
+    """Dispatch to the selected method. Only Lax-Friedrichs consumes dx/dt."""
+    kernel = _KERNELS.get(method)
+    if kernel is None:
+        raise InvalidConfig(f"unknown flux method {method!r}")
+    return kernel(wl, wr, gas, cfg, dx, dt)

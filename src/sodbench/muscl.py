@@ -8,59 +8,17 @@ fully open, nearest-cell values when it shuts near a discontinuity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import NonPhysicalState
-from .gas import PrimitiveState
 
-__all__ = [
-    "EPSILON",
-    "Stencil4",
-    "FaceStates",
-    "gradient_ratios",
-    "van_leer_limiter",
-    "muscl_face_pair",
-    "reconstruct_faces",
-]
+__all__ = ["EPSILON", "van_leer_limiter", "reconstruct_faces"]
 
 # Zero-gradient guard threshold. Fixed value rather than the host epsilon so
 # results are reproducible bit for bit across platforms.
 EPSILON = 2.22e-16
-
-
-@dataclass(frozen=True)
-class Stencil4:
-    """Cell-center samples of one variable over four consecutive cells."""
-
-    v_mm: float
-    v_m: float
-    v_p: float
-    v_pp: float
-
-
-@dataclass(frozen=True)
-class FaceStates:
-    """Fictitious primitive values on the two sides of one face."""
-
-    left: PrimitiveState
-    right: PrimitiveState
-
-
-def gradient_ratios(s: Stencil4) -> tuple[float, float]:
-    """Consecutive gradient ratios (r_L, r_R) around the central face.
-
-    A one-sided difference at or below EPSILON zeroes its ratio, which in turn
-    shuts the limiter off and drops that side to first order.
-    """
-    d_m = s.v_m - s.v_mm
-    d_c = s.v_p - s.v_m
-    d_p = s.v_pp - s.v_p
-    r_l = 0.0 if abs(d_m) <= EPSILON else d_c / d_m
-    r_r = 0.0 if abs(d_p) <= EPSILON else d_c / d_p
-    return r_l, r_r
 
 
 def van_leer_limiter(r):
@@ -68,18 +26,6 @@ def van_leer_limiter(r):
     r = np.asarray(r, dtype=float)
     phi = (r + np.abs(r)) / (1.0 + np.abs(r))
     return float(phi) if phi.ndim == 0 else phi
-
-
-def muscl_face_pair(
-    s: Stencil4, limiter: Callable = van_leer_limiter
-) -> tuple[float, float]:
-    """Fictitious (v_L, v_R) at the face between the two middle cells."""
-    d_m = s.v_m - s.v_mm
-    d_p = s.v_pp - s.v_p
-    r_l, r_r = gradient_ratios(s)
-    v_l = s.v_m + 0.5 * limiter(r_l) * d_m
-    v_r = s.v_p - 0.5 * limiter(r_r) * d_p
-    return v_l, v_r
 
 
 def _extend_zero_gradient(w: np.ndarray) -> np.ndarray:
@@ -109,6 +55,8 @@ def reconstruct_faces(
     d_m = v_m - v_mm
     d_c = v_p - v_m
     d_p = v_pp - v_p
+    # A one-sided difference at or below EPSILON zeroes its ratio, which in
+    # turn shuts the limiter off and drops that side to first order.
     dead_m = np.abs(d_m) <= EPSILON
     dead_p = np.abs(d_p) <= EPSILON
     r_l = np.where(dead_m, 0.0, d_c / np.where(dead_m, 1.0, d_m))
@@ -118,8 +66,10 @@ def reconstruct_faces(
     face_r = v_p - 0.5 * limiter(r_r) * d_p
 
     for name, face in (("left", face_l), ("right", face_r)):
-        if np.any(face[0] <= 0.0) or np.any(face[2] <= 0.0):
-            bad = int(np.argmax((face[0] <= 0.0) | (face[2] <= 0.0)))
+        # "not > 0" so that NaN is caught too
+        not_positive = ~((face[0] > 0.0) & (face[2] > 0.0))
+        if np.any(not_positive):
+            bad = int(np.argmax(not_positive))
             raise NonPhysicalState(
                 f"reconstructed face-{name} state has non-positive density or "
                 f"pressure at face {bad}",

@@ -297,70 +297,50 @@ def rankine_hugoniot_speed(shocked: PrimitiveState, unshocked: PrimitiveState) -
 
 
 def _sample_arrays(wl, wr, p_star, u_star, rho_star_l, rho_star_r, xi, gamma):
-    """Self-similar state at speed(s) xi.  All arguments broadcast together."""
+    """Self-similar state at speed(s) xi.  All arguments broadcast together.
+
+    Only the waves left of the contact are written out.  Right of it the
+    reflection x -> -x swaps the sides and flips every velocity (Toro, 3rd ed.,
+    sec. 4.5): the right state, u* and xi enter with u -> -u, and the sampled
+    velocity is flipped back.  Negation is exact in IEEE arithmetic, so the
+    values equal those of the right-side formulas written out directly.
+    """
     g = gamma
-    rho_l, u_l, p_l = wl[0], wl[1], wl[2]
-    rho_r, u_r, p_r = wr[0], wr[1], wr[2]
-    a_l = np.sqrt(g * p_l / rho_l)
-    a_r = np.sqrt(g * p_r / rho_r)
+    on_left = xi <= u_star
+    sign = np.where(on_left, 1.0, -1.0)
+    rho_k = np.where(on_left, wl[0], wr[0])
+    u_k = sign * np.where(on_left, wl[1], wr[1])
+    p_k = np.where(on_left, wl[2], wr[2])
+    rho_star = np.where(on_left, rho_star_l, rho_star_r)
+    u_star = sign * u_star
+    xi = sign * xi
+    a_k = np.sqrt(g * p_k / rho_k)
     mu2 = (g - 1.0) / (g + 1.0)
 
-    # Left of the contact -----------------------------------------------
-    left_shock = p_star > p_l
-    s_left = u_l - a_l * np.sqrt((g + 1.0) / (2.0 * g) * p_star / p_l + (g - 1.0) / (2.0 * g))
-    a_star_l = a_l * (p_star / p_l) ** ((g - 1.0) / (2.0 * g))
-    head_l = u_l - a_l
-    tail_l = u_star - a_star_l
+    s_shock = u_k - a_k * np.sqrt((g + 1.0) / (2.0 * g) * p_star / p_k + (g - 1.0) / (2.0 * g))
+    head = u_k - a_k
+    tail = u_star - a_k * (p_star / p_k) ** ((g - 1.0) / (2.0 * g))
+    # A shock leaves the outer state ahead of it and the star state behind;
+    # a fan has the outer state ahead of its head, the star state behind its
+    # tail, and the fan state in between.
+    shock = p_star > p_k
+    outer = np.where(shock, xi <= s_shock, xi <= head)
+    star = shock | (xi >= tail)
 
-    fan_fac_l = 2.0 / (g + 1.0) + mu2 / a_l * (u_l - xi)
-    fan_fac_l = np.maximum(fan_fac_l, 1e-300)  # only consumed where the fan mask holds
-    rho_fan_l = rho_l * fan_fac_l ** (2.0 / (g - 1.0))
-    u_fan_l = 2.0 / (g + 1.0) * (a_l + 0.5 * (g - 1.0) * u_l + xi)
-    p_fan_l = p_l * fan_fac_l ** (2.0 * g / (g - 1.0))
+    fan_fac = 2.0 / (g + 1.0) + mu2 / a_k * (u_k - xi)
+    fan_fac = np.maximum(fan_fac, 1e-300)  # only consumed where the fan mask holds
+    rho_fan = rho_k * fan_fac ** (2.0 / (g - 1.0))
+    u_fan = 2.0 / (g + 1.0) * (a_k + 0.5 * (g - 1.0) * u_k + xi)
+    p_fan = p_k * fan_fac ** (2.0 * g / (g - 1.0))
 
-    # Shock side: outer state ahead of the shock, star state behind.
-    rho_ls = np.where(xi <= s_left, rho_l, rho_star_l)
-    u_ls = np.where(xi <= s_left, u_l, u_star)
-    p_ls = np.where(xi <= s_left, p_l, p_star)
-    # Fan side: outer / inside fan / star.
-    rho_lf = np.where(xi <= head_l, rho_l, np.where(xi >= tail_l, rho_star_l, rho_fan_l))
-    u_lf = np.where(xi <= head_l, u_l, np.where(xi >= tail_l, u_star, u_fan_l))
-    p_lf = np.where(xi <= head_l, p_l, np.where(xi >= tail_l, p_star, p_fan_l))
+    def pick(v_outer, v_star, v_fan):
+        return np.where(outer, v_outer, np.where(star, v_star, v_fan))
 
-    rho_left = np.where(left_shock, rho_ls, rho_lf)
-    u_left = np.where(left_shock, u_ls, u_lf)
-    p_left = np.where(left_shock, p_ls, p_lf)
-
-    # Right of the contact ------------------------------------------------
-    right_shock = p_star > p_r
-    s_right = u_r + a_r * np.sqrt((g + 1.0) / (2.0 * g) * p_star / p_r + (g - 1.0) / (2.0 * g))
-    a_star_r = a_r * (p_star / p_r) ** ((g - 1.0) / (2.0 * g))
-    head_r = u_r + a_r
-    tail_r = u_star + a_star_r
-
-    fan_fac_r = 2.0 / (g + 1.0) - mu2 / a_r * (u_r - xi)
-    fan_fac_r = np.maximum(fan_fac_r, 1e-300)
-    rho_fan_r = rho_r * fan_fac_r ** (2.0 / (g - 1.0))
-    u_fan_r = 2.0 / (g + 1.0) * (-a_r + 0.5 * (g - 1.0) * u_r + xi)
-    p_fan_r = p_r * fan_fac_r ** (2.0 * g / (g - 1.0))
-
-    rho_rs = np.where(xi >= s_right, rho_r, rho_star_r)
-    u_rs = np.where(xi >= s_right, u_r, u_star)
-    p_rs = np.where(xi >= s_right, p_r, p_star)
-    rho_rf = np.where(xi >= head_r, rho_r, np.where(xi <= tail_r, rho_star_r, rho_fan_r))
-    u_rf = np.where(xi >= head_r, u_r, np.where(xi <= tail_r, u_star, u_fan_r))
-    p_rf = np.where(xi >= head_r, p_r, np.where(xi <= tail_r, p_star, p_fan_r))
-
-    rho_right = np.where(right_shock, rho_rs, rho_rf)
-    u_right = np.where(right_shock, u_rs, u_rf)
-    p_right = np.where(right_shock, p_rs, p_rf)
-
-    on_left = xi <= u_star
     return np.stack(
         [
-            np.where(on_left, rho_left, rho_right),
-            np.where(on_left, u_left, u_right),
-            np.where(on_left, p_left, p_right),
+            pick(rho_k, rho_star, rho_fan),
+            sign * pick(u_k, u_star, u_fan),
+            pick(p_k, p_star, p_fan),
         ]
     )
 

@@ -10,6 +10,7 @@ only monitors the Courant number actually reached.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "Grid1D",
     "RunConfig",
     "SolutionField",
+    "advance",
     "derive_dt",
     "initialize_sod",
     "step",
@@ -69,17 +71,15 @@ class RunConfig:
     scheme: SchemeConfig = field(default_factory=SchemeConfig)
     dt: float = 0.001
     t_final: float = 0.2
-    co_max_target: float = 0.4
-    s_max_estimate: float = 2.0
     jump_position: float = 0.5
     left: PrimitiveState = SOD_LEFT
     right: PrimitiveState = SOD_RIGHT
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise InvalidConfig(f"dt must be positive, got {self.dt}")
-        if self.t_final < 0.0:
-            raise InvalidConfig(f"t_final must be non-negative, got {self.t_final}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise InvalidConfig(f"dt must be positive and finite, got {self.dt}")
+        if not (math.isfinite(self.t_final) and self.t_final >= 0.0):
+            raise InvalidConfig(f"t_final must be non-negative and finite, got {self.t_final}")
 
 
 @dataclass(frozen=True)
@@ -113,42 +113,46 @@ def initialize_sod(cfg: RunConfig) -> SolutionField:
     return SolutionField(time=0.0, cells=conserved_array(w, cfg.gas.gamma), max_courant_observed=0.0)
 
 
-def _check_positive(w: np.ndarray, step_index: int | None) -> None:
-    bad = (w[0] <= 0.0) | (w[2] <= 0.0)
+def _check_positive(w: np.ndarray, step_index: int) -> None:
+    # Written as "not > 0" so that a NaN density or pressure is caught too.
+    bad = ~((w[0] > 0.0) & (w[2] > 0.0))
     if np.any(bad):
         cell = int(np.argmax(bad))
         raise NonPhysicalState(
-            f"solver produced non-positive density/pressure in cell {cell}"
-            + (f" at step {step_index}" if step_index is not None else ""),
+            f"solver produced non-positive density/pressure in cell {cell} at step {step_index}",
             cell=cell,
             step=step_index,
         )
 
 
-def _advance_one(q: np.ndarray, w: np.ndarray, cfg: RunConfig, step_index: int | None):
-    """One conservative update. Returns (q_new, w_new, courant_of_new_state)."""
+def advance(
+    field: SolutionField, cfg: RunConfig, n_steps: int, first_step: int = 0
+) -> SolutionField:
+    """March ``n_steps`` conservative updates of dt; steps are numbered from
+    ``first_step`` in failure reports.  The incoming field is checked once."""
     gamma = cfg.gas.gamma
     dx = cfg.grid.dx
-    wl, wr = reconstruct_faces(w)
-    flux = compute_face_flux(cfg.method, wl, wr, cfg.gas, cfg.scheme, dx=dx, dt=cfg.dt)
-    q_new = q - (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
-    w_new = primitive_array(q_new, gamma)
-    _check_positive(w_new, step_index)
-    signal = np.abs(w_new[1]) + np.sqrt(gamma * w_new[2] / w_new[0])
-    courant = float(signal.max()) * cfg.dt / dx
-    return q_new, w_new, courant
+    q = field.cells
+    w = primitive_array(q, gamma)
+    _check_positive(w, first_step)
+    time = field.time
+    max_courant = field.max_courant_observed
+    for k in range(first_step, first_step + n_steps):
+        wl, wr = reconstruct_faces(w)
+        flux = compute_face_flux(cfg.method, wl, wr, cfg.gas, cfg.scheme, dx=dx, dt=cfg.dt)
+        q = q - (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
+        w = primitive_array(q, gamma)
+        _check_positive(w, k)
+        signal = np.abs(w[1]) + np.sqrt(gamma * w[2] / w[0])
+        max_courant = max(max_courant, float(signal.max()) * cfg.dt / dx)
+        # Summed step by step, not n * dt, so the time matches repeated steps.
+        time += cfg.dt
+    return SolutionField(time=time, cells=q, max_courant_observed=max_courant)
 
 
-def step(field: SolutionField, cfg: RunConfig, step_index: int | None = None) -> SolutionField:
+def step(field: SolutionField, cfg: RunConfig, step_index: int = 0) -> SolutionField:
     """Advance the field by one time step."""
-    w = primitive_array(field.cells, cfg.gas.gamma)
-    _check_positive(w, step_index)
-    q_new, _, courant = _advance_one(field.cells, w, cfg, step_index)
-    return SolutionField(
-        time=field.time + cfg.dt,
-        cells=q_new,
-        max_courant_observed=max(field.max_courant_observed, courant),
-    )
+    return advance(field, cfg, 1, step_index)
 
 
 def step_count(cfg: RunConfig) -> int:
@@ -164,17 +168,7 @@ def step_count(cfg: RunConfig) -> int:
 
 def run(cfg: RunConfig) -> SolutionField:
     """Initialize and march to t_final (which must be a multiple of dt)."""
-    n_steps = step_count(cfg)
-    field = initialize_sod(cfg)
-    q = field.cells
-    w = field.primitives(cfg.gas)
-    max_courant = field.max_courant_observed
-    time = field.time
-    for k in range(n_steps):
-        q, w, courant = _advance_one(q, w, cfg, k)
-        max_courant = max(max_courant, courant)
-        time += cfg.dt
-    return SolutionField(time=time, cells=q, max_courant_observed=max_courant)
+    return advance(initialize_sod(cfg), cfg, step_count(cfg))
 
 
 def sweep_config(cfg: RunConfig, method: FluxMethod) -> RunConfig:

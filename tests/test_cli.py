@@ -76,6 +76,13 @@ class TestSolve:
         code = parse_and_run(["solve", "--dt", "0.001", "--time", "0.0015"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["--dt", "nan"], ["--time", "nan"], ["--dt", "inf"]]
+    )
+    def test_non_finite_dt_or_time_is_config_error(self, flags, capsys):
+        assert parse_and_run(["solve", *flags]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+
     def test_numerical_blowup_exit_code(self, capsys):
         code = parse_and_run(
             ["solve", "--flux", "roe", "--cells", "50", "--dt", "0.02", "--time", "0.2"]

@@ -15,8 +15,6 @@ from sodbench.fluxes import (
     flux_exact,
     flux_hll,
     flux_hllc,
-    flux_knp,
-    flux_kt,
     flux_lf,
     flux_roe,
     flux_rusanov,
@@ -26,7 +24,6 @@ from sodbench.fluxes import (
     wave_speed_estimate,
 )
 from sodbench.gas import GasModel, PrimitiveState, conserved_array, flux_array
-from sodbench.muscl import FaceStates
 
 GAS = GasModel()
 CFG = SchemeConfig()
@@ -285,12 +282,12 @@ class TestTwoWaveFamilies:
     def test_knp_identical_to_hll_davis2_bitwise(self):
         wl, wr = random_pairs(1000, 29)
         assert np.array_equal(
-            flux_knp(wl, wr, GAS), flux_hll(WaveSpeedEstimate.DAVIS2, wl, wr, GAS)
+            dispatch(FluxMethod.KNP, wl, wr), flux_hll(WaveSpeedEstimate.DAVIS2, wl, wr, GAS)
         )
 
     def test_knp_rest_state(self):
         w = np.array([1.0, 0.0, 1.0])
-        assert flux_knp(w, w, GAS) == pytest.approx(flux_array(w, G), rel=1e-14)
+        assert dispatch(FluxMethod.KNP, w, w) == pytest.approx(flux_array(w, G), rel=1e-14)
 
 
 class TestHllc:
@@ -339,13 +336,13 @@ class TestCentralFluxes:
     def test_kt_sod_direct_arithmetic(self):
         a_max = 1.1832159566199232
         expected = np.array([0.0, 0.55, 0.0]) - 0.5 * a_max * np.array([-0.875, 0.0, -2.25])
-        f = flux_kt(SOD_L, SOD_R, GAS)
+        f = dispatch(FluxMethod.KT, SOD_L, SOD_R)
         assert f == pytest.approx(expected, rel=1e-12)
         assert f == pytest.approx([0.51766, 0.55, 1.33112], abs=1e-5)
 
     def test_rusanov_equals_kt_bitwise(self):
         wl, wr = random_pairs(1000, 31)
-        assert np.array_equal(flux_rusanov(wl, wr, GAS), flux_kt(wl, wr, GAS))
+        assert np.array_equal(flux_rusanov(wl, wr, GAS), dispatch(FluxMethod.KT, wl, wr))
 
     def test_lf_sod_value(self):
         f = flux_lf(SOD_L, SOD_R, GAS, dx=0.005, dt=0.001)
@@ -490,19 +487,9 @@ class TestDispatcher:
         )
         assert f == pytest.approx(flux_roe(SOD_L, SOD_R, GAS), rel=1e-14)
 
-    def test_accepts_face_states_pair(self):
-        pair = FaceStates(PrimitiveState(1.0, 0.0, 1.0), PrimitiveState(0.125, 0.0, 0.1))
-        f = compute_face_flux(FluxMethod.HLL_DAVIS1, pair, gas=GAS)
-        assert f == pytest.approx(
-            flux_hll(WaveSpeedEstimate.DAVIS1, SOD_L, SOD_R, GAS), rel=1e-14
-        )
-
-    def test_face_states_pair_excludes_second_argument(self):
-        pair = FaceStates(PrimitiveState(1.0, 0.0, 1.0), PrimitiveState(0.125, 0.0, 0.1))
+    def test_unknown_method_rejected(self):
         with pytest.raises(InvalidConfig):
-            compute_face_flux(FluxMethod.ROE, pair, SOD_R, GAS)
-        with pytest.raises(InvalidConfig):
-            compute_face_flux(FluxMethod.ROE, SOD_L, None, GAS)
+            compute_face_flux("roe", SOD_L, SOD_R, GAS, CFG)
 
 
 class TestSharedProperties:

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from sodbench.errors import NonPhysicalState
-from sodbench.muscl import (
-    Stencil4,
-    gradient_ratios,
-    muscl_face_pair,
-    reconstruct_faces,
-    van_leer_limiter,
-)
+from sodbench.muscl import reconstruct_faces, van_leer_limiter
 
 
 def zero_limiter(r):
@@ -21,23 +15,49 @@ def unit_limiter(r):
     return np.ones_like(np.asarray(r, dtype=float))
 
 
+def velocity_stencil(v_mm, v_m, v_p, v_pp):
+    """Four cells whose velocity row holds the samples; density and pressure
+    are flat, so only the velocity row (which has no positivity check) varies.
+    Face 2 sits between the middle two cells and sees exactly these samples."""
+    return np.stack([np.ones(4), np.array([v_mm, v_m, v_p, v_pp]), np.ones(4)])
+
+
+def face_pair(*samples):
+    """(v_L, v_R) at the face between the two middle samples."""
+    left, right = reconstruct_faces(velocity_stencil(*samples))
+    return float(left[1, 2]), float(right[1, 2])
+
+
+def gradient_ratios(*samples):
+    """(r_L, r_R) that the reconstruction hands the limiter at that face."""
+    seen = []
+
+    def recording_limiter(r):
+        seen.append(r)
+        return van_leer_limiter(r)
+
+    reconstruct_faces(velocity_stencil(*samples), limiter=recording_limiter)
+    r_l, r_r = seen
+    return float(r_l[1, 2]), float(r_r[1, 2])
+
+
 class TestGradientRatios:
     def test_linear_data(self):
-        assert gradient_ratios(Stencil4(0.0, 1.0, 2.0, 3.0)) == (1.0, 1.0)
+        assert gradient_ratios(0.0, 1.0, 2.0, 3.0) == (1.0, 1.0)
 
     def test_flat_one_sided_differences_zero_the_ratios(self):
-        assert gradient_ratios(Stencil4(1.0, 1.0, 0.0, 0.0)) == (0.0, 0.0)
+        assert gradient_ratios(1.0, 1.0, 0.0, 0.0) == (0.0, 0.0)
 
     def test_mixed_slopes(self):
-        r_l, r_r = gradient_ratios(Stencil4(0.0, 1.0, 0.5, 2.0))
+        r_l, r_r = gradient_ratios(0.0, 1.0, 0.5, 2.0)
         assert r_l == pytest.approx(-0.5, rel=1e-14)
         assert r_r == pytest.approx(-1.0 / 3.0, rel=1e-14)
 
     def test_tiny_difference_guard(self):
         # |d| at or below the guard threshold counts as flat
-        r_l, _ = gradient_ratios(Stencil4(0.0, 1e-16, 2.0, 3.0))
+        r_l, _ = gradient_ratios(0.0, 1e-16, 2.0, 3.0)
         assert r_l == 0.0
-        _, r_r = gradient_ratios(Stencil4(0.0, 1.0, 2.0, 2.0 + 1e-16))
+        _, r_r = gradient_ratios(0.0, 1.0, 2.0, 2.0 + 1e-16)
         assert r_r == 0.0
 
 
@@ -66,13 +86,13 @@ class TestVanLeerLimiter:
 
 class TestFacePair:
     def test_linear_data_reconstructs_midpoint(self):
-        assert muscl_face_pair(Stencil4(0.0, 1.0, 2.0, 3.0)) == pytest.approx((1.5, 1.5))
+        assert face_pair(0.0, 1.0, 2.0, 3.0) == pytest.approx((1.5, 1.5))
 
     def test_discontinuity_falls_back_to_first_order(self):
-        assert muscl_face_pair(Stencil4(1.0, 1.0, 0.0, 0.0)) == (1.0, 0.0)
+        assert face_pair(1.0, 1.0, 0.0, 0.0) == (1.0, 0.0)
 
     def test_negative_ratios_shut_the_limiter(self):
-        assert muscl_face_pair(Stencil4(0.0, 1.0, 0.5, 2.0)) == (1.0, 0.5)
+        assert face_pair(0.0, 1.0, 0.5, 2.0) == (1.0, 0.5)
 
 
 class TestReconstructFaces:
@@ -144,3 +164,10 @@ class TestReconstructFaces:
         w[2, 3] = -0.5
         with pytest.raises(NonPhysicalState):
             reconstruct_faces(w)
+
+    def test_nan_input_is_reported(self):
+        w = np.tile(np.array([[1.0], [0.0], [1.0]]), (1, 8))
+        w[0, 5] = np.nan
+        with pytest.raises(NonPhysicalState) as excinfo:
+            reconstruct_faces(w)
+        assert excinfo.value.cell == 6  # face 6 takes its left state from cell 5

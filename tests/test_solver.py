@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sodbench import bench, solver
 from sodbench.errors import InvalidConfig, NonPhysicalState
 from sodbench.fluxes import FluxMethod
 from sodbench.gas import GasModel, PrimitiveState
@@ -101,6 +102,15 @@ class TestStep:
         assert np.sum(stepped.cells[0]) * dx == pytest.approx(
             np.sum(field.cells[0]) * dx, rel=1e-14
         )
+
+    def test_nan_cell_reports_cell_and_step(self):
+        cfg = RunConfig()
+        field = initialize_sod(cfg)
+        cells = field.cells.copy()
+        cells[1, 37] = np.nan
+        with pytest.raises(NonPhysicalState) as excinfo:
+            step(dataclasses.replace(field, cells=cells), cfg, step_index=5)
+        assert (excinfo.value.cell, excinfo.value.step) == (37, 5)
 
     def test_blowup_reports_cell_and_step(self):
         # a time step far beyond the stability limit must fail loudly
@@ -203,6 +213,47 @@ class TestRun:
             )
 
         assert total_rmse(400, 0.0005) < total_rmse(200, 0.001)
+
+
+class TestOneLoop:
+    """run, step and timing_sweep all go through solver.advance, which looks
+    up these three entry points as module attributes on every call (wrappers
+    installed on the module must see every step)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"primitive_array": 0, "reconstruct_faces": 0, "compute_face_flux": 0}
+        for name in counts:
+            original = getattr(solver, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(solver, name, counted)
+        return counts
+
+    def test_run(self, calls):
+        cfg = small_cfg(t_final=0.02)
+        run(cfg)
+        n = step_count(cfg)
+        assert calls == {"primitive_array": n + 1, "reconstruct_faces": n, "compute_face_flux": n}
+
+    def test_step(self, calls):
+        cfg = small_cfg()
+        step(initialize_sod(cfg), cfg)
+        assert calls == {"primitive_array": 2, "reconstruct_faces": 1, "compute_face_flux": 1}
+
+    def test_timing_sweep(self, calls):
+        cfg = small_cfg(t_final=0.02)
+        bench.timing_sweep(cfg, repetitions=3)
+        advances = 3 * len(FluxMethod)
+        n = advances * step_count(cfg)
+        assert calls == {
+            "primitive_array": n + advances,
+            "reconstruct_faces": n,
+            "compute_face_flux": n,
+        }
 
 
 class TestSweepConfig:
