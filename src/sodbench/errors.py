@@ -12,18 +12,41 @@ class InvalidConfig(SodbenchError):
 class NonPhysicalState(SodbenchError):
     """A state with non-positive density or pressure was produced.
 
-    Carries the offending cell index and time step when raised from the
-    time integrator, so blow-ups can be located.
+    Carries the offending cell (time integrator) or face (reconstruction)
+    index and the time step, so blow-ups can be located.
     """
 
-    def __init__(self, message: str, cell: int | None = None, step: int | None = None):
+    def __init__(
+        self,
+        message: str,
+        cell: int | None = None,
+        step: int | None = None,
+        face: int | None = None,
+    ):
         super().__init__(message)
         self.cell = cell
         self.step = step
+        self.face = face
 
 
 class NoConvergence(SodbenchError):
-    """The exact Riemann pressure iteration hit its iteration cap."""
+    """The exact Riemann pressure iteration hit its iteration cap.
+
+    Carries the first unconverged face problem, its last relative update
+    |dp|/p and the number of iterations made.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        face: int | None = None,
+        residual: float | None = None,
+        iterations: int | None = None,
+    ):
+        super().__init__(message)
+        self.face = face
+        self.residual = residual
+        self.iterations = iterations
 
 
 class VacuumGenerated(SodbenchError):

@@ -24,7 +24,8 @@ EPSILON = 2.22e-16
 def van_leer_limiter(r):
     """phi(r) = (r + |r|) / (1 + |r|); zero for r <= 0, approaches 2 at large r."""
     r = np.asarray(r, dtype=float)
-    phi = (r + np.abs(r)) / (1.0 + np.abs(r))
+    abs_r = np.abs(r)
+    phi = (r + abs_r) / (1.0 + abs_r)
     return float(phi) if phi.ndim == 0 else phi
 
 
@@ -47,32 +48,30 @@ def reconstruct_faces(
     n = w.shape[1]
     ext = _extend_zero_gradient(w)
 
-    v_mm = ext[:, 0 : n + 1]
-    v_m = ext[:, 1 : n + 2]
-    v_p = ext[:, 2 : n + 3]
-    v_pp = ext[:, 3 : n + 4]
-
-    d_m = v_m - v_mm
-    d_c = v_p - v_m
-    d_p = v_pp - v_p
+    # One difference array serves all three differences of every face:
+    # d_m = v_m - v_mm, d_c = v_p - v_m and d_p = v_pp - v_p are its slices.
+    d = ext[:, 1:] - ext[:, :-1]
+    d_m = d[:, 0 : n + 1]
+    d_c = d[:, 1 : n + 2]
+    d_p = d[:, 2 : n + 3]
     # A one-sided difference at or below EPSILON zeroes its ratio, which in
     # turn shuts the limiter off and drops that side to first order.
-    dead_m = np.abs(d_m) <= EPSILON
-    dead_p = np.abs(d_p) <= EPSILON
-    r_l = np.where(dead_m, 0.0, d_c / np.where(dead_m, 1.0, d_m))
-    r_r = np.where(dead_p, 0.0, d_c / np.where(dead_p, 1.0, d_p))
+    dead = np.abs(d) <= EPSILON
+    safe = np.where(dead, 1.0, d)
+    r_l = np.where(dead[:, 0 : n + 1], 0.0, d_c / safe[:, 0 : n + 1])
+    r_r = np.where(dead[:, 2 : n + 3], 0.0, d_c / safe[:, 2 : n + 3])
 
-    face_l = v_m + 0.5 * limiter(r_l) * d_m
-    face_r = v_p - 0.5 * limiter(r_r) * d_p
+    face_l = ext[:, 1 : n + 2] + 0.5 * limiter(r_l) * d_m
+    face_r = ext[:, 2 : n + 3] - 0.5 * limiter(r_r) * d_p
 
     for name, face in (("left", face_l), ("right", face_r)):
-        # "not > 0" so that NaN is caught too
-        not_positive = ~((face[0] > 0.0) & (face[2] > 0.0))
-        if np.any(not_positive):
-            bad = int(np.argmax(not_positive))
-            raise NonPhysicalState(
-                f"reconstructed face-{name} state has non-positive density or "
-                f"pressure at face {bad}",
-                cell=bad,
-            )
+        # Density and pressure rows at once; a NaN fails "> 0" too.
+        if face[::2].min() > 0.0:
+            continue
+        bad = int(np.argmax(~((face[0] > 0.0) & (face[2] > 0.0))))
+        raise NonPhysicalState(
+            f"reconstructed face-{name} state has non-positive density or "
+            f"pressure at face {bad}",
+            face=bad,
+        )
     return face_l, face_r

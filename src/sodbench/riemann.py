@@ -171,12 +171,19 @@ def star_pressure_arrays(wl: np.ndarray, wr: np.ndarray, gamma: float) -> np.nda
         converged |= np.abs(dp) <= NEWTON_RTOL * p_new
         p = p_new
         if converged.all():
-            break
-    if not converged.all():
-        raise NoConvergence(
-            f"star pressure iteration did not converge within {NEWTON_MAX_ITER} steps"
-        )
-    return p
+            return p
+    face = int(np.argmin(converged))
+    raise _no_convergence(face, float(np.abs(dp[face]) / p[face]))
+
+
+def _no_convergence(face: int, residual: float) -> NoConvergence:
+    return NoConvergence(
+        f"star pressure iteration did not converge within {NEWTON_MAX_ITER} steps: "
+        f"face {face} stopped at |dp|/p = {residual:.3e}",
+        face=face,
+        residual=residual,
+        iterations=NEWTON_MAX_ITER,
+    )
 
 
 def star_state_arrays(wl: np.ndarray, wr: np.ndarray, gamma: float):
@@ -363,10 +370,22 @@ def sample(star: StarRegion, problem: RiemannInput, xi: float) -> PrimitiveState
 def interface_states(wl: np.ndarray, wr: np.ndarray, gamma: float) -> np.ndarray:
     """States sampled on the face ray xi = 0 for many face problems at once.
 
-    This is the kernel behind the exact (Godunov) flux method.
+    This is the kernel behind the exact (Godunov) flux method.  A face whose
+    two states are equal has no waves, so its state is the left one; the
+    other faces are gathered, solved in one call of ``star_state_arrays`` and
+    ``_sample_arrays`` (made even when no face is left) and scattered back.
     """
-    p_star, u_star, rho_l, rho_r = star_state_arrays(wl, wr, gamma)
-    return _sample_arrays(wl, wr, p_star, u_star, rho_l, rho_r, 0.0, gamma)
+    wl = np.asarray(wl, dtype=float)
+    w0 = wl.reshape(3, -1).copy()
+    wr_flat = np.asarray(wr, dtype=float).reshape(3, -1)
+    active = np.flatnonzero((w0 != wr_flat).any(axis=0))
+    a_l, a_r = w0[:, active], wr_flat[:, active]
+    try:
+        p_star, u_star, rho_l, rho_r = star_state_arrays(a_l, a_r, gamma)
+    except NoConvergence as exc:
+        raise _no_convergence(int(active[exc.face]), exc.residual) from None
+    w0[:, active] = _sample_arrays(a_l, a_r, p_star, u_star, rho_l, rho_r, 0.0, gamma)
+    return w0.reshape(wl.shape)
 
 
 def exact_profile(problem: RiemannInput, x: np.ndarray, jump_position: float, t: float) -> ExactProfile:

@@ -114,15 +114,15 @@ def initialize_sod(cfg: RunConfig) -> SolutionField:
 
 
 def _check_positive(w: np.ndarray, step_index: int) -> None:
-    # Written as "not > 0" so that a NaN density or pressure is caught too.
-    bad = ~((w[0] > 0.0) & (w[2] > 0.0))
-    if np.any(bad):
-        cell = int(np.argmax(bad))
-        raise NonPhysicalState(
-            f"solver produced non-positive density/pressure in cell {cell} at step {step_index}",
-            cell=cell,
-            step=step_index,
-        )
+    # Density and pressure rows at once; a NaN fails "> 0" too.
+    if w[::2].min() > 0.0:
+        return
+    cell = int(np.argmax(~((w[0] > 0.0) & (w[2] > 0.0))))
+    raise NonPhysicalState(
+        f"solver produced non-positive density/pressure in cell {cell} at step {step_index}",
+        cell=cell,
+        step=step_index,
+    )
 
 
 def advance(
@@ -138,7 +138,13 @@ def advance(
     time = field.time
     max_courant = field.max_courant_observed
     for k in range(first_step, first_step + n_steps):
-        wl, wr = reconstruct_faces(w)
+        try:
+            wl, wr = reconstruct_faces(w)
+        except NonPhysicalState as exc:
+            # Same object, bare raise: the failure still comes from muscl.
+            exc.step = k
+            exc.args = (f"{exc.args[0]} at step {k}",)
+            raise
         flux = compute_face_flux(cfg.method, wl, wr, cfg.gas, cfg.scheme, dx=dx, dt=cfg.dt)
         q = q - (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
         w = primitive_array(q, gamma)
@@ -163,6 +169,8 @@ def step_count(cfg: RunConfig) -> int:
         raise InvalidConfig(
             f"t_final={cfg.t_final} is not an integer multiple of dt={cfg.dt}"
         )
+    if n_round == 0 and cfg.t_final > 0.0:
+        raise InvalidConfig(f"dt={cfg.dt} takes no step to reach t_final={cfg.t_final}")
     return int(n_round)
 
 

@@ -83,6 +83,12 @@ class TestSolve:
         assert parse_and_run(["solve", *flags]) == 2
         assert "invalid configuration" in capsys.readouterr().err
 
+    def test_dt_taking_no_step_is_config_error(self, capsys):
+        assert parse_and_run(["solve", "--dt", "1e300"]) == 2
+        captured = capsys.readouterr()
+        assert "invalid configuration" in captured.err and "no step" in captured.err
+        assert captured.out == ""
+
     def test_numerical_blowup_exit_code(self, capsys):
         code = parse_and_run(
             ["solve", "--flux", "roe", "--cells", "50", "--dt", "0.02", "--time", "0.2"]

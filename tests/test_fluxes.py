@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sodbench.errors import InvalidConfig
 from sodbench.fluxes import (
@@ -22,6 +24,7 @@ from sodbench.fluxes import (
     flux_vanleer_fvs,
     roe_average,
     wave_speed_estimate,
+    _state_and_flux,
 )
 from sodbench.gas import GasModel, PrimitiveState, conserved_array, flux_array
 
@@ -212,6 +215,20 @@ class TestExactFlux:
         w = np.array([0.6, -0.4, 1.7])
         assert flux_exact(w, w, GAS) == pytest.approx(flux_array(w, G), rel=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(1e-3, 1e3), st.floats(-50.0, 50.0), st.floats(1e-3, 1e3)),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_identical_states_give_the_physical_flux_bitwise(self, states):
+        # no waves: the face state is the input itself, not a Newton result
+        w = np.array(states).T
+        assert np.array_equal(flux_exact(w, w.copy(), GAS), flux_array(w, G))
+        assert np.array_equal(flux_exact(w[:, 0], w[:, 0], GAS), flux_array(w[:, 0], G))
+
     def test_sod_pair_matches_star_left_flux(self):
         f = flux_exact(SOD_L, SOD_R, GAS)
         assert f == pytest.approx(SOD_EXACT_FLUX, abs=1e-4)
@@ -290,7 +307,45 @@ class TestTwoWaveFamilies:
         assert dispatch(FluxMethod.KNP, w, w) == pytest.approx(flux_array(w, G), rel=1e-14)
 
 
+def hllc_both_star_states(variant, wl, wr):
+    """HLLC that builds both star states and then selects one."""
+    s_l, s_r = wave_speed_estimate(variant, wl, wr, GAS)
+    ql, qr = conserved_array(wl, G), conserved_array(wr, G)
+    fl, fr = flux_array(wl, G), flux_array(wr, G)
+    m_l = wl[0] * (s_l - wl[1])
+    m_r = wr[0] * (s_r - wr[1])
+    den = m_l - m_r
+    den = np.where(np.abs(den) < 1e-300, 1e-300, den)
+    s_star = (wr[2] - wl[2] + wl[1] * m_l - wr[1] * m_r) / den
+
+    def star_flux(w, q, f, s_k, m_k):
+        factor = m_k / np.where(np.abs(s_k - s_star) < 1e-300, 1e-300, s_k - s_star)
+        energy = q[2] / w[0] + (s_star - w[1]) * (s_star + w[2] / m_k)
+        q_star = np.stack([factor * np.ones_like(s_star), factor * s_star, factor * energy])
+        return f + s_k * (q_star - q)
+
+    f_star_l = star_flux(wl, ql, fl, s_l, m_l)
+    f_star_r = star_flux(wr, qr, fr, s_r, m_r)
+    return np.where(
+        s_l >= 0.0, fl, np.where(s_r <= 0.0, fr, np.where(s_star >= 0.0, f_star_l, f_star_r))
+    )
+
+
 class TestHllc:
+    @pytest.mark.parametrize("variant", list(WaveSpeedEstimate))
+    def test_one_star_state_matches_both_star_states_bitwise(self, variant):
+        wl, wr = random_pairs(400, 29)
+        # add equal, moving-contact, resting-contact (s* = 0) and supersonic faces
+        extra_l = [SOD_L, [1.0, 0.8, 1.5], [1.0, 0.0, 1.5], [1.3, 0.0, 0.7], [1.0, 3.0, 1.0]]
+        extra_r = [SOD_L, [0.3, 0.8, 1.5], [0.3, 0.0, 1.5], [0.2, 0.0, 0.7], [1.05, 3.1, 1.02]]
+        wl = np.concatenate([wl, np.array(extra_l).T], axis=1)
+        wr = np.concatenate([wr, np.array(extra_r).T], axis=1)
+        expected = hllc_both_star_states(variant, wl, wr)
+        assert np.array_equal(flux_hllc(variant, wl, wr, GAS), expected)
+        assert np.array_equal(
+            flux_hllc(variant, SOD_L, SOD_R, GAS), hllc_both_star_states(variant, SOD_L, SOD_R)
+        )
+
     def test_identical_states(self):
         w = np.array([1.1, 0.4, 0.9])
         for variant in WaveSpeedEstimate:
@@ -330,6 +385,15 @@ class TestHllc:
         f = flux_hllc(WaveSpeedEstimate.ROE, wl, wr, GAS)
         f_exact = flux_exact(wl, wr, GAS)
         assert np.max(np.abs(f - f_exact) / (np.abs(f_exact) + 0.05)) < 0.05
+
+
+class TestStateAndFlux:
+    def test_matches_conserved_and_flux_kernels_bitwise(self):
+        w = random_primitives(300, 31, u_range=(-40.0, 40.0))
+        for sample in (w, w[:, 0]):
+            q, f = _state_and_flux(sample, G)
+            assert np.array_equal(q, conserved_array(sample, G))
+            assert np.array_equal(f, flux_array(sample, G))
 
 
 class TestCentralFluxes:

@@ -170,4 +170,4 @@ class TestReconstructFaces:
         w[0, 5] = np.nan
         with pytest.raises(NonPhysicalState) as excinfo:
             reconstruct_faces(w)
-        assert excinfo.value.cell == 6  # face 6 takes its left state from cell 5
+        assert excinfo.value.face == 6  # face 6 takes its left state from cell 5

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sodbench.riemann as riemann
 from sodbench.errors import DegenerateJump, NoConvergence, VacuumGenerated
@@ -125,6 +127,23 @@ class TestSolveStar:
         with pytest.raises(NoConvergence):
             solve_star(SOD)
 
+    def test_iteration_cap_names_face_residual_and_count(self, monkeypatch):
+        # faces 0-2 and 4 carry no jump; the index is the caller's face 3,
+        # not the position among the faces that were solved
+        monkeypatch.setattr(riemann, "NEWTON_MAX_ITER", 1)
+        wl = np.tile(SOD.left.array[:, None], (1, 5))
+        wr = wl.copy()
+        wr[:, 3] = SOD.right.array
+        with pytest.raises(NoConvergence) as excinfo:
+            riemann.interface_states(wl, wr, GAS.gamma)
+        exc = excinfo.value
+        assert (exc.face, exc.iterations) == (3, 1)
+        assert exc.residual > riemann.NEWTON_RTOL
+        message = str(exc)
+        assert "within 1 steps" in message
+        assert "face 3" in message
+        assert f"{exc.residual:.3e}" in message
+
 
 class TestWaveSpeeds:
     def test_sod_speeds(self):
@@ -217,6 +236,34 @@ class TestSampling:
             assert m.rho == pytest.approx(w.rho, rel=1e-9)
             assert m.u == pytest.approx(-w.u, rel=1e-9, abs=1e-11)
             assert m.p == pytest.approx(w.p, rel=1e-9)
+
+
+# Non-vacuum states: every sound speed is at least 0.118, so the vacuum
+# bound 2 (a_l + a_r) / (gamma - 1) >= 1.18 exceeds any velocity jump of 1.
+_STATE = st.tuples(
+    st.floats(0.1, 10.0), st.floats(-0.5, 0.5), st.floats(0.1, 10.0)
+)
+
+
+class TestInterfaceStates:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_STATE, _STATE, st.booleans()), min_size=1, max_size=24))
+    def test_equal_faces_pass_through_and_the_rest_are_solved(self, faces):
+        wl = np.array([left for left, _, _ in faces]).T
+        wr = np.array([left if same else right for left, right, same in faces]).T
+        equal = (wl == wr).all(axis=0)
+        w0 = riemann.interface_states(wl, wr, GAS.gamma)
+        assert np.array_equal(w0[:, equal], wl[:, equal])
+        # the remaining faces are one batch solve of exactly those faces ...
+        a_l, a_r = wl[:, ~equal], wr[:, ~equal]
+        star = riemann.star_state_arrays(a_l, a_r, GAS.gamma)
+        batch = riemann._sample_arrays(a_l, a_r, *star, 0.0, GAS.gamma)
+        assert np.array_equal(w0[:, ~equal], batch)
+        # ... and agree with solving each face alone to Newton's tolerance
+        for i in np.flatnonzero(~equal):
+            alone = riemann.interface_states(wl[:, i], wr[:, i], GAS.gamma)
+            assert alone.shape == (3,)
+            assert w0[:, i] == pytest.approx(alone, rel=1e-12, abs=1e-12)
 
 
 class TestExactProfile:

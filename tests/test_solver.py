@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sodbench import bench, solver
+from sodbench import bench, riemann, solver
 from sodbench.errors import InvalidConfig, NonPhysicalState
 from sodbench.fluxes import FluxMethod
 from sodbench.gas import GasModel, PrimitiveState
@@ -94,6 +94,31 @@ class TestStep:
         assert np.array_equal(stepped.cells, field.cells)
         assert stepped.time == pytest.approx(cfg.dt)
 
+    def test_uniform_exact_step_keeps_riemann_call_counts(self, monkeypatch):
+        # no face has waves, yet the step still reaches the star-state solve
+        # once and Newton's two pressure-function calls
+        calls = {"star": 0, "pfun": 0}
+        star_state_arrays = riemann.star_state_arrays
+        pressure_function = riemann.pressure_function
+
+        def count_star(*args):
+            calls["star"] += 1
+            return star_state_arrays(*args)
+
+        def count_pfun(*args):
+            calls["pfun"] += 1
+            return pressure_function(*args)
+
+        monkeypatch.setattr(riemann, "star_state_arrays", count_star)
+        monkeypatch.setattr(riemann, "pressure_function", count_pfun)
+        cfg = dataclasses.replace(
+            small_cfg(), left=PrimitiveState(1.0, 0.3, 1.0), right=PrimitiveState(1.0, 0.3, 1.0)
+        )
+        field = initialize_sod(cfg)
+        assert np.array_equal(step(field, cfg).cells, field.cells)
+        assert calls["star"] == 1
+        assert calls["pfun"] >= 2
+
     def test_single_step_conserves_mass(self):
         cfg = RunConfig()
         field = initialize_sod(cfg)
@@ -111,6 +136,29 @@ class TestStep:
         with pytest.raises(NonPhysicalState) as excinfo:
             step(dataclasses.replace(field, cells=cells), cfg, step_index=5)
         assert (excinfo.value.cell, excinfo.value.step) == (37, 5)
+
+    def test_reconstruction_failure_reports_face_and_step(self, monkeypatch):
+        # the third reconstruction of the run sees a negative pressure in cell
+        # 20, which face 21 takes as its left state; advance stamps the step
+        # on the exception muscl raised
+        real = solver.reconstruct_faces
+        calls = []
+
+        def poisoned(w):
+            calls.append(1)
+            if len(calls) == 3:
+                w = w.copy()
+                w[2, 20] = -1.0
+            return real(w)
+
+        monkeypatch.setattr(solver, "reconstruct_faces", poisoned)
+        cfg = RunConfig()
+        with pytest.raises(NonPhysicalState) as excinfo:
+            solver.advance(initialize_sod(cfg), cfg, 5, first_step=10)
+        exc = excinfo.value
+        assert (exc.face, exc.step, exc.cell) == (21, 12, None)
+        assert str(exc).endswith("at face 21 at step 12")
+        assert excinfo.traceback[-1].path.name == "muscl.py"
 
     def test_blowup_reports_cell_and_step(self):
         # a time step far beyond the stability limit must fail loudly
@@ -134,6 +182,11 @@ class TestRun:
 
     def test_step_count(self):
         assert step_count(RunConfig()) == 200
+
+    def test_dt_beyond_final_time_rejected(self):
+        # t_final / dt rounds to 0 steps although time is asked to pass
+        with pytest.raises(InvalidConfig, match="no step"):
+            step_count(RunConfig(dt=1e300))
 
     def test_run_equals_repeated_steps_bitwise(self):
         cfg = small_cfg(method=FluxMethod.HLLC_ROE, n=40, dt=0.005, t_final=0.05)
