@@ -33,7 +33,7 @@ class NoConvergence(SodbenchError):
     """The exact Riemann pressure iteration hit its iteration cap.
 
     Carries the first unconverged face problem, its last relative update
-    |dp|/p and the number of iterations made.
+    |dp|/p, the number of iterations made and, inside a run, the time step.
     """
 
     def __init__(
@@ -42,15 +42,24 @@ class NoConvergence(SodbenchError):
         face: int | None = None,
         residual: float | None = None,
         iterations: int | None = None,
+        step: int | None = None,
     ):
         super().__init__(message)
         self.face = face
         self.residual = residual
         self.iterations = iterations
+        self.step = step
 
 
 class VacuumGenerated(SodbenchError):
-    """The two states would generate a vacuum region (excluded by design)."""
+    """The two states would generate a vacuum region (excluded by design).
+
+    Inside a run it carries the time step.
+    """
+
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message)
+        self.step = step
 
 
 class DegenerateJump(SodbenchError):

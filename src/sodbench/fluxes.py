@@ -151,7 +151,7 @@ def _state_and_flux(w, g: float):
     rho, u, p = w[0], w[1], w[2]
     mom = rho * u
     energy = p / (g - 1.0) + 0.5 * rho * u * u
-    return np.stack([rho, mom, energy]), np.stack([mom, mom * u + p, (energy + p) * u])
+    return np.array([rho, mom, energy]), np.array([mom, mom * u + p, (energy + p) * u])
 
 
 def _fluxes_and_jump(wl, wr, g: float):
@@ -248,7 +248,7 @@ def flux_roe(wl, wr, gas: GasModel = GasModel(), cfg: SchemeConfig | None = None
         lam1 = np.where(lam1 < delta, (lam1 * lam1 + delta * delta) / (2.0 * delta), lam1)
         lam3 = np.where(lam3 < delta, (lam3 * lam3 + delta * delta) / (2.0 * delta), lam3)
 
-    diss = np.stack(
+    diss = np.array(
         [
             lam1 * alpha1 + lam2 * alpha2 + lam3 * alpha3,
             lam1 * alpha1 * (u - a) + lam2 * alpha2 * u + lam3 * alpha3 * (u + a),
@@ -325,7 +325,7 @@ def flux_hllc(variant: WaveSpeedEstimate, wl, wr, gas: GasModel = GasModel()) ->
 
     factor = m_k / np.where(np.abs(s_k - s_star) < 1e-300, 1e-300, s_k - s_star)
     energy = q_k[2] / rho_k + (s_star - u_k) * (s_star + p_k / m_k)
-    q_star = np.stack([factor, factor * s_star, factor * energy])
+    q_star = np.array([factor, factor * s_star, factor * energy])
     f_star = np.where(left, fl, fr) + s_k * (q_star - q_k)
 
     return np.where(s_l >= 0.0, fl, np.where(s_r <= 0.0, fr, f_star))
@@ -374,7 +374,7 @@ def _steger_warming_part(w, g: float, sign: float) -> np.ndarray:
     lam = (u - a, u, u + a)
     l1, l2, l3 = (0.5 * (x + sign * np.abs(x)) for x in lam)
     c = rho / (2.0 * g)
-    return np.stack(
+    return np.array(
         [
             c * (l1 + 2.0 * (g - 1.0) * l2 + l3),
             c * (l1 * (u - a) + 2.0 * (g - 1.0) * l2 * u + l3 * (u + a)),
@@ -398,11 +398,11 @@ def _van_leer_part(w, g: float, sign: float) -> np.ndarray:
 
     f_mass = sign * 0.25 * rho * a * (mach + sign) ** 2
     t = (g - 1.0) * u + sign * 2.0 * a
-    sub = np.stack([f_mass, f_mass * t / g, f_mass * t * t / (2.0 * (g * g - 1.0))])
+    sub = np.array([f_mass, f_mass * t / g, f_mass * t * t / (2.0 * (g * g - 1.0))])
 
     take_full = sign * mach >= 1.0  # wind fully through this side
     take_zero = sign * mach <= -1.0
-    return np.where(take_full, full, np.where(take_zero, np.zeros_like(full), sub))
+    return np.where(take_full, full, np.where(take_zero, 0.0, sub))
 
 
 def flux_vanleer_fvs(wl, wr, gas: GasModel = GasModel()) -> np.ndarray:
@@ -485,8 +485,8 @@ def flux_ausm(
         mach_r = u_r / a_r
         m_half = _mach_split_1(mach_l, +1.0) + _mach_split_1(mach_r, -1.0)
         p_half = _pressure_split_1(mach_l, +1.0) * p_l + _pressure_split_1(mach_r, -1.0) * p_r
-        psi_l = np.stack([rho_l * a_l, rho_l * a_l * u_l, rho_l * a_l * h_l])
-        psi_r = np.stack([rho_r * a_r, rho_r * a_r * u_r, rho_r * a_r * h_r])
+        psi_l = np.array([rho_l * a_l, rho_l * a_l * u_l, rho_l * a_l * h_l])
+        psi_r = np.array([rho_r * a_r, rho_r * a_r * u_r, rho_r * a_r * h_r])
         flux = _convect(m_half, psi_l, psi_r)
         flux[1] = flux[1] + p_half
         return flux
@@ -525,8 +525,8 @@ def flux_ausm(
         raise InvalidConfig(f"unknown AUSM variant {variant!r}")
 
     mdot = a_half * m_half * np.where(m_half > 0.0, rho_l, rho_r)
-    psi_l = np.stack([np.ones_like(u_l), u_l, h_l])
-    psi_r = np.stack([np.ones_like(u_r), u_r, h_r])
+    psi_l = np.array([np.ones_like(u_l), u_l, h_l])
+    psi_r = np.array([np.ones_like(u_r), u_r, h_r])
     flux = mdot * np.where(m_half > 0.0, psi_l, psi_r)
     flux[1] = flux[1] + p_half
     return flux

@@ -157,7 +157,7 @@ def sound_speed_array(w: np.ndarray, gamma: float) -> np.ndarray:
 
 def conserved_array(w: np.ndarray, gamma: float) -> np.ndarray:
     rho, u, p = w[0], w[1], w[2]
-    return np.stack([rho, rho * u, p / (gamma - 1.0) + 0.5 * rho * u * u])
+    return np.array([rho, rho * u, p / (gamma - 1.0) + 0.5 * rho * u * u])
 
 
 def primitive_array(q: np.ndarray, gamma: float) -> np.ndarray:
@@ -166,13 +166,13 @@ def primitive_array(q: np.ndarray, gamma: float) -> np.ndarray:
     rho = q[0]
     u = q[1] / rho
     p = (gamma - 1.0) * (q[2] - 0.5 * q[1] * u)
-    return np.stack([rho, u, p])
+    return np.array([rho, u, p])
 
 
 def flux_array(w: np.ndarray, gamma: float) -> np.ndarray:
     rho, u, p = w[0], w[1], w[2]
     energy = p / (gamma - 1.0) + 0.5 * rho * u * u
-    return np.stack([rho * u, rho * u * u + p, (energy + p) * u])
+    return np.array([rho * u, rho * u * u + p, (energy + p) * u])
 
 
 def enthalpy_array(w: np.ndarray, gamma: float) -> np.ndarray:

@@ -135,18 +135,18 @@ def pressure_function(p, side, gas: GasModel = GasModel()):
     return f, df
 
 
-def _check_vacuum(wl: np.ndarray, wr: np.ndarray, gamma: float) -> None:
-    a_l = np.sqrt(gamma * wl[2] / wl[0])
-    a_r = np.sqrt(gamma * wr[2] / wr[0])
-    if np.any(2.0 * (a_l + a_r) / (gamma - 1.0) <= wr[1] - wl[1]):
+def _check_vacuum(
+    wl: np.ndarray, wr: np.ndarray, a_l: np.ndarray, a_r: np.ndarray, gamma: float
+) -> None:
+    if (2.0 * (a_l + a_r) / (gamma - 1.0) <= wr[1] - wl[1]).any():
         raise VacuumGenerated(
             "pressure positivity condition violated: states would generate vacuum"
         )
 
 
-def _two_rarefaction_guess(wl: np.ndarray, wr: np.ndarray, gamma: float) -> np.ndarray:
-    a_l = np.sqrt(gamma * wl[2] / wl[0])
-    a_r = np.sqrt(gamma * wr[2] / wr[0])
+def _two_rarefaction_guess(
+    wl: np.ndarray, wr: np.ndarray, a_l: np.ndarray, a_r: np.ndarray, gamma: float
+) -> np.ndarray:
     z = (gamma - 1.0) / (2.0 * gamma)
     num = a_l + a_r - 0.5 * (gamma - 1.0) * (wr[1] - wl[1])
     den = a_l / wl[2] ** z + a_r / wr[2] ** z
@@ -157,11 +157,13 @@ def star_pressure_arrays(wl: np.ndarray, wr: np.ndarray, gamma: float) -> np.nda
     """Newton iteration for the star pressure of many face problems at once."""
     wl = np.atleast_2d(np.asarray(wl, dtype=float).T).T  # keep (3,) usable as (3,1)
     wr = np.atleast_2d(np.asarray(wr, dtype=float).T).T
-    _check_vacuum(wl, wr, gamma)
+    a_l = np.sqrt(gamma * wl[2] / wl[0])
+    a_r = np.sqrt(gamma * wr[2] / wr[0])
+    _check_vacuum(wl, wr, a_l, a_r, gamma)
     gas = GasModel(gamma)
     du = wr[1] - wl[1]
 
-    p = np.maximum(_two_rarefaction_guess(wl, wr, gamma), PRESSURE_FLOOR)
+    p = np.maximum(_two_rarefaction_guess(wl, wr, a_l, a_r, gamma), PRESSURE_FLOOR)
     converged = np.zeros(p.shape, dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
         f_l, df_l = pressure_function(p, wl, gas)
@@ -343,7 +345,7 @@ def _sample_arrays(wl, wr, p_star, u_star, rho_star_l, rho_star_r, xi, gamma):
     def pick(v_outer, v_star, v_fan):
         return np.where(outer, v_outer, np.where(star, v_star, v_fan))
 
-    return np.stack(
+    return np.array(
         [
             pick(rho_k, rho_star, rho_fan),
             sign * pick(u_k, u_star, u_fan),
@@ -378,7 +380,7 @@ def interface_states(wl: np.ndarray, wr: np.ndarray, gamma: float) -> np.ndarray
     wl = np.asarray(wl, dtype=float)
     w0 = wl.reshape(3, -1).copy()
     wr_flat = np.asarray(wr, dtype=float).reshape(3, -1)
-    active = np.flatnonzero((w0 != wr_flat).any(axis=0))
+    active = (w0 != wr_flat).any(axis=0).nonzero()[0]
     a_l, a_r = w0[:, active], wr_flat[:, active]
     try:
         p_star, u_star, rho_l, rho_r = star_state_arrays(a_l, a_r, gamma)

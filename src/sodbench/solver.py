@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidConfig, NonPhysicalState
+from .errors import InvalidConfig, NoConvergence, NonPhysicalState, VacuumGenerated
 from .fluxes import FluxMethod, SchemeConfig, compute_face_flux
 from .gas import GasModel, PrimitiveState, conserved_array, primitive_array
 from .muscl import reconstruct_faces
@@ -140,12 +140,12 @@ def advance(
     for k in range(first_step, first_step + n_steps):
         try:
             wl, wr = reconstruct_faces(w)
-        except NonPhysicalState as exc:
-            # Same object, bare raise: the failure still comes from muscl.
+            flux = compute_face_flux(cfg.method, wl, wr, cfg.gas, cfg.scheme, dx=dx, dt=cfg.dt)
+        except (NonPhysicalState, NoConvergence, VacuumGenerated) as exc:
+            # Same object, bare raise: the failure still comes from muscl or riemann.
             exc.step = k
             exc.args = (f"{exc.args[0]} at step {k}",)
             raise
-        flux = compute_face_flux(cfg.method, wl, wr, cfg.gas, cfg.scheme, dx=dx, dt=cfg.dt)
         q = q - (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
         w = primitive_array(q, gamma)
         _check_positive(w, k)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sodbench import bench, riemann, solver
-from sodbench.errors import InvalidConfig, NonPhysicalState
+from sodbench.errors import InvalidConfig, NoConvergence, NonPhysicalState, VacuumGenerated
 from sodbench.fluxes import FluxMethod
 from sodbench.gas import GasModel, PrimitiveState
 from sodbench.riemann import RiemannInput, exact_profile
@@ -160,6 +160,27 @@ class TestStep:
         assert str(exc).endswith("at face 21 at step 12")
         assert excinfo.traceback[-1].path.name == "muscl.py"
 
+    def test_flux_failure_reports_face_and_step(self, monkeypatch):
+        # one Newton iteration leaves the jump face of the first step
+        # unconverged; advance stamps the step on the exception riemann raised
+        monkeypatch.setattr(riemann, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(NoConvergence) as excinfo:
+            run(RunConfig())
+        exc = excinfo.value
+        assert (exc.face, exc.step) == (100, 0)
+        assert str(exc).endswith("face 100 stopped at |dp|/p = 1.205e-02 at step 0")
+        assert excinfo.traceback[-1].path.name == "riemann.py"
+
+    def test_vacuum_reports_step(self):
+        cfg = dataclasses.replace(
+            RunConfig(), left=PrimitiveState(1.0, -20.0, 1.0), right=PrimitiveState(1.0, 20.0, 1.0)
+        )
+        with pytest.raises(VacuumGenerated) as excinfo:
+            solver.advance(initialize_sod(cfg), cfg, 3, first_step=7)
+        assert excinfo.value.step == 7
+        assert str(excinfo.value).endswith("vacuum at step 7")
+        assert excinfo.traceback[-1].path.name == "riemann.py"
+
     def test_blowup_reports_cell_and_step(self):
         # a time step far beyond the stability limit must fail loudly
         cfg = small_cfg(method=FluxMethod.ROE, dt=0.02, t_final=0.2)
@@ -307,6 +328,21 @@ class TestOneLoop:
             "reconstruct_faces": n,
             "compute_face_flux": n,
         }
+
+
+class TestNoStack:
+    """np.stack is a Python-level wrapper, several times slower than np.array
+    at 200 cells, so no step and no exact profile may call it
+    (notes/decisions.md section 5)."""
+
+    def test_no_call_reaches_np_stack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.stack called")
+
+        monkeypatch.setattr(np, "stack", refuse)
+        for method in FluxMethod:
+            run(RunConfig(method=method, t_final=0.002))
+        exact_profile(RiemannInput(SOD_LEFT, SOD_RIGHT), Grid1D().centers(), 0.5, 0.2)
 
 
 class TestSweepConfig:
