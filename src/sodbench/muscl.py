@@ -1,9 +1,9 @@
 """MUSCL face reconstruction with the van Leer flux limiter.
 
-Left/right fictitious primitive values at every face are built from the four
-surrounding cell centers: limited upwind-biased extrapolation from the two
-cells on the same side of the face (second-order upwind when the limiter is
-fully open, nearest-cell values when it shuts near a discontinuity).
+Every cell gets one limited slope s from its two one-sided differences; the
+left state of the face on its right is w + s/2 and the right state of the
+face on its left is w - s/2 (second-order upwind when the limiter is fully
+open, nearest-cell values when it shuts near a discontinuity).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ def van_leer_limiter(r):
 
 
 def _extend_zero_gradient(w: np.ndarray) -> np.ndarray:
-    """Two ghost cells per side, copies of the nearest interior cell."""
-    return np.concatenate([w[:, :1], w[:, :1], w, w[:, -1:], w[:, -1:]], axis=1)
+    """One ghost cell per side, a copy of the nearest interior cell."""
+    return np.concatenate([w[:, :1], w, w[:, -1:]], axis=1)
 
 
 def reconstruct_faces(
@@ -40,29 +40,28 @@ def reconstruct_faces(
     """Face-left and face-right primitive values at all n+1 faces of a grid.
 
     ``w`` holds (3, n) cell-center primitives; each component (rho, u, p) is
-    reconstructed independently.  Faces near the boundary see zero-gradient
-    ghost extensions, which leaves the boundary fluxes consistent with the
-    edge cells.
+    reconstructed independently, and the boundary faces copy the edge cells.
+    ``limiter`` is called once, on the (3, n) ratios r = d_p / d_m of each
+    cell's right and left differences; the cell's slope phi(r) d_m serves both
+    its faces.  That needs a symmetric limiter, phi(r) / r = phi(1 / r), as van
+    Leer's is: then phi(r) d_m = phi(1 / r) d_p, the slope seen from the right.
     """
     w = np.asarray(w, dtype=float)
-    n = w.shape[1]
     ext = _extend_zero_gradient(w)
 
-    # One difference array serves all three differences of every face:
-    # d_m = v_m - v_mm, d_c = v_p - v_m and d_p = v_pp - v_p are its slices.
+    # d[:, i] = w_i - w_{i-1}; the ghost copies make both end columns 0.
     d = ext[:, 1:] - ext[:, :-1]
-    d_m = d[:, 0 : n + 1]
-    d_c = d[:, 1 : n + 2]
-    d_p = d[:, 2 : n + 3]
-    # A one-sided difference at or below EPSILON zeroes its ratio, which in
-    # turn shuts the limiter off and drops that side to first order.
+    d_m = d[:, :-1]
+    # A difference at or below EPSILON on either side zeroes the cell's
+    # ratio, which shuts the limiter off and drops the cell to first order.
     dead = np.abs(d) <= EPSILON
-    safe = np.where(dead, 1.0, d)
-    r_l = np.where(dead[:, 0 : n + 1], 0.0, d_c / safe[:, 0 : n + 1])
-    r_r = np.where(dead[:, 2 : n + 3], 0.0, d_c / safe[:, 2 : n + 3])
+    r = np.where(dead[:, :-1] | dead[:, 1:], 0.0, d[:, 1:] / np.where(dead[:, :-1], 1.0, d_m))
+    half = 0.5 * limiter(r) * d_m
 
-    face_l = ext[:, 1 : n + 2] + 0.5 * limiter(r_l) * d_m
-    face_r = ext[:, 2 : n + 3] - 0.5 * limiter(r_r) * d_p
+    face_l = ext[:, :-1].copy()
+    face_l[:, 1:] += half
+    face_r = ext[:, 1:].copy()
+    face_r[:, :-1] -= half
 
     for name, face in (("left", face_l), ("right", face_r)):
         # Density and pressure rows at once; a NaN fails "> 0" too.

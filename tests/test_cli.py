@@ -90,12 +90,28 @@ class TestSolve:
         assert captured.out == ""
 
     def test_numerical_blowup_exit_code(self, capsys):
+        # Courant 0.88 on the exact solution passes the guard; the run still
+        # dies, which the guard at 1 does not promise to prevent
         code = parse_and_run(
-            ["solve", "--flux", "roe", "--cells", "50", "--dt", "0.02", "--time", "0.2"]
+            ["solve", "--flux", "roe", "--cells", "50", "--dt", "0.008", "--time", "0.2"]
         )
         assert code == 3
         err = capsys.readouterr().err
         assert "cell" in err and "step" in err
+
+    @pytest.mark.parametrize("command", ["solve", "bench", "timing"])
+    def test_courant_above_one_is_config_error(self, command, tmp_path, capsys):
+        # u* + a*_R = 2.19157 behind Sod's shock: Co = 2.19157 * 0.004 / 0.005
+        flags = ["--dt", "0.004"] + ([] if command == "solve" else ["--out", str(tmp_path / "x.csv")])
+        assert parse_and_run([command, *flags]) == 2
+        captured = capsys.readouterr()
+        assert "invalid configuration" in captured.err and "Courant number 1.753" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_courant_below_one_runs(self, capsys):
+        # dx / 2.19157 = 0.002281 at 200 cells
+        assert parse_and_run(["solve", "--flux", "lf", "--dt", "0.002", "--time", "0.01"]) == 0
 
 
 class TestBench:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sodbench.errors import NonPhysicalState
-from sodbench.muscl import reconstruct_faces, van_leer_limiter
+from sodbench.muscl import EPSILON, reconstruct_faces, van_leer_limiter
 
 
 def zero_limiter(r):
@@ -29,7 +29,9 @@ def face_pair(*samples):
 
 
 def gradient_ratios(*samples):
-    """(r_L, r_R) that the reconstruction hands the limiter at that face."""
+    """(r_m, r_p): the ratios that the reconstruction hands the limiter for the
+    two cells on either side of that face, cells 1 and 2 of the stencil.  Each
+    cell has one ratio, its right difference over its left one."""
     seen = []
 
     def recording_limiter(r):
@@ -37,8 +39,41 @@ def gradient_ratios(*samples):
         return van_leer_limiter(r)
 
     reconstruct_faces(velocity_stencil(*samples), limiter=recording_limiter)
-    r_l, r_r = seen
-    return float(r_l[1, 2]), float(r_r[1, 2])
+    (r,) = seen
+    return float(r[1, 1]), float(r[1, 2])
+
+
+def minmod_limiter(r):
+    return np.maximum(0.0, np.minimum(1.0, r))
+
+
+def two_ratio_reconstruction(w, limiter):
+    """Oracle: two-ratio MUSCL.  Each face gets a ratio per side, guarded on
+    its denominator only, and a limiter call per side, from two ghost cells
+    per end; it holds for any limiter, symmetric or not."""
+    n = w.shape[1]
+    ext = np.concatenate([w[:, :1], w[:, :1], w, w[:, -1:], w[:, -1:]], axis=1)
+    d = ext[:, 1:] - ext[:, :-1]
+    d_m = d[:, 0 : n + 1]
+    d_c = d[:, 1 : n + 2]
+    d_p = d[:, 2 : n + 3]
+    dead = np.abs(d) <= EPSILON
+    safe = np.where(dead, 1.0, d)
+    r_l = np.where(dead[:, 0 : n + 1], 0.0, d_c / safe[:, 0 : n + 1])
+    r_r = np.where(dead[:, 2 : n + 3], 0.0, d_c / safe[:, 2 : n + 3])
+    face_l = ext[:, 1 : n + 2] + 0.5 * limiter(r_l) * d_m
+    face_r = ext[:, 2 : n + 3] - 0.5 * limiter(r_r) * d_p
+    return face_l, face_r
+
+
+def guard_exercising_field(rng, n):
+    """Positive density and pressure with repeated values (dead differences),
+    and a velocity row that mixes O(1) steps with differences of 1e-17 to
+    3e-16, on both sides of the EPSILON guard."""
+    rho = rng.choice([0.5, 1.0, 1.5, 2.0], n) + rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.5)
+    u = rng.choice([0.0, 1e-17, 1e-16, 2.2e-16, 3e-16, 0.5, -1.0], n)
+    p = rng.uniform(0.5, 3.0, n)
+    return np.array([rho, u, p])
 
 
 class TestGradientRatios:
@@ -49,16 +84,32 @@ class TestGradientRatios:
         assert gradient_ratios(1.0, 1.0, 0.0, 0.0) == (0.0, 0.0)
 
     def test_mixed_slopes(self):
-        r_l, r_r = gradient_ratios(0.0, 1.0, 0.5, 2.0)
-        assert r_l == pytest.approx(-0.5, rel=1e-14)
-        assert r_r == pytest.approx(-1.0 / 3.0, rel=1e-14)
+        r_m, r_p = gradient_ratios(0.0, 1.0, 0.5, 2.0)
+        assert r_m == pytest.approx(-0.5, rel=1e-14)
+        assert r_p == pytest.approx(-3.0, rel=1e-14)
 
     def test_tiny_difference_guard(self):
         # |d| at or below the guard threshold counts as flat
-        r_l, _ = gradient_ratios(0.0, 1e-16, 2.0, 3.0)
-        assert r_l == 0.0
-        _, r_r = gradient_ratios(0.0, 1.0, 2.0, 2.0 + 1e-16)
-        assert r_r == 0.0
+        r_m, _ = gradient_ratios(0.0, 1e-16, 2.0, 3.0)
+        assert r_m == 0.0
+        _, r_p = gradient_ratios(0.0, 1.0, 2.0, 2.0 + 1e-16)
+        assert r_p == 0.0
+
+    def test_tiny_difference_guard_on_the_numerator(self):
+        # a flat right difference zeroes the ratio as a flat left one does
+        r_m, r_p = gradient_ratios(-1.0, 0.0, 1e-16, 1.0)
+        assert (r_m, r_p) == (0.0, 0.0)
+
+    def test_limiter_is_called_once_on_the_cells(self):
+        shapes = []
+
+        def recording_limiter(r):
+            shapes.append(np.shape(r))
+            return van_leer_limiter(r)
+
+        w = np.tile(np.array([[1.0], [0.5], [2.0]]), (1, 7))
+        reconstruct_faces(w, limiter=recording_limiter)
+        assert shapes == [(3, 7)]
 
 
 class TestVanLeerLimiter:
@@ -140,13 +191,27 @@ class TestReconstructFaces:
         rng = np.random.default_rng(6)
         n = 9
         w = np.stack([rng.uniform(1, 2, n), rng.uniform(-1, 1, n), rng.uniform(1, 2, n)])
-        left, right = reconstruct_faces(w, limiter=unit_limiter)
-        # second-order upwind: extrapolate from the two nearest same-side
-        # cells; faces 2..n are ghost-free on the left, 0..n-2 on the right
+        left, _ = reconstruct_faces(w, limiter=unit_limiter)
+        # second-order upwind: extrapolate from the two nearest left-side
+        # cells; faces 2..n are ghost-free
         expected_left = w[:, 1:n] + 0.5 * (w[:, 1:n] - w[:, 0 : n - 1])
-        expected_right = w[:, 0 : n - 1] - 0.5 * (w[:, 1:n] - w[:, 0 : n - 1])
         assert left[:, 2:] == pytest.approx(expected_left, rel=1e-14)
-        assert right[:, : n - 1] == pytest.approx(expected_right, rel=1e-14)
+
+    @pytest.mark.parametrize("limiter", [van_leer_limiter, minmod_limiter])
+    def test_symmetric_limiter_matches_two_ratio_oracle(self, limiter):
+        # For a symmetric limiter phi(r) d_m = phi(1/r) d_p, so one slope per
+        # cell gives the faces of the two-ratio oracle up to round-off in that
+        # product, and up to the numerator guard, which zeroes a slope of at
+        # most 2 EPSILON (phi(r) <= 2r).  Faces move by at most 4 EPSILON
+        # times the field's largest magnitude.
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            w = guard_exercising_field(rng, 64)
+            left, right = reconstruct_faces(w, limiter=limiter)
+            oracle_left, oracle_right = two_ratio_reconstruction(w, limiter)
+            bound = 4.0 * EPSILON * np.abs(w).max()
+            assert np.abs(left - oracle_left).max() <= bound
+            assert np.abs(right - oracle_right).max() <= bound
 
     def test_monotone_data_creates_no_new_extrema(self):
         rng = np.random.default_rng(7)

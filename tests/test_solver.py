@@ -1,6 +1,7 @@
 """Godunov time integration: setup, stepping, conservation, reproducibility."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -343,6 +344,63 @@ class TestNoStack:
         for method in FluxMethod:
             run(RunConfig(method=method, t_final=0.002))
         exact_profile(RiemannInput(SOD_LEFT, SOD_RIGHT), Grid1D().centers(), 0.5, 0.2)
+
+
+# Toro, Riemann Solvers and Numerical Methods for Fluid Dynamics (3rd ed.),
+# Table 4.1: left state, right state, initial jump position, final time.
+TORO_TESTS = {
+    1: (PrimitiveState(1.0, 0.75, 1.0), PrimitiveState(0.125, 0.0, 0.1), 0.3, 0.2),
+    2: (PrimitiveState(1.0, -2.0, 0.4), PrimitiveState(1.0, 2.0, 0.4), 0.5, 0.15),
+    3: (PrimitiveState(1.0, 0.0, 1000.0), PrimitiveState(1.0, 0.0, 0.01), 0.5, 0.012),
+    4: (
+        PrimitiveState(5.99924, 19.5975, 460.894),
+        PrimitiveState(5.99242, -6.19633, 46.0950),
+        0.4,
+        0.035,
+    ),
+    5: (PrimitiveState(1.0, -19.59745, 1000.0), PrimitiveState(1.0, -19.59745, 0.01), 0.8, 0.012),
+}
+
+# (test, method) -> (cell, step) of the NonPhysicalState each run dies with
+# at 200 cells.  The other 97 runs of the 5 x 22 matrix complete.
+TORO_FAILURES = {
+    (2, "roe"): (99, 1),
+    (2, "aufs"): (99, 0),
+    (2, "hll-roe"): (99, 1),
+    (2, "hll-einfeldt"): (99, 1),
+    (2, "hllc-roe"): (99, 1),
+    (2, "hllc-einfeldt"): (99, 1),
+    (3, "ausm"): (100, 0),
+    (3, "ausm-plus"): (100, 0),
+    (3, "ausm-plus-up"): (99, 0),
+    (4, "ausm-plus"): (148, 213),
+    (4, "hll-davis1"): (83, 33),
+    (4, "hllc-davis1"): (84, 34),
+    (5, "aufs"): (159, 239),
+}
+
+
+def toro_config(test: int, method: FluxMethod) -> RunConfig:
+    """Toro's test on 200 cells, dt from Courant 0.4 on the exact solution's
+    fastest wave, shortened so that t_final is a whole number of steps."""
+    left, right, x0, t_final = TORO_TESTS[test]
+    cfg = RunConfig(method=method, left=left, right=right, jump_position=x0, t_final=t_final)
+    s = riemann.solve_star(RiemannInput(left, right, cfg.gas)).speeds
+    s_max = max(abs(v) for v in (s.left_head, s.left_tail, s.contact, s.right_tail, s.right_head))
+    return dataclasses.replace(cfg, dt=t_final / math.ceil(t_final * s_max / (0.4 * cfg.grid.dx)))
+
+
+class TestToroFailures:
+    @pytest.mark.parametrize(("test", "method"), list(TORO_FAILURES))
+    def test_pinned_failure(self, test, method):
+        with pytest.raises(NonPhysicalState) as excinfo:
+            run(toro_config(test, FluxMethod(method)))
+        cell, step_index = TORO_FAILURES[test, method]
+        exc = excinfo.value
+        assert (exc.cell, exc.face, exc.step) == (cell, None, step_index)
+        assert str(exc) == (
+            f"solver produced non-positive density/pressure in cell {cell} at step {step_index}"
+        )
 
 
 class TestSweepConfig:

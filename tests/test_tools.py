@@ -1,5 +1,7 @@
-"""Smoke test of the A/B timing script in tools/."""
+"""Smoke tests of the scripts in tools/."""
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +20,80 @@ def test_ab_sweep_same_tree_prints_a_ratio():
     )
     assert "differing final cells: 0 of 22" in result.stdout
     assert "ratio change/parent: median" in result.stdout
+
+
+def load_record_bench():
+    spec = importlib.util.spec_from_file_location("record_bench", ROOT / "tools" / "record_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def stub_result(metrics, trace):
+    """The shape of a perfbench/out result file; no workload is run."""
+    return {
+        "correct": True,
+        "attempted": 10,
+        "failed": 0,
+        "fixes": [],
+        "samples": {},
+        "metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in metrics},
+        "env": {
+            "python": "3.x",
+            "numpy": "2.x",
+            "nproc": 2,
+            "cpu_model": "stub",
+            "pass_s_min": 0.5,
+            "pass_s_max": 0.6,
+            "cpu_over_wall": 1.0,
+            "kernel_ms": [1.0, 2.0, 3.0] if trace == 0 else None,
+        },
+    }
+
+
+class TestRecordBench:
+    def test_stub_record_passes_the_schema_check(self, tmp_path, monkeypatch):
+        rb = load_record_bench()
+        spec = rb.benchmark_spec()
+        runs = []
+
+        def runner(workload, trace):
+            runs.append((workload, trace))
+            return stub_result(spec["end_to_end"] if trace == 0 else spec["per_layer"], trace)
+
+        monkeypatch.setattr(rb, "git", lambda *args: "0" * 40 if args[0] == "rev-parse" else "")
+        out = tmp_path / "BENCH_stub.json"
+        assert rb.main(["--out", str(out)], runner=runner) == 0
+        names = [w["name"] for w in spec["workloads"]]
+        assert runs == [(w, t) for w in names for t in (0, 1)]
+        record = json.loads(out.read_text())
+        assert rb.check_record(record, spec) == []
+        assert record["commit"] == {"base_sha": "0" * 40, "dirty": False, "src_sha256": rb.source_digest()}
+        assert (record["seed"], record["seconds"]) == (rb.SEED, rb.SECONDS)
+        assert list(record["workloads"]) == names
+        entry = record["workloads"][names[0]]
+        assert set(entry["end_to_end"]) == {m["name"] for m in spec["end_to_end"]}
+        assert set(entry["per_layer"]) == {m["name"] for m in spec["per_layer"]}
+        assert entry["trace0"]["kernel_ms"] == [1.0, 2.0, 3.0]
+
+    def test_schema_check_names_what_is_wrong(self):
+        rb = load_record_bench()
+        spec = rb.benchmark_spec()
+        results = {
+            w["name"]: {t: stub_result(spec["end_to_end"] if t == 0 else spec["per_layer"], t) for t in (0, 1)}
+            for w in spec["workloads"]
+        }
+        commit = {"base_sha": "0" * 40, "dirty": True, "src_sha256": "0" * 64}
+        record = rb.build_record(commit, results)
+        sod = record["workloads"]["sod200-sweep"]
+        del sod["end_to_end"]["sweep_s"]
+        sod["per_layer"]["riemann.newton_iters"]["unit"] = "s"
+        sod["trace1"]["failed"] = 2
+        del record["workloads"]["toro-suite"]
+        problems = rb.check_record(record, spec)
+        assert problems == [
+            "sod200-sweep end_to_end sweep_s is {}",
+            "sod200-sweep per_layer riemann.newton_iters is {'value': 1.0, 'unit': 's'}",
+            "sod200-sweep trace 1 is not correct: 2 failed",
+            "workload toro-suite is missing",
+        ]
