@@ -29,7 +29,6 @@ from .errors import (
 from .fluxes import (
     AusmVariant,
     FluxMethod,
-    SchemeConfig,
     WaveSpeedEstimate,
     WaveSpeedPair,
     compute_face_flux,

@@ -17,7 +17,7 @@ import numpy as np
 from . import riemann, solver
 from .errors import InvalidConfig, SodbenchError
 from .fluxes import FluxMethod
-from .gas import GasModel, PrimitiveState
+from .gas import GasModel, PrimitiveState, internal_energy, internal_energy_array
 from .riemann import ExactProfile, RiemannInput, WaveKind
 from .solver import Grid1D, RunConfig, SolutionField
 
@@ -208,13 +208,13 @@ def wave_report(problem: RiemannInput) -> WaveReport:
             kind, head, tail = star.right_wave, speeds.right_head, speeds.right_tail
             rho_star, a_star = star.rho_star_right, speeds.a_star_right
             outer = problem.right
-        e_star = star.p_star / (rho_star * (gas.gamma - 1.0))
+        star_side = PrimitiveState(rho=rho_star, u=star.u_star, p=star.p_star)
+        e_star = internal_energy(star_side, gas)
         h_star = e_star + star.p_star / rho_star
         machs = riemann.shock_relative_machs(star, problem, which)
         rh = None
         if kind is WaveKind.SHOCK:
-            shocked = PrimitiveState(rho=rho_star, u=star.u_star, p=star.p_star)
-            rh = riemann.rankine_hugoniot_speed(shocked, outer)
+            rh = riemann.rankine_hugoniot_speed(star_side, outer)
         return SideReport(
             kind=kind,
             head=head,
@@ -245,7 +245,7 @@ def export_profile(
         if grid is None:
             raise InvalidConfig("exporting a solver field needs its grid for positions")
         x, w = grid.centers(), source.primitives(gas)
-    e = w[2] / (w[0] * (gas.gamma - 1.0))
+    e = internal_energy_array(w, gas.gamma)
     return ProfileExport(
         x=x, density=w[0], velocity=w[1], pressure=w[2], internal_energy=e
     )

@@ -5,8 +5,8 @@ class SodbenchError(Exception):
     """Base class for all solver-specific failures."""
 
 
-class InvalidConfig(SodbenchError):
-    """A run/grid/scheme configuration violates its constraints."""
+class InvalidConfig(SodbenchError, ValueError):
+    """A run, grid, gas or exact-profile input violates its constraints."""
 
 
 class NonPhysicalState(SodbenchError):

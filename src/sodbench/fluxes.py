@@ -36,7 +36,6 @@ __all__ = [
     "FluxMethod",
     "WaveSpeedEstimate",
     "AusmVariant",
-    "SchemeConfig",
     "RoeAverages",
     "WaveSpeedPair",
     "roe_average",
@@ -104,23 +103,16 @@ class AusmVariant(enum.Enum):
     PLUS_UP = "plus-up"
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Free parameters of the methods whose descriptions leave them open."""
-
-    ausm_up_cutoff_mach: float = 0.1
-    ausm_plus_alpha: float = 3.0 / 16.0
-    ausm_plus_beta: float = 1.0 / 8.0
-    ausm_up_kp: float = 0.25
-    ausm_up_ku: float = 0.75
-    ausm_up_sigma: float = 1.0
-    roe_entropy_fix: bool = False
-
-    def __post_init__(self):
-        if not 0.0 < self.ausm_up_cutoff_mach <= 1.0:
-            raise InvalidConfig(
-                f"cutoff Mach must lie in (0, 1], got {self.ausm_up_cutoff_mach}"
-            )
+# The parameters the AUSM+ and AUSM+-up descriptions leave open, at their
+# published values: alpha and beta from Liou, J. Comput. Phys. 129 (1996);
+# Kp, Ku, sigma and the cutoff Mach number from Liou, J. Comput. Phys. 214
+# (2006).
+AUSM_PLUS_ALPHA = 3.0 / 16.0
+AUSM_PLUS_BETA = 1.0 / 8.0
+AUSM_UP_KP = 0.25
+AUSM_UP_KU = 0.75
+AUSM_UP_SIGMA = 1.0
+AUSM_UP_CUTOFF_MACH = 0.1
 
 
 @dataclass(frozen=True)
@@ -230,8 +222,8 @@ def flux_exact(wl, wr, gas: GasModel = GasModel()) -> np.ndarray:
     return flux_array(w0, gas.gamma)
 
 
-def flux_roe(wl, wr, gas: GasModel = GasModel(), cfg: SchemeConfig | None = None) -> np.ndarray:
-    """Locally linearized (Roe-average) flux. No entropy fix unless enabled."""
+def flux_roe(wl, wr, gas: GasModel = GasModel()) -> np.ndarray:
+    """Locally linearized (Roe-average) flux, without an entropy fix."""
     wl, wr = _as_w(wl), _as_w(wr)
     g = gas.gamma
     avg = roe_average(wl, wr, gas)
@@ -243,11 +235,6 @@ def flux_roe(wl, wr, gas: GasModel = GasModel(), cfg: SchemeConfig | None = None
     alpha3 = dq[0] - alpha1 - alpha2
 
     lam1, lam2, lam3 = np.abs(u - a), np.abs(u), np.abs(u + a)
-    if cfg is not None and cfg.roe_entropy_fix:
-        delta = 0.1 * a
-        lam1 = np.where(lam1 < delta, (lam1 * lam1 + delta * delta) / (2.0 * delta), lam1)
-        lam3 = np.where(lam3 < delta, (lam3 * lam3 + delta * delta) / (2.0 * delta), lam3)
-
     diss = np.array(
         [
             lam1 * alpha1 + lam2 * alpha2 + lam3 * alpha3,
@@ -458,13 +445,7 @@ def _convect(m_half, psi_l, psi_r):
     return m_half * np.where(m_half > 0.0, psi_l, psi_r)
 
 
-def flux_ausm(
-    variant: AusmVariant,
-    wl,
-    wr,
-    gas: GasModel = GasModel(),
-    cfg: SchemeConfig = SchemeConfig(),
-) -> np.ndarray:
+def flux_ausm(variant: AusmVariant, wl, wr, gas: GasModel = GasModel()) -> np.ndarray:
     """Advection upstream splitting: convective and pressure parts split.
 
     basic    - per-side sound speeds, quadratic Mach split, cubic pressure split
@@ -494,10 +475,10 @@ def flux_ausm(
     a_half = _interface_sound_speed(wl, wr, g)
     mach_l = u_l / a_half
     mach_r = u_r / a_half
-    beta = cfg.ausm_plus_beta
+    beta = AUSM_PLUS_BETA
 
     if variant is AusmVariant.PLUS:
-        alpha = cfg.ausm_plus_alpha
+        alpha = AUSM_PLUS_ALPHA
         m_half = _mach_split_4(mach_l, +1.0, beta) + _mach_split_4(mach_r, -1.0, beta)
         p_half = (
             _pressure_split_5(mach_l, +1.0, alpha) * p_l
@@ -505,21 +486,21 @@ def flux_ausm(
         )
     elif variant is AusmVariant.PLUS_UP:
         mach_bar_sq = (u_l * u_l + u_r * u_r) / (2.0 * a_half * a_half)
-        mach_ref_sq = np.clip(mach_bar_sq, cfg.ausm_up_cutoff_mach**2, 1.0)
+        mach_ref_sq = np.clip(mach_bar_sq, AUSM_UP_CUTOFF_MACH**2, 1.0)
         fa = np.sqrt(mach_ref_sq) * (2.0 - np.sqrt(mach_ref_sq))
-        alpha = 3.0 / 16.0 * (-4.0 + 5.0 * fa * fa)
+        alpha = AUSM_PLUS_ALPHA * (-4.0 + 5.0 * fa * fa)
         rho_half = 0.5 * (rho_l + rho_r)
         m_p = (
-            -cfg.ausm_up_kp
+            -AUSM_UP_KP
             / fa
-            * np.maximum(1.0 - cfg.ausm_up_sigma * mach_bar_sq, 0.0)
+            * np.maximum(1.0 - AUSM_UP_SIGMA * mach_bar_sq, 0.0)
             * (p_r - p_l)
             / (rho_half * a_half * a_half)
         )
         m_half = _mach_split_4(mach_l, +1.0, beta) + _mach_split_4(mach_r, -1.0, beta) + m_p
         p_plus = _pressure_split_5(mach_l, +1.0, alpha)
         p_minus = _pressure_split_5(mach_r, -1.0, alpha)
-        p_u = -cfg.ausm_up_ku * p_plus * p_minus * (rho_l + rho_r) * fa * a_half * (u_r - u_l)
+        p_u = -AUSM_UP_KU * p_plus * p_minus * (rho_l + rho_r) * fa * a_half * (u_r - u_l)
         p_half = p_plus * p_l + p_minus * p_r + p_u
     else:
         raise InvalidConfig(f"unknown AUSM variant {variant!r}")
@@ -561,25 +542,21 @@ def flux_aufs(wl, wr, gas: GasModel = GasModel()) -> np.ndarray:
 
 _E = WaveSpeedEstimate
 
-# Every kernel takes (wl, wr, gas, cfg, dx, dt).  KNP's zero-anchored one-sided
+# Every kernel takes (wl, wr, gas, dx, dt).  KNP's zero-anchored one-sided
 # speeds a+ = max(u_L + a_L, u_R + a_R, 0) and a- = min(u_L - a_L, u_R - a_R, 0)
 # are the Davis-2 estimates clamped around zero, and Kurganov-Tadmor with fixed
 # 0.5 weights is Rusanov's construction; sharing the kernels keeps
 # KNP == HLL-Davis2 and KT == Rusanov bit for bit.
 _KERNELS = {
     FluxMethod.RIEMANN: lambda wl, wr, gas, *_: flux_exact(wl, wr, gas),
-    FluxMethod.ROE: lambda wl, wr, gas, cfg, *_: flux_roe(wl, wr, gas, cfg),
+    FluxMethod.ROE: lambda wl, wr, gas, *_: flux_roe(wl, wr, gas),
     FluxMethod.KNP: lambda wl, wr, gas, *_: flux_hll(_E.DAVIS2, wl, wr, gas),
     FluxMethod.KT: lambda wl, wr, gas, *_: flux_rusanov(wl, wr, gas),
     FluxMethod.SW: lambda wl, wr, gas, *_: flux_sw_fvs(wl, wr, gas),
     FluxMethod.VAN_LEER: lambda wl, wr, gas, *_: flux_vanleer_fvs(wl, wr, gas),
-    FluxMethod.AUSM: lambda wl, wr, gas, cfg, *_: flux_ausm(AusmVariant.BASIC, wl, wr, gas, cfg),
-    FluxMethod.AUSM_PLUS: (
-        lambda wl, wr, gas, cfg, *_: flux_ausm(AusmVariant.PLUS, wl, wr, gas, cfg)
-    ),
-    FluxMethod.AUSM_PLUS_UP: (
-        lambda wl, wr, gas, cfg, *_: flux_ausm(AusmVariant.PLUS_UP, wl, wr, gas, cfg)
-    ),
+    FluxMethod.AUSM: lambda wl, wr, gas, *_: flux_ausm(AusmVariant.BASIC, wl, wr, gas),
+    FluxMethod.AUSM_PLUS: lambda wl, wr, gas, *_: flux_ausm(AusmVariant.PLUS, wl, wr, gas),
+    FluxMethod.AUSM_PLUS_UP: lambda wl, wr, gas, *_: flux_ausm(AusmVariant.PLUS_UP, wl, wr, gas),
     FluxMethod.AUFS: lambda wl, wr, gas, *_: flux_aufs(wl, wr, gas),
     FluxMethod.HLL_DAVIS1: lambda wl, wr, gas, *_: flux_hll(_E.DAVIS1, wl, wr, gas),
     FluxMethod.HLL_DAVIS2: lambda wl, wr, gas, *_: flux_hll(_E.DAVIS2, wl, wr, gas),
@@ -591,7 +568,7 @@ _KERNELS = {
     FluxMethod.HLLC_ROE: lambda wl, wr, gas, *_: flux_hllc(_E.ROE, wl, wr, gas),
     FluxMethod.HLLC_EINFELDT: lambda wl, wr, gas, *_: flux_hllc(_E.EINFELDT, wl, wr, gas),
     FluxMethod.HLLC_PBASED: lambda wl, wr, gas, *_: flux_hllc(_E.P_BASED, wl, wr, gas),
-    FluxMethod.LF: lambda wl, wr, gas, cfg, dx, dt: flux_lf(wl, wr, gas, dx, dt),
+    FluxMethod.LF: lambda wl, wr, gas, dx, dt: flux_lf(wl, wr, gas, dx, dt),
     FluxMethod.RUSANOV: lambda wl, wr, gas, *_: flux_rusanov(wl, wr, gas),
 }
 
@@ -601,7 +578,7 @@ def compute_face_flux(
     wl,
     wr,
     gas: GasModel = GasModel(),
-    cfg: SchemeConfig = SchemeConfig(),
+    *,
     dx: float | None = None,
     dt: float | None = None,
 ) -> np.ndarray:
@@ -609,4 +586,4 @@ def compute_face_flux(
     kernel = _KERNELS.get(method)
     if kernel is None:
         raise InvalidConfig(f"unknown flux method {method!r}")
-    return kernel(wl, wr, gas, cfg, dx, dt)
+    return kernel(wl, wr, gas, dx, dt)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPhysicalState
+from .errors import InvalidConfig, NonPhysicalState
 
 __all__ = [
     "GasModel",
@@ -33,6 +33,7 @@ __all__ = [
     "primitive_array",
     "flux_array",
     "enthalpy_array",
+    "internal_energy_array",
 ]
 
 
@@ -43,8 +44,8 @@ class GasModel:
     gamma: float = 1.4
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise ValueError(f"gamma must be > 1, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 1.0):
+            raise InvalidConfig(f"gamma must be finite and > 1, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -101,15 +102,11 @@ class FluxVector:
 
 def sound_speed(w: PrimitiveState, gas: GasModel = GasModel()) -> float:
     """a = sqrt(gamma p / rho)."""
-    return math.sqrt(gas.gamma * w.p / w.rho)
+    return float(sound_speed_array(w.array, gas.gamma))
 
 
 def primitive_to_conserved(w: PrimitiveState, gas: GasModel = GasModel()) -> ConservedState:
-    return ConservedState(
-        mass=w.rho,
-        momentum=w.rho * w.u,
-        energy=w.p / (gas.gamma - 1.0) + 0.5 * w.rho * w.u * w.u,
-    )
+    return ConservedState(*conserved_array(w.array, gas.gamma).tolist())
 
 
 def conserved_to_primitive(q: ConservedState, gas: GasModel = GasModel()) -> PrimitiveState:
@@ -120,31 +117,25 @@ def conserved_to_primitive(q: ConservedState, gas: GasModel = GasModel()) -> Pri
     """
     if q.mass <= 0.0:
         raise NonPhysicalState(f"non-positive density {q.mass}")
-    u = q.momentum / q.mass
-    p = (gas.gamma - 1.0) * (q.energy - 0.5 * q.momentum * u)
+    rho, u, p = primitive_array(q.array, gas.gamma).tolist()
     if p <= 0.0:
         raise NonPhysicalState(f"non-positive pressure {p}")
-    return PrimitiveState(rho=q.mass, u=u, p=p)
+    return PrimitiveState(rho=rho, u=u, p=p)
 
 
 def physical_flux(w: PrimitiveState, gas: GasModel = GasModel()) -> FluxVector:
     """Euler flux (rho u, rho u^2 + p, (rho e_T + p) u)."""
-    energy = w.p / (gas.gamma - 1.0) + 0.5 * w.rho * w.u * w.u
-    return FluxVector(
-        f_mass=w.rho * w.u,
-        f_momentum=w.rho * w.u * w.u + w.p,
-        f_energy=(energy + w.p) * w.u,
-    )
+    return FluxVector(*flux_array(w.array, gas.gamma).tolist())
 
 
 def total_specific_enthalpy(w: PrimitiveState, gas: GasModel = GasModel()) -> float:
     """h_T = u^2/2 + gamma/(gamma-1) p/rho."""
-    return 0.5 * w.u * w.u + gas.gamma / (gas.gamma - 1.0) * w.p / w.rho
+    return float(enthalpy_array(w.array, gas.gamma))
 
 
 def internal_energy(w: PrimitiveState, gas: GasModel = GasModel()) -> float:
     """e = p / (rho (gamma - 1))."""
-    return w.p / (w.rho * (gas.gamma - 1.0))
+    return float(internal_energy_array(w.array, gas.gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -177,3 +168,7 @@ def flux_array(w: np.ndarray, gamma: float) -> np.ndarray:
 
 def enthalpy_array(w: np.ndarray, gamma: float) -> np.ndarray:
     return 0.5 * w[1] * w[1] + gamma / (gamma - 1.0) * w[2] / w[0]
+
+
+def internal_energy_array(w: np.ndarray, gamma: float) -> np.ndarray:
+    return w[2] / (w[0] * (gamma - 1.0))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateJump, NoConvergence, VacuumGenerated
-from .gas import GasModel, PrimitiveState, sound_speed
+from .errors import DegenerateJump, InvalidConfig, NoConvergence, VacuumGenerated
+from .gas import GasModel, PrimitiveState, sound_speed, sound_speed_array
 
 __all__ = [
     "WaveKind",
@@ -157,8 +157,8 @@ def star_pressure_arrays(wl: np.ndarray, wr: np.ndarray, gamma: float) -> np.nda
     """Newton iteration for the star pressure of many face problems at once."""
     wl = np.atleast_2d(np.asarray(wl, dtype=float).T).T  # keep (3,) usable as (3,1)
     wr = np.atleast_2d(np.asarray(wr, dtype=float).T).T
-    a_l = np.sqrt(gamma * wl[2] / wl[0])
-    a_r = np.sqrt(gamma * wr[2] / wr[0])
+    a_l = sound_speed_array(wl, gamma)
+    a_r = sound_speed_array(wr, gamma)
     _check_vacuum(wl, wr, a_l, a_r, gamma)
     gas = GasModel(gamma)
     du = wr[1] - wl[1]
@@ -394,9 +394,11 @@ def exact_profile(problem: RiemannInput, x: np.ndarray, jump_position: float, t:
     """Exact solution at positions ``x`` and time ``t`` (step data at t = 0)."""
     x = np.asarray(x, dtype=float)
     if np.any(np.diff(x) <= 0.0):
-        raise ValueError("positions must be strictly increasing")
-    if t < 0.0:
-        raise ValueError(f"time must be non-negative, got {t}")
+        raise InvalidConfig("positions must be strictly increasing")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise InvalidConfig(f"time must be non-negative and finite, got {t}")
+    if not math.isfinite(jump_position):
+        raise InvalidConfig(f"jump position must be finite, got {jump_position}")
     if t == 0.0:
         on_left = x < jump_position
         w = np.where(on_left, problem.left.array[:, None], problem.right.array[:, None])

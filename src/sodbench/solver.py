@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfig, NoConvergence, NonPhysicalState, VacuumGenerated
-from .fluxes import FluxMethod, SchemeConfig, compute_face_flux
-from .gas import GasModel, PrimitiveState, conserved_array, primitive_array
+from .fluxes import FluxMethod, compute_face_flux
+from .gas import GasModel, PrimitiveState, conserved_array, primitive_array, sound_speed_array
 from .muscl import reconstruct_faces
 
 __all__ = [
@@ -48,8 +48,11 @@ class Grid1D:
     n_cells: int = 200
 
     def __post_init__(self):
-        if not self.x_max > self.x_min:
-            raise InvalidConfig(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
+        # A width that overflows also catches non-finite bounds.
+        if not (self.x_max > self.x_min and math.isfinite(self.x_max - self.x_min)):
+            raise InvalidConfig(
+                f"x_max must exceed x_min by a finite width, got [{self.x_min}, {self.x_max}]"
+            )
         if self.n_cells < 4:
             raise InvalidConfig(f"need at least 4 cells for the MUSCL stencil, got {self.n_cells}")
 
@@ -68,7 +71,6 @@ class RunConfig:
     method: FluxMethod = FluxMethod.RIEMANN
     grid: Grid1D = field(default_factory=Grid1D)
     gas: GasModel = field(default_factory=GasModel)
-    scheme: SchemeConfig = field(default_factory=SchemeConfig)
     dt: float = 0.001
     t_final: float = 0.2
     jump_position: float = 0.5
@@ -80,6 +82,8 @@ class RunConfig:
             raise InvalidConfig(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.t_final) and self.t_final >= 0.0):
             raise InvalidConfig(f"t_final must be non-negative and finite, got {self.t_final}")
+        if not math.isfinite(self.jump_position):
+            raise InvalidConfig(f"jump position must be finite, got {self.jump_position}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,7 @@ def advance(
     for k in range(first_step, first_step + n_steps):
         try:
             wl, wr = reconstruct_faces(w)
-            flux = compute_face_flux(cfg.method, wl, wr, cfg.gas, cfg.scheme, dx=dx, dt=cfg.dt)
+            flux = compute_face_flux(cfg.method, wl, wr, cfg.gas, dx=dx, dt=cfg.dt)
         except (NonPhysicalState, NoConvergence, VacuumGenerated) as exc:
             # Same object, bare raise: the failure still comes from muscl or riemann.
             exc.step = k
@@ -149,7 +153,7 @@ def advance(
         q = q - (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
         w = primitive_array(q, gamma)
         _check_positive(w, k)
-        signal = np.abs(w[1]) + np.sqrt(gamma * w[2] / w[0])
+        signal = np.abs(w[1]) + sound_speed_array(w, gamma)
         max_courant = max(max_courant, float(signal.max()) * cfg.dt / dx)
         # Summed step by step, not n * dt, so the time matches repeated steps.
         time += cfg.dt

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sodbench.bench import run_all_methods, timing_sweep, wave_report
-from sodbench.fluxes import FluxMethod, SchemeConfig, compute_face_flux
+from sodbench.fluxes import FluxMethod, compute_face_flux
 from sodbench.gas import (
     GasModel,
     PrimitiveState,
@@ -218,7 +218,7 @@ class TestCriterion07PropertySuites:
         scale = np.abs(reference) + 1.0
         worst = 0.0
         for method in FluxMethod:
-            f = compute_face_flux(method, w, w, GAS, SchemeConfig(), dx=0.005, dt=0.001)
+            f = compute_face_flux(method, w, w, GAS, dx=0.005, dt=0.001)
             worst = max(worst, float(np.max(np.abs(f - reference) / scale)))
         ok = worst < 1e-12
         report_line(7, ok, f"consistency of all 22 methods over {n} states: {worst:.2e}")
@@ -239,13 +239,12 @@ class TestCriterion07PropertySuites:
         )
         worst = 0.0
         for method in FluxMethod:
-            f = compute_face_flux(method, wl, wr, GAS, SchemeConfig(), dx=0.005, dt=0.001)
+            f = compute_face_flux(method, wl, wr, GAS, dx=0.005, dt=0.001)
             f_m = compute_face_flux(
                 method,
                 np.stack([wr[0], -wr[1], wr[2]]),
                 np.stack([wl[0], -wl[1], wl[2]]),
                 GAS,
-                SchemeConfig(),
                 dx=0.005,
                 dt=0.001,
             )
@@ -265,10 +264,10 @@ class TestCriterion07PropertySuites:
         hll_methods = [m for m in FluxMethod if m.value.startswith("hll-")]
         ok = True
         for method in exact_methods:
-            f = compute_face_flux(method, wl, wr, GAS, SchemeConfig())
+            f = compute_face_flux(method, wl, wr, GAS)
             ok &= bool(np.max(np.abs(f - expected) / (np.abs(expected) + 1.0)) < 1e-12)
         for method in hll_methods:
-            f = compute_face_flux(method, wl, wr, GAS, SchemeConfig())
+            f = compute_face_flux(method, wl, wr, GAS)
             ok &= bool(abs(f[0] - expected[0]) > 1e-3)
         report_line(7, ok, "Riemann/HLLC resolve isolated contacts exactly, HLL does not")
         assert ok

@@ -1,11 +1,15 @@
 """Command-line interface: subcommands, CSV contracts, exit codes."""
 
 import csv
+from pathlib import Path
 
 import pytest
 
 from sodbench.cli import parse_and_run
 from sodbench.fluxes import FluxMethod
+
+
+BENCH_TABLE = Path(__file__).with_name("data") / "sod200_bench.csv"
 
 
 def read_csv(path):
@@ -138,6 +142,15 @@ class TestBench:
                 float(row[2]) + float(row[3]) + float(row[4]), rel=1e-12
             )
 
+    def test_default_table_is_pinned_byte_for_byte(self, tmp_path, capsys):
+        out = tmp_path / "table3.csv"
+        assert parse_and_run(["bench", "--out", str(out)]) == 0
+        assert out.read_bytes() == BENCH_TABLE.read_bytes(), (
+            f"the Sod-200 RMSE table differs from {BENCH_TABLE}; if the change is "
+            "intended, regenerate that file with `sodbench bench --out` and say "
+            "why in CHANGES.md"
+        )
+
 
 class TestWaves:
     def test_report_contains_table_values(self, capsys):
@@ -163,6 +176,32 @@ class TestTiming:
         elapsed = [float(r[1]) for r in rows[1:]]
         assert elapsed == sorted(elapsed)
         assert float(rows[1][2]) == 0.0
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["waves", "--gamma", "1"],
+            ["waves", "--gamma", "nan"],
+            ["waves", "--gamma", "inf"],
+            ["solve", "--gamma", "0.9", "--out", "OUT"],
+            ["bench", "--gamma", "0.9", "--out", "OUT"],
+            ["exact", "--time", "-1", "--out", "OUT"],
+            ["exact", "--time", "nan", "--out", "OUT"],
+            ["exact", "--time", "inf", "--out", "OUT"],
+            ["exact", "--x-max", "inf", "--out", "OUT"],
+            ["solve", "--jump", "nan", "--out", "OUT"],
+            ["solve", "--x-max", "inf", "--dt", "0.001", "--out", "OUT"],
+            ["solve", "--x-min=-1e308", "--x-max", "1e308", "--dt", "0.001", "--out", "OUT"],
+        ],
+        ids=" ".join,
+    )
+    def test_rejected_with_exit_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert parse_and_run([str(out) if a == "OUT" else a for a in argv]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParser:

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sodbench.errors import InvalidConfig
+from sodbench import fluxes
 from sodbench.fluxes import (
     AusmVariant,
     FluxMethod,
-    SchemeConfig,
     WaveSpeedEstimate,
     compute_face_flux,
     flux_ausm,
@@ -29,7 +29,6 @@ from sodbench.fluxes import (
 from sodbench.gas import GasModel, PrimitiveState, conserved_array, flux_array
 
 GAS = GasModel()
-CFG = SchemeConfig()
 G = 1.4
 
 SOD_L = np.array([1.0, 0.0, 1.0])
@@ -58,7 +57,7 @@ CENTRAL_METHODS = {FluxMethod.LF, FluxMethod.KT, FluxMethod.RUSANOV}
 
 
 def dispatch(method, wl, wr):
-    return compute_face_flux(method, wl, wr, GAS, CFG, dx=0.005, dt=0.001)
+    return compute_face_flux(method, wl, wr, GAS, dx=0.005, dt=0.001)
 
 
 def random_primitives(n, seed, u_range=(-3.0, 3.0)):
@@ -120,14 +119,9 @@ class TestMethodEnum:
 
 class TestSchemeConfig:
     def test_defaults(self):
-        assert CFG.ausm_plus_alpha == pytest.approx(3.0 / 16.0)
-        assert CFG.ausm_plus_beta == pytest.approx(1.0 / 8.0)
-        assert CFG.ausm_up_cutoff_mach == 0.1
-
-    @pytest.mark.parametrize("cutoff", [0.0, -0.1, 1.5])
-    def test_cutoff_bounds(self, cutoff):
-        with pytest.raises(InvalidConfig):
-            SchemeConfig(ausm_up_cutoff_mach=cutoff)
+        assert fluxes.AUSM_PLUS_ALPHA == pytest.approx(3.0 / 16.0)
+        assert fluxes.AUSM_PLUS_BETA == pytest.approx(1.0 / 8.0)
+        assert fluxes.AUSM_UP_CUTOFF_MACH == 0.1
 
 
 class TestRoeAverage:
@@ -260,16 +254,6 @@ class TestRoeFlux:
         wl = np.array([1.0, 3.0, 1.0])
         wr = np.array([1.02, 3.05, 1.01])
         assert flux_roe(wl, wr, GAS) == pytest.approx(flux_array(wl, G), rel=1e-10)
-
-    def test_entropy_fix_flag_changes_sonic_flux_only(self):
-        fix = SchemeConfig(roe_entropy_fix=True)
-        # sonic-ish pair: the fix perturbs the flux
-        wl = np.array([1.0, 1.18, 1.0])
-        wr = np.array([0.9, 1.20, 0.9])
-        assert not np.allclose(flux_roe(wl, wr, GAS, fix), flux_roe(wl, wr, GAS))
-        # far from sonic conditions it is inert
-        wl = np.array([1.0, 3.0, 1.0])
-        assert flux_roe(wl, wl, GAS, fix) == pytest.approx(flux_array(wl, G), rel=1e-13)
 
 
 class TestTwoWaveFamilies:
@@ -481,28 +465,28 @@ class TestAusmFamily:
     @pytest.mark.parametrize("variant", list(AusmVariant))
     def test_consistency(self, variant):
         w = np.array([1.2, 0.4, 0.9])
-        f = flux_ausm(variant, w, w, GAS, CFG)
+        f = flux_ausm(variant, w, w, GAS)
         assert f == pytest.approx(flux_array(w, G), rel=1e-12)
 
     @pytest.mark.parametrize("variant", list(AusmVariant))
     def test_supersonic_upwinding(self, variant):
         wl = np.array([1.0, 3.0, 1.0])
         wr = np.array([0.6, 2.8, 0.5])
-        assert flux_ausm(variant, wl, wr, GAS, CFG) == pytest.approx(
+        assert flux_ausm(variant, wl, wr, GAS) == pytest.approx(
             flux_array(wl, G), rel=1e-10
         )
 
     def test_basic_sod_is_pure_pressure_average(self):
         # both face Mach numbers vanish: split Machs cancel, pressure halves add
-        f = flux_ausm(AusmVariant.BASIC, SOD_L, SOD_R, GAS, CFG)
+        f = flux_ausm(AusmVariant.BASIC, SOD_L, SOD_R, GAS)
         assert f == pytest.approx([0.0, 0.55, 0.0], abs=1e-14)
 
     def test_plus_up_pressure_diffusion_acts_at_low_mach(self):
         # a pressure jump at rest must drive a mass flux through the up-term
         wl = np.array([1.0, 0.0, 1.2])
         wr = np.array([1.0, 0.0, 0.8])
-        f_up = flux_ausm(AusmVariant.PLUS_UP, wl, wr, GAS, CFG)
-        f_plus = flux_ausm(AusmVariant.PLUS, wl, wr, GAS, CFG)
+        f_up = flux_ausm(AusmVariant.PLUS_UP, wl, wr, GAS)
+        f_plus = flux_ausm(AusmVariant.PLUS, wl, wr, GAS)
         assert f_plus[0] == pytest.approx(0.0, abs=1e-14)
         assert f_up[0] > 1e-3
 
@@ -543,7 +527,7 @@ class TestDispatcher:
 
     def test_lf_without_mesh_ratio_rejected(self):
         with pytest.raises(InvalidConfig):
-            compute_face_flux(FluxMethod.LF, SOD_L, SOD_R, GAS, CFG)
+            compute_face_flux(FluxMethod.LF, SOD_L, SOD_R, GAS)
 
     def test_accepts_primitive_state_inputs(self):
         f = compute_face_flux(
@@ -551,9 +535,13 @@ class TestDispatcher:
         )
         assert f == pytest.approx(flux_roe(SOD_L, SOD_R, GAS), rel=1e-14)
 
+    def test_mesh_ratio_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            compute_face_flux(FluxMethod.LF, SOD_L, SOD_R, GAS, object())
+
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidConfig):
-            compute_face_flux("roe", SOD_L, SOD_R, GAS, CFG)
+            compute_face_flux("roe", SOD_L, SOD_R, GAS)
 
 
 class TestSharedProperties:
