@@ -13,12 +13,7 @@ import argparse
 import sys
 
 from . import bench, riemann, solver
-from .errors import (
-    InvalidConfig,
-    NoConvergence,
-    NonPhysicalState,
-    VacuumGenerated,
-)
+from .errors import InvalidConfig, SodbenchError
 from .fluxes import FluxMethod
 from .gas import GasModel
 from .riemann import RiemannInput
@@ -27,8 +22,6 @@ from .solver import Grid1D, RunConfig
 EXIT_OK = 0
 EXIT_INVALID_CONFIG = 2
 EXIT_NUMERICAL_FAILURE = 3
-
-_NUMERICAL_ERRORS = (NonPhysicalState, NoConvergence, VacuumGenerated)
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
@@ -248,7 +241,7 @@ def parse_and_run(argv: list[str]) -> int:
     except InvalidConfig as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
-    except _NUMERICAL_ERRORS as exc:
+    except SodbenchError as exc:  # every other solver failure is numerical
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
 

@@ -13,6 +13,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,31 +102,64 @@ class ExactProfile:
         return self.w[2]
 
 
-def pressure_function(p, side, gas: GasModel = GasModel()):
+class _Side(NamedTuple):
+    """The constants of one side of many face problems in the pressure
+    function (Toro, 3rd ed., sec. 4.2), made once per star-state solve."""
+
+    p: np.ndarray
+    a: np.ndarray
+    big_a: np.ndarray  # A_k = 2 / ((gamma + 1) rho_k)
+    big_b: np.ndarray  # B_k = (gamma - 1) / (gamma + 1) p_k
+    fan: np.ndarray  # 2 a_k / (gamma - 1)
+    inv_rho_a: np.ndarray  # 1 / (rho_k a_k)
+    gamma: float
+    z: float  # (gamma - 1) / (2 gamma)
+
+
+def _side(w, gamma: float) -> _Side:
+    rho, p = w[0], w[2]
+    a = sound_speed_array(w, gamma)
+    return _Side(
+        p=p,
+        a=a,
+        big_a=2.0 / ((gamma + 1.0) * rho),
+        big_b=(gamma - 1.0) / (gamma + 1.0) * p,
+        fan=2.0 * a / (gamma - 1.0),
+        inv_rho_a=1.0 / (rho * a),
+        gamma=gamma,
+        z=(gamma - 1.0) / (2.0 * gamma),
+    )
+
+
+def pressure_function(p, side, gas: GasModel | None = None):
     """Velocity-jump function f(p) of one side and its derivative df/dp.
 
-    Rarefaction branch for p <= p_side, shock branch above.  ``p`` and
-    ``side`` may be scalars/states or arrays (side as (3, ...) rows).
+    Rarefaction branch for p <= p_side, shock branch above.  ``p`` may be a
+    scalar or an array, and ``side`` a state, (3, ...) primitive rows, or the
+    side's constants made once per solve.  ``gas`` defaults to ``GasModel()``
+    for a state or rows; the constants carry their own gamma, and a ``gas``
+    given with them must agree.
     """
-    if isinstance(side, PrimitiveState):
-        side = side.array
-    rho_k, p_k = np.asarray(side[0]), np.asarray(side[2])
-    p = np.asarray(p, dtype=float)
-    g = gas.gamma
-    a_k = np.sqrt(g * p_k / rho_k)
+    if isinstance(side, _Side):
+        if gas is not None and gas.gamma != side.gamma:
+            raise ValueError(f"gas gamma {gas.gamma} differs from the side's {side.gamma}")
+    else:
+        rows = side.array if isinstance(side, PrimitiveState) else np.asarray(side)
+        side = _side(rows, GasModel().gamma if gas is None else gas.gamma)
+    p_k = side.p
 
     # Shock branch (Hugoniot): f = (p - p_k) sqrt(A / (p + B))
-    big_a = 2.0 / ((g + 1.0) * rho_k)
-    big_b = (g - 1.0) / (g + 1.0) * p_k
-    root = np.sqrt(big_a / (p + big_b))
-    f_shock = (p - p_k) * root
-    df_shock = root * (1.0 - 0.5 * (p - p_k) / (p + big_b))
+    jump = p - p_k
+    p_b = p + side.big_b
+    root = np.sqrt(side.big_a / p_b)
+    f_shock = jump * root
+    df_shock = root * (1.0 - 0.5 * jump / p_b)
 
-    # Rarefaction branch (isentrope)
-    z = (g - 1.0) / (2.0 * g)
+    # Rarefaction branch (isentrope), with ratio^(-(g+1)/(2g)) = ratio^z / ratio
     ratio = p / p_k
-    f_fan = 2.0 * a_k / (g - 1.0) * (ratio**z - 1.0)
-    df_fan = ratio ** (-(g + 1.0) / (2.0 * g)) / (rho_k * a_k)
+    ratio_z = ratio**side.z
+    f_fan = side.fan * (ratio_z - 1.0)
+    df_fan = ratio_z / ratio * side.inv_rho_a
 
     shock = p > p_k
     f = np.where(shock, f_shock, f_fan)
@@ -144,38 +178,60 @@ def _check_vacuum(
         )
 
 
-def _two_rarefaction_guess(
-    wl: np.ndarray, wr: np.ndarray, a_l: np.ndarray, a_r: np.ndarray, gamma: float
-) -> np.ndarray:
-    z = (gamma - 1.0) / (2.0 * gamma)
-    num = a_l + a_r - 0.5 * (gamma - 1.0) * (wr[1] - wl[1])
-    den = a_l / wl[2] ** z + a_r / wr[2] ** z
-    return (num / den) ** (1.0 / z)
+def _initial_pressure(wl, wr, left: _Side, right: _Side, du):
+    """Newton's start: the two-rarefaction guess p_TR (Toro, 3rd ed., eq. 4.46)
+    wherever it does not exceed both side pressures.
+
+    Above both it contradicts its own assumption of two fans.  The pressure
+    function is concave, so from a p_TR far above p* the first Newton step
+    lands far below p* (below zero on Toro's test 5) and Newton has to climb
+    back.  Those faces start from min(p_TR, p_TS) instead, with Toro's
+    two-shock guess p_TS taken at the primitive-variable estimate (eq. 9.42).
+
+    p_TR is written as p_L [...]^(1/z), with p_L and p_R only in the ratio
+    (p_L/p_R)^z.  Where p_L = p_R and du is within the rounding of
+    a_L + a_R, the bracket is exactly 1 and the start is p_L, where both
+    pressure functions are exactly 0: Newton moves p only by du's own shift
+    of p*.  Toro's form, with a_L / p_L^z + a_R / p_R^z in the denominator,
+    misses p_L there by an ulp or more, and that ulp in the momentum flux
+    spreads into uniform states.
+    """
+    z = left.z
+    num = left.a + right.a - 0.5 * (left.gamma - 1.0) * du
+    den = left.a + right.a * (left.p / right.p) ** z
+    p = left.p * (num / den) ** (1.0 / z)
+    both_shocks = p > np.maximum(left.p, right.p)
+    if both_shocks.any():
+        p_pv = 0.5 * (left.p + right.p) - 0.125 * du * (wl[0] + wr[0]) * (left.a + right.a)
+        p_pv = np.maximum(p_pv, 0.0)
+        g_l = np.sqrt(left.big_a / (p_pv + left.big_b))
+        g_r = np.sqrt(right.big_a / (p_pv + right.big_b))
+        p_ts = (g_l * left.p + g_r * right.p - du) / (g_l + g_r)
+        # p_TR is above the floor here: flooring the min below gives
+        # min(p_TR, max(p_TS, floor))
+        p = np.where(both_shocks, np.minimum(p, p_ts), p)
+    return np.maximum(p, PRESSURE_FLOOR)
 
 
-def star_pressure_arrays(wl: np.ndarray, wr: np.ndarray, gamma: float) -> np.ndarray:
+def _star_pressure(wl, wr, left: _Side, right: _Side):
     """Newton iteration for the star pressure of many face problems at once."""
-    wl = np.atleast_2d(np.asarray(wl, dtype=float).T).T  # keep (3,) usable as (3,1)
-    wr = np.atleast_2d(np.asarray(wr, dtype=float).T).T
-    a_l = sound_speed_array(wl, gamma)
-    a_r = sound_speed_array(wr, gamma)
-    _check_vacuum(wl, wr, a_l, a_r, gamma)
-    gas = GasModel(gamma)
     du = wr[1] - wl[1]
-
-    p = np.maximum(_two_rarefaction_guess(wl, wr, a_l, a_r, gamma), PRESSURE_FLOOR)
-    converged = np.zeros(p.shape, dtype=bool)
+    p = _initial_pressure(wl, wr, left, right, du)
+    converged = np.zeros(np.shape(p), dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
-        f_l, df_l = pressure_function(p, wl, gas)
-        f_r, df_r = pressure_function(p, wr, gas)
+        f_l, df_l = pressure_function(p, left)
+        f_r, df_r = pressure_function(p, right)
         dp = (f_l + f_r + du) / (df_l + df_r)
-        p_new = np.maximum(p - dp, PRESSURE_FLOOR)
+        # f is concave: a step from above p* can land far below it, even
+        # below zero, so no step goes under a tenth of p, from where Newton
+        # climbs back in a few iterations
+        p_new = np.maximum(p - dp, 0.1 * p)
         converged |= np.abs(dp) <= NEWTON_RTOL * p_new
         p = p_new
         if converged.all():
             return p
     face = int(np.argmin(converged))
-    raise _no_convergence(face, float(np.abs(dp[face]) / p[face]))
+    raise _no_convergence(face, float(np.ravel(np.abs(dp) / p)[face]))
 
 
 def _no_convergence(face: int, residual: float) -> NoConvergence:
@@ -189,14 +245,19 @@ def _no_convergence(face: int, residual: float) -> NoConvergence:
 
 
 def star_state_arrays(wl: np.ndarray, wr: np.ndarray, gamma: float):
-    """Star pressure, contact velocity, and the two star densities (arrays)."""
+    """Star pressure, contact velocity, and the two star densities (arrays).
+
+    The side constants are made once here and serve every pressure-function
+    call of the solve: two per Newton iteration and two for u*.
+    """
     wl = np.asarray(wl, dtype=float)
     wr = np.asarray(wr, dtype=float)
-    gas = GasModel(gamma)
-    p_star = star_pressure_arrays(wl, wr, gamma).reshape(np.shape(wl[0]))
-    f_l, _ = pressure_function(p_star, wl, gas)
-    f_r, _ = pressure_function(p_star, wr, gas)
-    u_star = 0.5 * (wl[1] + wr[1]) + 0.5 * (np.asarray(f_r) - np.asarray(f_l))
+    left, right = _side(wl, gamma), _side(wr, gamma)
+    _check_vacuum(wl, wr, left.a, right.a, gamma)
+    p_star = _star_pressure(wl, wr, left, right)
+    f_l, _ = pressure_function(p_star, left)
+    f_r, _ = pressure_function(p_star, right)
+    u_star = 0.5 * (wl[1] + wr[1]) + 0.5 * (f_r - f_l)
 
     mu = (gamma - 1.0) / (gamma + 1.0)
 
@@ -247,8 +308,8 @@ def wave_speeds(star: StarRegion, problem: RiemannInput) -> WaveSpeeds:
     g = problem.gas.gamma
     left, right = problem.left, problem.right
     a_l, a_r = sound_speed(left, problem.gas), sound_speed(right, problem.gas)
-    a_star_l = math.sqrt(g * star.p_star / star.rho_star_left)
-    a_star_r = math.sqrt(g * star.p_star / star.rho_star_right)
+    a_star_l = float(sound_speed_array((star.rho_star_left, star.u_star, star.p_star), g))
+    a_star_r = float(sound_speed_array((star.rho_star_right, star.u_star, star.p_star), g))
 
     if star.left_wave is WaveKind.SHOCK:
         s = _shock_speed(left.u, a_l, star.p_star / left.p, g, -1.0)
@@ -323,7 +384,7 @@ def _sample_arrays(wl, wr, p_star, u_star, rho_star_l, rho_star_r, xi, gamma):
     rho_star = np.where(on_left, rho_star_l, rho_star_r)
     u_star = sign * u_star
     xi = sign * xi
-    a_k = np.sqrt(g * p_k / rho_k)
+    a_k = sound_speed_array((rho_k, u_k, p_k), g)
     mu2 = (g - 1.0) / (g + 1.0)
 
     s_shock = u_k - a_k * np.sqrt((g + 1.0) / (2.0 * g) * p_star / p_k + (g - 1.0) / (2.0 * g))

@@ -161,6 +161,16 @@ class TestWaves:
                       "0.26557", "0.99773", "1.75216", "1.65563", "0.65240"):
             assert value in out
 
+    def test_degenerate_shock_is_numerical_failure(self, capsys):
+        # at gamma 1e20 the shocked star density equals the unshocked one
+        # within 1e-14, so the mass-jump shock speed is undefined
+        assert parse_and_run(["waves", "--gamma", "1e20"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "numerical failure: DegenerateJump: density jump below 1e-14; no shock present\n"
+        )
+        assert captured.out == ""
+
 
 class TestTiming:
     def test_writes_sorted_table(self, tmp_path, capsys):

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import sodbench.riemann as riemann
 from sodbench.errors import DegenerateJump, NoConvergence, VacuumGenerated
-from sodbench.gas import GasModel, PrimitiveState, sound_speed
+from sodbench.gas import GasModel, PrimitiveState, sound_speed, sound_speed_array
 from sodbench.riemann import (
     RiemannInput,
     WaveKind,
@@ -71,6 +71,14 @@ class TestPressureFunction:
         f_hi, _ = pressure_function(p + h, state, GAS)
         f_lo, _ = pressure_function(p - h, state, GAS)
         assert df == pytest.approx((f_hi - f_lo) / (2.0 * h), rel=1e-6)
+
+    def test_side_constants_give_the_state_values_and_keep_their_gamma(self):
+        gas = GasModel(5.0 / 3.0)
+        side = riemann._side(SOD.right.array, gas.gamma)
+        assert pressure_function(0.2, side) == pressure_function(0.2, SOD.right, gas)
+        assert pressure_function(0.2, side, gas) == pressure_function(0.2, side)
+        with pytest.raises(ValueError, match="gamma"):
+            pressure_function(0.2, side, GAS)
 
 
 class TestSolveStar:
@@ -143,6 +151,70 @@ class TestSolveStar:
         assert "within 1 steps" in message
         assert "face 3" in message
         assert f"{exc.residual:.3e}" in message
+
+
+# Toro's test 5, exact flux, step 14, face 161: its two-rarefaction guess
+# is 559 against p* = 156.42, and Newton from there fell to the pressure
+# floor and took 15 iterations.  P_STAR_161 is what that solve returned.
+FACE_161 = (
+    np.array([2.9508760673258183, -9.4182895110872, 188.332765590966]),
+    np.array([1.0, -19.59745, 0.010000000000002271]),
+)
+P_STAR_161 = 156.41960437952207
+
+
+def _side_state(log_rho, u, log_p):
+    return np.array([10.0**log_rho, u, 10.0**log_p])
+
+
+# densities over two decades, pressures over six (ratios up to 1e6)
+_FUZZ_SIDE = st.builds(
+    _side_state, st.floats(-1.0, 1.0), st.floats(-20.0, 20.0), st.floats(-3.0, 3.0)
+)
+
+
+class TestNewtonStart:
+    def test_toro5_face_161_converges_in_five_iterations(self, newton_iterations):
+        p_star, *_ = riemann.star_state_arrays(*FACE_161, GAS.gamma)
+        assert len(newton_iterations) == 1 and newton_iterations[0] <= 5
+        assert abs(p_star - P_STAR_161) <= 1e-12
+
+    def test_round_off_velocity_jump_keeps_the_pressure_bitwise(self):
+        # Toro 3: the uniform left state next to a cell whose velocity
+        # differs by round-off; p* = p and the star density stay exact
+        wl = np.array([1.0, 0.0, 1000.0])
+        wr = np.array([1.0, 1.2126596023639043e-15, 1000.0])
+        p_star, u_star, rho_l, rho_r = riemann.star_state_arrays(wl, wr, GAS.gamma)
+        assert (p_star, u_star, rho_l, rho_r) == (1000.0, 0.5 * wr[1], 1.0, 1.0)
+
+    def test_star_pressure_below_the_floor_is_reached(self, newton_iterations):
+        # two fans at 0.985 of the vacuum jump: p* = 8.0e-15 lies below
+        # PRESSURE_FLOOR, which Newton's steps no longer clamp to
+        wl = np.array([0.3494709118882218, 8.339338082465027, 0.024854104594409298])
+        wr = np.array([5.35061518175178, 11.01393332936307, 0.1975240201301637])
+        p_star, *_ = riemann.star_state_arrays(wl, wr, GAS.gamma)
+        assert p_star == pytest.approx(8.0262e-15, rel=1e-4)
+        assert len(newton_iterations) == 1 and newton_iterations[0] <= 6
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],  # the list only grows
+    )
+    @given(_FUZZ_SIDE, _FUZZ_SIDE)
+    def test_root_of_random_problems(self, newton_iterations, wl, wr):
+        # non-vacuum: the velocity jump stays below 0.99 of the vacuum limit;
+        # within 0.2% of it round-off alone moves p by more than Newton's
+        # 1e-12 tolerance (notes/decisions.md, sec. 9)
+        a_l, a_r = sound_speed_array(wl, GAS.gamma), sound_speed_array(wr, GAS.gamma)
+        du = wr[1] - wl[1]
+        assume(du < 0.99 * 2.0 * (a_l + a_r) / (GAS.gamma - 1.0))
+        p_star, *_ = riemann.star_state_arrays(wl, wr, GAS.gamma)
+        assert newton_iterations[-1] < riemann.NEWTON_MAX_ITER
+        assert 0.0 < p_star < np.inf
+        f_l, _ = pressure_function(p_star, wl, GAS)
+        f_r, _ = pressure_function(p_star, wr, GAS)
+        assert abs(f_l + f_r + du) <= 1e-12 * (abs(f_l) + abs(f_r) + abs(du) + a_l + a_r)
 
 
 class TestWaveSpeeds:

@@ -1,15 +1,25 @@
-"""Paired in-process timing of the 22-method Sod-200 sweep on two source trees.
+"""Paired in-process timing of the 22-method sweeps on two source trees.
 
     python3 tools/ab_sweep.py PARENT_SRC CHANGE_SRC [--reps N]
 
 Each SRC is a checkout root or its ``src`` directory.  The two ``sodbench``
 packages are copied into one temporary directory as ``sodbench_parent`` and
-``sodbench_change`` and imported into this process.  After one untimed pass,
-each rep runs every method once on each side, back to back, and alternates
-the side that goes first from run to run and from rep to rep.  A side's sweep
-time is the sum of its 22 run times in a rep.  The script prints how many
-methods end in different cells, each side's median sweep, and the median,
-min and max of the per-rep ratio change/parent.
+``sodbench_change`` and imported into this process.  A suite is Sod's
+problem at 200 cells (``sod200``, the paper's table) or one of Toro's tests
+1-5 (``toro1`` .. ``toro5``) at 200 cells, with dt from Courant 0.4 on the
+exact solution's fastest wave, shortened so that the final time is a whole
+number of steps.
+
+One untimed pass runs every method of every suite once on each side.  A run
+that fails on both sides with the same error (Toro's 13 pinned failures) is
+skipped.  A run whose final cells or error differ between the sides is
+counted as differing, and is timed only if it completes on both.  After
+that, each rep runs every timed run once on each side, back to back, and
+alternates the side that goes first from run to run and from rep to rep.  A
+side's sweep time is the sum of its run times in a rep.  The script prints,
+per suite, how many runs differ or were skipped and the median of the
+per-rep ratio change/parent; then each side's median sweep over all six
+suites, and the median, min and max of that ratio.
 
 The host's speed drifts by tens of percent from one process to the next,
 while pairing run by run inside one process reads a gain within a few
@@ -20,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import math
 import shutil
 import statistics
 import sys
@@ -28,6 +39,17 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# Toro, Riemann Solvers and Numerical Methods for Fluid Dynamics (3rd ed.),
+# Table 4.1: left and right (rho, u, p), initial jump position, final time.
+TORO_TESTS = {
+    1: ((1.0, 0.75, 1.0), (0.125, 0.0, 0.1), 0.3, 0.2),
+    2: ((1.0, -2.0, 0.4), (1.0, 2.0, 0.4), 0.5, 0.15),
+    3: ((1.0, 0.0, 1000.0), (1.0, 0.0, 0.01), 0.5, 0.012),
+    4: ((5.99924, 19.5975, 460.894), (5.99242, -6.19633, 46.0950), 0.4, 0.035),
+    5: ((1.0, -19.59745, 1000.0), (1.0, -19.59745, 0.01), 0.8, 0.012),
+}
+SUITES = ("sod200",) + tuple(f"toro{test}" for test in TORO_TESTS)
+COURANT = 0.4
 
 
 def package_dir(src: str) -> Path:
@@ -38,13 +60,35 @@ def package_dir(src: str) -> Path:
 
 
 def load(srcs: list[str], tmp: Path) -> list:
-    """Import each tree's ``solver`` module, its package under the side's name."""
-    solvers = []
+    """Import each tree's package under the side's name."""
+    packages = []
     for side, src in zip(SIDES, srcs):
         name = f"sodbench_{side}"
         shutil.copytree(package_dir(src), tmp / name, ignore=shutil.ignore_patterns("__pycache__"))
-        solvers.append(importlib.import_module(f"{name}.solver"))
-    return solvers
+        packages.append(importlib.import_module(name))
+    return packages
+
+
+def suite_fields(package, suite: str) -> dict:
+    """The RunConfig fields of a suite other than the method, with states as
+    (rho, u, p) tuples; dt comes from the given tree's exact solver."""
+    if suite == "sod200":
+        return {}
+    left, right, x0, t_final = TORO_TESTS[int(suite.removeprefix("toro"))]
+    problem = package.RiemannInput(package.PrimitiveState(*left), package.PrimitiveState(*right))
+    s = package.solve_star(problem).speeds
+    s_max = max(abs(v) for v in (s.left_head, s.left_tail, s.contact, s.right_tail, s.right_head))
+    dx = package.Grid1D().dx
+    dt = t_final / math.ceil(t_final * s_max / (COURANT * dx))
+    return {"left": left, "right": right, "jump_position": x0, "t_final": t_final, "dt": dt}
+
+
+def side_config(package, fields: dict, method: str):
+    """The configuration built from one side's own classes."""
+    values = {
+        k: package.PrimitiveState(*v) if k in ("left", "right") else v for k, v in fields.items()
+    }
+    return package.RunConfig(method=package.FluxMethod(method), **values)
 
 
 def main(argv=None) -> int:
@@ -58,30 +102,62 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
-        solvers = load([args.parent_src, args.change_src], Path(tmp))
-        methods = [m.value for m in solvers[0].FluxMethod]
-        configs = [[s.RunConfig(method=s.FluxMethod(name)) for s in solvers] for name in methods]
+        packages = load([args.parent_src, args.change_src], Path(tmp))
+        methods = [m.value for m in packages[0].FluxMethod]
 
-        def run(i: int, side: int):
+        def run(cfg, side: int):
             start = time.perf_counter()
-            field = solvers[side].run(configs[i][side])
-            return time.perf_counter() - start, field.cells
+            try:
+                result = packages[side].run(cfg).cells
+            except packages[side].SodbenchError as exc:
+                result = (type(exc).__name__, str(exc))
+            return time.perf_counter() - start, result
 
-        differ = sum((run(i, 0)[1] != run(i, 1)[1]).any() for i in range(len(methods)))
-        sweeps = [[0.0] * args.reps for _ in SIDES]
+        kept = {}  # suite -> (config pairs to time, runs that differ, runs skipped)
+        for suite in SUITES:
+            fields = suite_fields(packages[0], suite)
+            pairs, differ, skipped = [], 0, 0
+            for method in methods:
+                pair = [side_config(p, fields, method) for p in packages]
+                results = [run(cfg, side)[1] for side, cfg in enumerate(pair)]
+                failed = [isinstance(r, tuple) for r in results]
+                if all(failed) and results[0] == results[1]:
+                    skipped += 1
+                    continue
+                if any(failed) or (results[0] != results[1]).any():
+                    differ += 1
+                if not any(failed):
+                    pairs.append(pair)
+            kept[suite] = (pairs, differ, skipped)
+
+        sweeps = {suite: [[0.0] * args.reps for _ in SIDES] for suite in SUITES}
         for rep in range(args.reps):
-            for i in range(len(methods)):
-                first = (i + rep) % 2
-                for side in (first, 1 - first):
-                    sweeps[side][rep] += run(i, side)[0]
+            i = 0
+            for suite, (pairs, _, _) in kept.items():
+                for pair in pairs:
+                    first = (i + rep) % 2
+                    for side in (first, 1 - first):
+                        sweeps[suite][side][rep] += run(pair[side], side)[0]
+                    i += 1
 
-    ratios = [c / p for p, c in zip(*sweeps)]
-    print(f"methods with differing final cells: {differ} of {len(methods)}")
-    for side, times in zip(SIDES, sweeps):
+    def ratios(times):
+        return [c / p for p, c in zip(*times)]
+
+    for suite, (pairs, differ, skipped) in kept.items():
+        ratio = f"{statistics.median(ratios(sweeps[suite])):.4f}" if pairs else "n/a"
+        print(
+            f"{suite}: final cells differ in {differ} of {len(methods) - skipped} runs"
+            f" ({skipped} failing on both sides skipped); median ratio change/parent {ratio}"
+        )
+    total = [
+        [sum(s[side][rep] for s in sweeps.values()) for rep in range(args.reps)] for side in (0, 1)
+    ]
+    for side, times in zip(SIDES, total):
         print(f"{side}: median sweep {statistics.median(times):.4f} s over {args.reps} reps")
+    overall = ratios(total)
     print(
-        f"ratio change/parent: median {statistics.median(ratios):.4f}"
-        f" min {min(ratios):.4f} max {max(ratios):.4f}"
+        f"ratio change/parent: median {statistics.median(overall):.4f}"
+        f" min {min(overall):.4f} max {max(overall):.4f}"
     )
     return 0
 
