@@ -39,6 +39,9 @@ __all__ = [
 PRESSURE_FLOOR = 1e-14
 NEWTON_RTOL = 1e-12
 NEWTON_MAX_ITER = 100
+# A residual f_L + f_R + du within this share of |f_L| + |f_R| + |du| is the
+# round-off of its terms: 4 ulps of 1, fixed rather than read from the host.
+ROUNDOFF_RTOL = 4.0 * 2.0**-52
 
 
 class WaveKind(enum.Enum):
@@ -221,7 +224,8 @@ def _star_pressure(wl, wr, left: _Side, right: _Side):
     for _ in range(NEWTON_MAX_ITER):
         f_l, df_l = pressure_function(p, left)
         f_r, df_r = pressure_function(p, right)
-        dp = (f_l + f_r + du) / (df_l + df_r)
+        residual = f_l + f_r + du
+        dp = residual / (df_l + df_r)
         # f is concave: a step from above p* can land far below it, even
         # below zero, so no step goes under a tenth of p, from where Newton
         # climbs back in a few iterations
@@ -230,6 +234,11 @@ def _star_pressure(wl, wr, left: _Side, right: _Side):
         p = p_new
         if converged.all():
             return p
+    # Near vacuum f is flat in p, and the round-off of the residual alone
+    # moves p by more than NEWTON_RTOL: such a face has stalled, not failed
+    converged |= np.abs(residual) <= ROUNDOFF_RTOL * (np.abs(f_l) + np.abs(f_r) + np.abs(du))
+    if converged.all():
+        return p
     face = int(np.argmin(converged))
     raise _no_convergence(face, float(np.ravel(np.abs(dp) / p)[face]))
 

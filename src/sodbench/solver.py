@@ -5,6 +5,10 @@ q_i^{n+1} = q_i^n - (dt/dx)(F_{i+1/2} - F_{i-1/2}); face fluxes come from
 MUSCL-reconstructed primitive values fed to the configured flux method.  The
 time step is fixed (derived once from the target Courant number); the solver
 only monitors the Courant number actually reached.
+
+A step marches only the window: the cells within two cells of an interface
+whose two conserved states differ.  Every other cell sees a uniform 5-cell
+stencil, so its update is exactly 0 (``notes/decisions.md`` section 10).
 """
 
 from __future__ import annotations
@@ -117,11 +121,11 @@ def initialize_sod(cfg: RunConfig) -> SolutionField:
     return SolutionField(time=0.0, cells=conserved_array(w, cfg.gas.gamma), max_courant_observed=0.0)
 
 
-def _check_positive(w: np.ndarray, step_index: int) -> None:
+def _check_positive(w: np.ndarray, step_index: int, first_cell: int = 0) -> None:
     # Density and pressure rows at once; a NaN fails "> 0" too.
     if w[::2].min() > 0.0:
         return
-    cell = int(np.argmax(~((w[0] > 0.0) & (w[2] > 0.0))))
+    cell = first_cell + int(np.argmax(~((w[0] > 0.0) & (w[2] > 0.0))))
     raise NonPhysicalState(
         f"solver produced non-positive density/pressure in cell {cell} at step {step_index}",
         cell=cell,
@@ -129,34 +133,68 @@ def _check_positive(w: np.ndarray, step_index: int) -> None:
     )
 
 
+def _window(q: np.ndarray, start: int, stop: int) -> tuple[int, int]:
+    """Cells [lo, hi) within two cells of an interface among cells
+    [start, stop) whose conserved states differ; all cells when none does."""
+    jumps = (q[:, start + 1 : stop] != q[:, start : stop - 1]).any(axis=0).nonzero()[0]
+    if jumps.size == 0:
+        return 0, q.shape[1]
+    # jumps[j] lies between cells start + j and start + j + 1
+    return max(start + int(jumps[0]) - 1, 0), min(start + int(jumps[-1]) + 3, q.shape[1])
+
+
 def advance(
     field: SolutionField, cfg: RunConfig, n_steps: int, first_step: int = 0
 ) -> SolutionField:
     """March ``n_steps`` conservative updates of dt; steps are numbered from
-    ``first_step`` in failure reports.  The incoming field is checked once."""
+    ``first_step`` in failure reports.  The incoming field is checked once.
+
+    Each step reconstructs, fluxes and updates only the window [lo, hi).  Its
+    end interfaces carry no jump, so the zero-gradient ghost cells of the
+    slice equal the real neighbours and every face in it matches the whole
+    grid's.  Failures report whole-grid cells and faces."""
     gamma = cfg.gas.gamma
     dx = cfg.grid.dx
-    q = field.cells
+    q = field.cells.copy()
+    n = q.shape[1]
     w = primitive_array(q, gamma)
     _check_positive(w, first_step)
     time = field.time
-    max_courant = field.max_courant_observed
+    lo, hi = _window(q, 0, n)
+    # Cells outside the first window keep their incoming state through its
+    # step, so their signal enters the Courant maximum once, here.
+    signal = np.abs(w[1]) + sound_speed_array(w, gamma)
+    signal[lo:hi] = 0.0
+    peak = float(signal.max())
     for k in range(first_step, first_step + n_steps):
         try:
-            wl, wr = reconstruct_faces(w)
+            wl, wr = reconstruct_faces(w[:, lo:hi])
             flux = compute_face_flux(cfg.method, wl, wr, cfg.gas, dx=dx, dt=cfg.dt)
         except (NonPhysicalState, NoConvergence, VacuumGenerated) as exc:
-            # Same object, bare raise: the failure still comes from muscl or riemann.
+            # Same object, bare raise: the failure still comes from muscl or
+            # riemann.  A face counted from the window start becomes global.
+            message = exc.args[0]
+            face = getattr(exc, "face", None)
+            if face is not None:
+                exc.face = lo + face
+                message = message.replace(f"face {face}", f"face {exc.face}", 1)
             exc.step = k
-            exc.args = (f"{exc.args[0]} at step {k}",)
+            exc.args = (f"{message} at step {k}",)
             raise
-        q = q - (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
-        w = primitive_array(q, gamma)
-        _check_positive(w, k)
-        signal = np.abs(w[1]) + sound_speed_array(w, gamma)
-        max_courant = max(max_courant, float(signal.max()) * cfg.dt / dx)
+        q_window = q[:, lo:hi]
+        q_window -= (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
+        w[:, lo:hi] = w_window = primitive_array(q_window, gamma)
+        _check_positive(w_window, k, lo)
+        signal = np.abs(w_window[1]) + sound_speed_array(w_window, gamma)
+        peak = max(peak, float(signal.max()))
         # Summed step by step, not n * dt, so the time matches repeated steps.
         time += cfg.dt
+        # Only the updated cells can have changed an interface.
+        lo, hi = _window(q, max(lo - 1, 0), min(hi + 1, n))
+    max_courant = field.max_courant_observed
+    if n_steps > 0:
+        # (s dt) / dx rises with s, so its largest value is that of the peak
+        max_courant = max(max_courant, peak * cfg.dt / dx)
     return SolutionField(time=time, cells=q, max_courant_observed=max_courant)
 
 

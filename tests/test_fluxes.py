@@ -26,7 +26,7 @@ from sodbench.fluxes import (
     wave_speed_estimate,
     _state_and_flux,
 )
-from sodbench.gas import GasModel, PrimitiveState, conserved_array, flux_array
+from sodbench.gas import GasModel, PrimitiveState, conserved_array, enthalpy_array, flux_array
 
 GAS = GasModel()
 G = 1.4
@@ -554,6 +554,32 @@ class TestSharedProperties:
         for method in FluxMethod:
             f = dispatch(method, w, w)
             assert np.max(np.abs(f - reference) / scale) < 1e-12, method
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-3.0, 3.0), st.floats(-5.0, 5.0), st.floats(-3.0, 3.0)),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    def test_identical_states_give_the_physical_flux_to_a_few_ulps(self, states):
+        # F(w, w) = f(w) is what lets solver.advance skip every cell whose
+        # stencil is uniform (notes/decisions.md section 10).  Density and
+        # pressure span 10^[-3, 3], the Mach number [-5, 5]; the error is
+        # measured against the size of the terms each kernel upwinds or splits,
+        # rho s (1, s, H) with s = |u| + a
+        log_rho, mach, log_p = np.array(states).T
+        rho, p = 10.0**log_rho, 10.0**log_p
+        a = np.sqrt(G * p / rho)
+        w = np.array([rho, mach * a, p])
+        reference = flux_array(w, G)
+        s = np.abs(w[1]) + a
+        scale = rho * s * np.array([np.ones_like(s), s, enthalpy_array(w, G)])
+        for method in FluxMethod:
+            f = dispatch(method, w, w.copy())
+            ulps = np.max(np.abs(f - reference) / (np.finfo(float).eps * scale))
+            assert ulps <= 4.0, (method, ulps)
 
     def test_upwind_limit_data_speed_methods(self):
         rng = np.random.default_rng(47)

@@ -217,6 +217,32 @@ class TestNewtonStart:
         assert abs(f_l + f_r + du) <= 1e-12 * (abs(f_l) + abs(f_r) + abs(du) + a_l + a_r)
 
 
+class TestNearVacuum:
+    """At 0.9995 of the vacuum jump the residual's round-off alone moves p* by
+    2.4e-12, so Newton cannot meet NEWTON_RTOL; at the iteration cap a face
+    whose residual is at the round-off of its terms is accepted."""
+
+    WL = np.array([9.077, 0.0, 0.4276])
+    WR = np.array([0.8836, 2.483, 0.03637])
+
+    def test_stalled_face_is_accepted(self):
+        p_star, *_ = riemann.star_state_arrays(self.WL, self.WR, GAS.gamma)
+        f_l, _ = pressure_function(p_star, self.WL, GAS)
+        f_r, _ = pressure_function(p_star, self.WR, GAS)
+        du = self.WR[1] - self.WL[1]
+        assert p_star == pytest.approx(1.3668e-24, rel=1e-4)
+        assert abs(f_l + f_r + du) <= 1e-15 * (abs(f_l) + abs(f_r) + abs(du))
+
+    def test_face_still_moving_at_the_cap_raises(self, monkeypatch):
+        # Newton reaches the round-off after 15 iterations
+        monkeypatch.setattr(riemann, "NEWTON_MAX_ITER", 12)
+        with pytest.raises(NoConvergence) as excinfo:
+            riemann.star_state_arrays(self.WL, self.WR, GAS.gamma)
+        assert excinfo.value.face == 0
+        monkeypatch.setattr(riemann, "NEWTON_MAX_ITER", 16)
+        riemann.star_state_arrays(self.WL, self.WR, GAS.gamma)
+
+
 class TestWaveSpeeds:
     def test_sod_speeds(self):
         speeds = solve_star(SOD).speeds

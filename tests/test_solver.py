@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sodbench import bench, riemann, solver
 from sodbench.errors import InvalidConfig, NoConvergence, NonPhysicalState, VacuumGenerated
-from sodbench.fluxes import FluxMethod
-from sodbench.gas import GasModel, PrimitiveState
+from sodbench.fluxes import FluxMethod, compute_face_flux
+from sodbench.gas import GasModel, PrimitiveState, conserved_array, primitive_array, sound_speed_array
+from sodbench.muscl import reconstruct_faces
 from sodbench.riemann import RiemannInput, exact_profile
 from sodbench.solver import (
     SOD_LEFT,
@@ -125,8 +128,13 @@ class TestStep:
 
     def test_reconstruction_failure_reports_face_and_step(self, monkeypatch):
         # the third reconstruction of the run sees a negative pressure in cell
-        # 20, which face 21 takes as its left state; advance stamps the step
-        # on the exception muscl raised
+        # 100, which face 101 takes as its left state, as on the whole grid.
+        # That step's window starts two cells left of its first jump, and
+        # muscl counts faces from there; advance reports the grid's face and
+        # stamps the step on the exception muscl raised
+        cfg = RunConfig()
+        q = solver.advance(initialize_sod(cfg), cfg, 2).cells
+        window_start = int(np.argmax((q[:, 1:] != q[:, :-1]).any(axis=0))) - 1
         real = solver.reconstruct_faces
         calls = []
 
@@ -134,16 +142,15 @@ class TestStep:
             calls.append(1)
             if len(calls) == 3:
                 w = w.copy()
-                w[2, 20] = -1.0
+                w[2, 100 - window_start] = -1.0
             return real(w)
 
         monkeypatch.setattr(solver, "reconstruct_faces", poisoned)
-        cfg = RunConfig()
         with pytest.raises(NonPhysicalState) as excinfo:
             solver.advance(initialize_sod(cfg), cfg, 5, first_step=10)
         exc = excinfo.value
-        assert (exc.face, exc.step, exc.cell) == (21, 12, None)
-        assert str(exc).endswith("at face 21 at step 12")
+        assert (exc.face, exc.step, exc.cell) == (101, 12, None)
+        assert str(exc).endswith("at face 101 at step 12")
         assert excinfo.traceback[-1].path.name == "muscl.py"
 
     def test_flux_failure_reports_face_and_step(self, monkeypatch):
@@ -314,6 +321,114 @@ class TestOneLoop:
             "reconstruct_faces": n,
             "compute_face_flux": n,
         }
+
+
+def full_domain_advance(field, cfg, n_steps, reconstruct=reconstruct_faces):
+    """The stepping loop without a window: every step reconstructs, fluxes,
+    updates and monitors the whole grid, in the arithmetic of solver.advance."""
+    gamma, dx = cfg.gas.gamma, cfg.grid.dx
+    q = field.cells
+    w = primitive_array(q, gamma)
+    time, max_courant = field.time, field.max_courant_observed
+    for _ in range(n_steps):
+        wl, wr = reconstruct(w)
+        flux = compute_face_flux(cfg.method, wl, wr, cfg.gas, dx=dx, dt=cfg.dt)
+        q = q - (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
+        w = primitive_array(q, gamma)
+        signal = np.abs(w[1]) + sound_speed_array(w, gamma)
+        max_courant = max(max_courant, float(signal.max()) * cfg.dt / dx)
+        time += cfg.dt
+    return solver.SolutionField(time=time, cells=q, max_courant_observed=max_courant)
+
+
+def layered_field(cfg, states, starts):
+    """Piecewise-constant field: states[j] from cell starts[j] on."""
+    w = np.empty((3, cfg.grid.n_cells))
+    for state, start in zip(states, starts):
+        w[:, start:] = state.array[:, None]
+    return solver.SolutionField(time=0.0, cells=conserved_array(w, cfg.gas.gamma))
+
+
+def assert_same_field(got, expected):
+    assert np.array_equal(got.cells, expected.cells)
+    assert got.max_courant_observed == expected.max_courant_observed
+    assert got.time == expected.time
+
+
+class TestWindow:
+    """advance marches only the cells within two cells of a jump; the rest
+    of the grid has a zero update, so every result equals the whole-grid
+    loop's bit for bit (notes/decisions.md section 10)."""
+
+    @pytest.mark.parametrize("method", list(FluxMethod))
+    def test_sod(self, method):
+        cfg = RunConfig(method=method)
+        expected = full_domain_advance(initialize_sod(cfg), cfg, step_count(cfg))
+        assert_same_field(run(cfg), expected)
+
+    @pytest.mark.parametrize("method", list(FluxMethod))
+    @pytest.mark.parametrize("cells_from_wall", [2, 48])
+    def test_jump_two_cells_from_a_wall(self, method, cells_from_wall):
+        # the window reaches the wall at once, and the waves run into it
+        cfg = dataclasses.replace(small_cfg(method), jump_position=cells_from_wall / 50)
+        field = initialize_sod(cfg)
+        assert_same_field(run(cfg), full_domain_advance(field, cfg, step_count(cfg)))
+
+    @pytest.mark.parametrize("method", list(FluxMethod))
+    def test_two_jumps_with_a_uniform_gap_inside_the_window(self, method):
+        cfg = small_cfg(method, n=60)
+        field = layered_field(cfg, (SOD_LEFT, PrimitiveState(0.5, 0.0, 0.5), SOD_RIGHT), (0, 15, 45))
+        got = solver.advance(field, cfg, 10)
+        # the waves of the two jumps have not met: the gap is still uniform
+        assert (got.cells[:, 28:32] == field.cells[:, 28:29]).all()
+        assert_same_field(got, full_domain_advance(field, cfg, 10))
+
+    @pytest.mark.parametrize("method", list(FluxMethod))
+    def test_uniform_field(self, method):
+        cfg = dataclasses.replace(
+            small_cfg(method), left=PrimitiveState(1.0, 0.3, 1.0), right=PrimitiveState(1.0, 0.3, 1.0)
+        )
+        field = initialize_sod(cfg)
+        got = solver.advance(field, cfg, 5)
+        assert np.array_equal(got.cells, field.cells)
+        assert_same_field(got, full_domain_advance(field, cfg, 5))
+
+    @pytest.mark.parametrize("method", list(FluxMethod))
+    def test_run_split_into_steps(self, method):
+        cfg = small_cfg(method)
+        field = initialize_sod(cfg)
+        for k in range(step_count(cfg)):
+            field = step(field, cfg, step_index=k)
+        assert_same_field(field, full_domain_advance(initialize_sod(cfg), cfg, step_count(cfg)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(-3.0, 3.0), st.floats(-5.0, 5.0), st.floats(-3.0, 3.0))
+    def test_a_step_leaves_any_uniform_field_bitwise_unchanged(self, log_rho, mach, log_p):
+        # the property the window rests on: identical face states give
+        # identical fluxes, so their difference is exactly zero
+        rho, p = 10.0**log_rho, 10.0**log_p
+        state = PrimitiveState(rho, mach * math.sqrt(GAS.gamma * p / rho), p)
+        for method in FluxMethod:
+            cfg = dataclasses.replace(small_cfg(method), left=state, right=state)
+            field = initialize_sod(cfg)
+            assert np.array_equal(step(field, cfg).cells, field.cells), method
+
+    def test_courant_monitor_counts_cells_outside_the_first_window(self, monkeypatch):
+        # Supersonic flow speeding up across a jump: the fast cells right of
+        # it set the Courant maximum.  With van Leer's phi(0) = 0 the window
+        # keeps an unchanged copy of each side's state.  A limiter with
+        # phi(0) = -1 slows every right cell of the window down instead, so
+        # only the incoming state outside it holds the maximum
+        def reconstruct(w):
+            return reconstruct_faces(w, limiter=lambda r: -np.ones_like(r))
+
+        monkeypatch.setattr(solver, "reconstruct_faces", reconstruct)
+        cfg = small_cfg(FluxMethod.HLL_DAVIS1, n=60, dt=0.001)
+        slow, fast = PrimitiveState(1.0, 2.0, 1.0), PrimitiveState(1.0, 3.0, 1.0)
+        field = layered_field(cfg, (slow, fast), (0, 30))
+        got = solver.advance(field, cfg, 3)
+        assert got.max_courant_observed == pytest.approx((3.0 + math.sqrt(1.4)) * 0.06, rel=1e-14)
+        assert_same_field(got, full_domain_advance(field, cfg, 3, reconstruct))
 
 
 class TestNoStack:

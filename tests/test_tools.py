@@ -11,9 +11,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_ab_sweep_same_tree_prints_a_ratio():
     src = str(ROOT / "src")
-    # The full six suites take minutes; Sod-200 and Toro 2 cover both kinds.
+    # The full seven suites take minutes; Sod-200, Sod-20k and Toro 2 cover
+    # the three kinds.
     script = (
-        "import sys; import ab_sweep; ab_sweep.SUITES = ('sod200', 'toro2');"
+        "import sys; import ab_sweep; ab_sweep.SUITES = ('sod200', 'sod20k', 'toro2');"
         " sys.exit(ab_sweep.main(sys.argv[1:]))"
     )
     result = subprocess.run(
@@ -27,7 +28,8 @@ def test_ab_sweep_same_tree_prints_a_ratio():
     # Toro's test 2 kills six methods (tests/test_solver.py, TORO_FAILURES)
     lines = result.stdout.splitlines()
     assert lines[0].startswith("sod200: final cells differ in 0 of 22 runs (0 failing on both")
-    assert lines[1].startswith("toro2: final cells differ in 0 of 16 runs (6 failing on both")
+    assert lines[1].startswith("sod20k: final cells differ in 0 of 22 runs (0 failing on both")
+    assert lines[2].startswith("toro2: final cells differ in 0 of 16 runs (6 failing on both")
     assert "ratio change/parent: median" in result.stdout
 
 

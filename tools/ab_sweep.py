@@ -5,10 +5,11 @@
 Each SRC is a checkout root or its ``src`` directory.  The two ``sodbench``
 packages are copied into one temporary directory as ``sodbench_parent`` and
 ``sodbench_change`` and imported into this process.  A suite is Sod's
-problem at 200 cells (``sod200``, the paper's table) or one of Toro's tests
-1-5 (``toro1`` .. ``toro5``) at 200 cells, with dt from Courant 0.4 on the
-exact solution's fastest wave, shortened so that the final time is a whole
-number of steps.
+problem at 200 cells (``sod200``, the paper's table), Sod's problem at 20 000
+cells for 20 steps of dt = 0.4 dx / 2 (``sod20k``, as ``perfbench``'s
+``sod20k-bulk``), or one of Toro's tests 1-5 (``toro1`` .. ``toro5``) at 200
+cells, with dt from Courant 0.4 on the exact solution's fastest wave,
+shortened so that the final time is a whole number of steps.
 
 One untimed pass runs every method of every suite once on each side.  A run
 that fails on both sides with the same error (Toro's 13 pinned failures) is
@@ -18,7 +19,7 @@ that, each rep runs every timed run once on each side, back to back, and
 alternates the side that goes first from run to run and from rep to rep.  A
 side's sweep time is the sum of its run times in a rep.  The script prints,
 per suite, how many runs differ or were skipped and the median of the
-per-rep ratio change/parent; then each side's median sweep over all six
+per-rep ratio change/parent; then each side's median sweep over all seven
 suites, and the median, min and max of that ratio.
 
 The host's speed drifts by tens of percent from one process to the next,
@@ -48,8 +49,10 @@ TORO_TESTS = {
     4: ((5.99924, 19.5975, 460.894), (5.99242, -6.19633, 46.0950), 0.4, 0.035),
     5: ((1.0, -19.59745, 1000.0), (1.0, -19.59745, 0.01), 0.8, 0.012),
 }
-SUITES = ("sod200",) + tuple(f"toro{test}" for test in TORO_TESTS)
+SUITES = ("sod200", "sod20k") + tuple(f"toro{test}" for test in TORO_TESTS)
 COURANT = 0.4
+BULK_CELLS = 20_000
+BULK_STEPS = 20
 
 
 def package_dir(src: str) -> Path:
@@ -71,9 +74,14 @@ def load(srcs: list[str], tmp: Path) -> list:
 
 def suite_fields(package, suite: str) -> dict:
     """The RunConfig fields of a suite other than the method, with states as
-    (rho, u, p) tuples; dt comes from the given tree's exact solver."""
+    (rho, u, p) tuples and the grid as its cell count; a Toro test's dt comes
+    from the given tree's exact solver."""
     if suite == "sod200":
         return {}
+    if suite == "sod20k":
+        # dt from Courant 0.4 on a wave speed estimate of 2, as sod20k-bulk
+        dt = COURANT * package.Grid1D(n_cells=BULK_CELLS).dx / 2.0
+        return {"grid": BULK_CELLS, "dt": dt, "t_final": BULK_STEPS * dt}
     left, right, x0, t_final = TORO_TESTS[int(suite.removeprefix("toro"))]
     problem = package.RiemannInput(package.PrimitiveState(*left), package.PrimitiveState(*right))
     s = package.solve_star(problem).speeds
@@ -85,9 +93,12 @@ def suite_fields(package, suite: str) -> dict:
 
 def side_config(package, fields: dict, method: str):
     """The configuration built from one side's own classes."""
-    values = {
-        k: package.PrimitiveState(*v) if k in ("left", "right") else v for k, v in fields.items()
-    }
+    values = dict(fields)
+    for k in ("left", "right"):
+        if k in values:
+            values[k] = package.PrimitiveState(*values[k])
+    if "grid" in values:
+        values["grid"] = package.Grid1D(n_cells=values["grid"])
     return package.RunConfig(method=package.FluxMethod(method), **values)
 
 
