@@ -129,7 +129,9 @@ def rmse(numerical: np.ndarray, exact: np.ndarray) -> tuple[float, float, float]
         raise InvalidConfig(
             f"profile shapes differ: {numerical.shape} vs {exact.shape}"
         )
-    err = np.sqrt(np.mean((numerical - exact) ** 2, axis=-1))
+    diff = numerical - exact
+    diff *= diff  # bitwise x ** 2, without a second temporary
+    err = np.sqrt(np.mean(diff, axis=-1))
     return float(err[0]), float(err[1]), float(err[2])
 
 

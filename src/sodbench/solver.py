@@ -115,10 +115,13 @@ def derive_dt(co_max_target: float, dx: float, s_max_estimate: float) -> float:
 
 def initialize_sod(cfg: RunConfig) -> SolutionField:
     """Step data: left state where the cell center is left of the jump."""
-    centers = cfg.grid.centers()
-    on_left = centers < cfg.jump_position
-    w = np.where(on_left, cfg.left.array[:, None], cfg.right.array[:, None])
-    return SolutionField(time=0.0, cells=conserved_array(w, cfg.gas.gamma), max_courant_observed=0.0)
+    # The centers rise, so the cells left of the jump are a prefix.
+    n_left = int(np.searchsorted(cfg.grid.centers(), cfg.jump_position))
+    gamma = cfg.gas.gamma
+    cells = np.empty((3, cfg.grid.n_cells))
+    cells[:, :n_left] = conserved_array(cfg.left.array[:, None], gamma)
+    cells[:, n_left:] = conserved_array(cfg.right.array[:, None], gamma)
+    return SolutionField(time=0.0, cells=cells, max_courant_observed=0.0)
 
 
 def _check_positive(w: np.ndarray, step_index: int, first_cell: int = 0) -> None:
@@ -157,15 +160,26 @@ def advance(
     dx = cfg.grid.dx
     q = field.cells.copy()
     n = q.shape[1]
-    w = primitive_array(q, gamma)
-    _check_positive(w, first_step)
-    time = field.time
     lo, hi = _window(q, 0, n)
-    # Cells outside the first window keep their incoming state through its
-    # step, so their signal enters the Courant maximum once, here.
-    signal = np.abs(w[1]) + sound_speed_array(w, gamma)
-    signal[lo:hi] = 0.0
-    peak = float(signal.max())
+    # Outside the first window the field is two uniform blocks: cells
+    # [0, lo) equal cell 0 and cells [hi, n) equal cell n - 1, and the
+    # window's first and last cells lie in those runs of equal cells
+    # (notes/decisions.md section 11).  So the window's primitives give
+    # every cell's.
+    w = np.empty_like(q)
+    w[:, lo:hi] = w_window = primitive_array(q[:, lo:hi], gamma)
+    w[:, :lo] = w_window[:, :1]
+    w[:, hi:] = w_window[:, -1:]
+    # In grid order: the left block as cell 0, then the window, whose last
+    # cell fails wherever the right block would.
+    _check_positive(w_window[:, :1], first_step)
+    _check_positive(w_window, first_step, lo)
+    time = field.time
+    # The blocks keep their incoming state through the first window's step,
+    # so the signal of each non-empty block enters the Courant maximum once,
+    # here.
+    blocks = w_window[:, [0, -1]][:, [lo > 0, hi < n]]
+    peak = float((np.abs(blocks[1]) + sound_speed_array(blocks, gamma)).max(initial=0.0))
     for k in range(first_step, first_step + n_steps):
         try:
             wl, wr = reconstruct_faces(w[:, lo:hi])
@@ -189,8 +203,11 @@ def advance(
         peak = max(peak, float(signal.max()))
         # Summed step by step, not n * dt, so the time matches repeated steps.
         time += cfg.dt
-        # Only the updated cells can have changed an interface.
-        lo, hi = _window(q, max(lo - 1, 0), min(hi + 1, n))
+        # Only the updated cells can have changed an interface.  A window
+        # that spans the grid cannot grow, and one wider than needed is
+        # still exact, so it is not scanned again.
+        if lo > 0 or hi < n:
+            lo, hi = _window(q, max(lo - 1, 0), min(hi + 1, n))
     max_courant = field.max_courant_observed
     if n_steps > 0:
         # (s dt) / dx rises with s, so its largest value is that of the peak

@@ -87,6 +87,28 @@ class TestInitialization:
         assert np.all(w[:, :2] == SOD_LEFT.array[:, None])
         assert np.all(w[:, 2:] == SOD_RIGHT.array[:, None])
 
+    @pytest.mark.parametrize(
+        "grid, jump",
+        [
+            (Grid1D(), -0.25),  # left of the domain: every cell right
+            (Grid1D(), 1.25),  # right of it: every cell left
+            (Grid1D(), "center 37"),  # exactly on a cell center
+            (Grid1D(), 0.5),  # between two centers
+            (Grid1D(-1.0, 2.0, 7), "center 3"),
+            (Grid1D(-1.0, 2.0, 7), 0.123456789),
+        ],
+    )
+    def test_matches_where_construction_bitwise(self, grid, jump):
+        if isinstance(jump, str):
+            jump = float(grid.centers()[int(jump.split()[1])])
+        cfg = RunConfig(grid=grid, jump_position=jump, left=PrimitiveState(1.3, -0.7, 2.9))
+        on_left = cfg.grid.centers() < cfg.jump_position
+        w = np.where(on_left, cfg.left.array[:, None], cfg.right.array[:, None])
+        expected = conserved_array(w, cfg.gas.gamma)
+        got = initialize_sod(cfg).cells
+        assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestStep:
     def test_uniform_field_is_unchanged(self):
@@ -323,22 +345,49 @@ class TestOneLoop:
         }
 
 
-def full_domain_advance(field, cfg, n_steps, reconstruct=reconstruct_faces):
+def whole_grid_check(w, step_index):
+    """Raise for the first cell of the grid whose density or pressure is not
+    positive (or is NaN), as solver.advance words it."""
+    bad = ~((w[0] > 0.0) & (w[2] > 0.0))
+    if bad.any():
+        cell = int(bad.argmax())
+        raise NonPhysicalState(
+            f"solver produced non-positive density/pressure in cell {cell} at step {step_index}",
+            cell=cell,
+            step=step_index,
+        )
+
+
+def full_domain_advance(field, cfg, n_steps, reconstruct=reconstruct_faces, first_step=0):
     """The stepping loop without a window: every step reconstructs, fluxes,
-    updates and monitors the whole grid, in the arithmetic of solver.advance."""
+    updates, checks and monitors the whole grid, in the arithmetic of
+    solver.advance."""
     gamma, dx = cfg.gas.gamma, cfg.grid.dx
     q = field.cells
     w = primitive_array(q, gamma)
+    whole_grid_check(w, first_step)
     time, max_courant = field.time, field.max_courant_observed
-    for _ in range(n_steps):
+    for k in range(first_step, first_step + n_steps):
         wl, wr = reconstruct(w)
         flux = compute_face_flux(cfg.method, wl, wr, cfg.gas, dx=dx, dt=cfg.dt)
         q = q - (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
         w = primitive_array(q, gamma)
+        whole_grid_check(w, k)
         signal = np.abs(w[1]) + sound_speed_array(w, gamma)
         max_courant = max(max_courant, float(signal.max()) * cfg.dt / dx)
         time += cfg.dt
     return solver.SolutionField(time=time, cells=q, max_courant_observed=max_courant)
+
+
+def mirrored(reconstruct):
+    """The reconstruction applied to the mirror image x -> -x, u -> -u."""
+    flip = np.array([1.0, -1.0, 1.0])[:, None]
+
+    def run(w):
+        wl, wr = reconstruct(flip * w[:, ::-1])
+        return flip * wr[:, ::-1], flip * wl[:, ::-1]
+
+    return run
 
 
 def layered_field(cfg, states, starts):
@@ -413,22 +462,92 @@ class TestWindow:
             field = initialize_sod(cfg)
             assert np.array_equal(step(field, cfg).cells, field.cells), method
 
+    @staticmethod
+    def limiter_minus_one(w):
+        return reconstruct_faces(w, limiter=lambda r: -np.ones_like(r))
+
+    def assert_courant_of_the_fast_block(self, monkeypatch, reconstruct, states):
+        monkeypatch.setattr(solver, "reconstruct_faces", reconstruct)
+        cfg = small_cfg(FluxMethod.HLL_DAVIS1, n=60, dt=0.001)
+        field = layered_field(cfg, states, (0, 30))
+        got = solver.advance(field, cfg, 3)
+        assert got.max_courant_observed == pytest.approx((3.0 + math.sqrt(1.4)) * 0.06, rel=1e-14)
+        assert_same_field(got, full_domain_advance(field, cfg, 3, reconstruct))
+
     def test_courant_monitor_counts_cells_outside_the_first_window(self, monkeypatch):
         # Supersonic flow speeding up across a jump: the fast cells right of
         # it set the Courant maximum.  With van Leer's phi(0) = 0 the window
         # keeps an unchanged copy of each side's state.  A limiter with
         # phi(0) = -1 slows every right cell of the window down instead, so
         # only the incoming state outside it holds the maximum
-        def reconstruct(w):
-            return reconstruct_faces(w, limiter=lambda r: -np.ones_like(r))
-
-        monkeypatch.setattr(solver, "reconstruct_faces", reconstruct)
-        cfg = small_cfg(FluxMethod.HLL_DAVIS1, n=60, dt=0.001)
         slow, fast = PrimitiveState(1.0, 2.0, 1.0), PrimitiveState(1.0, 3.0, 1.0)
-        field = layered_field(cfg, (slow, fast), (0, 30))
-        got = solver.advance(field, cfg, 3)
-        assert got.max_courant_observed == pytest.approx((3.0 + math.sqrt(1.4)) * 0.06, rel=1e-14)
-        assert_same_field(got, full_domain_advance(field, cfg, 3, reconstruct))
+        self.assert_courant_of_the_fast_block(monkeypatch, self.limiter_minus_one, (slow, fast))
+
+    def test_courant_monitor_counts_the_left_block(self, monkeypatch):
+        # The mirror image (x -> -x, u -> -u) of the test above: the fast
+        # block lies left of the jump.  The one-slope reconstruction keeps
+        # the window's left end cell unchanged for any limiter; only the
+        # mirrored one changes it, leaving the maximum to the left block
+        slow, fast = PrimitiveState(1.0, -2.0, 1.0), PrimitiveState(1.0, -3.0, 1.0)
+        reconstruct = mirrored(self.limiter_minus_one)
+        self.assert_courant_of_the_fast_block(monkeypatch, reconstruct, (fast, slow))
+
+
+class TestIncomingField:
+    """Outside its first window the incoming field is two uniform blocks, and
+    advance reads them from the window's end cells; checks, reports and
+    results equal the whole grid's (notes/decisions.md section 11)."""
+
+    # Conserved states: a NaN in q, non-positive density and pressure, and
+    # infinities whose primitives are NaN (u = inf / inf)
+    BAD = {
+        "nan": (np.nan, 0.0, 1.0),
+        "zero density": (0.0, 0.0, 1.0),
+        "negative pressure": (1.0, 0.0, -1.0),
+        "nan primitives": (np.inf, np.inf, 1.0),
+    }
+    # Cells that get the bad state, in a Sod field of 60 cells whose jump
+    # lies between cells 29 and 30 (first window [28, 32)); a bad block
+    # moves the window's ends to its own jump
+    WHERE = {"left block": (0, 10), "window": (30, 31), "right block": (50, 60)}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("where", list(WHERE))
+    @pytest.mark.parametrize("bad", list(BAD))
+    def test_bad_state_reports_the_whole_grids_cell(self, bad, where):
+        cfg = small_cfg(n=60)
+        cells = initialize_sod(cfg).cells.copy()
+        start, stop = self.WHERE[where]
+        cells[:, start:stop] = np.array(self.BAD[bad])[:, None]
+        field = solver.SolutionField(time=0.0, cells=cells)
+        with pytest.raises(NonPhysicalState) as expected:
+            full_domain_advance(field, cfg, 2, first_step=7)
+        with pytest.raises(NonPhysicalState) as got:
+            solver.advance(field, cfg, 2, first_step=7)
+        assert (got.value.args, got.value.cell, got.value.step) == (
+            expected.value.args,
+            expected.value.cell,
+            expected.value.step,
+        )
+        assert got.value.cell == start
+
+    def test_a_window_spanning_the_grid_is_not_scanned_again(self, monkeypatch):
+        # it cannot grow, and a window wider than needed is exact
+        scans = []
+        window = solver._window
+
+        def counted(*args):
+            scans.append(args[1:])
+            return window(*args)
+
+        monkeypatch.setattr(solver, "_window", counted)
+        cfg = small_cfg(FluxMethod.LF)
+        field = initialize_sod(cfg)
+        got = solver.advance(field, cfg, 30)
+        # Lax-Friedrichs widens the window by a cell a step on each side;
+        # its last scan, of cells [0, 50), finds a window spanning the grid
+        assert scans == [(0, 50)] + [(22 - k, 28 + k) for k in range(23)]
+        assert_same_field(got, full_domain_advance(field, cfg, 30))
 
 
 class TestNoStack:

@@ -13,14 +13,15 @@ shortened so that the final time is a whole number of steps.
 
 One untimed pass runs every method of every suite once on each side.  A run
 that fails on both sides with the same error (Toro's 13 pinned failures) is
-skipped.  A run whose final cells or error differ between the sides is
-counted as differing, and is timed only if it completes on both.  After
-that, each rep runs every timed run once on each side, back to back, and
-alternates the side that goes first from run to run and from rep to rep.  A
-side's sweep time is the sum of its run times in a rep.  The script prints,
-per suite, how many runs differ or were skipped and the median of the
-per-rep ratio change/parent; then each side's median sweep over all seven
-suites, and the median, min and max of that ratio.
+skipped.  A run whose error, or whose final cells, time or Courant maximum
+compared byte for byte, differ between the sides is counted as differing,
+and is timed only if it completes on both.  After that, each rep runs every
+timed run once on each side, back to back, and alternates the side that
+goes first from run to run and from rep to rep.  A side's sweep time is the
+sum of its run times in a rep.  The script prints, per suite, how many runs
+differ or were skipped and the median of the per-rep ratio change/parent;
+then each side's median sweep over all seven suites, and the median, min and
+max of that ratio.
 
 The host's speed drifts by tens of percent from one process to the next,
 while pairing run by run inside one process reads a gain within a few
@@ -38,6 +39,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 SIDES = ("parent", "change")
 # Toro, Riemann Solvers and Numerical Methods for Fluid Dynamics (3rd ed.),
@@ -119,10 +122,13 @@ def main(argv=None) -> int:
         def run(cfg, side: int):
             start = time.perf_counter()
             try:
-                result = packages[side].run(cfg).cells
+                final = packages[side].run(cfg)
             except packages[side].SodbenchError as exc:
-                result = (type(exc).__name__, str(exc))
-            return time.perf_counter() - start, result
+                return time.perf_counter() - start, (type(exc).__name__, str(exc))
+            elapsed = time.perf_counter() - start
+            # Bytes, so that -0.0 and 0.0 (equal under !=) count as differing
+            stamp = np.array([final.time, final.max_courant_observed])
+            return elapsed, final.cells.tobytes() + stamp.tobytes()
 
         kept = {}  # suite -> (config pairs to time, runs that differ, runs skipped)
         for suite in SUITES:
@@ -135,7 +141,7 @@ def main(argv=None) -> int:
                 if all(failed) and results[0] == results[1]:
                     skipped += 1
                     continue
-                if any(failed) or (results[0] != results[1]).any():
+                if results[0] != results[1]:
                     differ += 1
                 if not any(failed):
                     pairs.append(pair)
