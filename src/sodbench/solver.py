@@ -164,25 +164,22 @@ def advance(
     # Outside the first window the field is two uniform blocks: cells
     # [0, lo) equal cell 0 and cells [hi, n) equal cell n - 1, and the
     # window's first and last cells lie in those runs of equal cells
-    # (notes/decisions.md section 11).  So the window's primitives give
-    # every cell's.
-    w = np.empty_like(q)
-    w[:, lo:hi] = w_window = primitive_array(q[:, lo:hi], gamma)
-    w[:, :lo] = w_window[:, :1]
-    w[:, hi:] = w_window[:, -1:]
+    # (notes/decisions.md section 11).  So the window's end cells stand for
+    # the blocks.
+    w = primitive_array(q[:, lo:hi], gamma)
     # In grid order: the left block as cell 0, then the window, whose last
     # cell fails wherever the right block would.
-    _check_positive(w_window[:, :1], first_step)
-    _check_positive(w_window, first_step, lo)
+    _check_positive(w[:, :1], first_step)
+    _check_positive(w, first_step, lo)
     time = field.time
-    # The blocks keep their incoming state through the first window's step,
-    # so the signal of each non-empty block enters the Courant maximum once,
-    # here.
-    blocks = w_window[:, [0, -1]][:, [lo > 0, hi < n]]
+    # The window only grows, so the blocks keep their incoming state for the
+    # whole call, and the signal of each non-empty block enters the Courant
+    # maximum once, here.
+    blocks = w[:, [0, -1]][:, [lo > 0, hi < n]]
     peak = float((np.abs(blocks[1]) + sound_speed_array(blocks, gamma)).max(initial=0.0))
     for k in range(first_step, first_step + n_steps):
         try:
-            wl, wr = reconstruct_faces(w[:, lo:hi])
+            wl, wr = reconstruct_faces(w)
             flux = compute_face_flux(cfg.method, wl, wr, cfg.gas, dx=dx, dt=cfg.dt)
         except (NonPhysicalState, NoConvergence, VacuumGenerated) as exc:
             # Same object, bare raise: the failure still comes from muscl or
@@ -195,19 +192,20 @@ def advance(
             exc.step = k
             exc.args = (f"{message} at step {k}",)
             raise
-        q_window = q[:, lo:hi]
-        q_window -= (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
-        w[:, lo:hi] = w_window = primitive_array(q_window, gamma)
-        _check_positive(w_window, k, lo)
-        signal = np.abs(w_window[1]) + sound_speed_array(w_window, gamma)
+        q[:, lo:hi] -= (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
+        # Only the updated cells can have changed an interface.  The window
+        # grows but never narrows: one wider than needed is still exact, and
+        # so every updated cell is checked and monitored below.  A window
+        # that spans the grid cannot grow, so it is not scanned again.
+        if lo > 0 or hi < n:
+            new_lo, new_hi = _window(q, max(lo - 1, 0), min(hi + 1, n))
+            lo, hi = min(lo, new_lo), max(hi, new_hi)
+        w = primitive_array(q[:, lo:hi], gamma)
+        _check_positive(w, k, lo)
+        signal = np.abs(w[1]) + sound_speed_array(w, gamma)
         peak = max(peak, float(signal.max()))
         # Summed step by step, not n * dt, so the time matches repeated steps.
         time += cfg.dt
-        # Only the updated cells can have changed an interface.  A window
-        # that spans the grid cannot grow, and one wider than needed is
-        # still exact, so it is not scanned again.
-        if lo > 0 or hi < n:
-            lo, hi = _window(q, max(lo - 1, 0), min(hi + 1, n))
     max_courant = field.max_courant_observed
     if n_steps > 0:
         # (s dt) / dx rises with s, so its largest value is that of the peak

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,6 +493,38 @@ class TestWindow:
         reconstruct = mirrored(self.limiter_minus_one)
         self.assert_courant_of_the_fast_block(monkeypatch, reconstruct, (fast, slow))
 
+    def test_a_narrower_rescan_still_checks_every_updated_cell(self, monkeypatch):
+        # The first window is [0, 4).  This flux makes cells 0-2 equal and of
+        # negative density, so the rescan finds [1, 5); the window keeps
+        # cell 0, the first bad cell of the grid.  dt / dx = 1/4 and the
+        # states are exact in binary, so the update is exact
+        def flux(method, wl, wr, gas, dx, dt):
+            assert wl.shape[1] == 5
+            return np.array([[0.0, 8.0, 16.0, 20.5, 20.5], [0.0] * 5, [0.0, 0.0, 0.0, -7.0, -7.0]])
+
+        monkeypatch.setattr(solver, "compute_face_flux", flux)
+        cfg = small_cfg(n=64, dt=1 / 256)
+        cells = np.array([[1.0] * 2 + [0.125] * 62, [0.0] * 64, [2.0] * 2 + [0.25] * 62])
+        field = solver.SolutionField(time=0.0, cells=cells)
+        with pytest.raises(NonPhysicalState) as excinfo:
+            solver.advance(field, cfg, 1)
+        assert (excinfo.value.cell, excinfo.value.step) == (0, 0)
+
+    @pytest.mark.parametrize("method", [FluxMethod.RIEMANN, FluxMethod.HLLC_ROE, FluxMethod.RUSANOV])
+    def test_no_whole_grid_primitive_array(self, method):
+        # The copy of the cells is the only (3, n) array a call allocates:
+        # the primitives are kept on the window alone (about 16 cells here)
+        grid = Grid1D(0.0, 1.0, 20_000)
+        cfg = RunConfig(method=method, grid=grid, dt=0.4 * grid.dx / 2)
+        field = initialize_sod(cfg)
+        tracemalloc.start()
+        try:
+            solver.advance(field, cfg, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * field.cells.nbytes
+
 
 class TestIncomingField:
     """Outside its first window the incoming field is two uniform blocks, and
@@ -620,6 +653,50 @@ class TestToroFailures:
         assert str(exc) == (
             f"solver produced non-positive density/pressure in cell {cell} at step {step_index}"
         )
+
+
+class TestToroMatrix:
+    """The 97 runs of Toro's 5 x 22 matrix that are not pinned failures
+    complete with a finite RMSE.  A rescan may find a narrower window than
+    the one its step marched; the window keeps its width, and such runs end
+    bitwise equal to the whole-grid loop (notes/decisions.md section 10)."""
+
+    def test_runs_complete_and_narrowing_windows_are_exact(self, monkeypatch):
+        window = solver._window
+        # per run: the window the next step marches, and whether a rescan
+        # found a narrower one
+        marched = []
+
+        def spy(q, start, stop):
+            lo, hi = window(q, start, stop)
+            if not marched:
+                marched[:] = [(lo, hi), False]
+            else:
+                (old_lo, old_hi), narrowed = marched
+                narrowed = narrowed or lo > old_lo or hi < old_hi
+                marched[:] = [(min(lo, old_lo), max(hi, old_hi)), narrowed]
+            return lo, hi
+
+        monkeypatch.setattr(solver, "_window", spy)
+        narrowing = []
+        for test in TORO_TESTS:
+            for method in FluxMethod:
+                if (test, method.value) in TORO_FAILURES:
+                    continue
+                cfg = toro_config(test, method)
+                marched.clear()
+                final = run(cfg)
+                problem = RiemannInput(cfg.left, cfg.right, cfg.gas)
+                reference = exact_profile(problem, cfg.grid.centers(), cfg.jump_position, cfg.t_final)
+                rmse = bench.rmse(final.primitives(GAS), reference.w)
+                assert all(math.isfinite(r) for r in rmse), (test, method)
+                if marched[1]:
+                    narrowing.append((test, method.value))
+                    expected = full_domain_advance(initialize_sod(cfg), cfg, step_count(cfg))
+                    assert final.cells.tobytes() == expected.cells.tobytes(), (test, method)
+                    assert_same_field(final, expected)
+        # 14 runs narrow; three of them keep the case covered
+        assert {(1, "riemann"), (4, "hll-roe"), (4, "knp")} <= set(narrowing)
 
 
 class TestNewtonWork:
