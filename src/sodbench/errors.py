@@ -54,11 +54,12 @@ class NoConvergence(SodbenchError):
 class VacuumGenerated(SodbenchError):
     """The two states would generate a vacuum region (excluded by design).
 
-    Inside a run it carries the time step.
+    Carries the first such face problem and, inside a run, the time step.
     """
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, face: int | None = None, step: int | None = None):
         super().__init__(message)
+        self.face = face
         self.step = step
 
 

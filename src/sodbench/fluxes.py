@@ -173,6 +173,9 @@ def wave_speed_estimate(
 ) -> WaveSpeedPair:
     """Left/right signal speeds (S_L, S_R) for the HLL/HLLC families."""
     wl, wr = _as_w(wl), _as_w(wr)
+    if variant is WaveSpeedEstimate.ROE:
+        avg = roe_average(wl, wr, gas)
+        return WaveSpeedPair(avg.u - avg.a, avg.u + avg.a)
     g = gas.gamma
     a_l = sound_speed_array(wl, g)
     a_r = sound_speed_array(wr, g)
@@ -184,9 +187,6 @@ def wave_speed_estimate(
         return WaveSpeedPair(
             np.minimum(u_l - a_l, u_r - a_r), np.maximum(u_l + a_l, u_r + a_r)
         )
-    if variant is WaveSpeedEstimate.ROE:
-        avg = roe_average(wl, wr, gas)
-        return WaveSpeedPair(avg.u - avg.a, avg.u + avg.a)
     if variant is WaveSpeedEstimate.EINFELDT:
         sl = np.sqrt(wl[0])
         sr = np.sqrt(wr[0])

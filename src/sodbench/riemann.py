@@ -3,8 +3,9 @@
 Star-region solution by Newton iteration on the two-branch pressure function,
 self-similar sampling (including transonic fans), full-domain profiles, and
 the mass-jump shock-speed cross check.  The ``*_arrays`` kernels solve many
-independent face problems at once; the dataclass API solves one problem and
-is what the wave report and the tests consume.
+independent face problems at once; a face with equal states comes back
+unchanged, since Newton starts there at exactly p_L.  The dataclass API
+solves one problem and is what the wave report and the tests consume.
 """
 
 from __future__ import annotations
@@ -175,9 +176,12 @@ def pressure_function(p, side, gas: GasModel | None = None):
 def _check_vacuum(
     wl: np.ndarray, wr: np.ndarray, a_l: np.ndarray, a_r: np.ndarray, gamma: float
 ) -> None:
-    if (2.0 * (a_l + a_r) / (gamma - 1.0) <= wr[1] - wl[1]).any():
+    vacuum = 2.0 * (a_l + a_r) / (gamma - 1.0) <= wr[1] - wl[1]
+    if vacuum.any():
+        face = int(np.argmax(vacuum))
         raise VacuumGenerated(
-            "pressure positivity condition violated: states would generate vacuum"
+            f"pressure positivity condition violated: states would generate vacuum at face {face}",
+            face=face,
         )
 
 
@@ -195,9 +199,10 @@ def _initial_pressure(wl, wr, left: _Side, right: _Side, du):
     (p_L/p_R)^z.  Where p_L = p_R and du is within the rounding of
     a_L + a_R, the bracket is exactly 1 and the start is p_L, where both
     pressure functions are exactly 0: Newton moves p only by du's own shift
-    of p*.  Toro's form, with a_L / p_L^z + a_R / p_R^z in the denominator,
-    misses p_L there by an ulp or more, and that ulp in the momentum flux
-    spreads into uniform states.
+    of p*.  With equal states du = 0, so dp = 0 and the solve returns w_L,
+    the no-wave solution.  Toro's form, with a_L / p_L^z + a_R / p_R^z in
+    the denominator, misses p_L there by an ulp or more, and that ulp in the
+    momentum flux spreads into uniform states.
     """
     z = left.z
     num = left.a + right.a - 0.5 * (left.gamma - 1.0) * du
@@ -240,11 +245,8 @@ def _star_pressure(wl, wr, left: _Side, right: _Side):
     if converged.all():
         return p
     face = int(np.argmin(converged))
-    raise _no_convergence(face, float(np.ravel(np.abs(dp) / p)[face]))
-
-
-def _no_convergence(face: int, residual: float) -> NoConvergence:
-    return NoConvergence(
+    residual = float(np.ravel(np.abs(dp) / p)[face])
+    raise NoConvergence(
         f"star pressure iteration did not converge within {NEWTON_MAX_ITER} steps: "
         f"face {face} stopped at |dp|/p = {residual:.3e}",
         face=face,
@@ -442,22 +444,14 @@ def sample(star: StarRegion, problem: RiemannInput, xi: float) -> PrimitiveState
 def interface_states(wl: np.ndarray, wr: np.ndarray, gamma: float) -> np.ndarray:
     """States sampled on the face ray xi = 0 for many face problems at once.
 
-    This is the kernel behind the exact (Godunov) flux method.  A face whose
-    two states are equal has no waves, so its state is the left one; the
-    other faces are gathered, solved in one call of ``star_state_arrays`` and
-    ``_sample_arrays`` (made even when no face is left) and scattered back.
+    This is the kernel behind the exact (Godunov) flux method.  Every face is
+    solved, one with equal states too: Newton's exact start returns its state
+    (``_initial_pressure``), with a velocity of -0.0 as +0.0.
     """
     wl = np.asarray(wl, dtype=float)
-    w0 = wl.reshape(3, -1).copy()
-    wr_flat = np.asarray(wr, dtype=float).reshape(3, -1)
-    active = (w0 != wr_flat).any(axis=0).nonzero()[0]
-    a_l, a_r = w0[:, active], wr_flat[:, active]
-    try:
-        p_star, u_star, rho_l, rho_r = star_state_arrays(a_l, a_r, gamma)
-    except NoConvergence as exc:
-        raise _no_convergence(int(active[exc.face]), exc.residual) from None
-    w0[:, active] = _sample_arrays(a_l, a_r, p_star, u_star, rho_l, rho_r, 0.0, gamma)
-    return w0.reshape(wl.shape)
+    wr = np.asarray(wr, dtype=float)
+    p_star, u_star, rho_l, rho_r = star_state_arrays(wl, wr, gamma)
+    return _sample_arrays(wl, wr, p_star, u_star, rho_l, rho_r, 0.0, gamma)
 
 
 def exact_profile(problem: RiemannInput, x: np.ndarray, jump_position: float, t: float) -> ExactProfile:

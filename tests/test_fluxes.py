@@ -218,7 +218,8 @@ class TestExactFlux:
         )
     )
     def test_identical_states_give_the_physical_flux_bitwise(self, states):
-        # no waves: the face state is the input itself, not a Newton result
+        # no waves: Newton starts at exactly p, stops with dp = 0, and the
+        # face state is the input itself (a velocity of -0.0 as +0.0)
         w = np.array(states).T
         assert np.array_equal(flux_exact(w, w.copy(), GAS), flux_array(w, G))
         assert np.array_equal(flux_exact(w[:, 0], w[:, 0], GAS), flux_array(w[:, 0], G))

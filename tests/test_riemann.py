@@ -129,6 +129,12 @@ class TestSolveStar:
         right = PrimitiveState(1.0, 10.0, 1.0)
         with pytest.raises(VacuumGenerated):
             solve_star(RiemannInput(left, right))
+        # among many faces the first receding pair is named
+        wl = np.array([SOD.left.array, left.array, SOD.left.array, left.array]).T
+        wr = np.array([SOD.right.array, right.array, SOD.right.array, right.array]).T
+        with pytest.raises(VacuumGenerated, match="vacuum at face 1$") as excinfo:
+            riemann.interface_states(wl, wr, GAS.gamma)
+        assert excinfo.value.face == 1
 
     def test_iteration_cap_reported(self, monkeypatch):
         monkeypatch.setattr(riemann, "NEWTON_MAX_ITER", 1)
@@ -287,23 +293,30 @@ class TestRankineHugoniot:
             PrimitiveState(2.0, 0.0, 1.0), PrimitiveState(1.0, 0.0, 1.0)
         ) == 0.0
 
-    def test_cross_check_against_pressure_based_speed(self):
-        # mass-jump speed across either shock must match the wave speed
-        checked = 0
-        for problem in random_inputs(100, seed=31):
-            star = solve_star(problem)
-            sides = (
-                (star.left_wave, star.rho_star_left, problem.left, star.speeds.left_head),
-                (star.right_wave, star.rho_star_right, problem.right, star.speeds.right_head),
-            )
-            for wave, rho_star, outer, speed in sides:
-                if wave is not WaveKind.SHOCK:
-                    continue
-                shocked = PrimitiveState(rho_star, star.u_star, star.p_star)
-                rh = rankine_hugoniot_speed(shocked, outer)
-                assert rh == pytest.approx(speed, rel=1e-8, abs=1e-10)
-                checked += 1
-        assert checked > 0
+    @settings(max_examples=300, deadline=None)
+    @given(_FUZZ_SIDE, _FUZZ_SIDE)
+    def test_cross_check_against_pressure_based_speed(self, wl, wr):
+        # mass-jump speed across either shock must match the wave speed.
+        # Below a strength p*/p_k - 1 of 1e-6 the density jump cancels: the
+        # gap is 4.3e-10 at 5e-7 and 4.8e-8 at 5e-9, so weaker shocks are skipped
+        a_l, a_r = sound_speed_array(wl, GAS.gamma), sound_speed_array(wr, GAS.gamma)
+        assume(wr[1] - wl[1] < 0.99 * 2.0 * (a_l + a_r) / (GAS.gamma - 1.0))
+        problem = RiemannInput(PrimitiveState(*wl), PrimitiveState(*wr))
+        star = solve_star(problem)
+        sides = (
+            (star.left_wave, star.rho_star_left, problem.left, star.speeds.left_head),
+            (star.right_wave, star.rho_star_right, problem.right, star.speeds.right_head),
+        )
+        shocks = [
+            (rho_star, outer, speed)
+            for wave, rho_star, outer, speed in sides
+            if wave is WaveKind.SHOCK and star.p_star / outer.p - 1.0 >= 1e-6
+        ]
+        assume(shocks)
+        for rho_star, outer, speed in shocks:
+            shocked = PrimitiveState(rho_star, star.u_star, star.p_star)
+            rh = rankine_hugoniot_speed(shocked, outer)
+            assert rh == pytest.approx(speed, rel=1e-8, abs=1e-10)
 
 
 class TestSampling:
@@ -359,8 +372,11 @@ class TestInterfaceStates:
         wr = np.array([left if same else right for left, right, same in faces]).T
         equal = (wl == wr).all(axis=0)
         w0 = riemann.interface_states(wl, wr, GAS.gamma)
+        # a face with equal states is solved too: Newton's exact start
+        # returns its state (+0.0 for a velocity of -0.0, equal under ==)
         assert np.array_equal(w0[:, equal], wl[:, equal])
-        # the remaining faces are one batch solve of exactly those faces ...
+        # equal faces converge in the first iteration and add none, so the
+        # rest match one batch solve of exactly those faces ...
         a_l, a_r = wl[:, ~equal], wr[:, ~equal]
         star = riemann.star_state_arrays(a_l, a_r, GAS.gamma)
         batch = riemann._sample_arrays(a_l, a_r, *star, 0.0, GAS.gamma)

@@ -188,13 +188,15 @@ class TestStep:
         assert excinfo.traceback[-1].path.name == "riemann.py"
 
     def test_vacuum_reports_step(self):
+        # the window starts two cells left of the jump face 100, and riemann
+        # counts faces from there; advance reports the grid's face
         cfg = dataclasses.replace(
             RunConfig(), left=PrimitiveState(1.0, -20.0, 1.0), right=PrimitiveState(1.0, 20.0, 1.0)
         )
         with pytest.raises(VacuumGenerated) as excinfo:
             solver.advance(initialize_sod(cfg), cfg, 3, first_step=7)
-        assert excinfo.value.step == 7
-        assert str(excinfo.value).endswith("vacuum at step 7")
+        assert (excinfo.value.face, excinfo.value.step) == (100, 7)
+        assert str(excinfo.value).endswith("vacuum at face 100 at step 7")
         assert excinfo.traceback[-1].path.name == "riemann.py"
 
     def test_blowup_reports_cell_and_step(self):
