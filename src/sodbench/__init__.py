@@ -56,7 +56,6 @@ from .riemann import (
     rankine_hugoniot_speed,
     sample,
     solve_star,
-    wave_speeds,
 )
 from .solver import (
     SOD_LEFT,

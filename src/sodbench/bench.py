@@ -17,7 +17,7 @@ import numpy as np
 from . import riemann, solver
 from .errors import InvalidConfig, SodbenchError
 from .fluxes import FluxMethod
-from .gas import GasModel, PrimitiveState, internal_energy, internal_energy_array
+from .gas import GasModel, PrimitiveState, internal_energy, internal_energy_array, sound_speed
 from .riemann import ExactProfile, RiemannInput, WaveKind
 from .solver import Grid1D, RunConfig, SolutionField
 
@@ -198,41 +198,35 @@ def timing_sweep(base_cfg: RunConfig, repetitions: int = 3) -> list[TimingReport
 def wave_report(problem: RiemannInput) -> WaveReport:
     """All wave properties of the exact solution of one Riemann problem."""
     star = riemann.solve_star(problem)
-    speeds = star.speeds
+    s = star.speeds
     gas = problem.gas
 
-    def side(which: str) -> SideReport:
-        if which == "left":
-            kind, head, tail = star.left_wave, speeds.left_head, speeds.left_tail
-            rho_star, a_star = star.rho_star_left, speeds.a_star_left
-            outer = problem.left
-        else:
-            kind, head, tail = star.right_wave, speeds.right_head, speeds.right_tail
-            rho_star, a_star = star.rho_star_right, speeds.a_star_right
-            outer = problem.right
+    def side(kind, head, tail, rho_star, a_star, outer: PrimitiveState) -> SideReport:
         star_side = PrimitiveState(rho=rho_star, u=star.u_star, p=star.p_star)
         e_star = internal_energy(star_side, gas)
-        h_star = e_star + star.p_star / rho_star
-        machs = riemann.shock_relative_machs(star, problem, which)
-        rh = None
+        shock = {}
         if kind is WaveKind.SHOCK:
-            rh = riemann.rankine_hugoniot_speed(star_side, outer)
-        return SideReport(
-            kind=kind,
-            head=head,
-            tail=tail,
-            rho_star=rho_star,
-            a_star=a_star,
-            e_star=e_star,
-            h_star=h_star,
-            mach_unshocked=machs[0] if machs else None,
-            mach_shocked=machs[1] if machs else None,
-            rankine_hugoniot=rh,
-        )
+            shock = dict(
+                # Mach numbers relative to the shock, ahead of it and behind it
+                mach_unshocked=abs(head - outer.u) / sound_speed(outer, gas),
+                mach_shocked=abs(head - star.u_star) / a_star,
+                rankine_hugoniot=riemann.rankine_hugoniot_speed(star_side, outer),
+            )
+        h_star = e_star + star.p_star / rho_star
+        return SideReport(kind, head, tail, rho_star, a_star, e_star, h_star, **shock)
 
-    return WaveReport(
-        p_star=star.p_star, u_star=star.u_star, left=side("left"), right=side("right")
+    left = side(
+        star.left_wave, s.left_head, s.left_tail, star.rho_star_left, s.a_star_left, problem.left
     )
+    right = side(
+        star.right_wave,
+        s.right_head,
+        s.right_tail,
+        star.rho_star_right,
+        s.a_star_right,
+        problem.right,
+    )
+    return WaveReport(p_star=star.p_star, u_star=star.u_star, left=left, right=right)
 
 
 def export_profile(

@@ -5,12 +5,13 @@ self-similar sampling (including transonic fans), full-domain profiles, and
 the mass-jump shock-speed cross check.  The ``*_arrays`` kernels solve many
 independent face problems at once; a face with equal states comes back
 unchanged, since Newton starts there at exactly p_L.  The dataclass API
-solves one problem and is what the wave report and the tests consume.
+solves one problem and is what the wave report and the tests consume; its
+wave speeds come from ``_outer_wave``, the kernel the profile is sampled
+with, so the reported pattern and the sampled one cannot disagree.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateJump, InvalidConfig, NoConvergence, VacuumGenerated
-from .gas import GasModel, PrimitiveState, sound_speed, sound_speed_array
+from .gas import GasModel, PrimitiveState, sound_speed_array
 
 __all__ = [
     "WaveKind",
@@ -29,8 +30,6 @@ __all__ = [
     "ExactProfile",
     "pressure_function",
     "solve_star",
-    "wave_speeds",
-    "shock_relative_machs",
     "rankine_hugoniot_speed",
     "sample",
     "exact_profile",
@@ -284,89 +283,31 @@ def star_state_arrays(wl: np.ndarray, wr: np.ndarray, gamma: float):
 def solve_star(problem: RiemannInput) -> StarRegion:
     """Solve one Riemann problem for its star region and wave pattern.
 
-    A side is a shock when p* exceeds its pressure beyond iteration rounding;
-    zero-strength waves (identical inputs) therefore classify as fans of zero
-    width even when the iterate lands an ulp above the input pressure.
+    The wave speeds come from the kernel the profile is sampled with
+    (``_outer_wave``), under its rule: a side is a shock where p* > p_k, and
+    the right side goes through the reflection x -> -x.  So ``sample`` at a
+    reported head returns the outer state.  Identical inputs give two fans of
+    zero width, since Newton's exact start returns p* = p_k exactly
+    (``_initial_pressure``).
     """
-    wl, wr = problem.left.array, problem.right.array
-    gamma = problem.gas.gamma
-    p_star, u_star, rho_l, rho_r = star_state_arrays(wl, wr, gamma)
-    p_star, u_star = float(p_star), float(u_star)
-
-    def classify(p_side: float) -> WaveKind:
-        return WaveKind.SHOCK if p_star > p_side * (1.0 + 10.0 * NEWTON_RTOL) else WaveKind.FAN
-
-    star = StarRegion(
-        p_star=p_star,
-        u_star=u_star,
-        rho_star_left=float(rho_l),
-        rho_star_right=float(rho_r),
-        left_wave=classify(problem.left.p),
-        right_wave=classify(problem.right.p),
-        speeds=None,  # type: ignore[arg-type]  # filled just below
-    )
-    return dataclasses.replace(star, speeds=wave_speeds(star, problem))
-
-
-def _shock_speed(u_k: float, a_k: float, p_ratio: float, gamma: float, sign: float) -> float:
-    # Mass-conservation shock speed: u_k -/+ a_k sqrt(1 + (g+1)/(2g)(p*/p_k - 1))
-    return u_k + sign * a_k * math.sqrt(1.0 + (gamma + 1.0) / (2.0 * gamma) * (p_ratio - 1.0))
-
-
-def wave_speeds(star: StarRegion, problem: RiemannInput) -> WaveSpeeds:
-    """Head/tail (fan) or collapsed shock speeds for both waves, plus the
-    star-region sound speeds flanking the contact."""
     g = problem.gas.gamma
-    left, right = problem.left, problem.right
-    a_l, a_r = sound_speed(left, problem.gas), sound_speed(right, problem.gas)
-    a_star_l = float(sound_speed_array((star.rho_star_left, star.u_star, star.p_star), g))
-    a_star_r = float(sound_speed_array((star.rho_star_right, star.u_star, star.p_star), g))
+    star = star_state_arrays(problem.left.array, problem.right.array, g)
+    p_star, u_star, rho_l, rho_r = (float(v) for v in star)
 
-    if star.left_wave is WaveKind.SHOCK:
-        s = _shock_speed(left.u, a_l, star.p_star / left.p, g, -1.0)
-        left_head = left_tail = s
-    else:
-        left_head = left.u - a_l
-        left_tail = star.u_star - a_star_l
+    def side(outer: PrimitiveState, rho_star: float, sign: float):
+        # The right side enters with u -> -u and its speeds come back negated
+        u_k, u_c = sign * outer.u, sign * u_star
+        _, shock, head, tail = _outer_wave(outer.rho, u_k, outer.p, p_star, u_c, g)
+        kind = WaveKind.SHOCK if p_star > outer.p else WaveKind.FAN
+        if kind is WaveKind.SHOCK:
+            head = tail = shock
+        a_star = float(sound_speed_array((rho_star, u_star, p_star), g))
+        return kind, sign * float(head), sign * float(tail), a_star
 
-    if star.right_wave is WaveKind.SHOCK:
-        s = _shock_speed(right.u, a_r, star.p_star / right.p, g, +1.0)
-        right_head = right_tail = s
-    else:
-        right_head = right.u + a_r
-        right_tail = star.u_star + a_star_r
-
-    return WaveSpeeds(
-        left_head=left_head,
-        left_tail=left_tail,
-        contact=star.u_star,
-        right_tail=right_tail,
-        right_head=right_head,
-        a_star_left=a_star_l,
-        a_star_right=a_star_r,
-    )
-
-
-def shock_relative_machs(star: StarRegion, problem: RiemannInput, side: str):
-    """(unshocked, shocked) Mach numbers relative to the shock on one side,
-    or None when that side is a fan."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if side == "left":
-        if star.left_wave is not WaveKind.SHOCK:
-            return None
-        outer = problem.left
-        shock = star.speeds.left_head
-        a_star = star.speeds.a_star_left
-    else:
-        if star.right_wave is not WaveKind.SHOCK:
-            return None
-        outer = problem.right
-        shock = star.speeds.right_head
-        a_star = star.speeds.a_star_right
-    ahead = abs(shock - outer.u) / sound_speed(outer, problem.gas)
-    behind = abs(shock - star.u_star) / a_star
-    return ahead, behind
+    left_wave, left_head, left_tail, a_star_l = side(problem.left, rho_l, 1.0)
+    right_wave, right_head, right_tail, a_star_r = side(problem.right, rho_r, -1.0)
+    speeds = WaveSpeeds(left_head, left_tail, u_star, right_tail, right_head, a_star_l, a_star_r)
+    return StarRegion(p_star, u_star, rho_l, rho_r, left_wave, right_wave, speeds)
 
 
 def rankine_hugoniot_speed(shocked: PrimitiveState, unshocked: PrimitiveState) -> float:
@@ -375,6 +316,17 @@ def rankine_hugoniot_speed(shocked: PrimitiveState, unshocked: PrimitiveState) -
     if abs(d_rho) < 1e-14:
         raise DegenerateJump("density jump below 1e-14; no shock present")
     return (shocked.rho * shocked.u - unshocked.rho * unshocked.u) / d_rho
+
+
+def _outer_wave(rho_k, u_k, p_k, p_star, u_star, g):
+    """Sound speed a_k of the left state, and the speeds of the left wave: the
+    shock's, and the fan's head and tail (Toro, 3rd ed., sec. 4.4).  The right
+    wave is this one reflected, x -> -x."""
+    a_k = sound_speed_array((rho_k, u_k, p_k), g)
+    s_shock = u_k - a_k * np.sqrt((g + 1.0) / (2.0 * g) * p_star / p_k + (g - 1.0) / (2.0 * g))
+    head = u_k - a_k
+    tail = u_star - a_k * (p_star / p_k) ** ((g - 1.0) / (2.0 * g))
+    return a_k, s_shock, head, tail
 
 
 def _sample_arrays(wl, wr, p_star, u_star, rho_star_l, rho_star_r, xi, gamma):
@@ -395,12 +347,8 @@ def _sample_arrays(wl, wr, p_star, u_star, rho_star_l, rho_star_r, xi, gamma):
     rho_star = np.where(on_left, rho_star_l, rho_star_r)
     u_star = sign * u_star
     xi = sign * xi
-    a_k = sound_speed_array((rho_k, u_k, p_k), g)
+    a_k, s_shock, head, tail = _outer_wave(rho_k, u_k, p_k, p_star, u_star, g)
     mu2 = (g - 1.0) / (g + 1.0)
-
-    s_shock = u_k - a_k * np.sqrt((g + 1.0) / (2.0 * g) * p_star / p_k + (g - 1.0) / (2.0 * g))
-    head = u_k - a_k
-    tail = u_star - a_k * (p_star / p_k) ** ((g - 1.0) / (2.0 * g))
     # A shock leaves the outer state ahead of it and the star state behind;
     # a fan has the outer state ahead of its head, the star state behind its
     # tail, and the fan state in between.

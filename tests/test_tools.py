@@ -30,6 +30,8 @@ def test_ab_sweep_same_tree_prints_a_ratio():
     assert lines[0].startswith("sod200: final cells differ in 0 of 22 runs (0 failing on both")
     assert lines[1].startswith("sod20k: final cells differ in 0 of 22 runs (0 failing on both")
     assert lines[2].startswith("toro2: final cells differ in 0 of 16 runs (6 failing on both")
+    assert "fields differ" not in result.stdout
+    assert lines[3] == "wave reports differ in 0 of 6 problems"
     assert "ratio change/parent: median" in result.stdout
 
 

@@ -9,7 +9,8 @@ problem at 200 cells (``sod200``, the paper's table), Sod's problem at 20 000
 cells for 20 steps of dt = 0.4 dx / 2 (``sod20k``, as ``perfbench``'s
 ``sod20k-bulk``), or one of Toro's tests 1-5 (``toro1`` .. ``toro5``) at 200
 cells, with dt from Courant 0.4 on the exact solution's fastest wave,
-shortened so that the final time is a whole number of steps.
+shortened so that the final time is a whole number of steps.  Each side
+takes a suite's fields, that dt too, from its own tree and runs with them.
 
 One untimed pass runs every method of every suite once on each side.  A run
 that fails on both sides with the same error (Toro's 13 pinned failures) is
@@ -19,9 +20,11 @@ and is timed only if it completes on both.  After that, each rep runs every
 timed run once on each side, back to back, and alternates the side that
 goes first from run to run and from rep to rep.  A side's sweep time is the
 sum of its run times in a rep.  The script prints, per suite, how many runs
-differ or were skipped and the median of the per-rep ratio change/parent;
-then each side's median sweep over all seven suites, and the median, min and
-max of that ratio.
+differ or were skipped, the median of the per-rep ratio change/parent, and
+which fields differ between the sides if any do.  Then it prints in how many
+of six problems (Sod's and Toro's 1-5) the exact solver's wave report
+(``bench.wave_report``'s lines, or its error) differs, each side's median
+sweep over all seven suites, and the median, min and max of that ratio.
 
 The host's speed drifts by tens of percent from one process to the next,
 while pairing run by run inside one process reads a gain within a few
@@ -53,6 +56,8 @@ TORO_TESTS = {
     5: ((1.0, -19.59745, 1000.0), (1.0, -19.59745, 0.01), 0.8, 0.012),
 }
 SUITES = ("sod200", "sod20k") + tuple(f"toro{test}" for test in TORO_TESTS)
+# Sod's states and Toro's, whose exact wave reports are compared
+WAVE_PROBLEMS = [((1.0, 0.0, 1.0), (0.125, 0.0, 0.1))] + [t[:2] for t in TORO_TESTS.values()]
 COURANT = 0.4
 BULK_CELLS = 20_000
 BULK_STEPS = 20
@@ -94,6 +99,15 @@ def suite_fields(package, suite: str) -> dict:
     return {"left": left, "right": right, "jump_position": x0, "t_final": t_final, "dt": dt}
 
 
+def wave_lines(package, states):
+    """The lines of one side's wave report of a problem, or its error."""
+    problem = package.RiemannInput(*(package.PrimitiveState(*w) for w in states))
+    try:
+        return package.wave_report(problem).lines()
+    except package.SodbenchError as exc:
+        return type(exc).__name__, str(exc)
+
+
 def side_config(package, fields: dict, method: str):
     """The configuration built from one side's own classes."""
     values = dict(fields)
@@ -130,12 +144,13 @@ def main(argv=None) -> int:
             stamp = np.array([final.time, final.max_courant_observed])
             return elapsed, final.cells.tobytes() + stamp.tobytes()
 
-        kept = {}  # suite -> (config pairs to time, runs that differ, runs skipped)
+        kept = {}  # suite -> (config pairs, runs that differ, runs skipped, fields that differ)
         for suite in SUITES:
-            fields = suite_fields(packages[0], suite)
+            fields = [suite_fields(p, suite) for p in packages]
+            moved = [k for k in {**fields[0], **fields[1]} if fields[0].get(k) != fields[1].get(k)]
             pairs, differ, skipped = [], 0, 0
             for method in methods:
-                pair = [side_config(p, fields, method) for p in packages]
+                pair = [side_config(p, f, method) for p, f in zip(packages, fields)]
                 results = [run(cfg, side)[1] for side, cfg in enumerate(pair)]
                 failed = [isinstance(r, tuple) for r in results]
                 if all(failed) and results[0] == results[1]:
@@ -145,12 +160,13 @@ def main(argv=None) -> int:
                     differ += 1
                 if not any(failed):
                     pairs.append(pair)
-            kept[suite] = (pairs, differ, skipped)
+            kept[suite] = (pairs, differ, skipped, moved)
+        reports = [[wave_lines(p, problem) for p in packages] for problem in WAVE_PROBLEMS]
 
         sweeps = {suite: [[0.0] * args.reps for _ in SIDES] for suite in SUITES}
         for rep in range(args.reps):
             i = 0
-            for suite, (pairs, _, _) in kept.items():
+            for suite, (pairs, *_) in kept.items():
                 for pair in pairs:
                     first = (i + rep) % 2
                     for side in (first, 1 - first):
@@ -160,12 +176,15 @@ def main(argv=None) -> int:
     def ratios(times):
         return [c / p for p, c in zip(*times)]
 
-    for suite, (pairs, differ, skipped) in kept.items():
+    for suite, (pairs, differ, skipped, moved) in kept.items():
         ratio = f"{statistics.median(ratios(sweeps[suite])):.4f}" if pairs else "n/a"
         print(
             f"{suite}: final cells differ in {differ} of {len(methods) - skipped} runs"
             f" ({skipped} failing on both sides skipped); median ratio change/parent {ratio}"
+            + (f"; fields differ: {', '.join(moved)}" if moved else "")
         )
+    differ = sum(parent != change for parent, change in reports)
+    print(f"wave reports differ in {differ} of {len(reports)} problems")
     total = [
         [sum(s[side][rep] for s in sweeps.values()) for rep in range(args.reps)] for side in (0, 1)
     ]
