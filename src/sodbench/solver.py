@@ -179,8 +179,8 @@ def advance(
     peak = float((np.abs(blocks[1]) + sound_speed_array(blocks, gamma)).max(initial=0.0))
     for k in range(first_step, first_step + n_steps):
         try:
-            wl, wr = reconstruct_faces(w)
-            flux = compute_face_flux(cfg.method, wl, wr, cfg.gas, dx=dx, dt=cfg.dt)
+            faces = reconstruct_faces(w)
+            flux = compute_face_flux(cfg.method, faces, cfg.gas, dx=dx, dt=cfg.dt)
         except (NonPhysicalState, NoConvergence, VacuumGenerated) as exc:
             # Same object, bare raise: the failure still comes from muscl or
             # riemann.  A face counted from the window start becomes global.

@@ -56,6 +56,11 @@ TARGET_TOTALS = {
 WIDE_BAND = {FluxMethod.AUSM, FluxMethod.AUSM_PLUS, FluxMethod.AUSM_PLUS_UP, FluxMethod.AUFS}
 
 
+def sides(wl, wr):
+    """Two face states as the one (3, 2, ...) array the flux kernels take."""
+    return np.stack([wl, wr], axis=1)
+
+
 def report_line(number: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {detail}")
 
@@ -218,7 +223,7 @@ class TestCriterion07PropertySuites:
         scale = np.abs(reference) + 1.0
         worst = 0.0
         for method in FluxMethod:
-            f = compute_face_flux(method, w, w, GAS, dx=0.005, dt=0.001)
+            f = compute_face_flux(method, sides(w, w), GAS, dx=0.005, dt=0.001)
             worst = max(worst, float(np.max(np.abs(f - reference) / scale)))
         ok = worst < 1e-12
         report_line(7, ok, f"consistency of all 22 methods over {n} states: {worst:.2e}")
@@ -239,11 +244,10 @@ class TestCriterion07PropertySuites:
         )
         worst = 0.0
         for method in FluxMethod:
-            f = compute_face_flux(method, wl, wr, GAS, dx=0.005, dt=0.001)
+            f = compute_face_flux(method, sides(wl, wr), GAS, dx=0.005, dt=0.001)
             f_m = compute_face_flux(
                 method,
-                np.stack([wr[0], -wr[1], wr[2]]),
-                np.stack([wl[0], -wl[1], wl[2]]),
+                sides(np.stack([wr[0], -wr[1], wr[2]]), np.stack([wl[0], -wl[1], wl[2]])),
                 GAS,
                 dx=0.005,
                 dt=0.001,
@@ -264,10 +268,10 @@ class TestCriterion07PropertySuites:
         hll_methods = [m for m in FluxMethod if m.value.startswith("hll-")]
         ok = True
         for method in exact_methods:
-            f = compute_face_flux(method, wl, wr, GAS)
+            f = compute_face_flux(method, sides(wl, wr), GAS)
             ok &= bool(np.max(np.abs(f - expected) / (np.abs(expected) + 1.0)) < 1e-12)
         for method in hll_methods:
-            f = compute_face_flux(method, wl, wr, GAS)
+            f = compute_face_flux(method, sides(wl, wr), GAS)
             ok &= bool(abs(f[0] - expected[0]) > 1e-3)
         report_line(7, ok, "Riemann/HLLC resolve isolated contacts exactly, HLL does not")
         assert ok

@@ -56,8 +56,14 @@ DATA_SPEED_METHODS = {
 CENTRAL_METHODS = {FluxMethod.LF, FluxMethod.KT, FluxMethod.RUSANOV}
 
 
+def sides(wl, wr):
+    """Two face states, single (a length-3 array or a PrimitiveState) or
+    (3, m), as the one (3, 2, ...) array the flux kernels take."""
+    return np.stack([np.asarray(getattr(w, "array", w), dtype=float) for w in (wl, wr)], axis=1)
+
+
 def dispatch(method, wl, wr):
-    return compute_face_flux(method, wl, wr, GAS, dx=0.005, dt=0.001)
+    return compute_face_flux(method, sides(wl, wr), GAS, dx=0.005, dt=0.001)
 
 
 def random_primitives(n, seed, u_range=(-3.0, 3.0)):
@@ -127,7 +133,7 @@ class TestSchemeConfig:
 class TestRoeAverage:
     def test_collapses_for_identical_states(self):
         w = np.array([0.8, 1.3, 2.1])
-        avg = roe_average(w, w, GAS)
+        avg = roe_average(sides(w, w), GAS)
         a = np.sqrt(G * w[2] / w[0])
         h = 0.5 * w[1] ** 2 + G / (G - 1.0) * w[2] / w[0]
         assert float(avg.u) == pytest.approx(w[1], rel=1e-14)
@@ -138,7 +144,7 @@ class TestRoeAverage:
         # direct arithmetic with sqrt-density weights 1 and sqrt(0.125)
         s_l, s_r = 1.0, np.sqrt(0.125)
         h_expected = (3.5 * s_l + 2.8 * s_r) / (s_l + s_r)
-        avg = roe_average(SOD_L, SOD_R, GAS)
+        avg = roe_average(sides(SOD_L, SOD_R), GAS)
         assert float(avg.u) == 0.0
         assert float(avg.h_total) == pytest.approx(h_expected, rel=1e-14)
         assert float(avg.h_total) == pytest.approx(3.31716, abs=1e-5)
@@ -148,26 +154,26 @@ class TestRoeAverage:
     def test_density_swap_leaves_velocity_average(self):
         wl = np.array([2.0, 0.7, 1.0])
         wr = np.array([0.5, 0.7, 1.0])
-        assert float(roe_average(wl, wr, GAS).u) == pytest.approx(
-            float(roe_average(wr, wl, GAS).u), rel=1e-14
+        assert float(roe_average(sides(wl, wr), GAS).u) == pytest.approx(
+            float(roe_average(sides(wr, wl), GAS).u), rel=1e-14
         )
 
 
 class TestWaveSpeedEstimates:
     def test_davis1_sod(self):
-        pair = wave_speed_estimate(WaveSpeedEstimate.DAVIS1, SOD_L, SOD_R, GAS)
+        pair = wave_speed_estimate(WaveSpeedEstimate.DAVIS1, sides(SOD_L, SOD_R), GAS)
         assert (float(pair.s_left), float(pair.s_right)) == pytest.approx(
             (-1.18322, 1.05830), abs=1e-5
         )
 
     def test_davis2_sod(self):
-        s_l, s_r = wave_speed_estimate(WaveSpeedEstimate.DAVIS2, SOD_L, SOD_R, GAS)
+        s_l, s_r = wave_speed_estimate(WaveSpeedEstimate.DAVIS2, sides(SOD_L, SOD_R), GAS)
         assert (float(s_l), float(s_r)) == pytest.approx((-1.18322, 1.18322), abs=1e-5)
 
     def test_pbased_sod(self):
         # Sod faces are at rest, so the estimate is the plain pressure average
         # and only the right side is flagged as compressed.
-        s_l, s_r = wave_speed_estimate(WaveSpeedEstimate.P_BASED, SOD_L, SOD_R, GAS)
+        s_l, s_r = wave_speed_estimate(WaveSpeedEstimate.P_BASED, sides(SOD_L, SOD_R), GAS)
         f_r = np.sqrt(1.0 + (0.55 / 0.1 - 1.0) * 2.4 / 2.8)
         assert f_r == pytest.approx(2.20389, abs=1e-5)
         assert float(s_l) == pytest.approx(-1.18322, abs=1e-5)
@@ -175,10 +181,10 @@ class TestWaveSpeedEstimates:
         assert float(s_r) == pytest.approx(2.33239, abs=1e-4)
 
     def test_roe_and_einfeldt_sod(self):
-        s_l, s_r = wave_speed_estimate(WaveSpeedEstimate.ROE, SOD_L, SOD_R, GAS)
+        s_l, s_r = wave_speed_estimate(WaveSpeedEstimate.ROE, sides(SOD_L, SOD_R), GAS)
         assert (float(s_l), float(s_r)) == pytest.approx((-1.15190, 1.15190), abs=1e-5)
         # with equal velocities the Einfeldt spread reduces to the averaged a^2
-        s_l, s_r = wave_speed_estimate(WaveSpeedEstimate.EINFELDT, SOD_L, SOD_R, GAS)
+        s_l, s_r = wave_speed_estimate(WaveSpeedEstimate.EINFELDT, sides(SOD_L, SOD_R), GAS)
         assert (float(s_l), float(s_r)) == pytest.approx((-1.15190, 1.15190), abs=1e-4)
 
     @pytest.mark.parametrize(
@@ -187,7 +193,7 @@ class TestWaveSpeedEstimates:
     )
     def test_ordering_unconditional(self, variant):
         wl, wr = random_pairs(500, 17)
-        s_l, s_r = wave_speed_estimate(variant, wl, wr, GAS)
+        s_l, s_r = wave_speed_estimate(variant, sides(wl, wr), GAS)
         assert np.all(s_l < s_r)
 
     @pytest.mark.parametrize(
@@ -200,14 +206,14 @@ class TestWaveSpeedEstimates:
         a_r = np.sqrt(G * wr[2] / wr[0])
         keep = wl[1] - wr[1] < a_l + a_r
         wl, wr = wl[:, keep], wr[:, keep]
-        s_l, s_r = wave_speed_estimate(variant, wl, wr, GAS)
+        s_l, s_r = wave_speed_estimate(variant, sides(wl, wr), GAS)
         assert np.all(s_l < s_r)
 
 
 class TestExactFlux:
     def test_identical_states(self):
         w = np.array([0.6, -0.4, 1.7])
-        assert flux_exact(w, w, GAS) == pytest.approx(flux_array(w, G), rel=1e-12)
+        assert flux_exact(sides(w, w), GAS) == pytest.approx(flux_array(w, G), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -221,40 +227,40 @@ class TestExactFlux:
         # no waves: Newton starts at exactly p, stops with dp = 0, and the
         # face state is the input itself (a velocity of -0.0 as +0.0)
         w = np.array(states).T
-        assert np.array_equal(flux_exact(w, w.copy(), GAS), flux_array(w, G))
-        assert np.array_equal(flux_exact(w[:, 0], w[:, 0], GAS), flux_array(w[:, 0], G))
+        assert np.array_equal(flux_exact(sides(w, w.copy()), GAS), flux_array(w, G))
+        assert np.array_equal(flux_exact(sides(w[:, 0], w[:, 0]), GAS), flux_array(w[:, 0], G))
 
     def test_sod_pair_matches_star_left_flux(self):
-        f = flux_exact(SOD_L, SOD_R, GAS)
+        f = flux_exact(sides(SOD_L, SOD_R), GAS)
         assert f == pytest.approx(SOD_EXACT_FLUX, abs=1e-4)
 
     def test_supersonic_pair_upwinds_fully(self):
         wl = np.array([1.0, 3.0, 1.0])
         wr = np.array([1.05, 3.1, 1.02])
-        assert flux_exact(wl, wr, GAS) == pytest.approx(flux_array(wl, G), rel=1e-12)
+        assert flux_exact(sides(wl, wr), GAS) == pytest.approx(flux_array(wl, G), rel=1e-12)
 
 
 class TestRoeFlux:
     def test_identical_states(self):
         w = np.array([2.0, 0.5, 0.8])
-        assert flux_roe(w, w, GAS) == pytest.approx(flux_array(w, G), rel=1e-13)
+        assert flux_roe(sides(w, w), GAS) == pytest.approx(flux_array(w, G), rel=1e-13)
 
     def test_matches_eigendecomposition_oracle(self):
         wl, wr = random_pairs(100, 23)
         for i in range(wl.shape[1]):
             l, r = wl[:, i], wr[:, i]
-            avg = roe_average(l, r, GAS)
+            avg = roe_average(sides(l, r), GAS)
             mat = jacobian(float(avg.u), float(avg.h_total))
             vals, vecs = np.linalg.eig(mat)
             absa = vecs @ np.diag(np.abs(vals)) @ np.linalg.inv(vecs)
             dq = conserved_array(r, G) - conserved_array(l, G)
             expected = 0.5 * (flux_array(l, G) + flux_array(r, G)) - 0.5 * absa @ dq
-            assert flux_roe(l, r, GAS) == pytest.approx(expected, rel=1e-9, abs=1e-10)
+            assert flux_roe(sides(l, r), GAS) == pytest.approx(expected, rel=1e-9, abs=1e-10)
 
     def test_mild_supersonic_pair_upwinds(self):
         wl = np.array([1.0, 3.0, 1.0])
         wr = np.array([1.02, 3.05, 1.01])
-        assert flux_roe(wl, wr, GAS) == pytest.approx(flux_array(wl, G), rel=1e-10)
+        assert flux_roe(sides(wl, wr), GAS) == pytest.approx(flux_array(wl, G), rel=1e-10)
 
 
 class TestTwoWaveFamilies:
@@ -263,7 +269,7 @@ class TestTwoWaveFamilies:
         f_l, f_r = np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.1, 0.0])
         dq = np.array([-0.875, 0.0, -2.25])
         expected = (s_r * f_l - s_l * f_r + s_l * s_r * dq) / (s_r - s_l)
-        f = flux_hll(WaveSpeedEstimate.DAVIS1, SOD_L, SOD_R, GAS)
+        f = flux_hll(WaveSpeedEstimate.DAVIS1, sides(SOD_L, SOD_R), GAS)
         assert f == pytest.approx(expected, rel=1e-12)
         assert f == pytest.approx([0.48881, 0.52492, 1.25694], abs=1e-5)
 
@@ -271,20 +277,20 @@ class TestTwoWaveFamilies:
         wl = np.array([1.0, 3.0, 1.0])
         wr = np.array([0.5, 2.9, 0.7])
         for variant in WaveSpeedEstimate:
-            f = flux_hll(variant, wl, wr, GAS)
+            f = flux_hll(variant, sides(wl, wr), GAS)
             assert f == pytest.approx(flux_array(wl, G), rel=1e-10)
 
     def test_hll_degenerate_guard_returns_average(self):
         # colliding supersonic streams invert the Davis1 estimates
         wl = np.array([1.0, 3.0, 1.0])
         wr = np.array([1.0, -3.0, 1.0])
-        f = flux_hll(WaveSpeedEstimate.DAVIS1, wl, wr, GAS)
+        f = flux_hll(WaveSpeedEstimate.DAVIS1, sides(wl, wr), GAS)
         assert f == pytest.approx(0.5 * (flux_array(wl, G) + flux_array(wr, G)), rel=1e-12)
 
     def test_knp_identical_to_hll_davis2_bitwise(self):
         wl, wr = random_pairs(1000, 29)
         assert np.array_equal(
-            dispatch(FluxMethod.KNP, wl, wr), flux_hll(WaveSpeedEstimate.DAVIS2, wl, wr, GAS)
+            dispatch(FluxMethod.KNP, wl, wr), flux_hll(WaveSpeedEstimate.DAVIS2, sides(wl, wr), GAS)
         )
 
     def test_knp_rest_state(self):
@@ -294,7 +300,7 @@ class TestTwoWaveFamilies:
 
 def hllc_both_star_states(variant, wl, wr):
     """HLLC that builds both star states and then selects one."""
-    s_l, s_r = wave_speed_estimate(variant, wl, wr, GAS)
+    s_l, s_r = wave_speed_estimate(variant, sides(wl, wr), GAS)
     ql, qr = conserved_array(wl, G), conserved_array(wr, G)
     fl, fr = flux_array(wl, G), flux_array(wr, G)
     m_l = wl[0] * (s_l - wl[1])
@@ -326,24 +332,24 @@ class TestHllc:
         wl = np.concatenate([wl, np.array(extra_l).T], axis=1)
         wr = np.concatenate([wr, np.array(extra_r).T], axis=1)
         expected = hllc_both_star_states(variant, wl, wr)
-        assert np.array_equal(flux_hllc(variant, wl, wr, GAS), expected)
+        assert np.array_equal(flux_hllc(variant, sides(wl, wr), GAS), expected)
         assert np.array_equal(
-            flux_hllc(variant, SOD_L, SOD_R, GAS), hllc_both_star_states(variant, SOD_L, SOD_R)
+            flux_hllc(variant, sides(SOD_L, SOD_R), GAS), hllc_both_star_states(variant, SOD_L, SOD_R)
         )
 
     def test_identical_states(self):
         w = np.array([1.1, 0.4, 0.9])
         for variant in WaveSpeedEstimate:
-            assert flux_hllc(variant, w, w, GAS) == pytest.approx(flux_array(w, G), rel=1e-12)
+            assert flux_hllc(variant, sides(w, w), GAS) == pytest.approx(flux_array(w, G), rel=1e-12)
 
     def test_isolated_contact_resolved_exactly_but_not_by_hll(self):
         wl = np.array([1.0, 0.8, 1.5])
         wr = np.array([0.3, 0.8, 1.5])
         expected = flux_array(wl, G)
         for variant in WaveSpeedEstimate:
-            hllc = flux_hllc(variant, wl, wr, GAS)
+            hllc = flux_hllc(variant, sides(wl, wr), GAS)
             assert hllc == pytest.approx(expected, rel=1e-12)
-            hll = flux_hll(variant, wl, wr, GAS)
+            hll = flux_hll(variant, sides(wl, wr), GAS)
             assert abs(hll[0] - expected[0]) > 1e-3  # extra mass dissipation
 
     def test_sod_roe_variant_within_accuracy_class_of_exact(self):
@@ -351,7 +357,7 @@ class TestHllc:
         # model stays within the same accuracy class but not within a few
         # percent there (see ledger) -- percent-level agreement is a property
         # of the mild face jumps the reconstruction actually produces
-        f = flux_hllc(WaveSpeedEstimate.ROE, SOD_L, SOD_R, GAS)
+        f = flux_hllc(WaveSpeedEstimate.ROE, sides(SOD_L, SOD_R), GAS)
         assert np.all(np.abs(f - SOD_EXACT_FLUX) < 0.2)
 
     def test_roe_variant_tracks_exact_flux_on_mild_pairs(self):
@@ -367,8 +373,8 @@ class TestHllc:
                 wl[2] * rng.uniform(0.95, 1.05, n),
             ]
         )
-        f = flux_hllc(WaveSpeedEstimate.ROE, wl, wr, GAS)
-        f_exact = flux_exact(wl, wr, GAS)
+        f = flux_hllc(WaveSpeedEstimate.ROE, sides(wl, wr), GAS)
+        f_exact = flux_exact(sides(wl, wr), GAS)
         assert np.max(np.abs(f - f_exact) / (np.abs(f_exact) + 0.05)) < 0.05
 
 
@@ -391,28 +397,28 @@ class TestCentralFluxes:
 
     def test_rusanov_equals_kt_bitwise(self):
         wl, wr = random_pairs(1000, 31)
-        assert np.array_equal(flux_rusanov(wl, wr, GAS), dispatch(FluxMethod.KT, wl, wr))
+        assert np.array_equal(flux_rusanov(sides(wl, wr), GAS), dispatch(FluxMethod.KT, wl, wr))
 
     def test_lf_sod_value(self):
-        f = flux_lf(SOD_L, SOD_R, GAS, dx=0.005, dt=0.001)
+        f = flux_lf(sides(SOD_L, SOD_R), GAS, dx=0.005, dt=0.001)
         assert f == pytest.approx([2.1875, 0.55, 5.625], rel=1e-12)
 
     def test_lf_dissipation_linear_in_mesh_ratio(self):
-        f1 = flux_lf(SOD_L, SOD_R, GAS, dx=0.005, dt=0.001)
-        f2 = flux_lf(SOD_L, SOD_R, GAS, dx=0.005, dt=0.0005)
+        f1 = flux_lf(sides(SOD_L, SOD_R), GAS, dx=0.005, dt=0.001)
+        f2 = flux_lf(sides(SOD_L, SOD_R), GAS, dx=0.005, dt=0.0005)
         central = np.array([0.0, 0.55, 0.0])
         assert f2 - central == pytest.approx(2.0 * (f1 - central), rel=1e-12)
 
     def test_lf_identical_states(self):
         w = np.array([1.0, 0.7, 2.0])
-        assert flux_lf(w, w, GAS, dx=0.01, dt=0.002) == pytest.approx(
+        assert flux_lf(sides(w, w), GAS, dx=0.01, dt=0.002) == pytest.approx(
             flux_array(w, G), rel=1e-14
         )
 
     @pytest.mark.parametrize("dx, dt", [(0.005, 0.0), (0.005, -1.0), (None, 0.001), (0.005, None)])
     def test_lf_requires_mesh_ratio(self, dx, dt):
         with pytest.raises(InvalidConfig):
-            flux_lf(SOD_L, SOD_R, GAS, dx=dx, dt=dt)
+            flux_lf(sides(SOD_L, SOD_R), GAS, dx=dx, dt=dt)
 
 
 class TestFluxVectorSplittings:
@@ -430,35 +436,35 @@ class TestFluxVectorSplittings:
             expected = plus @ conserved_array(w, G)
             # F+(w) recovered by feeding a zero-contribution right state
             supersonic_right = np.array([w[0], 10.0 * a + abs(w[1]), w[2]])
-            f_plus = flux_sw_fvs(w, supersonic_right, GAS) - 0.0
+            f_plus = flux_sw_fvs(sides(w, supersonic_right), GAS) - 0.0
             assert f_plus == pytest.approx(expected, rel=1e-9, abs=1e-10)
 
     def test_sw_consistency_and_upwind(self):
         w = np.array([1.3, 0.2, 0.7])
-        assert flux_sw_fvs(w, w, GAS) == pytest.approx(flux_array(w, G), rel=1e-12)
+        assert flux_sw_fvs(sides(w, w), GAS) == pytest.approx(flux_array(w, G), rel=1e-12)
         wl = np.array([1.0, 3.0, 1.0])
         wr = np.array([0.4, 2.5, 0.6])
-        assert flux_sw_fvs(wl, wr, GAS) == pytest.approx(flux_array(wl, G), rel=1e-12)
+        assert flux_sw_fvs(sides(wl, wr), GAS) == pytest.approx(flux_array(wl, G), rel=1e-12)
 
     def test_sw_sod_flux_near_exact(self):
-        f = flux_sw_fvs(SOD_L, SOD_R, GAS)
+        f = flux_sw_fvs(sides(SOD_L, SOD_R), GAS)
         assert np.all(np.abs(f - SOD_EXACT_FLUX) < 0.2)
 
     def test_van_leer_subsonic_mass_split(self):
         # left Sod state: f_mass+ = rho a (M+1)^2 / 4 with M = 0
-        f = flux_vanleer_fvs(SOD_L, np.array([1.0, 10.0, 1.0]), GAS)
+        f = flux_vanleer_fvs(sides(SOD_L, np.array([1.0, 10.0, 1.0])), GAS)
         assert f[0] == pytest.approx(1.0 * 1.1832159566199232 / 4.0, rel=1e-12)
         assert f[0] == pytest.approx(0.295804, abs=1e-6)
 
     def test_van_leer_consistency_and_seam(self):
         w = np.array([0.9, 0.3, 1.4])
-        assert flux_vanleer_fvs(w, w, GAS) == pytest.approx(flux_array(w, G), rel=1e-12)
+        assert flux_vanleer_fvs(sides(w, w), GAS) == pytest.approx(flux_array(w, G), rel=1e-12)
         # C1 seam: the subsonic polynomial meets the full flux at M = 1
         a = np.sqrt(G * 1.4 / 0.9)
         below = np.array([0.9, a * (1.0 - 1e-9), 1.4])
         above = np.array([0.9, a * (1.0 + 1e-9), 1.4])
-        f_below = flux_vanleer_fvs(below, np.array([1.0, 20.0, 1.0]), GAS)
-        f_above = flux_vanleer_fvs(above, np.array([1.0, 20.0, 1.0]), GAS)
+        f_below = flux_vanleer_fvs(sides(below, np.array([1.0, 20.0, 1.0])), GAS)
+        f_above = flux_vanleer_fvs(sides(above, np.array([1.0, 20.0, 1.0])), GAS)
         assert f_below == pytest.approx(f_above, rel=1e-6)
 
 
@@ -466,28 +472,28 @@ class TestAusmFamily:
     @pytest.mark.parametrize("variant", list(AusmVariant))
     def test_consistency(self, variant):
         w = np.array([1.2, 0.4, 0.9])
-        f = flux_ausm(variant, w, w, GAS)
+        f = flux_ausm(variant, sides(w, w), GAS)
         assert f == pytest.approx(flux_array(w, G), rel=1e-12)
 
     @pytest.mark.parametrize("variant", list(AusmVariant))
     def test_supersonic_upwinding(self, variant):
         wl = np.array([1.0, 3.0, 1.0])
         wr = np.array([0.6, 2.8, 0.5])
-        assert flux_ausm(variant, wl, wr, GAS) == pytest.approx(
+        assert flux_ausm(variant, sides(wl, wr), GAS) == pytest.approx(
             flux_array(wl, G), rel=1e-10
         )
 
     def test_basic_sod_is_pure_pressure_average(self):
         # both face Mach numbers vanish: split Machs cancel, pressure halves add
-        f = flux_ausm(AusmVariant.BASIC, SOD_L, SOD_R, GAS)
+        f = flux_ausm(AusmVariant.BASIC, sides(SOD_L, SOD_R), GAS)
         assert f == pytest.approx([0.0, 0.55, 0.0], abs=1e-14)
 
     def test_plus_up_pressure_diffusion_acts_at_low_mach(self):
         # a pressure jump at rest must drive a mass flux through the up-term
         wl = np.array([1.0, 0.0, 1.2])
         wr = np.array([1.0, 0.0, 0.8])
-        f_up = flux_ausm(AusmVariant.PLUS_UP, wl, wr, GAS)
-        f_plus = flux_ausm(AusmVariant.PLUS, wl, wr, GAS)
+        f_up = flux_ausm(AusmVariant.PLUS_UP, sides(wl, wr), GAS)
+        f_plus = flux_ausm(AusmVariant.PLUS, sides(wl, wr), GAS)
         assert f_plus[0] == pytest.approx(0.0, abs=1e-14)
         assert f_up[0] > 1e-3
 
@@ -495,15 +501,15 @@ class TestAusmFamily:
 class TestAufs:
     def test_consistency(self):
         w = np.array([0.7, -0.2, 1.1])
-        assert flux_aufs(w, w, GAS) == pytest.approx(flux_array(w, G), rel=1e-13)
+        assert flux_aufs(sides(w, w), GAS) == pytest.approx(flux_array(w, G), rel=1e-13)
 
     def test_supersonic_upwinding(self):
         wl = np.array([1.0, 3.0, 1.0])
         wr = np.array([0.5, 2.6, 0.9])
-        assert flux_aufs(wl, wr, GAS) == pytest.approx(flux_array(wl, G), rel=1e-10)
+        assert flux_aufs(sides(wl, wr), GAS) == pytest.approx(flux_array(wl, G), rel=1e-10)
 
     def test_sod_pair_within_accuracy_class_of_exact(self):
-        f = flux_aufs(SOD_L, SOD_R, GAS)
+        f = flux_aufs(sides(SOD_L, SOD_R), GAS)
         assert np.all(np.abs(f - SOD_EXACT_FLUX) < 0.15)
 
 
@@ -523,30 +529,46 @@ class TestDispatcher:
         wl, wr = random_pairs(50, 41)
         assert np.array_equal(
             dispatch(FluxMethod.HLLC_DAVIS2, wl, wr),
-            flux_hllc(WaveSpeedEstimate.DAVIS2, wl, wr, GAS),
+            flux_hllc(WaveSpeedEstimate.DAVIS2, sides(wl, wr), GAS),
         )
 
     def test_lf_without_mesh_ratio_rejected(self):
         with pytest.raises(InvalidConfig):
-            compute_face_flux(FluxMethod.LF, SOD_L, SOD_R, GAS)
+            compute_face_flux(FluxMethod.LF, sides(SOD_L, SOD_R), GAS)
 
     def test_accepts_primitive_state_inputs(self):
         f = compute_face_flux(
-            FluxMethod.ROE, PrimitiveState(1.0, 0.0, 1.0), PrimitiveState(0.125, 0.0, 0.1), GAS
+            FluxMethod.ROE, sides(PrimitiveState(1.0, 0.0, 1.0), PrimitiveState(0.125, 0.0, 0.1)), GAS
         )
-        assert f == pytest.approx(flux_roe(SOD_L, SOD_R, GAS), rel=1e-14)
+        assert f == pytest.approx(flux_roe(sides(SOD_L, SOD_R), GAS), rel=1e-14)
 
     def test_mesh_ratio_is_keyword_only(self):
         with pytest.raises(TypeError):
-            compute_face_flux(FluxMethod.LF, SOD_L, SOD_R, GAS, object())
+            compute_face_flux(FluxMethod.LF, sides(SOD_L, SOD_R), GAS, object())
 
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidConfig):
-            compute_face_flux("roe", SOD_L, SOD_R, GAS)
+            compute_face_flux("roe", sides(SOD_L, SOD_R), GAS)
 
 
 class TestSharedProperties:
     """Contract invariants every method must satisfy."""
+
+    @pytest.mark.parametrize("method", list(FluxMethod))
+    def test_one_face_a_row_and_a_block_of_faces_agree(self, method):
+        # faces (3, 2), (3, 2, m) and (3, 2, 1, m) give fluxes (3,), (3, m)
+        # and (3, 1, m); this pins the broadcasting of the +-1 side column
+        faces = sides(*random_pairs(60, 67))
+        m = faces.shape[2]
+        row = compute_face_flux(method, faces, GAS, dx=0.005, dt=0.001)
+        assert row.shape == (3, m)
+        block = compute_face_flux(method, faces[:, :, None], GAS, dx=0.005, dt=0.001)
+        assert block.shape == (3, 1, m)
+        assert block[:, 0] == pytest.approx(row, rel=1e-14)
+        for i in range(m):
+            one = compute_face_flux(method, faces[:, :, i], GAS, dx=0.005, dt=0.001)
+            assert one.shape == (3,)
+            assert one == pytest.approx(row[:, i], rel=1e-14)
 
     def test_consistency_all_methods(self):
         w = random_primitives(1000, 43)

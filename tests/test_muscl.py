@@ -22,9 +22,15 @@ def velocity_stencil(v_mm, v_m, v_p, v_pp):
     return np.stack([np.ones(4), np.array([v_mm, v_m, v_p, v_pp]), np.ones(4)])
 
 
+def sides_of(faces):
+    """The face-left and face-right states, each (3, n+1), of the one
+    (3, 2, n+1) array that reconstruct_faces returns."""
+    return faces[:, 0], faces[:, 1]
+
+
 def face_pair(*samples):
     """(v_L, v_R) at the face between the two middle samples."""
-    left, right = reconstruct_faces(velocity_stencil(*samples))
+    left, right = sides_of(reconstruct_faces(velocity_stencil(*samples)))
     return float(left[1, 2]), float(right[1, 2])
 
 
@@ -149,7 +155,7 @@ class TestFacePair:
 class TestReconstructFaces:
     def test_uniform_field(self):
         w = np.tile(np.array([[1.0], [0.5], [2.0]]), (1, 10))
-        left, right = reconstruct_faces(w)
+        left, right = sides_of(reconstruct_faces(w))
         assert left.shape == (3, 11)
         assert np.array_equal(left, right)
         assert np.all(left == w[:, :1])
@@ -157,7 +163,7 @@ class TestReconstructFaces:
     def test_step_data_keeps_the_jump_sharp(self):
         w = np.tile(np.array([[1.0], [0.0], [1.0]]), (1, 8))
         w[:, 4:] = np.array([[0.125], [0.0], [0.1]])
-        left, right = reconstruct_faces(w)
+        left, right = sides_of(reconstruct_faces(w))
         # face 4 sits on the jump; zero one-sided differences turn limiting off
         assert left[:, 4] == pytest.approx([1.0, 0.0, 1.0])
         assert right[:, 4] == pytest.approx([0.125, 0.0, 0.1])
@@ -166,7 +172,7 @@ class TestReconstructFaces:
         n = 16
         rho = 1.0 + 0.05 * np.arange(n)
         w = np.stack([rho, np.full(n, 0.3), np.full(n, 2.0)])
-        left, right = reconstruct_faces(w)
+        left, right = sides_of(reconstruct_faces(w))
         midpoints = 0.5 * (rho[:-1] + rho[1:])  # analytic interpolant at faces
         assert left[0, 2:-2] == pytest.approx(midpoints[1:-1], rel=1e-14)
         assert right[0, 2:-2] == pytest.approx(midpoints[1:-1], rel=1e-14)
@@ -174,7 +180,7 @@ class TestReconstructFaces:
     def test_boundary_faces_copy_edge_cells(self):
         rng = np.random.default_rng(4)
         w = np.stack([rng.uniform(1, 2, 6), rng.uniform(-1, 1, 6), rng.uniform(1, 2, 6)])
-        left, right = reconstruct_faces(w)
+        left, right = sides_of(reconstruct_faces(w))
         assert np.array_equal(left[:, 0], w[:, 0])
         assert np.array_equal(right[:, 0], w[:, 0])
         assert np.array_equal(left[:, -1], w[:, -1])
@@ -183,7 +189,7 @@ class TestReconstructFaces:
     def test_zero_limiter_reduces_to_nearest_cell(self):
         rng = np.random.default_rng(5)
         w = np.stack([rng.uniform(1, 2, 9), rng.uniform(-1, 1, 9), rng.uniform(1, 2, 9)])
-        left, right = reconstruct_faces(w, limiter=zero_limiter)
+        left, right = sides_of(reconstruct_faces(w, limiter=zero_limiter))
         assert np.array_equal(left[:, 1:], w)
         assert np.array_equal(right[:, :-1], w)
 
@@ -191,7 +197,7 @@ class TestReconstructFaces:
         rng = np.random.default_rng(6)
         n = 9
         w = np.stack([rng.uniform(1, 2, n), rng.uniform(-1, 1, n), rng.uniform(1, 2, n)])
-        left, _ = reconstruct_faces(w, limiter=unit_limiter)
+        left, _ = sides_of(reconstruct_faces(w, limiter=unit_limiter))
         # second-order upwind: extrapolate from the two nearest left-side
         # cells; faces 2..n are ghost-free
         expected_left = w[:, 1:n] + 0.5 * (w[:, 1:n] - w[:, 0 : n - 1])
@@ -207,7 +213,7 @@ class TestReconstructFaces:
         rng = np.random.default_rng(8)
         for _ in range(50):
             w = guard_exercising_field(rng, 64)
-            left, right = reconstruct_faces(w, limiter=limiter)
+            left, right = sides_of(reconstruct_faces(w, limiter=limiter))
             oracle_left, oracle_right = two_ratio_reconstruction(w, limiter)
             bound = 4.0 * EPSILON * np.abs(w).max()
             assert np.abs(left - oracle_left).max() <= bound
@@ -217,7 +223,7 @@ class TestReconstructFaces:
         rng = np.random.default_rng(7)
         values = np.cumsum(rng.uniform(0.0, 1.0, 20)) + 1.0
         w = np.stack([values, values, values])
-        left, right = reconstruct_faces(w)
+        left, right = sides_of(reconstruct_faces(w))
         lo = np.concatenate([[values[0]], np.minimum(values[:-1], values[1:]), [values[-1]]])
         hi = np.concatenate([[values[0]], np.maximum(values[:-1], values[1:]), [values[-1]]])
         for face in (left, right):
@@ -236,3 +242,25 @@ class TestReconstructFaces:
         with pytest.raises(NonPhysicalState) as excinfo:
             reconstruct_faces(w)
         assert excinfo.value.face == 6  # face 6 takes its left state from cell 5
+        # faces 5 and 6 fail on their right side too; the left side is named
+        assert "face-left" in str(excinfo.value)
+        assert str(excinfo.value).endswith("at face 6")
+
+    def test_a_failing_right_state_alone_is_named(self):
+        # A slope of 4 d_m in cell 4 (density 1 -> 3) gives face 4 the right
+        # density 3 - 4 = -1 and face 5 the left density 7; no other cell
+        # has a slope
+        w = np.tile(np.array([[1.0], [0.0], [1.0]]), (1, 8))
+        w[0, 4:] = 3.0
+        with pytest.raises(NonPhysicalState) as excinfo:
+            reconstruct_faces(w, limiter=lambda r: np.full_like(r, 4.0))
+        assert excinfo.value.face == 4
+        assert "face-right" in str(excinfo.value)
+        assert str(excinfo.value).endswith("at face 4")
+
+    def test_both_sides_come_in_one_contiguous_array(self):
+        rng = np.random.default_rng(9)
+        w = np.stack([rng.uniform(1, 2, 7), rng.uniform(-1, 1, 7), rng.uniform(1, 2, 7)])
+        faces = reconstruct_faces(w)
+        assert faces.shape == (3, 2, 8)
+        assert faces.flags.c_contiguous

@@ -371,8 +371,8 @@ def full_domain_advance(field, cfg, n_steps, reconstruct=reconstruct_faces, firs
     whole_grid_check(w, first_step)
     time, max_courant = field.time, field.max_courant_observed
     for k in range(first_step, first_step + n_steps):
-        wl, wr = reconstruct(w)
-        flux = compute_face_flux(cfg.method, wl, wr, cfg.gas, dx=dx, dt=cfg.dt)
+        faces = reconstruct(w)
+        flux = compute_face_flux(cfg.method, faces, cfg.gas, dx=dx, dt=cfg.dt)
         q = q - (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
         w = primitive_array(q, gamma)
         whole_grid_check(w, k)
@@ -387,8 +387,8 @@ def mirrored(reconstruct):
     flip = np.array([1.0, -1.0, 1.0])[:, None]
 
     def run(w):
-        wl, wr = reconstruct(flip * w[:, ::-1])
-        return flip * wr[:, ::-1], flip * wl[:, ::-1]
+        # Mirroring swaps the two sides of every face and reverses the faces
+        return flip[:, :, None] * reconstruct(flip * w[:, ::-1])[:, ::-1, ::-1]
 
     return run
 
@@ -500,8 +500,8 @@ class TestWindow:
         # negative density, so the rescan finds [1, 5); the window keeps
         # cell 0, the first bad cell of the grid.  dt / dx = 1/4 and the
         # states are exact in binary, so the update is exact
-        def flux(method, wl, wr, gas, dx, dt):
-            assert wl.shape[1] == 5
+        def flux(method, faces, gas, dx, dt):
+            assert faces.shape[2] == 5
             return np.array([[0.0, 8.0, 16.0, 20.5, 20.5], [0.0] * 5, [0.0, 0.0, 0.0, -7.0, -7.0]])
 
         monkeypatch.setattr(solver, "compute_face_flux", flux)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,10 @@ def test_ab_sweep_same_tree_prints_a_ratio():
     assert "fields differ" not in result.stdout
     assert lines[3] == "wave reports differ in 0 of 6 problems"
     assert "ratio change/parent: median" in result.stdout
+    assert re.fullmatch(
+        r"method median ratio change/parent: lowest [a-z0-9-]+ \d\.\d{4}, highest [a-z0-9-]+ \d\.\d{4}",
+        lines[-1],
+    )
 
 
 def load_record_bench():

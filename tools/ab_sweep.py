@@ -25,6 +25,8 @@ which fields differ between the sides if any do.  Then it prints in how many
 of six problems (Sod's and Toro's 1-5) the exact solver's wave report
 (``bench.wave_report``'s lines, or its error) differs, each side's median
 sweep over all seven suites, and the median, min and max of that ratio.
+Last, it names the methods with the lowest and the highest median ratio,
+each method's time summed over all suites in a rep.
 
 The host's speed drifts by tens of percent from one process to the next,
 while pairing run by run inside one process reads a gain within a few
@@ -164,13 +166,16 @@ def main(argv=None) -> int:
         reports = [[wave_lines(p, problem) for p in packages] for problem in WAVE_PROBLEMS]
 
         sweeps = {suite: [[0.0] * args.reps for _ in SIDES] for suite in SUITES}
+        by_method = {method: [[0.0] * args.reps for _ in SIDES] for method in methods}
         for rep in range(args.reps):
             i = 0
             for suite, (pairs, *_) in kept.items():
                 for pair in pairs:
                     first = (i + rep) % 2
                     for side in (first, 1 - first):
-                        sweeps[suite][side][rep] += run(pair[side], side)[0]
+                        elapsed = run(pair[side], side)[0]
+                        sweeps[suite][side][rep] += elapsed
+                        by_method[pair[0].method.value][side][rep] += elapsed
                     i += 1
 
     def ratios(times):
@@ -194,6 +199,14 @@ def main(argv=None) -> int:
     print(
         f"ratio change/parent: median {statistics.median(overall):.4f}"
         f" min {min(overall):.4f} max {max(overall):.4f}"
+    )
+    # A method timed in no suite (it failed everywhere) has no ratio
+    by_ratio = sorted(
+        (statistics.median(ratios(times)), method) for method, times in by_method.items() if times[0][0]
+    )
+    print(
+        f"method median ratio change/parent: lowest {by_ratio[0][1]} {by_ratio[0][0]:.4f}"
+        f", highest {by_ratio[-1][1]} {by_ratio[-1][0]:.4f}"
     )
     return 0
 
