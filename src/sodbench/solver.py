@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,10 @@ class Grid1D:
             raise InvalidConfig(
                 f"x_max must exceed x_min by a finite width, got [{self.x_min}, {self.x_max}]"
             )
+        try:
+            operator.index(self.n_cells)
+        except TypeError:
+            raise InvalidConfig(f"cell count must be an integer, got {self.n_cells!r}") from None
         if self.n_cells < 4:
             raise InvalidConfig(f"need at least 4 cells for the MUSCL stencil, got {self.n_cells}")
 
@@ -146,6 +151,32 @@ def _window(q: np.ndarray, start: int, stop: int) -> tuple[int, int]:
     return max(start + int(jumps[0]) - 1, 0), min(start + int(jumps[-1]) + 3, q.shape[1])
 
 
+def _grow(q: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
+    """The window after a step that updated its cells [lo, hi) in ``q``.
+
+    The cells beyond each end were never updated and still equal their
+    block, so a new jump lies inside the window or on an end interface.
+    Only a jump on an end's two outermost interfaces lacks two window cells
+    on its outer side: one between the block and the end cell grows that
+    end by two cells, one between the end cell and its inner neighbour by
+    one.  The (3, 3) end slices compare as Python floats, which agree with
+    numpy's != on NaN and on -0.0 (notes/decisions.md section 10)."""
+    n = q.shape[1]
+    if lo > 0:
+        block, end, inner = q[:, lo - 1 : lo + 2].T.tolist()
+        if end != block:
+            lo = max(lo - 2, 0)
+        elif inner != end:
+            lo -= 1
+    if hi < n:
+        inner, end, block = q[:, hi - 2 : hi + 1].T.tolist()
+        if end != block:
+            hi = min(hi + 2, n)
+        elif inner != end:
+            hi += 1
+    return lo, hi
+
+
 def advance(
     field: SolutionField, cfg: RunConfig, n_steps: int, first_step: int = 0
 ) -> SolutionField:
@@ -156,6 +187,8 @@ def advance(
     end interfaces carry no jump, so the zero-gradient ghost cells of the
     slice equal the real neighbours and every face in it matches the whole
     grid's.  Failures report whole-grid cells and faces."""
+    if n_steps < 0:
+        raise InvalidConfig(f"number of steps must be non-negative, got {n_steps}")
     gamma = cfg.gas.gamma
     dx = cfg.grid.dx
     q = field.cells.copy()
@@ -193,13 +226,11 @@ def advance(
             exc.args = (f"{message} at step {k}",)
             raise
         q[:, lo:hi] -= (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
-        # Only the updated cells can have changed an interface.  The window
-        # grows but never narrows: one wider than needed is still exact, and
-        # so every updated cell is checked and monitored below.  A window
-        # that spans the grid cannot grow, so it is not scanned again.
+        # A window that spans the grid cannot grow.  It never narrows: one
+        # wider than needed is still exact, and so every updated cell is
+        # checked and monitored below.
         if lo > 0 or hi < n:
-            new_lo, new_hi = _window(q, max(lo - 1, 0), min(hi + 1, n))
-            lo, hi = min(lo, new_lo), max(hi, new_hi)
+            lo, hi = _grow(q, lo, hi)
         w = primitive_array(q[:, lo:hi], gamma)
         _check_positive(w, k, lo)
         signal = np.abs(w[1]) + sound_speed_array(w, gamma)

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sodbench import bench, riemann, solver
-from sodbench.errors import InvalidConfig, NoConvergence, NonPhysicalState, VacuumGenerated
+from sodbench.errors import (
+    InvalidConfig,
+    NoConvergence,
+    NonPhysicalState,
+    SodbenchError,
+    VacuumGenerated,
+)
 from sodbench.fluxes import FluxMethod, compute_face_flux
 from sodbench.gas import GasModel, PrimitiveState, conserved_array, primitive_array, sound_speed_array
 from sodbench.muscl import reconstruct_faces
@@ -50,6 +56,17 @@ class TestGrid:
     def test_inverted_domain(self):
         with pytest.raises(InvalidConfig):
             Grid1D(1.0, 0.0, 10)
+
+    @pytest.mark.parametrize("n_cells", [10.5, 10.0, "10", None])
+    def test_cell_count_must_be_an_integer(self, n_cells):
+        with pytest.raises(InvalidConfig, match="cell count must be an integer"):
+            Grid1D(0.0, 1.0, n_cells)
+
+    @pytest.mark.parametrize("n_cells", [np.int64(10), np.int32(10), np.uint16(10)])
+    def test_numpy_integer_cell_count(self, n_cells):
+        cfg = RunConfig(grid=Grid1D(0.0, 1.0, n_cells))
+        expected = initialize_sod(RunConfig(grid=Grid1D(0.0, 1.0, 10))).cells
+        assert initialize_sod(cfg).cells.tobytes() == expected.tobytes()
 
 
 class TestDeriveDt:
@@ -214,6 +231,11 @@ class TestRun:
         field = run(cfg)
         assert field.time == 0.0
         assert np.array_equal(field.cells, initialize_sod(cfg).cells)
+
+    def test_negative_step_count_rejected(self):
+        cfg = small_cfg()
+        with pytest.raises(InvalidConfig, match="got -3"):
+            solver.advance(initialize_sod(cfg), cfg, -3)
 
     def test_non_multiple_final_time_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -383,14 +405,33 @@ def full_domain_advance(field, cfg, n_steps, reconstruct=reconstruct_faces, firs
 
 
 def mirrored(reconstruct):
-    """The reconstruction applied to the mirror image x -> -x, u -> -u."""
+    """The reconstruction applied to the mirror image x -> -x, u -> -u.  A
+    failure names its face in the order of the faces handed back."""
     flip = np.array([1.0, -1.0, 1.0])[:, None]
 
     def run(w):
+        try:
+            faces = reconstruct(flip * w[:, ::-1])
+        except NonPhysicalState as exc:
+            face = w.shape[1] - exc.face
+            message = f"mirrored reconstruction fails at face {face}"
+            raise NonPhysicalState(message, face=face) from None
         # Mirroring swaps the two sides of every face and reverses the faces
-        return flip[:, :, None] * reconstruct(flip * w[:, ::-1])[:, ::-1, ::-1]
+        return flip[:, :, None] * faces[:, ::-1, ::-1]
 
     return run
+
+
+def open_limiter(w):
+    """MUSCL with phi = 1/5: the slope of a cell whose left difference is a
+    jump stays open, so the flux moves the cell right of it as well."""
+    return reconstruct_faces(w, limiter=lambda r: np.full_like(r, 0.2))
+
+
+# Van Leer's phi(0) = 0 leaves a window's end cells unchanged, so an end
+# grows by one cell a step at most; phi = 1/5 moves the right end cell and
+# its mirror image the left one, and each grows that end by two
+RECONSTRUCTIONS = (reconstruct_faces, open_limiter, mirrored(open_limiter))
 
 
 def layered_field(cfg, states, starts):
@@ -405,6 +446,71 @@ def assert_same_field(got, expected):
     assert np.array_equal(got.cells, expected.cells)
     assert got.max_courant_observed == expected.max_courant_observed
     assert got.time == expected.time
+
+
+def check_growth_against_rescan(monkeypatch):
+    """Check every window solver._grow returns against the rule it stands
+    for: the union of the window the step marched and the window of a rescan
+    of cells lo - 1 ... hi, wherever that rescan finds a jump.  Returns a
+    list that gets each marched window whose rescan finds a narrower one."""
+    grow = solver._grow
+    narrowing = []
+
+    def checked(q, lo, hi):
+        got = grow(q, lo, hi)
+        start, stop = max(lo - 1, 0), min(hi + 1, q.shape[1])
+        if (q[:, start + 1 : stop] != q[:, start : stop - 1]).any():
+            scan_lo, scan_hi = solver._window(q, start, stop)
+            assert got == (min(lo, scan_lo), max(hi, scan_hi))
+            if scan_lo > lo or scan_hi < hi:
+                narrowing.append((lo, hi))
+        else:
+            assert got == (lo, hi)
+        return got
+
+    monkeypatch.setattr(solver, "_grow", checked)
+    return narrowing
+
+
+def outcome(march, *args):
+    """The field a march returns, or the type, cell and face of the error it
+    raises (full_domain_advance leaves a kernel's error without its step)."""
+    try:
+        return march(*args)
+    except SodbenchError as exc:
+        return type(exc), getattr(exc, "cell", None), exc.face
+
+
+# Moderate states, some moving, for random piecewise-constant fields
+BLOCK_STATES = (
+    SOD_LEFT,
+    SOD_RIGHT,
+    PrimitiveState(0.5, 0.0, 0.5),
+    PrimitiveState(0.8, -0.4, 0.6),
+    PrimitiveState(1.0, 0.3, 1.0),
+)
+
+
+@st.composite
+def blocks_on_a_background(draw, n_cells):
+    """(states, starts) for layered_field: a background state with 2-4
+    blocks of 1-6 cells on it, uniform gaps of 0-6 background cells between
+    them, and the first block touching the left wall, the last touching the
+    right wall, or the blocks anywhere between.  A state may repeat, so a
+    field may have fewer jumps, or none."""
+    state = st.sampled_from(BLOCK_STATES)
+    widths = draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+    gaps = [draw(st.integers(0, 6)) for _ in widths[1:]]
+    room = n_cells - sum(widths) - sum(gaps)
+    start = draw(st.one_of(st.just(0), st.just(room), st.integers(0, room)))
+    background = draw(state)
+    states, starts = [background], [0]
+    for width, gap in zip(widths, [0] + gaps):
+        start += gap
+        states += [draw(state), background]
+        starts += [start, start + width]
+        start += width
+    return states, starts
 
 
 class TestWindow:
@@ -464,6 +570,28 @@ class TestWindow:
             cfg = dataclasses.replace(small_cfg(method), left=state, right=state)
             field = initialize_sod(cfg)
             assert np.array_equal(step(field, cfg).cells, field.cells), method
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        blocks_on_a_background(48),
+        st.sampled_from(list(FluxMethod)),
+        st.sampled_from(RECONSTRUCTIONS),
+        st.integers(1, 12),
+    )
+    def test_growth_matches_the_rescan_and_the_whole_grid(self, layout, method, reconstruct, n_steps):
+        cfg = RunConfig(method=method, grid=Grid1D(0.0, 1.0, 48), dt=0.4 / 96)
+        field = layered_field(cfg, *layout)
+        with pytest.MonkeyPatch.context() as patch:
+            check_growth_against_rescan(patch)
+            patch.setattr(solver, "reconstruct_faces", reconstruct)
+            got = outcome(solver.advance, field, cfg, n_steps)
+        expected = outcome(full_domain_advance, field, cfg, n_steps, reconstruct)
+        assert type(got) is type(expected)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert got.cells.tobytes() == expected.cells.tobytes()
+            assert_same_field(got, expected)
 
     @staticmethod
     def limiter_minus_one(w):
@@ -566,8 +694,34 @@ class TestIncomingField:
         )
         assert got.value.cell == start
 
-    def test_a_window_spanning_the_grid_is_not_scanned_again(self, monkeypatch):
+    def test_a_window_spanning_the_grid_is_not_checked_again(self, monkeypatch):
         # it cannot grow, and a window wider than needed is exact
+        checks, widths = [], []
+        grow, reconstruct = solver._grow, solver.reconstruct_faces
+
+        def counted_grow(q, lo, hi):
+            grown = grow(q, lo, hi)
+            checks.append(((lo, hi), grown))
+            return grown
+
+        def counted_reconstruct(w):
+            widths.append(w.shape[1])
+            return reconstruct(w)
+
+        monkeypatch.setattr(solver, "_grow", counted_grow)
+        monkeypatch.setattr(solver, "reconstruct_faces", counted_reconstruct)
+        cfg = small_cfg(FluxMethod.LF)
+        field = initialize_sod(cfg)
+        got = solver.advance(field, cfg, 30)
+        # Lax-Friedrichs widens the window by a cell a step on each side;
+        # its last check, after step 22, grows [1, 49) to the whole grid,
+        # which the last seven steps march unchecked
+        assert checks == [((23 - k, 27 + k), (22 - k, 28 + k)) for k in range(23)]
+        assert widths == [min(4 + 2 * k, 50) for k in range(30)]
+        assert_same_field(got, full_domain_advance(field, cfg, 30))
+
+    @pytest.mark.parametrize("method", [FluxMethod.RIEMANN, FluxMethod.LF])
+    def test_the_incoming_field_is_the_only_scan(self, monkeypatch, method):
         scans = []
         window = solver._window
 
@@ -576,13 +730,12 @@ class TestIncomingField:
             return window(*args)
 
         monkeypatch.setattr(solver, "_window", counted)
-        cfg = small_cfg(FluxMethod.LF)
+        cfg = small_cfg(method)
         field = initialize_sod(cfg)
-        got = solver.advance(field, cfg, 30)
-        # Lax-Friedrichs widens the window by a cell a step on each side;
-        # its last scan, of cells [0, 50), finds a window spanning the grid
-        assert scans == [(0, 50)] + [(22 - k, 28 + k) for k in range(23)]
-        assert_same_field(got, full_domain_advance(field, cfg, 30))
+        for n_steps in (0, 1, 30):
+            scans.clear()
+            solver.advance(field, cfg, n_steps)
+            assert scans == [(0, 50)]
 
 
 class TestNoStack:
@@ -657,48 +810,53 @@ class TestToroFailures:
         )
 
 
+# The runs of Toro's matrix in which a rescan of cells lo - 1 ... hi after
+# some step finds a narrower window than the one the step marched
+TORO_NARROWING = {
+    (1, "riemann"),
+    (2, "sw"),
+    (3, "hll-davis1"),
+    (4, "roe"),
+    (4, "knp"),
+    (4, "van-leer"),
+    (4, "ausm"),
+    (4, "aufs"),
+    (4, "hll-davis2"),
+    (4, "hll-roe"),
+    (4, "hll-einfeldt"),
+    (4, "hll-pbased"),
+    (4, "hllc-roe"),
+    (4, "hllc-einfeldt"),
+}
+
+
 class TestToroMatrix:
     """The 97 runs of Toro's 5 x 22 matrix that are not pinned failures
-    complete with a finite RMSE.  A rescan may find a narrower window than
-    the one its step marched; the window keeps its width, and such runs end
-    bitwise equal to the whole-grid loop (notes/decisions.md section 10)."""
+    complete with a finite RMSE, and every window grows as the rescan rule
+    does.  In 14 of them a rescan finds a narrower window than the one its
+    step marched; the window keeps its width, and all 97 runs end bitwise
+    equal to the whole-grid loop (notes/decisions.md section 10)."""
 
     def test_runs_complete_and_narrowing_windows_are_exact(self, monkeypatch):
-        window = solver._window
-        # per run: the window the next step marches, and whether a rescan
-        # found a narrower one
-        marched = []
-
-        def spy(q, start, stop):
-            lo, hi = window(q, start, stop)
-            if not marched:
-                marched[:] = [(lo, hi), False]
-            else:
-                (old_lo, old_hi), narrowed = marched
-                narrowed = narrowed or lo > old_lo or hi < old_hi
-                marched[:] = [(min(lo, old_lo), max(hi, old_hi)), narrowed]
-            return lo, hi
-
-        monkeypatch.setattr(solver, "_window", spy)
-        narrowing = []
+        narrowing = check_growth_against_rescan(monkeypatch)
+        narrowed = set()
         for test in TORO_TESTS:
             for method in FluxMethod:
                 if (test, method.value) in TORO_FAILURES:
                     continue
                 cfg = toro_config(test, method)
-                marched.clear()
+                narrowing.clear()
                 final = run(cfg)
                 problem = RiemannInput(cfg.left, cfg.right, cfg.gas)
                 reference = exact_profile(problem, cfg.grid.centers(), cfg.jump_position, cfg.t_final)
                 rmse = bench.rmse(final.primitives(GAS), reference.w)
                 assert all(math.isfinite(r) for r in rmse), (test, method)
-                if marched[1]:
-                    narrowing.append((test, method.value))
-                    expected = full_domain_advance(initialize_sod(cfg), cfg, step_count(cfg))
-                    assert final.cells.tobytes() == expected.cells.tobytes(), (test, method)
-                    assert_same_field(final, expected)
-        # 14 runs narrow; three of them keep the case covered
-        assert {(1, "riemann"), (4, "hll-roe"), (4, "knp")} <= set(narrowing)
+                if narrowing:
+                    narrowed.add((test, method.value))
+                expected = full_domain_advance(initialize_sod(cfg), cfg, step_count(cfg))
+                assert final.cells.tobytes() == expected.cells.tobytes(), (test, method)
+                assert_same_field(final, expected)
+        assert narrowed == TORO_NARROWING
 
 
 class TestNewtonWork:

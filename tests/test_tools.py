@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,22 +11,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_ab_sweep_same_tree_prints_a_ratio():
-    src = str(ROOT / "src")
-    # The full seven suites take minutes; Sod-200, Sod-20k and Toro 2 cover
-    # the three kinds.
+def run_ab_sweep(parent, change, suites):
+    """tools/ab_sweep.py on two source trees, one rep of the given suites."""
     script = (
-        "import sys; import ab_sweep; ab_sweep.SUITES = ('sod200', 'sod20k', 'toro2');"
+        f"import sys; import ab_sweep; ab_sweep.SUITES = {tuple(suites)!r};"
         " sys.exit(ab_sweep.main(sys.argv[1:]))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", script, src, src, "--reps", "1"],
+    return subprocess.run(
+        [sys.executable, "-c", script, str(parent), str(change), "--reps", "1"],
         cwd=ROOT / "tools",
         capture_output=True,
         text=True,
         check=True,
         timeout=300,
     )
+
+
+def test_ab_sweep_same_tree_prints_a_ratio():
+    src = ROOT / "src"
+    # The full seven suites take minutes; Sod-200, Sod-20k and Toro 2 cover
+    # the three kinds.
+    result = run_ab_sweep(src, src, ("sod200", "sod20k", "toro2"))
     # Toro's test 2 kills six methods (tests/test_solver.py, TORO_FAILURES)
     lines = result.stdout.splitlines()
     assert lines[0].startswith("sod200: final cells differ in 0 of 22 runs (0 failing on both")
@@ -38,6 +44,21 @@ def test_ab_sweep_same_tree_prints_a_ratio():
         r"method median ratio change/parent: lowest [a-z0-9-]+ \d\.\d{4}, highest [a-z0-9-]+ \d\.\d{4}",
         lines[-1],
     )
+
+
+def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
+    # A negative control of the bitwise gate: a wider zero-gradient guard in
+    # MUSCL shuts more limiters off, which moves the Sod-200 results
+    change = tmp_path / "src"
+    shutil.copytree(ROOT / "src", change, ignore=shutil.ignore_patterns("__pycache__"))
+    muscl = change / "sodbench" / "muscl.py"
+    text, count = re.subn(r"^EPSILON = .*$", "EPSILON = 1e-3", muscl.read_text(), flags=re.M)
+    assert count == 1
+    muscl.write_text(text)
+    result = run_ab_sweep(ROOT / "src", change, ("sod200",))
+    differ = re.match(r"sod200: final cells differ in (\d+) of 22 runs", result.stdout)
+    assert differ is not None, result.stdout
+    assert int(differ[1]) > 0
 
 
 def load_record_bench():
