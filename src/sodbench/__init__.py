@@ -45,7 +45,7 @@ from .gas import (
     sound_speed,
     total_specific_enthalpy,
 )
-from .muscl import reconstruct_faces, van_leer_limiter
+from .muscl import reconstruct_faces
 from .riemann import (
     ExactProfile,
     RiemannInput,

@@ -1,58 +1,44 @@
-"""MUSCL face reconstruction with the van Leer flux limiter.
+"""MUSCL face reconstruction with van Leer's limited slope.
 
 Every cell gets one limited slope s from its two one-sided differences; the
 left state of the face on its right is w + s/2 and the right state of the
-face on its left is w - s/2 (second-order upwind when the limiter is fully
-open, nearest-cell values when it shuts near a discontinuity).  Both sides
-come out as one C-contiguous (3, 2, n+1) array, the layout the flux kernels
-take: each primitive row ``faces[k]`` is one (2, n+1) block.
+face on its left is w - s/2 (second order where the data are smooth,
+nearest-cell values at an extremum or next to a flat difference).  Both
+sides come out as one C-contiguous (3, 2, n+1) array, the layout the flux
+kernels take: each primitive row ``faces[k]`` is one (2, n+1) block.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
 from .errors import NonPhysicalState
 
-__all__ = ["EPSILON", "van_leer_limiter", "reconstruct_faces"]
-
-# Zero-gradient guard threshold. Fixed value rather than the host epsilon so
-# results are reproducible bit for bit across platforms.
-EPSILON = 2.22e-16
+__all__ = ["reconstruct_faces"]
 
 
-def van_leer_limiter(r):
-    """phi(r) = (r + |r|) / (1 + |r|); zero for r <= 0, approaches 2 at large r."""
-    r = np.asarray(r, dtype=float)
-    abs_r = np.abs(r)
-    phi = (r + abs_r) / (1.0 + abs_r)
-    return float(phi) if phi.ndim == 0 else phi
-
-
-def reconstruct_faces(w: np.ndarray, limiter: Callable = van_leer_limiter) -> np.ndarray:
+def reconstruct_faces(w: np.ndarray) -> np.ndarray:
     """Both primitive states at all n+1 faces of a grid, as one (3, 2, n+1)
     array: ``faces[:, 0]`` face-left and ``faces[:, 1]`` face-right.
 
     ``w`` holds (3, n) cell-center primitives; each component (rho, u, p) is
     reconstructed independently, and the boundary faces copy the edge cells.
-    ``limiter`` is called once, on the (3, n) ratios r = d_p / d_m of each
-    cell's right and left differences; the cell's slope phi(r) d_m serves both
-    its faces.  That needs a symmetric limiter, phi(r) / r = phi(1 / r), as van
-    Leer's is: then phi(r) d_m = phi(1 / r) d_p, the slope seen from the right.
+    A cell with left and right differences d_m and d_p has van Leer's
+    half-slope d_m d_p / (d_m + d_p) where d_m d_p > 0, and 0 elsewhere
+    (J. Comput. Phys. 14, 1974): phi(r) d_m / 2 with phi(r) = (r + |r|) /
+    (1 + |r|) and r = d_p / d_m.  It is symmetric in d_m and d_p, so the one
+    slope serves both of the cell's faces.
     """
     w = np.asarray(w, dtype=float)
     # One ghost cell per side, a copy of the nearest interior cell.
     ext = np.concatenate([w[:, :1], w, w[:, -1:]], axis=1)
     # d[:, i] = w_i - w_{i-1}; the ghost copies make both end columns 0.
     d = ext[:, 1:] - ext[:, :-1]
-    d_m = d[:, :-1]
-    # A difference at or below EPSILON on either side zeroes the cell's
-    # ratio, which shuts the limiter off and drops the cell to first order.
-    dead = np.abs(d) <= EPSILON
-    r = np.where(dead[:, :-1] | dead[:, 1:], 0.0, d[:, 1:] / np.where(dead[:, :-1], 1.0, d_m))
-    half = 0.5 * limiter(r) * d_m
+    d_m, d_p = d[:, :-1], d[:, 1:]
+    # Dividing before the product keeps differences near 1e154 from
+    # overflowing it; the product in the mask may overflow (numpy warns),
+    # but its sign holds.
+    half = d_m * np.divide(d_p, d_m + d_p, out=np.zeros_like(d_m), where=d_m * d_p > 0.0)
 
     faces = np.empty((3, 2, d.shape[1]))
     faces[:, 0, 0] = w[:, 0]

@@ -134,21 +134,13 @@ def _side(w, gamma: float) -> _Side:
     )
 
 
-def pressure_function(p, side, gas: GasModel | None = None):
+def pressure_function(p, side: _Side):
     """Velocity-jump function f(p) of one side and its derivative df/dp.
 
     Rarefaction branch for p <= p_side, shock branch above.  ``p`` may be a
-    scalar or an array, and ``side`` a state, (3, ...) primitive rows, or the
-    side's constants made once per solve.  ``gas`` defaults to ``GasModel()``
-    for a state or rows; the constants carry their own gamma, and a ``gas``
-    given with them must agree.
+    scalar or an array; ``side`` holds the side's constants, made once per
+    solve by ``_side``.
     """
-    if isinstance(side, _Side):
-        if gas is not None and gas.gamma != side.gamma:
-            raise ValueError(f"gas gamma {gas.gamma} differs from the side's {side.gamma}")
-    else:
-        rows = side.array if isinstance(side, PrimitiveState) else np.asarray(side)
-        side = _side(rows, GasModel().gamma if gas is None else gas.gamma)
     p_k = side.p
 
     # Shock branch (Hugoniot): f = (p - p_k) sqrt(A / (p + B))

@@ -187,6 +187,10 @@ def advance(
     end interfaces carry no jump, so the zero-gradient ghost cells of the
     slice equal the real neighbours and every face in it matches the whole
     grid's.  Failures report whole-grid cells and faces."""
+    try:
+        n_steps = operator.index(n_steps)
+    except TypeError:
+        raise InvalidConfig(f"number of steps must be an integer, got {n_steps!r}") from None
     if n_steps < 0:
         raise InvalidConfig(f"number of steps must be non-negative, got {n_steps}")
     gamma = cfg.gas.gamma

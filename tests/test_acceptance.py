@@ -22,7 +22,7 @@ from sodbench.gas import (
     flux_array,
     primitive_to_conserved,
 )
-from sodbench.muscl import van_leer_limiter
+from sodbench.muscl import reconstruct_faces
 from sodbench.riemann import RiemannInput
 from sodbench.solver import RunConfig, initialize_sod, run, step_count, sweep_config
 
@@ -291,16 +291,27 @@ class TestCriterion07PropertySuites:
         assert ok
 
     def test_limiter_identities(self):
+        # Read from the faces of a velocity row: equal differences (r = 1)
+        # give midpoints, alternating ones (r < 0) keep each cell's value, and
+        # the mirror image of a random row gives the mirrored faces
         rng = np.random.default_rng(107)
-        r = rng.uniform(0.01, 50.0, 2000)
+        n = 2000
+
+        def velocity_faces(u):
+            return reconstruct_faces(np.array([np.ones(n), u, np.ones(n)]))[1]
+
+        ramp = velocity_faces(0.5 * np.arange(n))
+        alternating = rng.uniform(0.1, 1.0, n) * (-1.0) ** np.arange(n)
+        shut = velocity_faces(alternating)
+        u = rng.uniform(-1.0, 1.0, n)
+        mirror_gap = np.max(np.abs(velocity_faces(u) - velocity_faces(u[::-1])[::-1, ::-1]))
         ok = (
-            van_leer_limiter(1.0) == 1.0
-            and np.all(van_leer_limiter(-rng.uniform(0.0, 10.0, 100)) == 0.0)
-            and bool(
-                np.max(np.abs(van_leer_limiter(r) / r - van_leer_limiter(1.0 / r))) < 1e-14
-            )
+            np.array_equal(ramp[:, 2 : n - 1], np.tile(0.5 * np.arange(2, n - 1) - 0.25, (2, 1)))
+            and np.array_equal(shut[0, 1:], alternating)
+            and np.array_equal(shut[1, :-1], alternating)
+            and bool(mirror_gap < 1e-14)
         )
-        report_line(7, ok, "van Leer identities phi(1)=1, phi(r<=0)=0, phi(r)/r=phi(1/r)")
+        report_line(7, ok, "van Leer identities phi(1)=1, phi(r<=0)=0, phi(r)/r=phi(1/r) on the faces")
         assert ok
 
     def test_state_round_trip(self):

@@ -38,6 +38,8 @@ def test_ab_sweep_same_tree_prints_a_ratio():
     assert lines[1].startswith("sod20k: final cells differ in 0 of 22 runs (0 failing on both")
     assert lines[2].startswith("toro2: final cells differ in 0 of 16 runs (6 failing on both")
     assert "fields differ" not in result.stdout
+    for line in lines[:3]:
+        assert line.endswith("; largest change of final cells 0.00e+00 absolute, 0.00e+00 relative")
     assert lines[3] == "wave reports differ in 0 of 6 problems"
     assert "ratio change/parent: median" in result.stdout
     assert re.fullmatch(
@@ -47,18 +49,24 @@ def test_ab_sweep_same_tree_prints_a_ratio():
 
 
 def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
-    # A negative control of the bitwise gate: a wider zero-gradient guard in
-    # MUSCL shuts more limiters off, which moves the Sod-200 results
+    # A negative control of the bitwise gate: a looser Newton tolerance in
+    # the exact solver stops its iteration early, which moves the Sod-200
+    # result of the exact flux
     change = tmp_path / "src"
     shutil.copytree(ROOT / "src", change, ignore=shutil.ignore_patterns("__pycache__"))
-    muscl = change / "sodbench" / "muscl.py"
-    text, count = re.subn(r"^EPSILON = .*$", "EPSILON = 1e-3", muscl.read_text(), flags=re.M)
+    riemann = change / "sodbench" / "riemann.py"
+    text, count = re.subn(r"^NEWTON_RTOL = .*$", "NEWTON_RTOL = 1e-3", riemann.read_text(), flags=re.M)
     assert count == 1
-    muscl.write_text(text)
+    riemann.write_text(text)
     result = run_ab_sweep(ROOT / "src", change, ("sod200",))
-    differ = re.match(r"sod200: final cells differ in (\d+) of 22 runs", result.stdout)
-    assert differ is not None, result.stdout
-    assert int(differ[1]) > 0
+    line = re.match(
+        r"sod200: final cells differ in (\d+) of 22 runs.*; largest change of final cells"
+        r" (\S+) absolute, (\S+) relative$",
+        result.stdout.splitlines()[0],
+    )
+    assert line is not None, result.stdout
+    assert int(line[1]) > 0
+    assert float(line[2]) > 0.0 and float(line[3]) > 0.0
 
 
 def load_record_bench():
