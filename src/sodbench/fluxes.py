@@ -460,7 +460,7 @@ def flux_ausm(variant: AusmVariant, faces, gas: GasModel = GasModel()) -> np.nda
     elif variant is AusmVariant.PLUS_UP:
         uu = u * u
         mach_bar_sq = (uu[0] + uu[1]) / (2.0 * a_half * a_half)
-        mach_ref = np.sqrt(np.clip(mach_bar_sq, AUSM_UP_CUTOFF_MACH**2, 1.0))
+        mach_ref = np.sqrt(np.minimum(np.maximum(mach_bar_sq, AUSM_UP_CUTOFF_MACH**2), 1.0))
         fa = mach_ref * (2.0 - mach_ref)
         alpha = AUSM_PLUS_ALPHA * (-4.0 + 5.0 * fa * fa)
         rho_half = 0.5 * (rho[0] + rho[1])

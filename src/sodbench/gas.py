@@ -154,10 +154,14 @@ def conserved_array(w: np.ndarray, gamma: float) -> np.ndarray:
 def primitive_array(q: np.ndarray, gamma: float) -> np.ndarray:
     """Convert conserved rows to primitive rows. No positivity check here;
     callers that can blow up are expected to inspect the result."""
-    rho = q[0]
-    u = q[1] / rho
-    p = (gamma - 1.0) * (q[2] - 0.5 * q[1] * u)
-    return np.array([rho, u, p])
+    w = np.array(q, dtype=float)
+    w[1] /= q[0]
+    # p = (gamma - 1) (E - (0.5 m) u), rounded as the formula reads
+    t = 0.5 * q[1]
+    t *= w[1]
+    w[2] -= t
+    w[2] *= gamma - 1.0
+    return w
 
 
 def flux_array(w: np.ndarray, gamma: float) -> np.ndarray:

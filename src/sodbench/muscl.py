@@ -28,6 +28,14 @@ def reconstruct_faces(w: np.ndarray) -> np.ndarray:
     (J. Comput. Phys. 14, 1974): phi(r) d_m / 2 with phi(r) = (r + |r|) /
     (1 + |r|) and r = d_p / d_m.  It is symmetric in d_m and d_p, so the one
     slope serves both of the cell's faces.
+
+    Raises ``NonPhysicalState``, naming a face with a non-positive or NaN
+    density or pressure on either side.  Every cell i is a face state twice,
+    as w_i + h_i (face-left of face i + 1) and as w_i - h_i (face-right of
+    face i); whatever its half-slope h_i, one of the two is at most w_i, and
+    a NaN in w_i gives NaN in both.  So any cell of non-positive or NaN
+    density or pressure makes this raise, and the solver relies on that to
+    check a step's cells (notes/decisions.md section 13).
     """
     w = np.asarray(w, dtype=float)
     # One ghost cell per side, a copy of the nearest interior cell.
@@ -38,7 +46,7 @@ def reconstruct_faces(w: np.ndarray) -> np.ndarray:
     # Dividing before the product keeps differences near 1e154 from
     # overflowing it; the product in the mask may overflow (numpy warns),
     # but its sign holds.
-    half = d_m * np.divide(d_p, d_m + d_p, out=np.zeros_like(d_m), where=d_m * d_p > 0.0)
+    half = d_m * np.divide(d_p, d_m + d_p, out=np.zeros(d_m.shape), where=d_m * d_p > 0.0)
 
     faces = np.empty((3, 2, d.shape[1]))
     faces[:, 0, 0] = w[:, 0]
@@ -47,7 +55,7 @@ def reconstruct_faces(w: np.ndarray) -> np.ndarray:
     faces[:, 1, -1] = w[:, -1]
 
     # Density and pressure rows of both sides at once; a NaN fails "> 0" too.
-    if faces[::2].min() > 0.0:
+    if np.minimum.reduce(faces[::2], axis=None) > 0.0:
         return faces
     # The face-left row comes first, so a failing left state is named first.
     bad = ~((faces[0] > 0.0) & (faces[2] > 0.0))

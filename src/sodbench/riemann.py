@@ -168,7 +168,7 @@ def _check_vacuum(
     wl: np.ndarray, wr: np.ndarray, a_l: np.ndarray, a_r: np.ndarray, gamma: float
 ) -> None:
     vacuum = 2.0 * (a_l + a_r) / (gamma - 1.0) <= wr[1] - wl[1]
-    if vacuum.any():
+    if np.logical_or.reduce(vacuum, axis=None):
         face = int(np.argmax(vacuum))
         raise VacuumGenerated(
             f"pressure positivity condition violated: states would generate vacuum at face {face}",
@@ -200,7 +200,7 @@ def _initial_pressure(wl, wr, left: _Side, right: _Side, du):
     den = left.a + right.a * (left.p / right.p) ** z
     p = left.p * (num / den) ** (1.0 / z)
     both_shocks = p > np.maximum(left.p, right.p)
-    if both_shocks.any():
+    if np.logical_or.reduce(both_shocks, axis=None):
         p_pv = 0.5 * (left.p + right.p) - 0.125 * du * (wl[0] + wr[0]) * (left.a + right.a)
         p_pv = np.maximum(p_pv, 0.0)
         g_l = np.sqrt(left.big_a / (p_pv + left.big_b))
@@ -228,12 +228,12 @@ def _star_pressure(wl, wr, left: _Side, right: _Side):
         p_new = np.maximum(p - dp, 0.1 * p)
         converged |= np.abs(dp) <= NEWTON_RTOL * p_new
         p = p_new
-        if converged.all():
+        if np.logical_and.reduce(converged, axis=None):
             return p
     # Near vacuum f is flat in p, and the round-off of the residual alone
     # moves p by more than NEWTON_RTOL: such a face has stalled, not failed
     converged |= np.abs(residual) <= ROUNDOFF_RTOL * (np.abs(f_l) + np.abs(f_r) + np.abs(du))
-    if converged.all():
+    if np.logical_and.reduce(converged, axis=None):
         return p
     face = int(np.argmin(converged))
     residual = float(np.ravel(np.abs(dp) / p)[face])

@@ -131,7 +131,7 @@ def initialize_sod(cfg: RunConfig) -> SolutionField:
 
 def _check_positive(w: np.ndarray, step_index: int, first_cell: int = 0) -> None:
     # Density and pressure rows at once; a NaN fails "> 0" too.
-    if w[::2].min() > 0.0:
+    if np.minimum.reduce(w[::2], axis=None) > 0.0:
         return
     cell = first_cell + int(np.argmax(~((w[0] > 0.0) & (w[2] > 0.0))))
     raise NonPhysicalState(
@@ -139,6 +139,24 @@ def _check_positive(w: np.ndarray, step_index: int, first_cell: int = 0) -> None
         cell=cell,
         step=step_index,
     )
+
+
+# Cells of checked windows whose Courant signal is taken in one pass
+# (notes/decisions.md section 13).  Fixed, so the buffer does not grow with
+# the grid.
+_SIGNAL_BATCH = 2048
+
+
+def _signal_peak(w: np.ndarray, gamma: float) -> float:
+    """The largest |u| + a over primitive cells ``w``, computed in ``w``'s
+    own rows, in the arithmetic of ``sound_speed_array``."""
+    a = w[2]
+    a *= gamma
+    a /= w[0]
+    np.sqrt(a, out=a)
+    s = np.abs(w[1], out=w[1])
+    s += a
+    return float(np.maximum.reduce(s))
 
 
 def _window(q: np.ndarray, start: int, stop: int) -> tuple[int, int]:
@@ -186,15 +204,22 @@ def advance(
     Each step reconstructs, fluxes and updates only the window [lo, hi).  Its
     end interfaces carry no jump, so the zero-gradient ghost cells of the
     slice equal the real neighbours and every face in it matches the whole
-    grid's.  Failures report whole-grid cells and faces."""
+    grid's.  Failures report whole-grid cells and faces.
+
+    A step's cells are checked by the next step's face check, which fails
+    for any cell of non-positive or NaN density or pressure (see
+    ``reconstruct_faces``); the cells of the last step are checked once,
+    after it (notes/decisions.md section 13)."""
     try:
         n_steps = operator.index(n_steps)
     except TypeError:
         raise InvalidConfig(f"number of steps must be an integer, got {n_steps!r}") from None
     if n_steps < 0:
         raise InvalidConfig(f"number of steps must be non-negative, got {n_steps}")
-    gamma = cfg.gas.gamma
+    method, gas, dt = cfg.method, cfg.gas, cfg.dt
+    gamma = gas.gamma
     dx = cfg.grid.dx
+    dt_dx = dt / dx
     q = field.cells.copy()
     n = q.shape[1]
     lo, hi = _window(q, 0, n)
@@ -214,11 +239,22 @@ def advance(
     # maximum once, here.
     blocks = w[:, [0, -1]][:, [lo > 0, hi < n]]
     peak = float((np.abs(blocks[1]) + sound_speed_array(blocks, gamma)).max(initial=0.0))
+    # Each updated window, once checked, waits here for its Courant signal
+    cap = _SIGNAL_BATCH
+    batch = np.empty((3, cap))
+    used = 0
     for k in range(first_step, first_step + n_steps):
         try:
             faces = reconstruct_faces(w)
-            flux = compute_face_flux(cfg.method, faces, cfg.gas, dx=dx, dt=cfg.dt)
+            flux = compute_face_flux(method, faces, gas, dx=dx, dt=dt)
         except (NonPhysicalState, NoConvergence, VacuumGenerated) as exc:
+            # A failed run's traceback keeps this frame alive, and with it
+            # the batch
+            batch = None
+            if k > first_step and not np.minimum.reduce(w[::2], axis=None) > 0.0:
+                # The last step made a bad cell: it is reported below, out
+                # of this handler, as that step's cell check reported it
+                break
             # Same object, bare raise: the failure still comes from muscl or
             # riemann.  A face counted from the window start becomes global.
             message = exc.args[0]
@@ -229,23 +265,39 @@ def advance(
             exc.step = k
             exc.args = (f"{message} at step {k}",)
             raise
-        q[:, lo:hi] -= (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
+        if k > first_step:
+            # The last step's window has passed the face check
+            width = hi - lo
+            if used + width > cap and used:
+                peak = max(peak, _signal_peak(batch[:, :used], gamma))
+                used = 0
+            if width > cap:
+                peak = max(peak, _signal_peak(w, gamma))
+            else:
+                batch[:, used : used + width] = w
+                used += width
+        q[:, lo:hi] -= dt_dx * (flux[:, 1:] - flux[:, :-1])
         # A window that spans the grid cannot grow.  It never narrows: one
         # wider than needed is still exact, and so every updated cell is
-        # checked and monitored below.
+        # checked and monitored.
         if lo > 0 or hi < n:
             lo, hi = _grow(q, lo, hi)
         w = primitive_array(q[:, lo:hi], gamma)
-        _check_positive(w, k, lo)
-        signal = np.abs(w[1]) + sound_speed_array(w, gamma)
-        peak = max(peak, float(signal.max()))
         # Summed step by step, not n * dt, so the time matches repeated steps.
-        time += cfg.dt
-    max_courant = field.max_courant_observed
-    if n_steps > 0:
-        # (s dt) / dx rises with s, so its largest value is that of the peak
-        max_courant = max(max_courant, peak * cfg.dt / dx)
-    return SolutionField(time=time, cells=q, max_courant_observed=max_courant)
+        time += dt
+    else:
+        max_courant = field.max_courant_observed
+        if n_steps > 0:
+            if used:
+                peak = max(peak, _signal_peak(batch[:, :used], gamma))
+            batch = None  # before the check can raise, as above
+            _check_positive(w, k, lo)
+            peak = max(peak, _signal_peak(w, gamma))
+            # (s dt) / dx rises with s, so its largest value is that of the peak
+            max_courant = max(max_courant, peak * dt / dx)
+        return SolutionField(time=time, cells=q, max_courant_observed=max_courant)
+    # Only the break above gets here
+    _check_positive(w, k - 1, lo)
 
 
 def step(field: SolutionField, cfg: RunConfig, step_index: int = 0) -> SolutionField:

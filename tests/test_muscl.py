@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sodbench.errors import NonPhysicalState
 from sodbench.muscl import reconstruct_faces
@@ -235,6 +237,28 @@ class TestReconstructFaces:
         assert excinfo.value.face == 2
         assert "face-right" in str(excinfo.value)
         assert str(excinfo.value).endswith("at face 2")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.floats(allow_nan=True), min_size=3 * n, max_size=3 * n),
+                st.integers(0, n - 1),
+            )
+        ),
+        st.sampled_from([0, 2]),
+        st.one_of(st.floats(max_value=0.0), st.just(np.nan)),
+    )
+    def test_any_bad_cell_fails_the_face_check(self, cells, row, bad):
+        # The contract the solver's cell check rests on: cell i is the
+        # face-left state w_i + h_i and the face-right state w_i - h_i, one
+        # of which is at most w_i, so a non-positive or NaN density or
+        # pressure always reaches a face, whatever the other cells hold
+        values, cell = cells
+        w = np.array(values).reshape(3, -1)
+        w[row, cell] = bad
+        with np.errstate(all="ignore"), pytest.raises(NonPhysicalState):
+            reconstruct_faces(w)
 
     def test_both_sides_come_in_one_contiguous_array(self):
         rng = np.random.default_rng(9)

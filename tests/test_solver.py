@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -396,10 +397,12 @@ def whole_grid_check(w, step_index):
         )
 
 
-def full_domain_advance(field, cfg, n_steps, reconstruct=reconstruct_faces, first_step=0):
+def full_domain_advance(
+    field, cfg, n_steps, reconstruct=reconstruct_faces, first_step=0, flux_of=compute_face_flux
+):
     """The stepping loop without a window: every step reconstructs, fluxes,
     updates, checks and monitors the whole grid, in the arithmetic of
-    solver.advance."""
+    solver.advance.  The cells are checked after every step."""
     gamma, dx = cfg.gas.gamma, cfg.grid.dx
     q = field.cells
     w = primitive_array(q, gamma)
@@ -407,7 +410,7 @@ def full_domain_advance(field, cfg, n_steps, reconstruct=reconstruct_faces, firs
     time, max_courant = field.time, field.max_courant_observed
     for k in range(first_step, first_step + n_steps):
         faces = reconstruct(w)
-        flux = compute_face_flux(cfg.method, faces, cfg.gas, dx=dx, dt=cfg.dt)
+        flux = flux_of(cfg.method, faces, cfg.gas, dx=dx, dt=cfg.dt)
         q = q - (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
         w = primitive_array(q, gamma)
         whole_grid_check(w, k)
@@ -702,6 +705,133 @@ class TestWindow:
         assert peak < 1.5 * field.cells.nbytes
 
 
+def bad_cell_flux(call, row, change):
+    """compute_face_flux on a 20-cell window spanning the grid, where the
+    call-th call adds change * dx / dt to row ``row`` of face 10's flux.
+    That takes change from cell 9's row and gives it to cell 10."""
+    calls = []
+
+    def flux(method, faces, gas, dx, dt):
+        assert faces.shape[2] == 21
+        f = compute_face_flux(method, faces, gas, dx=dx, dt=dt)
+        calls.append(None)
+        if len(calls) == call:
+            f[row, 10] += change * dx / dt
+        return f
+
+    return flux
+
+
+def frame_local(exc, function, name):
+    """A local variable of ``function``'s frame in the traceback of ``exc``."""
+    tb = exc.__traceback__
+    while tb.tb_frame.f_code is not function.__code__:
+        tb = tb.tb_next
+    return tb.tb_frame.f_locals[name]
+
+
+class TestOneCheckPerStep:
+    """A step's cells are checked by the next step's face check (see
+    reconstruct_faces), and the last step's cells once, after it.  The
+    Courant signal of the checked windows is taken in batches.  Failures and
+    Courant maxima equal those of a check and a signal after every step
+    (notes/decisions.md section 13)."""
+
+    # Cell 9's mass or energy taken away, or its momentum made NaN (so its
+    # pressure is NaN): (flux row, change)
+    BAD = {
+        "non-positive density": (0, 10.0),
+        "negative pressure": (2, 100.0),
+        "nan": (1, np.nan),
+    }
+
+    @pytest.mark.parametrize("call", [1, 3, 5], ids=["first step", "middle step", "last step"])
+    @pytest.mark.parametrize("bad", list(BAD))
+    def test_a_bad_cell_reports_as_a_check_after_every_step(self, monkeypatch, bad, call):
+        # Jumps two cells from each wall: every window spans the grid, so
+        # both marches flux the same 21 faces
+        cfg = small_cfg(FluxMethod.LF, n=20)
+        field = layered_field(cfg, (SOD_LEFT, SOD_RIGHT, SOD_LEFT), (0, 2, 18))
+        monkeypatch.setattr(solver, "compute_face_flux", bad_cell_flux(call, *self.BAD[bad]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPhysicalState) as expected:
+                full_domain_advance(
+                    field, cfg, 5, first_step=7, flux_of=bad_cell_flux(call, *self.BAD[bad])
+                )
+            with pytest.raises(NonPhysicalState) as got:
+                solver.advance(field, cfg, 5, first_step=7)
+        exc = got.value
+        assert (exc.args, exc.cell, exc.step) == (
+            expected.value.args,
+            expected.value.cell,
+            expected.value.step,
+        )
+        assert (exc.cell, exc.step, exc.face) == (9, 6 + call, None)
+        # The face check that found the cell stays out of the report
+        assert exc.__context__ is None and exc.__cause__ is None
+        assert got.traceback[-1].path.name == "solver.py"
+        assert frame_local(exc, solver.advance, "batch") is None
+
+    def test_a_kernel_failure_drops_the_batch(self, monkeypatch):
+        # The third step's flux fails on good cells: the error is the
+        # kernel's, and a traceback that keeps the frame does not keep the
+        # batch of the windows checked so far
+        calls = []
+
+        def flux(method, faces, gas, dx, dt):
+            calls.append(None)
+            if len(calls) == 3:
+                raise VacuumGenerated("vacuum at face 2", face=2)
+            return compute_face_flux(method, faces, gas, dx=dx, dt=dt)
+
+        monkeypatch.setattr(solver, "compute_face_flux", flux)
+        cfg = small_cfg(FluxMethod.LF, n=20)
+        field = layered_field(cfg, (SOD_LEFT, SOD_RIGHT, SOD_LEFT), (0, 2, 18))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(VacuumGenerated) as excinfo:
+                solver.advance(field, cfg, 5, first_step=7)
+        exc = excinfo.value
+        assert (exc.args, exc.face, exc.step) == (("vacuum at face 2 at step 9",), 2, 9)
+        assert excinfo.traceback[-1].path.name == "test_solver.py"
+        assert frame_local(exc, solver.advance, "batch") is None
+
+    # (method, Toro test or None for Sod)
+    COURANT_RUNS = [(FluxMethod.LF, None), (FluxMethod.RUSANOV, None), (FluxMethod.ROE, 1)]
+
+    @pytest.mark.parametrize("cap", [1, 3, 101, 2048])
+    @pytest.mark.parametrize(("method", "test"), COURANT_RUNS)
+    def test_courant_maximum_for_any_batch(self, monkeypatch, cap, method, test):
+        # 101 cells lie between the first windows (4 cells) and the last
+        # (well over 101 on all three runs)
+        monkeypatch.setattr(solver, "_SIGNAL_BATCH", cap)
+        widths = []
+        signal_peak = solver._signal_peak
+
+        def counted(w, gamma):
+            widths.append(w.shape[1])
+            return signal_peak(w, gamma)
+
+        monkeypatch.setattr(solver, "_signal_peak", counted)
+        cfg = RunConfig(method=method) if test is None else toro_config(test, method)
+        field = initialize_sod(cfg)
+        # At B = 2048 the whole runs reach their maximum in an early batch;
+        # after 50 steps, Rusanov's and Roe's lie in the last one
+        assert_same_field(solver.advance(field, cfg, 50), full_domain_advance(field, cfg, 50))
+        widths.clear()
+        got = run(cfg)
+        assert_same_field(got, full_domain_advance(field, cfg, step_count(cfg)))
+        if cap < 2048:
+            # some window was reduced alone
+            assert max(widths[:-1]) > cap
+        else:
+            # a batch is flushed when the next window does not fit (a window
+            # is at most 200 cells), then the last batch and the last window
+            assert len(widths) < step_count(cfg) / 10
+            assert all(width > cap - 200 for width in widths[:-2])
+
+
 class TestIncomingField:
     """Outside its first window the incoming field is two uniform blocks, and
     advance reads them from the window's end cells; checks, reports and
@@ -844,6 +974,9 @@ def toro_config(test: int, method: FluxMethod) -> RunConfig:
 
 
 class TestToroFailures:
+    # A step's bad cells reach the next step's reconstruction before they
+    # are reported; in these runs that raises no warning either
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(("test", "method"), list(TORO_FAILURES))
     def test_pinned_failure(self, test, method):
         with pytest.raises(NonPhysicalState) as excinfo:

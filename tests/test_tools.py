@@ -38,6 +38,7 @@ def test_ab_sweep_same_tree_prints_a_ratio():
     assert lines[1].startswith("sod20k: final cells differ in 0 of 22 runs (0 failing on both")
     assert lines[2].startswith("toro2: final cells differ in 0 of 16 runs (6 failing on both")
     assert "fields differ" not in result.stdout
+    assert "warnings differ" not in result.stdout
     for line in lines[:3]:
         assert line.endswith("; largest change of final cells 0.00e+00 absolute, 0.00e+00 relative")
     assert lines[3] == "wave reports differ in 0 of 6 problems"
@@ -49,19 +50,24 @@ def test_ab_sweep_same_tree_prints_a_ratio():
 
 
 def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
-    # A negative control of the bitwise gate: a looser Newton tolerance in
-    # the exact solver stops its iteration early, which moves the Sod-200
-    # result of the exact flux
+    # A negative control of the bitwise gate and of the warning count: a
+    # looser Newton tolerance in the exact solver stops its iteration early,
+    # which moves the Sod-200 result of the exact flux
     change = tmp_path / "src"
     shutil.copytree(ROOT / "src", change, ignore=shutil.ignore_patterns("__pycache__"))
     riemann = change / "sodbench" / "riemann.py"
     text, count = re.subn(r"^NEWTON_RTOL = .*$", "NEWTON_RTOL = 1e-3", riemann.read_text(), flags=re.M)
     assert count == 1
     riemann.write_text(text)
+    # and a square root of -1 warns once per run of the 22
+    solver = change / "sodbench" / "solver.py"
+    old = "    return advance(initialize_sod(cfg), cfg, step_count(cfg))\n"
+    assert solver.read_text().count(old) == 1
+    solver.write_text(solver.read_text().replace(old, "    np.sqrt(-1.0)\n" + old))
     result = run_ab_sweep(ROOT / "src", change, ("sod200",))
     line = re.match(
         r"sod200: final cells differ in (\d+) of 22 runs.*; largest change of final cells"
-        r" (\S+) absolute, (\S+) relative$",
+        r" (\S+) absolute, (\S+) relative; warnings differ: parent 0, change 22$",
         result.stdout.splitlines()[0],
     )
     assert line is not None, result.stdout

@@ -16,19 +16,22 @@ One untimed pass runs every method of every suite once on each side.  A run
 that fails on both sides with the same error (Toro's 13 pinned failures) is
 skipped.  A run whose error, or whose final cells, time or Courant maximum
 compared byte for byte, differ between the sides is counted as differing,
-and is timed only if it completes on both.  Over the runs that complete on
-both sides, the largest absolute change of a final cell is kept, and the
-largest relative one: a conserved row's largest change over that row's
-largest magnitude on the parent side.  After that, each rep runs every timed
-run once on each side, back to back, and alternates the side that goes first
-from run to run and from rep to rep.  A side's sweep time is the sum of its
-run times in a rep.  The script prints, per suite, how many runs differ or
-were skipped, the median of the per-rep ratio change/parent, the two largest
-changes, and which fields differ between the sides if any do.  Then it
-prints in how many of six problems (Sod's and Toro's 1-5) the exact solver's
-wave report (``bench.wave_report``'s lines, or its error) differs, each
-side's median sweep over all seven suites, and the median, min and max of
-that ratio.
+and is timed only if it completes on both.  The pass also counts each side's
+``RuntimeWarning``s per suite, every occurrence, so that a change which
+computes on cells the parent never reached shows even when its results
+agree.  Over the runs that complete on both sides, the largest absolute
+change of a final cell is kept, and the largest relative one: a conserved
+row's largest change over that row's largest magnitude on the parent side.
+After that, each rep runs every timed run once on each side, back to back,
+and alternates the side that goes first from run to run and from rep to
+rep.  A side's sweep time is the sum of its run times in a rep.  The script
+prints, per suite, how many runs differ or were skipped, the median of the
+per-rep ratio change/parent, the two largest changes, which fields differ
+between the sides if any do, and the two warning counts if they differ.
+Then it prints in how many of six problems (Sod's and Toro's 1-5) the exact
+solver's wave report (``bench.wave_report``'s lines, or its error) differs,
+each side's median sweep over all seven suites, and the median, min and max
+of that ratio.
 Last, it names the methods with the lowest and the highest median ratio,
 each method's time summed over all suites in a rep.
 
@@ -47,6 +50,7 @@ import statistics
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,20 +151,32 @@ def main(argv=None) -> int:
                 return time.perf_counter() - start, (type(exc).__name__, str(exc))
             return time.perf_counter() - start, final
 
+        def counted_run(cfg, side: int):
+            # The untimed pass: the result and the RuntimeWarnings it raised
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                result = run(cfg, side)[1]
+            return result, sum(issubclass(w.category, RuntimeWarning) for w in caught)
+
         def stamp(final):
             # Bytes, so that -0.0 and 0.0 (equal under !=) count as differing
             return final.cells.tobytes() + np.array([final.time, final.max_courant_observed]).tobytes()
 
         # suite -> (config pairs, runs that differ, runs skipped, fields that
-        # differ, largest absolute and relative change of final cells)
+        # differ, largest absolute and relative change of final cells, each
+        # side's RuntimeWarnings)
         kept = {}
         for suite in SUITES:
             fields = [suite_fields(p, suite) for p in packages]
             moved = [k for k in {**fields[0], **fields[1]} if fields[0].get(k) != fields[1].get(k)]
-            pairs, differ, skipped, change = [], 0, 0, [0.0, 0.0]
+            pairs, differ, skipped, change, warned = [], 0, 0, [0.0, 0.0], [0, 0]
             for method in methods:
                 pair = [side_config(p, f, method) for p, f in zip(packages, fields)]
-                results = [run(cfg, side)[1] for side, cfg in enumerate(pair)]
+                results = []
+                for side, cfg in enumerate(pair):
+                    result, count = counted_run(cfg, side)
+                    results.append(result)
+                    warned[side] += count
                 failed = [isinstance(r, tuple) for r in results]
                 if all(failed) and results[0] == results[1]:
                     skipped += 1
@@ -174,7 +190,7 @@ def main(argv=None) -> int:
                 change[0] = max(change[0], float(gap.max()))
                 change[1] = max(change[1], float((gap.max(axis=1) / np.abs(parent).max(axis=1)).max()))
                 pairs.append(pair)
-            kept[suite] = (pairs, differ, skipped, moved, change)
+            kept[suite] = (pairs, differ, skipped, moved, change, warned)
         reports = [[wave_lines(p, problem) for p in packages] for problem in WAVE_PROBLEMS]
 
         sweeps = {suite: [[0.0] * args.reps for _ in SIDES] for suite in SUITES}
@@ -193,13 +209,14 @@ def main(argv=None) -> int:
     def ratios(times):
         return [c / p for p, c in zip(*times)]
 
-    for suite, (pairs, differ, skipped, moved, change) in kept.items():
+    for suite, (pairs, differ, skipped, moved, change, warned) in kept.items():
         ratio = f"{statistics.median(ratios(sweeps[suite])):.4f}" if pairs else "n/a"
         print(
             f"{suite}: final cells differ in {differ} of {len(methods) - skipped} runs"
             f" ({skipped} failing on both sides skipped); median ratio change/parent {ratio}"
             f"; largest change of final cells {change[0]:.2e} absolute, {change[1]:.2e} relative"
             + (f"; fields differ: {', '.join(moved)}" if moved else "")
+            + (f"; warnings differ: parent {warned[0]}, change {warned[1]}" if warned[0] != warned[1] else "")
         )
     differ = sum(parent != change for parent, change in reports)
     print(f"wave reports differ in {differ} of {len(reports)} problems")
