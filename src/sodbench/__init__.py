@@ -35,15 +35,10 @@ from .fluxes import (
 )
 from .gas import (
     ConservedState,
-    FluxVector,
     GasModel,
     PrimitiveState,
     conserved_to_primitive,
-    internal_energy,
-    physical_flux,
     primitive_to_conserved,
-    sound_speed,
-    total_specific_enthalpy,
 )
 from .muscl import reconstruct_faces
 from .riemann import (
@@ -67,7 +62,6 @@ from .solver import (
     derive_dt,
     initialize_sod,
     run,
-    step,
 )
 
 __version__ = "0.1.0"

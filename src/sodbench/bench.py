@@ -17,7 +17,7 @@ import numpy as np
 from . import riemann, solver
 from .errors import InvalidConfig, SodbenchError
 from .fluxes import FluxMethod
-from .gas import GasModel, PrimitiveState, internal_energy, internal_energy_array, sound_speed
+from .gas import GasModel, PrimitiveState, internal_energy_array, sound_speed_array
 from .riemann import ExactProfile, RiemannInput, WaveKind
 from .solver import Grid1D, RunConfig, SolutionField
 
@@ -203,12 +203,13 @@ def wave_report(problem: RiemannInput) -> WaveReport:
 
     def side(kind, head, tail, rho_star, a_star, outer: PrimitiveState) -> SideReport:
         star_side = PrimitiveState(rho=rho_star, u=star.u_star, p=star.p_star)
-        e_star = internal_energy(star_side, gas)
+        e_star = float(internal_energy_array(star_side.array, gas.gamma))
         shock = {}
         if kind is WaveKind.SHOCK:
+            a_outer = float(sound_speed_array(outer.array, gas.gamma))
             shock = dict(
                 # Mach numbers relative to the shock, ahead of it and behind it
-                mach_unshocked=abs(head - outer.u) / sound_speed(outer, gas),
+                mach_unshocked=abs(head - outer.u) / a_outer,
                 mach_shocked=abs(head - star.u_star) / a_star,
                 rankine_hugoniot=riemann.rankine_hugoniot_speed(star_side, outer),
             )

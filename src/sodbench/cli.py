@@ -82,38 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+_PROFILE_HEADER = "x,density,velocity,pressure,internal_energy"
 
 
-def _write_profile(path: str, export: bench.ProfileExport) -> None:
+def _write_csv(path: str, header: str, rows) -> None:
+    """One line per row after ``header``: strings as they are, numbers at 12
+    significant digits."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("x,density,velocity,pressure,internal_energy\n")
-        for row in zip(
-            export.x, export.density, export.velocity, export.pressure, export.internal_energy
-        ):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_bench(path: str, reports: list[bench.RmseReport]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("index,method,rmse_density,rmse_velocity,rmse_pressure,rmse_total\n")
-        for report in reports:
-            fh.write(
-                f"{report.method.table_index},{report.method.value},"
-                f"{_fmt(report.rmse_density)},{_fmt(report.rmse_velocity)},"
-                f"{_fmt(report.rmse_pressure)},{_fmt(report.rmse_total)}\n"
-            )
-
-
-def _write_timing(path: str, reports: list[bench.TimingReport]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("method,elapsed_seconds,pct_over_fastest\n")
-        for report in reports:
-            fh.write(
-                f"{report.method.value},{_fmt(report.elapsed)},"
-                f"{_fmt(report.pct_over_fastest)}\n"
-            )
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.12g}" for v in row) + "\n")
 
 
 def _run_config(args: argparse.Namespace, method: FluxMethod) -> RunConfig:
@@ -160,7 +138,9 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     gas = GasModel(gamma=args.gamma)
     problem = RiemannInput(left=solver.SOD_LEFT, right=solver.SOD_RIGHT, gas=gas)
     profile = riemann.exact_profile(problem, grid.centers(), args.jump, args.time)
-    _write_profile(args.out, bench.export_profile(profile, gas))
+    e = bench.export_profile(profile, gas)
+    rows = zip(e.x, e.density, e.velocity, e.pressure, e.internal_energy)
+    _write_csv(args.out, _PROFILE_HEADER, rows)
     print(f"wrote exact profile ({args.cells} cells, t={args.time}) to {args.out}")
     return EXIT_OK
 
@@ -179,7 +159,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     cfg = _run_config(args, method)
     field = solver.run(cfg)
     if args.out:
-        _write_profile(args.out, bench.export_profile(field, cfg.gas, cfg.grid))
+        e = bench.export_profile(field, cfg.gas, cfg.grid)
+        rows = zip(e.x, e.density, e.velocity, e.pressure, e.internal_energy)
+        _write_csv(args.out, _PROFILE_HEADER, rows)
     print(
         f"{method.value}: {solver.step_count(cfg)} steps to t={field.time:.6g}, "
         f"max Courant {field.max_courant_observed:.5f}"
@@ -191,7 +173,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     cfg = _run_config(args, FluxMethod.RIEMANN)
     reports = bench.run_all_methods(cfg)
-    _write_bench(args.out, reports)
+    _write_csv(
+        args.out,
+        "index,method,rmse_density,rmse_velocity,rmse_pressure,rmse_total",
+        (
+            (r.method.table_index, r.method.value, r.rmse_density, r.rmse_velocity,
+             r.rmse_pressure, r.rmse_total)
+            for r in reports
+        ),
+    )
     failures = [r for r in reports if r.error]
     for failure in failures:
         print(f"{failure.method.value}: FAILED ({failure.error})", file=sys.stderr)
@@ -211,7 +201,11 @@ def _cmd_waves(args: argparse.Namespace) -> int:
 def _cmd_timing(args: argparse.Namespace) -> int:
     cfg = _run_config(args, FluxMethod.RIEMANN)
     reports = bench.timing_sweep(cfg, repetitions=args.reps)
-    _write_timing(args.out, reports)
+    _write_csv(
+        args.out,
+        "method,elapsed_seconds,pct_over_fastest",
+        ((r.method.value, r.elapsed, r.pct_over_fastest) for r in reports),
+    )
     fastest, slowest = reports[0], reports[-1]
     print(
         f"fastest {fastest.method.value} ({fastest.elapsed:.4f} s), "

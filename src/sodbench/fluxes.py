@@ -27,7 +27,7 @@ import numpy as np
 
 from . import riemann
 from .errors import InvalidConfig
-from .gas import GasModel, enthalpy_array, flux_array, sound_speed_array
+from .gas import GasModel, enthalpy_array, flux_array, sound_speed_array, state_and_flux_array
 
 __all__ = [
     "FluxMethod",
@@ -137,18 +137,9 @@ def _side_sign(faces) -> np.ndarray:
     return _SIGN.reshape((2,) + (1,) * (faces.ndim - 2))
 
 
-def _state_and_flux(w, g: float):
-    """Conserved state and Euler flux of primitive rows ``w``, sharing rho u
-    and E; the same expressions as ``conserved_array`` and ``flux_array``."""
-    rho, u, p = w[0], w[1], w[2]
-    mom = rho * u
-    energy = p / (g - 1.0) + 0.5 * rho * u * u
-    return np.array([rho, mom, energy]), np.array([mom, mom * u + p, (energy + p) * u])
-
-
 def _fluxes_and_jump(faces, g: float):
     """F(w_L), F(w_R) and q_R - q_L; the states are freed on return."""
-    q, f = _state_and_flux(faces, g)
+    q, f = state_and_flux_array(faces, g)
     return f[:, 0], f[:, 1], q[:, 1] - q[:, 0]
 
 
@@ -284,7 +275,7 @@ def flux_hllc(variant: WaveSpeedEstimate, faces, gas: GasModel = GasModel()) -> 
     g = gas.gamma
     s_l, s_r = wave_speed_estimate(variant, faces, gas)
     (rho_l, rho_r), (u_l, u_r), (p_l, p_r) = faces
-    q, f = _state_and_flux(faces, g)
+    q, f = state_and_flux_array(faces, g)
 
     m_l = rho_l * (s_l - u_l)  # mass flux into the left wave (negative)
     m_r = rho_r * (s_r - u_r)

@@ -1,11 +1,13 @@
 """Calorically perfect gas model, flow-state containers, and the Euler flux.
 
-Two layers live here.  The dataclasses (``PrimitiveState``, ``ConservedState``,
-``FluxVector``) are validated single-state values used by the exact Riemann
-solver, the wave reports, and the tests.  The ``*_array`` functions are the
-vectorized kernels the time integrator and the flux methods run on; they take
-``(3, ...)`` float arrays laid out as rows of density, velocity, pressure (or
-mass, momentum, energy for conserved data).
+Two layers live here.  The dataclasses (``GasModel``, ``PrimitiveState``,
+``ConservedState``) are validated single-state values: the run and Riemann
+problem configurations hold them, and ``conserved_to_primitive`` checks a
+conserved state on its way back.  The ``*_array`` functions are the
+vectorized kernels everything computes with, single states included; they
+take ``(3, ...)`` float arrays laid out as rows of density, velocity,
+pressure (or mass, momentum, energy for conserved data).  The conserved
+state and the Euler flux are written once, in ``state_and_flux_array``.
 """
 
 from __future__ import annotations
@@ -21,14 +23,10 @@ __all__ = [
     "GasModel",
     "PrimitiveState",
     "ConservedState",
-    "FluxVector",
-    "sound_speed",
     "primitive_to_conserved",
     "conserved_to_primitive",
-    "physical_flux",
-    "total_specific_enthalpy",
-    "internal_energy",
     "sound_speed_array",
+    "state_and_flux_array",
     "conserved_array",
     "primitive_array",
     "flux_array",
@@ -73,9 +71,9 @@ class PrimitiveState:
 class ConservedState:
     """Mass, momentum, and total energy per unit volume.
 
-    Deliberately not validated for positive internal energy at construction:
-    the solver may produce such states transiently, and the conversion back to
-    primitives is where the blow-up is detected and reported.
+    Not validated at construction, so that a state with non-positive density
+    or internal energy can be held: ``conserved_to_primitive`` rejects it.
+    The solver works on ``(3, n)`` arrays and never builds one.
     """
 
     mass: float
@@ -87,24 +85,6 @@ class ConservedState:
         return np.array([self.mass, self.momentum, self.energy])
 
 
-@dataclass(frozen=True)
-class FluxVector:
-    """Mass, momentum, and energy flux components."""
-
-    f_mass: float
-    f_momentum: float
-    f_energy: float
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array([self.f_mass, self.f_momentum, self.f_energy])
-
-
-def sound_speed(w: PrimitiveState, gas: GasModel = GasModel()) -> float:
-    """a = sqrt(gamma p / rho)."""
-    return float(sound_speed_array(w.array, gas.gamma))
-
-
 def primitive_to_conserved(w: PrimitiveState, gas: GasModel = GasModel()) -> ConservedState:
     return ConservedState(*conserved_array(w.array, gas.gamma).tolist())
 
@@ -113,7 +93,7 @@ def conserved_to_primitive(q: ConservedState, gas: GasModel = GasModel()) -> Pri
     """Exact inverse of :func:`primitive_to_conserved`.
 
     Raises ``NonPhysicalState`` when the recovered density or pressure is not
-    positive, which is the solver's blow-up signal.
+    positive.
     """
     if q.mass <= 0.0:
         raise NonPhysicalState(f"non-positive density {q.mass}")
@@ -121,21 +101,6 @@ def conserved_to_primitive(q: ConservedState, gas: GasModel = GasModel()) -> Pri
     if p <= 0.0:
         raise NonPhysicalState(f"non-positive pressure {p}")
     return PrimitiveState(rho=rho, u=u, p=p)
-
-
-def physical_flux(w: PrimitiveState, gas: GasModel = GasModel()) -> FluxVector:
-    """Euler flux (rho u, rho u^2 + p, (rho e_T + p) u)."""
-    return FluxVector(*flux_array(w.array, gas.gamma).tolist())
-
-
-def total_specific_enthalpy(w: PrimitiveState, gas: GasModel = GasModel()) -> float:
-    """h_T = u^2/2 + gamma/(gamma-1) p/rho."""
-    return float(enthalpy_array(w.array, gas.gamma))
-
-
-def internal_energy(w: PrimitiveState, gas: GasModel = GasModel()) -> float:
-    """e = p / (rho (gamma - 1))."""
-    return float(internal_energy_array(w.array, gas.gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +111,18 @@ def sound_speed_array(w: np.ndarray, gamma: float) -> np.ndarray:
     return np.sqrt(gamma * w[2] / w[0])
 
 
-def conserved_array(w: np.ndarray, gamma: float) -> np.ndarray:
+def state_and_flux_array(w: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Conserved state (rho, rho u, E) and Euler flux (rho u, rho u^2 + p,
+    (E + p) u) of primitive rows ``w``, sharing rho u and
+    E = p/(gamma - 1) + rho u^2/2."""
     rho, u, p = w[0], w[1], w[2]
-    return np.array([rho, rho * u, p / (gamma - 1.0) + 0.5 * rho * u * u])
+    mom = rho * u
+    energy = p / (gamma - 1.0) + 0.5 * rho * u * u
+    return np.array([rho, mom, energy]), np.array([mom, mom * u + p, (energy + p) * u])
+
+
+def conserved_array(w: np.ndarray, gamma: float) -> np.ndarray:
+    return state_and_flux_array(w, gamma)[0]
 
 
 def primitive_array(q: np.ndarray, gamma: float) -> np.ndarray:
@@ -165,9 +139,7 @@ def primitive_array(q: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def flux_array(w: np.ndarray, gamma: float) -> np.ndarray:
-    rho, u, p = w[0], w[1], w[2]
-    energy = p / (gamma - 1.0) + 0.5 * rho * u * u
-    return np.array([rho * u, rho * u * u + p, (energy + p) * u])
+    return state_and_flux_array(w, gamma)[1]
 
 
 def enthalpy_array(w: np.ndarray, gamma: float) -> np.ndarray:

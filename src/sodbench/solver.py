@@ -34,7 +34,6 @@ __all__ = [
     "advance",
     "derive_dt",
     "initialize_sod",
-    "step",
     "step_count",
     "run",
     "sweep_config",
@@ -195,11 +194,9 @@ def _grow(q: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
     return lo, hi
 
 
-def advance(
-    field: SolutionField, cfg: RunConfig, n_steps: int, first_step: int = 0
-) -> SolutionField:
+def advance(field: SolutionField, cfg: RunConfig, n_steps: int) -> SolutionField:
     """March ``n_steps`` conservative updates of dt; steps are numbered from
-    ``first_step`` in failure reports.  The incoming field is checked once.
+    0 in failure reports.  The incoming field is checked once.
 
     Each step reconstructs, fluxes and updates only the window [lo, hi).  Its
     end interfaces carry no jump, so the zero-gradient ghost cells of the
@@ -231,8 +228,8 @@ def advance(
     w = primitive_array(q[:, lo:hi], gamma)
     # In grid order: the left block as cell 0, then the window, whose last
     # cell fails wherever the right block would.
-    _check_positive(w[:, :1], first_step)
-    _check_positive(w, first_step, lo)
+    _check_positive(w[:, :1], 0)
+    _check_positive(w, 0, lo)
     time = field.time
     # The window only grows, so the blocks keep their incoming state for the
     # whole call, and the signal of each non-empty block enters the Courant
@@ -243,7 +240,7 @@ def advance(
     cap = _SIGNAL_BATCH
     batch = np.empty((3, cap))
     used = 0
-    for k in range(first_step, first_step + n_steps):
+    for k in range(n_steps):
         try:
             faces = reconstruct_faces(w)
             flux = compute_face_flux(method, faces, gas, dx=dx, dt=dt)
@@ -251,7 +248,7 @@ def advance(
             # A failed run's traceback keeps this frame alive, and with it
             # the batch
             batch = None
-            if k > first_step and not np.minimum.reduce(w[::2], axis=None) > 0.0:
+            if k > 0 and not np.minimum.reduce(w[::2], axis=None) > 0.0:
                 # The last step made a bad cell: it is reported below, out
                 # of this handler, as that step's cell check reported it
                 break
@@ -265,7 +262,7 @@ def advance(
             exc.step = k
             exc.args = (f"{message} at step {k}",)
             raise
-        if k > first_step:
+        if k > 0:
             # The last step's window has passed the face check
             width = hi - lo
             if used + width > cap and used:
@@ -298,11 +295,6 @@ def advance(
         return SolutionField(time=time, cells=q, max_courant_observed=max_courant)
     # Only the break above gets here
     _check_positive(w, k - 1, lo)
-
-
-def step(field: SolutionField, cfg: RunConfig, step_index: int = 0) -> SolutionField:
-    """Advance the field by one time step."""
-    return advance(field, cfg, 1, step_index)
 
 
 def step_count(cfg: RunConfig) -> int:

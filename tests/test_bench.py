@@ -49,6 +49,7 @@ class TestRmse:
         assert report.rmse_total == report.rmse_density + report.rmse_velocity + report.rmse_pressure
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSweep:
     def test_twenty_two_reports_in_order(self, sweep):
         assert [r.method for r in sweep] == list(FluxMethod)

@@ -9,7 +9,15 @@ from sodbench.cli import parse_and_run
 from sodbench.fluxes import FluxMethod
 
 
-BENCH_TABLE = Path(__file__).with_name("data") / "sod200_bench.csv"
+DATA = Path(__file__).with_name("data")
+
+
+def assert_pinned(got: bytes, name: str, command: str):
+    """Output of the default Sod problem, byte for byte as in tests/data."""
+    assert got == (DATA / name).read_bytes(), (
+        f"the output of `sodbench {command}` differs from {DATA / name}; if the "
+        "change is intended, regenerate that file from it and say why in CHANGES.md"
+    )
 
 
 def read_csv(path):
@@ -36,6 +44,11 @@ class TestExact:
         plateau = [float(r[1]) for r in rows[1:] if 0.48 < float(r[0]) < 0.6]
         assert plateau
         assert plateau[0] == pytest.approx(0.42631942817849516, rel=1e-9)
+
+    def test_default_profile_is_pinned_byte_for_byte(self, tmp_path, capsys):
+        out = tmp_path / "exact.csv"
+        assert parse_and_run(["exact", "--out", str(out)]) == 0
+        assert_pinned(out.read_bytes(), "sod200_exact.csv", "exact")
 
 
 class TestSolve:
@@ -117,6 +130,12 @@ class TestSolve:
         # dx / 2.19157 = 0.002281 at 200 cells
         assert parse_and_run(["solve", "--flux", "lf", "--dt", "0.002", "--time", "0.01"]) == 0
 
+    def test_van_leer_profile_is_pinned_byte_for_byte(self, tmp_path, capsys):
+        # van Leer's splitting calls gas.flux_array on every step
+        out = tmp_path / "van_leer.csv"
+        assert parse_and_run(["solve", "--flux", "van-leer", "--out", str(out)]) == 0
+        assert_pinned(out.read_bytes(), "sod200_van_leer.csv", "solve --flux van-leer")
+
 
 class TestBench:
     def test_table_contract(self, tmp_path, capsys):
@@ -145,11 +164,7 @@ class TestBench:
     def test_default_table_is_pinned_byte_for_byte(self, tmp_path, capsys):
         out = tmp_path / "table3.csv"
         assert parse_and_run(["bench", "--out", str(out)]) == 0
-        assert out.read_bytes() == BENCH_TABLE.read_bytes(), (
-            f"the Sod-200 RMSE table differs from {BENCH_TABLE}; if the change is "
-            "intended, regenerate that file with `sodbench bench --out` and say "
-            "why in CHANGES.md"
-        )
+        assert_pinned(out.read_bytes(), "sod200_bench.csv", "bench")
 
 
 class TestWaves:
@@ -160,6 +175,10 @@ class TestWaves:
         for value in ("-1.18322", "-0.07027", "0.92745", "0.30313", "0.42632",
                       "0.26557", "0.99773", "1.75216", "1.65563", "0.65240"):
             assert value in out
+
+    def test_default_report_is_pinned_byte_for_byte(self, capsys):
+        assert parse_and_run(["waves"]) == 0
+        assert_pinned(capsys.readouterr().out.encode(), "sod_waves.txt", "waves")
 
     def test_degenerate_shock_is_numerical_failure(self, capsys):
         # at gamma 1e20 the shocked star density equals the unshocked one

@@ -1,4 +1,4 @@
-"""Gas model, state conversions, and the physical flux."""
+"""Gas model, state conversions, and the array kernels of the physics."""
 
 import math
 
@@ -12,30 +12,29 @@ from sodbench.gas import (
     ConservedState,
     GasModel,
     PrimitiveState,
+    conserved_array,
     conserved_to_primitive,
-    internal_energy,
-    physical_flux,
+    enthalpy_array,
+    flux_array,
+    internal_energy_array,
     primitive_array,
     primitive_to_conserved,
-    sound_speed,
-    total_specific_enthalpy,
+    sound_speed_array,
+    state_and_flux_array,
 )
 
 GAS = GasModel()
+G = GAS.gamma
 SOD_LEFT = PrimitiveState(1.0, 0.0, 1.0)
 SOD_RIGHT = PrimitiveState(0.125, 0.0, 0.1)
 
 
-def random_states(n, seed=0):
+def random_rows(n, seed=0, u_range=(-5.0, 5.0)):
+    """(3, n) primitive rows of positive density and pressure."""
     rng = np.random.default_rng(seed)
-    return [
-        PrimitiveState(rho, u, p)
-        for rho, u, p in zip(
-            rng.uniform(0.01, 10.0, n),
-            rng.uniform(-5.0, 5.0, n),
-            rng.uniform(0.01, 10.0, n),
-        )
-    ]
+    return np.array(
+        [rng.uniform(0.01, 10.0, n), rng.uniform(*u_range, n), rng.uniform(0.01, 10.0, n)]
+    )
 
 
 class TestGasModel:
@@ -54,31 +53,28 @@ class TestStateValidation:
             PrimitiveState(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             PrimitiveState(1.0, 1.0, -0.5)
+        with pytest.raises(ValueError):
+            PrimitiveState(1.0, 1.0, 0.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             PrimitiveState(1.0, math.inf, 1.0)
 
-    def test_invalid_pressure_blocks_flux_evaluation(self):
-        # p = 0 violates the state invariant before any flux can be formed
-        with pytest.raises(ValueError):
-            physical_flux(PrimitiveState(1.0, 1.0, 0.0), GAS)
-
 
 class TestSoundSpeed:
     def test_sod_left(self):
-        assert sound_speed(SOD_LEFT, GAS) == pytest.approx(1.18322, abs=1e-5)
+        assert sound_speed_array(SOD_LEFT.array, G) == pytest.approx(1.18322, abs=1e-5)
 
     def test_sod_right(self):
-        assert sound_speed(SOD_RIGHT, GAS) == pytest.approx(1.05830, abs=1e-5)
+        assert sound_speed_array(SOD_RIGHT.array, G) == pytest.approx(1.05830, abs=1e-5)
 
     def test_unit_speed_when_density_equals_gamma(self):
-        assert sound_speed(PrimitiveState(1.4, 0.0, 1.0), GAS) == pytest.approx(1.0, rel=1e-14)
+        assert sound_speed_array(np.array([1.4, 0.0, 1.0]), G) == pytest.approx(1.0, rel=1e-14)
 
     def test_squared_speed_identity(self):
-        for w in random_states(200):
-            a = sound_speed(w, GAS)
-            assert a * a * w.rho / GAS.gamma == pytest.approx(w.p, rel=1e-14)
+        w = random_rows(200)
+        a = sound_speed_array(w, G)
+        assert a * a * w[0] / G == pytest.approx(w[2], rel=1e-14)
 
 
 class TestConversions:
@@ -173,10 +169,32 @@ class TestPrimitiveArray:
         assert q.tobytes() == before
 
 
-class TestPhysicalFlux:
+def state_and_flux_rows(w, gamma):
+    """Oracle: the conserved state and the Euler flux as two separate
+    kernels wrote them, each forming its own E."""
+    rho, u, p = w[0], w[1], w[2]
+    energy = p / (gamma - 1.0) + 0.5 * rho * u * u
+    q = np.array([rho, rho * u, energy])
+    f = np.array([rho * u, rho * u * u + p, (energy + p) * u])
+    return q, f
+
+
+class TestStateAndFlux:
+    def test_bitwise_the_written_formulas(self):
+        w = random_rows(300, 31, u_range=(-40.0, 40.0))
+        # one state, a row of cells, and both sides of a row of faces
+        for sample in (w[:, 0], w, w.reshape(3, 2, 150)):
+            q, f = state_and_flux_array(sample, G)
+            expected_q, expected_f = state_and_flux_rows(sample, G)
+            assert q.tobytes() == expected_q.tobytes()
+            assert f.tobytes() == expected_f.tobytes()
+            assert conserved_array(sample, G).tobytes() == q.tobytes()
+            assert flux_array(sample, G).tobytes() == f.tobytes()
+
+
+class TestFluxArray:
     def test_stationary_state_flux_is_pure_pressure(self):
-        f = physical_flux(SOD_LEFT, GAS)
-        assert (f.f_mass, f.f_momentum, f.f_energy) == (0.0, 1.0, 0.0)
+        assert flux_array(SOD_LEFT.array, G).tolist() == [0.0, 1.0, 0.0]
 
     def test_star_left_state(self):
         # Direct arithmetic oracle on the star-left plateau values
@@ -186,30 +204,25 @@ class TestPhysicalFlux:
             rho * u * u + p,
             (p / 0.4 + 0.5 * rho * u * u + p) * u,
         )
-        f = physical_flux(PrimitiveState(rho, u, p), GAS)
-        assert (f.f_mass, f.f_momentum, f.f_energy) == pytest.approx(expected, rel=1e-14)
+        f = flux_array(np.array([rho, u, p]), G)
+        assert tuple(f) == pytest.approx(expected, rel=1e-14)
         # quoted values carry the rounding of the 5-decimal plateau inputs
-        assert (f.f_mass, f.f_momentum, f.f_energy) == pytest.approx(
-            (0.39539, 0.66985, 1.15404), abs=5e-5
-        )
+        assert tuple(f) == pytest.approx((0.39539, 0.66985, 1.15404), abs=5e-5)
 
     def test_energy_flux_is_mass_flux_times_total_enthalpy(self):
-        for w in random_states(300, seed=5):
-            f = physical_flux(w, GAS)
-            assert f.f_energy == pytest.approx(
-                w.rho * w.u * total_specific_enthalpy(w, GAS), rel=1e-14, abs=1e-13
-            )
+        w = random_rows(300, seed=5)
+        f = flux_array(w, G)
+        assert f[2] == pytest.approx(w[0] * w[1] * enthalpy_array(w, G), rel=1e-14, abs=1e-13)
 
 
 class TestEnthalpyAndEnergy:
     def test_sod_values(self):
-        assert total_specific_enthalpy(SOD_LEFT, GAS) == pytest.approx(3.5, rel=1e-12)
-        assert total_specific_enthalpy(SOD_RIGHT, GAS) == pytest.approx(2.8, rel=1e-12)
+        assert enthalpy_array(SOD_LEFT.array, G) == pytest.approx(3.5, rel=1e-12)
+        assert enthalpy_array(SOD_RIGHT.array, G) == pytest.approx(2.8, rel=1e-12)
 
     def test_unit_enthalpy(self):
-        w = PrimitiveState(1.4 / 0.4, 0.0, 1.0)
-        assert total_specific_enthalpy(w, GAS) == pytest.approx(1.0, rel=1e-14)
+        assert enthalpy_array(np.array([1.4 / 0.4, 0.0, 1.0]), G) == pytest.approx(1.0, rel=1e-14)
 
     def test_internal_energy_table_values(self):
-        assert internal_energy(SOD_LEFT, GAS) == pytest.approx(2.5, rel=1e-12)
-        assert internal_energy(SOD_RIGHT, GAS) == pytest.approx(2.0, rel=1e-12)
+        assert internal_energy_array(SOD_LEFT.array, G) == pytest.approx(2.5, rel=1e-12)
+        assert internal_energy_array(SOD_RIGHT.array, G) == pytest.approx(2.0, rel=1e-12)

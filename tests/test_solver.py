@@ -30,7 +30,6 @@ from sodbench.solver import (
     derive_dt,
     initialize_sod,
     run,
-    step,
     step_count,
     sweep_config,
 )
@@ -135,7 +134,7 @@ class TestStep:
             small_cfg(), left=PrimitiveState(1.0, 0.3, 1.0), right=PrimitiveState(1.0, 0.3, 1.0)
         )
         field = initialize_sod(cfg)
-        stepped = step(field, cfg)
+        stepped = solver.advance(field, cfg, 1)
         assert np.array_equal(stepped.cells, field.cells)
         assert stepped.time == pytest.approx(cfg.dt)
 
@@ -146,13 +145,13 @@ class TestStep:
             small_cfg(), left=PrimitiveState(1.0, 0.3, 1.0), right=PrimitiveState(1.0, 0.3, 1.0)
         )
         field = initialize_sod(cfg)
-        assert np.array_equal(step(field, cfg).cells, field.cells)
+        assert np.array_equal(solver.advance(field, cfg, 1).cells, field.cells)
         assert newton_iterations == [1]
 
     def test_single_step_conserves_mass(self):
         cfg = RunConfig()
         field = initialize_sod(cfg)
-        stepped = step(field, cfg)
+        stepped = solver.advance(field, cfg, 1)
         dx = cfg.grid.dx
         assert np.sum(stepped.cells[0]) * dx == pytest.approx(
             np.sum(field.cells[0]) * dx, rel=1e-14
@@ -164,8 +163,8 @@ class TestStep:
         cells = field.cells.copy()
         cells[1, 37] = np.nan
         with pytest.raises(NonPhysicalState) as excinfo:
-            step(dataclasses.replace(field, cells=cells), cfg, step_index=5)
-        assert (excinfo.value.cell, excinfo.value.step) == (37, 5)
+            solver.advance(dataclasses.replace(field, cells=cells), cfg, 1)
+        assert (excinfo.value.cell, excinfo.value.step) == (37, 0)
 
     def test_reconstruction_failure_reports_face_and_step(self, monkeypatch):
         # the third reconstruction of the run sees a negative pressure in cell
@@ -188,10 +187,10 @@ class TestStep:
 
         monkeypatch.setattr(solver, "reconstruct_faces", poisoned)
         with pytest.raises(NonPhysicalState) as excinfo:
-            solver.advance(initialize_sod(cfg), cfg, 5, first_step=10)
+            solver.advance(initialize_sod(cfg), cfg, 5)
         exc = excinfo.value
-        assert (exc.face, exc.step, exc.cell) == (101, 12, None)
-        assert str(exc).endswith("at face 101 at step 12")
+        assert (exc.face, exc.step, exc.cell) == (101, 2, None)
+        assert str(exc).endswith("at face 101 at step 2")
         assert excinfo.traceback[-1].path.name == "muscl.py"
 
     def test_flux_failure_reports_face_and_step(self, monkeypatch):
@@ -212,9 +211,9 @@ class TestStep:
             RunConfig(), left=PrimitiveState(1.0, -20.0, 1.0), right=PrimitiveState(1.0, 20.0, 1.0)
         )
         with pytest.raises(VacuumGenerated) as excinfo:
-            solver.advance(initialize_sod(cfg), cfg, 3, first_step=7)
-        assert (excinfo.value.face, excinfo.value.step) == (100, 7)
-        assert str(excinfo.value).endswith("vacuum at face 100 at step 7")
+            solver.advance(initialize_sod(cfg), cfg, 3)
+        assert (excinfo.value.face, excinfo.value.step) == (100, 0)
+        assert str(excinfo.value).endswith("vacuum at face 100 at step 0")
         assert excinfo.traceback[-1].path.name == "riemann.py"
 
     def test_blowup_reports_cell_and_step(self):
@@ -266,8 +265,8 @@ class TestRun:
     def test_run_equals_repeated_steps_bitwise(self):
         cfg = small_cfg(method=FluxMethod.HLLC_ROE, n=40, dt=0.005, t_final=0.05)
         field = initialize_sod(cfg)
-        for k in range(step_count(cfg)):
-            field = step(field, cfg, step_index=k)
+        for _ in range(step_count(cfg)):
+            field = solver.advance(field, cfg, 1)
         assert np.array_equal(run(cfg).cells, field.cells)
 
     def test_determinism_bitwise(self):
@@ -369,7 +368,7 @@ class TestOneLoop:
 
     def test_step(self, calls):
         cfg = small_cfg()
-        step(initialize_sod(cfg), cfg)
+        solver.advance(initialize_sod(cfg), cfg, 1)
         assert calls == {"primitive_array": 2, "reconstruct_faces": 1, "compute_face_flux": 1}
 
     def test_timing_sweep(self, calls):
@@ -398,7 +397,7 @@ def whole_grid_check(w, step_index):
 
 
 def full_domain_advance(
-    field, cfg, n_steps, reconstruct=reconstruct_faces, first_step=0, flux_of=compute_face_flux
+    field, cfg, n_steps, reconstruct=reconstruct_faces, flux_of=compute_face_flux
 ):
     """The stepping loop without a window: every step reconstructs, fluxes,
     updates, checks and monitors the whole grid, in the arithmetic of
@@ -406,9 +405,9 @@ def full_domain_advance(
     gamma, dx = cfg.gas.gamma, cfg.grid.dx
     q = field.cells
     w = primitive_array(q, gamma)
-    whole_grid_check(w, first_step)
+    whole_grid_check(w, 0)
     time, max_courant = field.time, field.max_courant_observed
-    for k in range(first_step, first_step + n_steps):
+    for k in range(n_steps):
         faces = reconstruct(w)
         flux = flux_of(cfg.method, faces, cfg.gas, dx=dx, dt=cfg.dt)
         q = q - (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
@@ -595,8 +594,8 @@ class TestWindow:
     def test_run_split_into_steps(self, method):
         cfg = small_cfg(method)
         field = initialize_sod(cfg)
-        for k in range(step_count(cfg)):
-            field = step(field, cfg, step_index=k)
+        for _ in range(step_count(cfg)):
+            field = solver.advance(field, cfg, 1)
         assert_same_field(field, full_domain_advance(initialize_sod(cfg), cfg, step_count(cfg)))
 
     @settings(max_examples=30, deadline=None)
@@ -609,7 +608,7 @@ class TestWindow:
         for method in FluxMethod:
             cfg = dataclasses.replace(small_cfg(method), left=state, right=state)
             field = initialize_sod(cfg)
-            assert np.array_equal(step(field, cfg).cells, field.cells), method
+            assert np.array_equal(solver.advance(field, cfg, 1).cells, field.cells), method
 
     def test_growth_matches_the_rescan_and_the_whole_grid(self):
         # Only phi = 1/5 and its mirror image grow an end by two cells, so
@@ -756,18 +755,16 @@ class TestOneCheckPerStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonPhysicalState) as expected:
-                full_domain_advance(
-                    field, cfg, 5, first_step=7, flux_of=bad_cell_flux(call, *self.BAD[bad])
-                )
+                full_domain_advance(field, cfg, 5, flux_of=bad_cell_flux(call, *self.BAD[bad]))
             with pytest.raises(NonPhysicalState) as got:
-                solver.advance(field, cfg, 5, first_step=7)
+                solver.advance(field, cfg, 5)
         exc = got.value
         assert (exc.args, exc.cell, exc.step) == (
             expected.value.args,
             expected.value.cell,
             expected.value.step,
         )
-        assert (exc.cell, exc.step, exc.face) == (9, 6 + call, None)
+        assert (exc.cell, exc.step, exc.face) == (9, call - 1, None)
         # The face check that found the cell stays out of the report
         assert exc.__context__ is None and exc.__cause__ is None
         assert got.traceback[-1].path.name == "solver.py"
@@ -791,9 +788,9 @@ class TestOneCheckPerStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(VacuumGenerated) as excinfo:
-                solver.advance(field, cfg, 5, first_step=7)
+                solver.advance(field, cfg, 5)
         exc = excinfo.value
-        assert (exc.args, exc.face, exc.step) == (("vacuum at face 2 at step 9",), 2, 9)
+        assert (exc.args, exc.face, exc.step) == (("vacuum at face 2 at step 2",), 2, 2)
         assert excinfo.traceback[-1].path.name == "test_solver.py"
         assert frame_local(exc, solver.advance, "batch") is None
 
@@ -860,9 +857,9 @@ class TestIncomingField:
         cells[:, start:stop] = np.array(self.BAD[bad])[:, None]
         field = solver.SolutionField(time=0.0, cells=cells)
         with pytest.raises(NonPhysicalState) as expected:
-            full_domain_advance(field, cfg, 2, first_step=7)
+            full_domain_advance(field, cfg, 2)
         with pytest.raises(NonPhysicalState) as got:
-            solver.advance(field, cfg, 2, first_step=7)
+            solver.advance(field, cfg, 2)
         assert (got.value.args, got.value.cell, got.value.step) == (
             expected.value.args,
             expected.value.cell,
@@ -1007,6 +1004,7 @@ TORO_NARROWING = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestToroMatrix:
     """The 97 runs of Toro's 5 x 22 matrix that are not pinned failures
     complete with a finite RMSE, and every window grows as the rescan rule
