@@ -215,20 +215,20 @@ def flux_roe(faces, gas: GasModel = GasModel()) -> np.ndarray:
     g = gas.gamma
     avg = roe_average(faces, gas)
     u, h, a = avg.u, avg.h_total, avg.a
+    u_m, u_p, ua = u - a, u + a, u * a
 
     fl, fr, dq = _fluxes_and_jump(faces, g)
     alpha2 = (g - 1.0) / (a * a) * (dq[0] * (h - u * u) + u * dq[1] - dq[2])
-    alpha1 = (dq[0] * (u + a) - dq[1] - a * alpha2) / (2.0 * a)
+    alpha1 = (dq[0] * u_p - dq[1] - a * alpha2) / (2.0 * a)
     alpha3 = dq[0] - alpha1 - alpha2
 
-    lam1, lam2, lam3 = np.abs(u - a), np.abs(u), np.abs(u + a)
+    # |lambda_k| alpha_k: each wave's strength times its absolute speed
+    s1, s2, s3 = np.abs(u_m) * alpha1, np.abs(u) * alpha2, np.abs(u_p) * alpha3
     diss = np.array(
         [
-            lam1 * alpha1 + lam2 * alpha2 + lam3 * alpha3,
-            lam1 * alpha1 * (u - a) + lam2 * alpha2 * u + lam3 * alpha3 * (u + a),
-            lam1 * alpha1 * (h - u * a)
-            + lam2 * alpha2 * 0.5 * u * u
-            + lam3 * alpha3 * (h + u * a),
+            s1 + s2 + s3,
+            s1 * u_m + s2 * u + s3 * u_p,
+            s1 * (h - ua) + s2 * 0.5 * u * u + s3 * (h + ua),
         ]
     )
     return 0.5 * (fl + fr) - 0.5 * diss
@@ -242,18 +242,20 @@ def _two_wave_flux(faces, s_left, s_right, g: float) -> np.ndarray:
     """Two-wave flux with the signal speeds clamped around zero.
 
     With S_L <= 0 <= S_R the expression is the standard intermediate-state
-    flux; a clamped speed reproduces the pure upwind branches.  Degenerate
-    spread below 1e-12 falls back to the centered average (only reachable for
-    near-identical states, where that average is the consistent flux).
+    flux; a clamped speed reproduces the pure upwind branches.  A spread below
+    1e-12 (S_L >= 0 >= S_R: colliding supersonic streams, as on Toro's test 4
+    with the Davis-1 speeds) falls back to the centered average.
     """
     sl = np.minimum(s_left, 0.0)
     sr = np.maximum(s_right, 0.0)
     fl, fr, dq = _fluxes_and_jump(faces, g)
     spread = sr - sl
     degenerate = spread < 1e-12
-    safe = np.where(degenerate, 1.0, spread)
-    blended = (sr * fl - sl * fr + sl * sr * dq) / safe
-    return np.where(degenerate, 0.5 * (fl + fr), blended)
+    guarded = np.logical_or.reduce(degenerate, axis=None)
+    if guarded:
+        spread = np.where(degenerate, 1.0, spread)
+    flux = (sr * fl - sl * fr + sl * sr * dq) / spread
+    return np.where(degenerate, 0.5 * (fl + fr), flux) if guarded else flux
 
 
 def flux_hll(variant: WaveSpeedEstimate, faces, gas: GasModel = GasModel()) -> np.ndarray:
@@ -372,34 +374,20 @@ def flux_vanleer_fvs(faces, gas: GasModel = GasModel()) -> np.ndarray:
 # AUSM family
 # ---------------------------------------------------------------------------
 
-def _mach_split_1(mach, sign):
-    """First AUSM Mach splitting: quadratic subsonic, linear supersonic."""
-    sub = sign * 0.25 * (mach + sign) ** 2
-    sup = 0.5 * (mach + sign * np.abs(mach))
-    return np.where(np.abs(mach) <= 1.0, sub, sup)
-
-
-def _pressure_split_1(mach, sign):
-    """AUSM pressure weight: (1/4)(M+-1)^2 (2 -+ M) subsonic, step supersonic."""
-    sub = 0.25 * (mach + sign) ** 2 * (2.0 - sign * mach)
-    sup = 0.5 * (1.0 + sign * np.sign(mach))
-    return np.where(np.abs(mach) <= 1.0, sub, sup)
-
-
-def _mach_split_4(mach, sign, beta):
-    """Fourth-degree AUSM+ Mach splitting."""
-    sub = sign * 0.25 * (mach + sign) ** 2 + sign * beta * (mach * mach - 1.0) ** 2
-    sup = 0.5 * (mach + sign * np.abs(mach))
-    return np.where(np.abs(mach) <= 1.0, sub, sup)
-
-
-def _pressure_split_5(mach, sign, alpha):
-    """Fifth-degree AUSM+ pressure splitting."""
-    sub = 0.25 * (mach + sign) ** 2 * (2.0 - sign * mach) + sign * alpha * mach * (
-        mach * mach - 1.0
-    ) ** 2
-    sup = 0.5 * (1.0 + sign * np.sign(mach))
-    return np.where(np.abs(mach) <= 1.0, sub, sup)
+def _ausm_splits(mach, sign, alpha=None):
+    """Both sides' Mach and pressure splittings: AUSM's quadratic and cubic,
+    or with ``alpha`` AUSM+'s, which add beta and alpha times (M^2 - 1)^2."""
+    sq = (mach + sign) ** 2
+    m_sub = sign * 0.25 * sq
+    p_sub = 0.25 * sq * (2.0 - sign * mach)
+    if alpha is not None:
+        bump = (mach * mach - 1.0) ** 2
+        m_sub = m_sub + sign * AUSM_PLUS_BETA * bump
+        p_sub = p_sub + sign * alpha * mach * bump
+    abs_mach = np.abs(mach)
+    subsonic = abs_mach <= 1.0
+    m_split = np.where(subsonic, m_sub, 0.5 * (mach + sign * abs_mach))
+    return m_split, np.where(subsonic, p_sub, 0.5 * (1.0 + sign * np.sign(mach)))
 
 
 def _interface_sound_speed(u, h, sign, g: float):
@@ -430,30 +418,29 @@ def flux_ausm(variant: AusmVariant, faces, gas: GasModel = GasModel()) -> np.nda
 
     if variant is AusmVariant.BASIC:
         a = sound_speed_array(faces, g)
-        mach = u / a
-        m_split = _mach_split_1(mach, sign)
-        m_half = m_split[0] + m_split[1]
-        p_split = _pressure_split_1(mach, sign) * p
-        p_half = p_split[0] + p_split[1]
+        m_split, p_weight = _ausm_splits(u / a, sign)
+    elif variant is AusmVariant.PLUS or variant is AusmVariant.PLUS_UP:
+        a_half = _interface_sound_speed(u, h, sign, g)
+        alpha = AUSM_PLUS_ALPHA
+        if variant is AusmVariant.PLUS_UP:
+            uu = u * u
+            mach_bar_sq = (uu[0] + uu[1]) / (2.0 * a_half * a_half)
+            mach_ref = np.sqrt(np.minimum(np.maximum(mach_bar_sq, AUSM_UP_CUTOFF_MACH**2), 1.0))
+            fa = mach_ref * (2.0 - mach_ref)
+            alpha = AUSM_PLUS_ALPHA * (-4.0 + 5.0 * fa * fa)
+        m_split, p_weight = _ausm_splits(u / a_half, sign, alpha)
+    else:
+        raise InvalidConfig(f"unknown AUSM variant {variant!r}")
+    m_half = m_split[0] + m_split[1]
+    p_split = p_weight * p
+    p_half = p_split[0] + p_split[1]
+
+    if variant is AusmVariant.BASIC:
         ra = rho * a
         flux = m_half * _upwind(m_half, np.array([ra, ra * u, ra * h]))
         flux[1] = flux[1] + p_half
         return flux
-
-    a_half = _interface_sound_speed(u, h, sign, g)
-    mach = u / a_half
-    m_split = _mach_split_4(mach, sign, AUSM_PLUS_BETA)
-
-    if variant is AusmVariant.PLUS:
-        m_half = m_split[0] + m_split[1]
-        p_split = _pressure_split_5(mach, sign, AUSM_PLUS_ALPHA) * p
-        p_half = p_split[0] + p_split[1]
-    elif variant is AusmVariant.PLUS_UP:
-        uu = u * u
-        mach_bar_sq = (uu[0] + uu[1]) / (2.0 * a_half * a_half)
-        mach_ref = np.sqrt(np.minimum(np.maximum(mach_bar_sq, AUSM_UP_CUTOFF_MACH**2), 1.0))
-        fa = mach_ref * (2.0 - mach_ref)
-        alpha = AUSM_PLUS_ALPHA * (-4.0 + 5.0 * fa * fa)
+    if variant is AusmVariant.PLUS_UP:
         rho_half = 0.5 * (rho[0] + rho[1])
         m_p = (
             -AUSM_UP_KP
@@ -462,12 +449,10 @@ def flux_ausm(variant: AusmVariant, faces, gas: GasModel = GasModel()) -> np.nda
             * (p[1] - p[0])
             / (rho_half * a_half * a_half)
         )
-        m_half = m_split[0] + m_split[1] + m_p
-        p_plus, p_minus = _pressure_split_5(mach, sign, alpha)
+        m_half = m_half + m_p
+        p_plus, p_minus = p_weight
         p_u = -AUSM_UP_KU * p_plus * p_minus * (rho[0] + rho[1]) * fa * a_half * (u[1] - u[0])
-        p_half = p_plus * p[0] + p_minus * p[1] + p_u
-    else:
-        raise InvalidConfig(f"unknown AUSM variant {variant!r}")
+        p_half = p_half + p_u
 
     # The mass flux convects (1, u, h) of the upwind side.
     rho_up, u_up, h_up = _upwind(m_half, np.array([rho, u, h]))

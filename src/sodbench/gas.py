@@ -7,7 +7,7 @@ conserved state on its way back.  The ``*_array`` functions are the
 vectorized kernels everything computes with, single states included; they
 take ``(3, ...)`` float arrays laid out as rows of density, velocity,
 pressure (or mass, momentum, energy for conserved data).  The conserved
-state and the Euler flux are written once, in ``state_and_flux_array``.
+state and the Euler flux are written once, in ``_state_and_flux_rows``.
 """
 
 from __future__ import annotations
@@ -111,14 +111,19 @@ def sound_speed_array(w: np.ndarray, gamma: float) -> np.ndarray:
     return np.sqrt(gamma * w[2] / w[0])
 
 
-def state_and_flux_array(w: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Conserved state (rho, rho u, E) and Euler flux (rho u, rho u^2 + p,
-    (E + p) u) of primitive rows ``w``, sharing rho u and
-    E = p/(gamma - 1) + rho u^2/2."""
+def _state_and_flux_rows(w: np.ndarray, gamma: float):
+    """Rows of the conserved state (rho, rho u, E) and of the Euler flux
+    (rho u, rho u^2 + p, (E + p) u), with E = p/(gamma - 1) + rho u^2/2."""
     rho, u, p = w[0], w[1], w[2]
     mom = rho * u
-    energy = p / (gamma - 1.0) + 0.5 * rho * u * u
-    return np.array([rho, mom, energy]), np.array([mom, mom * u + p, (energy + p) * u])
+    mom_u = mom * u
+    energy = p / (gamma - 1.0) + 0.5 * mom_u
+    return (rho, mom, energy), (mom, mom_u + p, (energy + p) * u)
+
+
+def state_and_flux_array(w: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    q, f = _state_and_flux_rows(w, gamma)
+    return np.array(q), np.array(f)
 
 
 def conserved_array(w: np.ndarray, gamma: float) -> np.ndarray:
@@ -139,7 +144,7 @@ def primitive_array(q: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def flux_array(w: np.ndarray, gamma: float) -> np.ndarray:
-    return state_and_flux_array(w, gamma)[1]
+    return np.array(_state_and_flux_rows(w, gamma)[1])
 
 
 def enthalpy_array(w: np.ndarray, gamma: float) -> np.ndarray:

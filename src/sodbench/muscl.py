@@ -5,7 +5,8 @@ left state of the face on its right is w + s/2 and the right state of the
 face on its left is w - s/2 (second order where the data are smooth,
 nearest-cell values at an extremum or next to a flat difference).  Both
 sides come out as one C-contiguous (3, 2, n+1) array, the layout the flux
-kernels take: each primitive row ``faces[k]`` is one (2, n+1) block.
+kernels take: each primitive row ``faces[k]`` is one (2, n+1) block.  The
+slopes take one pass over all three rows (notes/decisions.md section 15).
 """
 
 from __future__ import annotations
@@ -38,17 +39,26 @@ def reconstruct_faces(w: np.ndarray) -> np.ndarray:
     check a step's cells (notes/decisions.md section 13).
     """
     w = np.asarray(w, dtype=float)
-    # One ghost cell per side, a copy of the nearest interior cell.
-    ext = np.concatenate([w[:, :1], w, w[:, -1:]], axis=1)
-    # d[:, i] = w_i - w_{i-1}; the ghost copies make both end columns 0.
-    d = ext[:, 1:] - ext[:, :-1]
-    d_m, d_p = d[:, :-1], d[:, 1:]
+    n = w.shape[1]
+    # d[:, i] = w_i - w_{i-1}; a ghost cell copying each edge cell makes the
+    # end columns w_end - w_end: 0, or NaN for a non-finite edge cell.
+    d = np.empty((3, n + 1))
+    np.subtract(w[:, 1:], w[:, :-1], out=d[:, 1:-1])
+    ends = w[:, :: max(n - 1, 1)]
+    np.subtract(ends, ends, out=d[:, ::n])
+    # The rows laid end to end put each cell's d_m and d_p side by side; the
+    # two pairs that span rows land in the spare last column of ``half``.
+    d_m, d_p = d.ravel()[:-1], d.ravel()[1:]
+    half = np.zeros((3, n + 1))
+    q = half.ravel()[:-1]
     # Dividing before the product keeps differences near 1e154 from
     # overflowing it; the product in the mask may overflow (numpy warns),
     # but its sign holds.
-    half = d_m * np.divide(d_p, d_m + d_p, out=np.zeros(d_m.shape), where=d_m * d_p > 0.0)
+    np.divide(d_p, d_m + d_p, out=q, where=d_m * d_p > 0.0)
+    np.multiply(d_m, q, out=q)
+    half = half[:, :n]
 
-    faces = np.empty((3, 2, d.shape[1]))
+    faces = np.empty((3, 2, n + 1))
     faces[:, 0, 0] = w[:, 0]
     np.add(w, half, out=faces[:, 0, 1:])
     np.subtract(w, half, out=faces[:, 1, :-1])

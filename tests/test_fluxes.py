@@ -25,7 +25,14 @@ from sodbench.fluxes import (
     roe_average,
     wave_speed_estimate,
 )
-from sodbench.gas import GasModel, PrimitiveState, conserved_array, enthalpy_array, flux_array
+from sodbench.gas import (
+    GasModel,
+    PrimitiveState,
+    conserved_array,
+    enthalpy_array,
+    flux_array,
+    state_and_flux_array,
+)
 
 GAS = GasModel()
 G = 1.4
@@ -285,6 +292,22 @@ class TestTwoWaveFamilies:
         wr = np.array([1.0, -3.0, 1.0])
         f = flux_hll(WaveSpeedEstimate.DAVIS1, sides(wl, wr), GAS)
         assert f == pytest.approx(0.5 * (flux_array(wl, G) + flux_array(wr, G)), rel=1e-12)
+
+    def test_a_batch_with_some_degenerate_faces(self):
+        # Colliding supersonic streams cross the Davis-1 speeds on faces 1
+        # and 3; the Sod faces and the slow face 4 keep their spread
+        wl = np.array([SOD_L, [1.0, 3.0, 1.0], SOD_R, [0.5, 4.0, 0.7], [1.0, 0.2, 1.1]]).T
+        wr = np.array([SOD_R, [1.0, -3.0, 1.0], SOD_L, [0.4, -5.0, 0.3], [0.9, 0.1, 1.0]]).T
+        faces = sides(wl, wr)
+        s_l, s_r = wave_speed_estimate(WaveSpeedEstimate.DAVIS1, faces, GAS)
+        degenerate = np.maximum(s_r, 0.0) - np.minimum(s_l, 0.0) < 1e-12
+        assert degenerate.tolist() == [False, True, False, True, False]
+        batch = flux_hll(WaveSpeedEstimate.DAVIS1, faces, GAS)
+        average = 0.5 * (flux_array(wl, G) + flux_array(wr, G))
+        assert batch[:, degenerate].tobytes() == average[:, degenerate].tobytes()
+        for i in range(faces.shape[2]):
+            alone = flux_hll(WaveSpeedEstimate.DAVIS1, faces[:, :, i], GAS)
+            assert alone.tobytes() == batch[:, i].tobytes()
 
     def test_knp_identical_to_hll_davis2_bitwise(self):
         wl, wr = random_pairs(1000, 29)
@@ -641,3 +664,234 @@ class TestSharedProperties:
             expected = np.stack([-f[0], f[1], -f[2]])
             err = np.max(np.abs(f_mirror - expected) / (np.abs(expected) + 1.0))
             assert err < 1e-12, method
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the shared kernels as they were written before each was cut to
+# fewer array operations (notes/decisions.md section 15)
+# ---------------------------------------------------------------------------
+
+def former_state_and_flux(w, gamma):
+    rho, u, p = w[0], w[1], w[2]
+    mom = rho * u
+    energy = p / (gamma - 1.0) + 0.5 * rho * u * u
+    return np.array([rho, mom, energy]), np.array([mom, mom * u + p, (energy + p) * u])
+
+
+def former_fluxes_and_jump(faces, g):
+    q, f = former_state_and_flux(faces, g)
+    return f[:, 0], f[:, 1], q[:, 1] - q[:, 0]
+
+
+def former_two_wave_flux(faces, s_left, s_right, g):
+    sl = np.minimum(s_left, 0.0)
+    sr = np.maximum(s_right, 0.0)
+    fl, fr, dq = former_fluxes_and_jump(faces, g)
+    spread = sr - sl
+    degenerate = spread < 1e-12
+    safe = np.where(degenerate, 1.0, spread)
+    blended = (sr * fl - sl * fr + sl * sr * dq) / safe
+    return np.where(degenerate, 0.5 * (fl + fr), blended)
+
+
+def former_flux_roe(faces, g):
+    avg = roe_average(faces, GasModel(g))
+    u, h, a = avg.u, avg.h_total, avg.a
+    fl, fr, dq = former_fluxes_and_jump(faces, g)
+    alpha2 = (g - 1.0) / (a * a) * (dq[0] * (h - u * u) + u * dq[1] - dq[2])
+    alpha1 = (dq[0] * (u + a) - dq[1] - a * alpha2) / (2.0 * a)
+    alpha3 = dq[0] - alpha1 - alpha2
+    lam1, lam2, lam3 = np.abs(u - a), np.abs(u), np.abs(u + a)
+    diss = np.array(
+        [
+            lam1 * alpha1 + lam2 * alpha2 + lam3 * alpha3,
+            lam1 * alpha1 * (u - a) + lam2 * alpha2 * u + lam3 * alpha3 * (u + a),
+            lam1 * alpha1 * (h - u * a)
+            + lam2 * alpha2 * 0.5 * u * u
+            + lam3 * alpha3 * (h + u * a),
+        ]
+    )
+    return 0.5 * (fl + fr) - 0.5 * diss
+
+
+def former_mach_split_1(mach, sign):
+    sub = sign * 0.25 * (mach + sign) ** 2
+    sup = 0.5 * (mach + sign * np.abs(mach))
+    return np.where(np.abs(mach) <= 1.0, sub, sup)
+
+
+def former_pressure_split_1(mach, sign):
+    sub = 0.25 * (mach + sign) ** 2 * (2.0 - sign * mach)
+    sup = 0.5 * (1.0 + sign * np.sign(mach))
+    return np.where(np.abs(mach) <= 1.0, sub, sup)
+
+
+def former_mach_split_4(mach, sign, beta):
+    sub = sign * 0.25 * (mach + sign) ** 2 + sign * beta * (mach * mach - 1.0) ** 2
+    sup = 0.5 * (mach + sign * np.abs(mach))
+    return np.where(np.abs(mach) <= 1.0, sub, sup)
+
+
+def former_pressure_split_5(mach, sign, alpha):
+    sub = 0.25 * (mach + sign) ** 2 * (2.0 - sign * mach) + sign * alpha * mach * (
+        mach * mach - 1.0
+    ) ** 2
+    sup = 0.5 * (1.0 + sign * np.sign(mach))
+    return np.where(np.abs(mach) <= 1.0, sub, sup)
+
+
+def former_ausm_splits(mach, sign, alpha=None):
+    if alpha is None:
+        return former_mach_split_1(mach, sign), former_pressure_split_1(mach, sign)
+    return (
+        former_mach_split_4(mach, sign, fluxes.AUSM_PLUS_BETA),
+        former_pressure_split_5(mach, sign, alpha),
+    )
+
+
+def former_flux_ausm(variant, faces, g):
+    sign = fluxes._side_sign(faces)
+    rho, u, p = faces[0], faces[1], faces[2]
+    h = enthalpy_array(faces, g)
+
+    if variant is AusmVariant.BASIC:
+        a = np.sqrt(g * p / rho)
+        mach = u / a
+        m_split = former_mach_split_1(mach, sign)
+        m_half = m_split[0] + m_split[1]
+        p_split = former_pressure_split_1(mach, sign) * p
+        p_half = p_split[0] + p_split[1]
+        ra = rho * a
+        flux = m_half * fluxes._upwind(m_half, np.array([ra, ra * u, ra * h]))
+        flux[1] = flux[1] + p_half
+        return flux
+
+    a_half = fluxes._interface_sound_speed(u, h, sign, g)
+    mach = u / a_half
+    m_split = former_mach_split_4(mach, sign, fluxes.AUSM_PLUS_BETA)
+
+    if variant is AusmVariant.PLUS:
+        m_half = m_split[0] + m_split[1]
+        p_split = former_pressure_split_5(mach, sign, fluxes.AUSM_PLUS_ALPHA) * p
+        p_half = p_split[0] + p_split[1]
+    else:
+        uu = u * u
+        mach_bar_sq = (uu[0] + uu[1]) / (2.0 * a_half * a_half)
+        mach_ref = np.sqrt(np.minimum(np.maximum(mach_bar_sq, fluxes.AUSM_UP_CUTOFF_MACH**2), 1.0))
+        fa = mach_ref * (2.0 - mach_ref)
+        alpha = fluxes.AUSM_PLUS_ALPHA * (-4.0 + 5.0 * fa * fa)
+        rho_half = 0.5 * (rho[0] + rho[1])
+        m_p = (
+            -fluxes.AUSM_UP_KP
+            / fa
+            * np.maximum(1.0 - fluxes.AUSM_UP_SIGMA * mach_bar_sq, 0.0)
+            * (p[1] - p[0])
+            / (rho_half * a_half * a_half)
+        )
+        m_half = m_split[0] + m_split[1] + m_p
+        p_plus, p_minus = former_pressure_split_5(mach, sign, alpha)
+        p_u = -fluxes.AUSM_UP_KU * p_plus * p_minus * (rho[0] + rho[1]) * fa * a_half * (u[1] - u[0])
+        p_half = p_plus * p[0] + p_minus * p[1] + p_u
+
+    rho_up, u_up, h_up = fluxes._upwind(m_half, np.array([rho, u, h]))
+    mdot = a_half * m_half * rho_up
+    return np.array([mdot, mdot * u_up + p_half, mdot * h_up])
+
+
+# A face: log10 of both densities, both Mach numbers, log10 of both
+# pressures, and how the two streams are turned.  Mach numbers are signed
+# zeros or at least 1e-3 in size, so that no rho u^2 is subnormal, where
+# halving it is not exact.
+MACH = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-3, 5.0), st.floats(-5.0, -1e-3))
+FACE = st.tuples(
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    MACH,
+    MACH,
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.sampled_from(["as drawn", "colliding", "supersonic right", "supersonic left"]),
+)
+
+
+@st.composite
+def face_arrays(draw):
+    """A (3, 2, m) block of faces, or one (3, 2) face."""
+    drawn = draw(st.lists(FACE, min_size=1, max_size=12))
+    log_rho_l, log_rho_r, mach_l, mach_r, log_p_l, log_p_r = np.array([f[:6] for f in drawn]).T
+    rho = 10.0 ** np.array([log_rho_l, log_rho_r])
+    p = 10.0 ** np.array([log_p_l, log_p_r])
+    mach = np.array([mach_l, mach_r])
+    for i, (*_, turn) in enumerate(drawn):
+        speed = np.abs(mach[:, i]) + 1.5
+        if turn == "colliding":
+            mach[:, i] = speed * [1.0, -1.0]
+        elif turn == "supersonic right":
+            mach[:, i] = speed
+        elif turn == "supersonic left":
+            mach[:, i] = -speed
+    faces = np.array([rho, mach * np.sqrt(G * p / rho), p])
+    return faces[:, :, 0] if draw(st.booleans()) else faces
+
+
+def assert_same_bytes(got, expected):
+    assert (np.shape(got), np.asarray(got).dtype) == (np.shape(expected), np.asarray(expected).dtype)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+class TestSharedKernelsMatchTheirFormerExpressions:
+    """Each rewritten kernel gives its former expression's bytes on single
+    faces and blocks of faces with signed-zero, supersonic and colliding
+    streams."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(face_arrays())
+    def test_state_and_flux(self, faces):
+        q, f = state_and_flux_array(faces, G)
+        expected_q, expected_f = former_state_and_flux(faces, G)
+        assert_same_bytes(q, expected_q)
+        assert_same_bytes(f, expected_f)
+        assert_same_bytes(flux_array(faces, G), expected_f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(face_arrays())
+    def test_two_wave_flux(self, faces):
+        with np.errstate(all="ignore"):
+            for variant in WaveSpeedEstimate:
+                s_l, s_r = wave_speed_estimate(variant, faces, GAS)
+                expected = former_two_wave_flux(faces, s_l, s_r, G)
+                assert_same_bytes(flux_hll(variant, faces, GAS), expected)
+            u_avg = 0.5 * (faces[1, 0] + faces[1, 1])
+            a = np.sqrt(G * faces[2] / faces[0])
+            s2 = 0.5 * (a[0] + a[1])
+            expected = former_two_wave_flux(faces, u_avg - s2, u_avg + s2, G)
+            assert_same_bytes(flux_aufs(faces, GAS), expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(face_arrays())
+    def test_roe(self, faces):
+        with np.errstate(all="ignore"):
+            assert_same_bytes(flux_roe(faces, GAS), former_flux_roe(faces, G))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.one_of(MACH, st.sampled_from([1.0, -1.0])), min_size=2, max_size=24),
+        st.one_of(st.just(fluxes.AUSM_PLUS_ALPHA), st.floats(-0.75, 0.1875)),
+    )
+    def test_ausm_splittings(self, machs, alpha):
+        # Both sides' Mach numbers as (2, m) rows, the side sign as a column;
+        # AUSM's splittings, then AUSM+'s with alpha as one value and, as
+        # AUSM+-up has it, one value per face
+        mach = np.array(machs[: len(machs) // 2 * 2]).reshape(2, -1)
+        sign = np.array([[1.0], [-1.0]])
+        for a in (None, alpha, np.full(mach.shape[1], alpha)):
+            got = fluxes._ausm_splits(mach, sign, a)
+            for g, e in zip(got, former_ausm_splits(mach, sign, a)):
+                assert_same_bytes(g, e)
+
+    @settings(max_examples=150, deadline=None)
+    @given(face_arrays())
+    def test_ausm_family(self, faces):
+        with np.errstate(all="ignore"):
+            for variant in AusmVariant:
+                assert_same_bytes(flux_ausm(variant, faces, GAS), former_flux_ausm(variant, faces, G))

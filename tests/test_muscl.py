@@ -266,3 +266,74 @@ class TestReconstructFaces:
         faces = reconstruct_faces(w)
         assert faces.shape == (3, 2, 8)
         assert faces.flags.c_contiguous
+
+
+def concatenated_reconstruction(w):
+    """Oracle: the reconstruction as it was written before the differences
+    went into one array: ghost cells copied by np.concatenate, d_m and d_p
+    as (3, n) slices, and the same positivity check."""
+    w = np.asarray(w, dtype=float)
+    ext = np.concatenate([w[:, :1], w, w[:, -1:]], axis=1)
+    d = ext[:, 1:] - ext[:, :-1]
+    d_m, d_p = d[:, :-1], d[:, 1:]
+    half = d_m * np.divide(d_p, d_m + d_p, out=np.zeros(d_m.shape), where=d_m * d_p > 0.0)
+    faces = np.empty((3, 2, d.shape[1]))
+    faces[:, 0, 0] = w[:, 0]
+    np.add(w, half, out=faces[:, 0, 1:])
+    np.subtract(w, half, out=faces[:, 1, :-1])
+    faces[:, 1, -1] = w[:, -1]
+    if np.minimum.reduce(faces[::2], axis=None) > 0.0:
+        return faces
+    bad = ~((faces[0] > 0.0) & (faces[2] > 0.0))
+    side, face = divmod(int(bad.argmax()), bad.shape[1])
+    raise NonPhysicalState(
+        f"reconstructed face-{('left', 'right')[side]} state has non-positive density or "
+        f"pressure at face {face}",
+        face=face,
+    )
+
+
+def outcome(reconstruct, w):
+    """The faces' bytes, or the error's type, message and face."""
+    try:
+        return reconstruct(w).tobytes()
+    except NonPhysicalState as exc:
+        return type(exc), str(exc), exc.face
+
+
+# Cell values that the differences treat apart: signed zeros, NaN,
+# infinities, equal neighbours, and differences near 1e154 whose product
+# overflows
+CELL = st.one_of(
+    st.floats(0.5, 2.0),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf, 1e154, -1e154]),
+)
+
+
+class TestOneContiguousPass:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(CELL, min_size=3 * n, max_size=3 * n)))
+    def test_bitwise_the_concatenated_form(self, values):
+        w = np.array(values).reshape(3, -1)
+        with np.errstate(all="ignore"):
+            assert outcome(reconstruct_faces, w) == outcome(concatenated_reconstruction, w)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan, -0.0])
+    def test_one_and_two_cells_with_a_special_value(self, n, special):
+        base = np.array([[1.0, 0.5], [-0.0, 2.0], [3.0, 1.0]])[:, :n]
+        for row in range(3):
+            for cell in range(n):
+                w = base.copy()
+                w[row, cell] = special
+                with np.errstate(all="ignore"):
+                    assert outcome(reconstruct_faces, w) == outcome(concatenated_reconstruction, w)
+
+    def test_a_strided_window_is_read_without_being_changed(self):
+        rng = np.random.default_rng(5)
+        grid = np.stack([rng.uniform(1, 2, 30), rng.uniform(-1, 1, 30), rng.uniform(1, 2, 30)])
+        window = grid[:, 3:25:2]
+        before = grid.tobytes()
+        assert outcome(reconstruct_faces, window) == outcome(concatenated_reconstruction, window)
+        assert grid.tobytes() == before

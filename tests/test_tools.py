@@ -8,17 +8,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_ab_sweep(parent, change, suites):
+def run_ab_sweep(parent, change, suites, *options):
     """tools/ab_sweep.py on two source trees, one rep of the given suites."""
     script = (
         f"import sys; import ab_sweep; ab_sweep.SUITES = {tuple(suites)!r};"
         " sys.exit(ab_sweep.main(sys.argv[1:]))"
     )
     return subprocess.run(
-        [sys.executable, "-c", script, str(parent), str(change), "--reps", "1"],
+        [sys.executable, "-c", script, str(parent), str(change), "--reps", "1", *options],
         cwd=ROOT / "tools",
         capture_output=True,
         text=True,
@@ -49,6 +51,31 @@ def test_ab_sweep_same_tree_prints_a_ratio():
     )
 
 
+def ops_lines(stdout):
+    """suite -> (parent, change, the rest) of the --ops lines."""
+    found = {}
+    for line in stdout.splitlines():
+        match = re.fullmatch(
+            r"(\w+) numpy ops per step over \d+ methods: parent (\S+), change ([^;]+)(.*)", line
+        )
+        if match:
+            found[match[1]] = (float(match[2]), float(match[3]), match[4])
+    return found
+
+
+def test_ab_sweep_same_tree_counts_equal_ops():
+    src = ROOT / "src"
+    result = run_ab_sweep(src, src, ("sod200", "toro2"), "--ops")
+    found = ops_lines(result.stdout)
+    assert list(found) == ["sod200", "toro2"], result.stdout
+    for parent, change, rest in found.values():
+        # about 2 000 operations per sweep-step on Sod-200
+        assert parent == change > 500.0
+        # no method's count differs, and every counted run gave the
+        # uncounted run's bytes
+        assert rest == ""
+
+
 def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
     # A negative control of the bitwise gate and of the warning count: a
     # looser Newton tolerance in the exact solver stops its iteration early,
@@ -64,7 +91,7 @@ def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
     old = "    return advance(initialize_sod(cfg), cfg, step_count(cfg))\n"
     assert solver.read_text().count(old) == 1
     solver.write_text(solver.read_text().replace(old, "    np.sqrt(-1.0)\n" + old))
-    result = run_ab_sweep(ROOT / "src", change, ("sod200",))
+    result = run_ab_sweep(ROOT / "src", change, ("sod200",), "--ops")
     line = re.match(
         r"sod200: final cells differ in (\d+) of 22 runs.*; largest change of final cells"
         r" (\S+) absolute, (\S+) relative; warnings differ: parent 0, change 22$",
@@ -73,6 +100,18 @@ def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
     assert line is not None, result.stdout
     assert int(line[1]) > 0
     assert float(line[2]) > 0.0 and float(line[3]) > 0.0
+    # Fewer Newton iterations are fewer operations of the exact flux; the
+    # square root adds one operation to each run of every method
+    parent, change, rest = ops_lines(result.stdout)["sod200"]
+    assert "counted runs differ" not in rest
+    exact = re.search(r"riemann (\S+) -> (\S+?)(,|$)", rest)
+    assert exact is not None, rest
+    assert float(exact[2]) < float(exact[1])
+    others = re.findall(r"([a-z0-9-]+) (\S+) -> (\S+?)(?:,|$)", rest)
+    assert len(others) == 22
+    for method, before, after in others:
+        if method != "riemann":
+            assert float(after) == pytest.approx(float(before) + 1 / 200, abs=0.006), method
 
 
 def load_record_bench():

@@ -1,6 +1,6 @@
 """Paired in-process timing of the 22-method sweeps on two source trees.
 
-    python3 tools/ab_sweep.py PARENT_SRC CHANGE_SRC [--reps N]
+    python3 tools/ab_sweep.py PARENT_SRC CHANGE_SRC [--reps N] [--ops]
 
 Each SRC is a checkout root or its ``src`` directory.  The two ``sodbench``
 packages are copied into one temporary directory as ``sodbench_parent`` and
@@ -35,6 +35,16 @@ of that ratio.
 Last, it names the methods with the lowest and the highest median ratio,
 each method's time summed over all suites in a rep.
 
+With ``--ops`` the untimed pass also runs each timed run once more per side
+with its numpy operations counted, and prints per suite each side's
+operations per step summed over the methods, and each method whose count
+differs.  An operation is one call of a numpy function or ufunc (a method
+such as ``reduce`` included) that the package makes, or one ufunc or
+array-function call on an array the package computed (``a * b``,
+``x.max()``); calls made inside a counted one do not count again.  The
+count divides by the run's steps, so set-up is spread over them.  A counted
+run whose result is not byte for byte that of the uncounted one is named.
+
 The host's speed drifts by tens of percent from one process to the next,
 while pairing run by run inside one process reads a gain within a few
 percent.  This sizes a change; ``perfbench/run.py`` is what measures it.
@@ -43,6 +53,7 @@ percent.  This sizes a change; ``perfbench/run.py`` is what measures it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import math
 import shutil
@@ -118,6 +129,110 @@ def wave_lines(package, states):
         return type(exc).__name__, str(exc)
 
 
+class OpCounter:
+    """Counts operations; a call made inside a counted one is not counted."""
+
+    def __init__(self):
+        self.ops = 0
+        self.depth = 0
+
+    @contextlib.contextmanager
+    def op(self):
+        self.ops += self.depth == 0
+        self.depth += 1
+        try:
+            yield
+        finally:
+            self.depth -= 1
+
+
+COUNTER = OpCounter()
+
+
+def plain(x):
+    return x.view(np.ndarray) if isinstance(x, Counted) else x
+
+
+def marked(result):
+    """The arrays of a result as Counted views, so that what is computed
+    from them counts too."""
+    if isinstance(result, tuple):
+        return tuple(marked(r) for r in result)
+    return result.view(Counted) if type(result) is np.ndarray else result
+
+
+class Counted(np.ndarray):
+    """An array whose ufunc and array-function calls count."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        out = kwargs.get("out")
+        with COUNTER.op():
+            if out is not None:
+                kwargs["out"] = tuple(map(plain, out))
+            if "where" in kwargs:
+                kwargs["where"] = plain(kwargs["where"])
+            result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return marked(result)
+
+    def __array_function__(self, func, types, args, kwargs):
+        with COUNTER.op():
+            result = super().__array_function__(func, types, args, kwargs)
+        return marked(result)
+
+
+def counted_call(f):
+    def call(*args, **kwargs):
+        with COUNTER.op():
+            result = f(*args, **kwargs)
+        return marked(result)
+
+    return call
+
+
+class CountedUfunc:
+    """A ufunc whose calls, and calls of its methods, count."""
+
+    def __init__(self, ufunc):
+        self._ufunc = ufunc
+
+    def __call__(self, *args, **kwargs):
+        return counted_call(self._ufunc)(*args, **kwargs)
+
+    def __getattr__(self, name):
+        attr = getattr(self._ufunc, name)
+        return counted_call(attr) if callable(attr) else attr
+
+
+class CountedNumpy:
+    """Stands for numpy in a module: its functions and ufuncs count."""
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, np.ufunc):
+            return CountedUfunc(attr)
+        if callable(attr) and not isinstance(attr, type):
+            return counted_call(attr)
+        return attr
+
+
+@contextlib.contextmanager
+def counting(package):
+    """Numpy counted in every module of the package while the block runs."""
+    modules = [
+        m for name, m in list(sys.modules.items())
+        if name.startswith(package.__name__ + ".") and getattr(m, "np", None) is np
+    ]
+    for m in modules:
+        m.np = CountedNumpy()
+    try:
+        yield
+    finally:
+        for m in modules:
+            m.np = np
+
+
 def side_config(package, fields: dict, method: str):
     """The configuration built from one side's own classes."""
     values = dict(fields)
@@ -134,6 +249,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     parser.add_argument("--reps", type=int, default=10, help="timed sweeps per side")
+    parser.add_argument("--ops", action="store_true", help="count numpy operations per step")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
@@ -162,10 +278,22 @@ def main(argv=None) -> int:
             # Bytes, so that -0.0 and 0.0 (equal under !=) count as differing
             return final.cells.tobytes() + np.array([final.time, final.max_courant_observed]).tobytes()
 
+        def ops_per_step(cfg, side: int, final):
+            # One more run with numpy counted, checked against the uncounted one
+            COUNTER.ops = 0
+            with counting(packages[side]), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                result = run(cfg, side)[1]
+            same = not isinstance(result, tuple) and stamp(result) == stamp(final)
+            return COUNTER.ops / packages[side].solver.step_count(cfg), same
+
         # suite -> (config pairs, runs that differ, runs skipped, fields that
         # differ, largest absolute and relative change of final cells, each
         # side's RuntimeWarnings)
         kept = {}
+        # suite -> method -> each side's operations per step, and the counted
+        # runs that differ from their uncounted one
+        ops, ops_differ = {suite: {} for suite in SUITES}, {suite: [] for suite in SUITES}
         for suite in SUITES:
             fields = [suite_fields(p, suite) for p in packages]
             moved = [k for k in {**fields[0], **fields[1]} if fields[0].get(k) != fields[1].get(k)]
@@ -190,6 +318,10 @@ def main(argv=None) -> int:
                 change[0] = max(change[0], float(gap.max()))
                 change[1] = max(change[1], float((gap.max(axis=1) / np.abs(parent).max(axis=1)).max()))
                 pairs.append(pair)
+                if args.ops:
+                    counts = [ops_per_step(cfg, side, results[side]) for side, cfg in enumerate(pair)]
+                    ops[suite][method] = [count for count, _ in counts]
+                    ops_differ[suite] += [f"{method} ({SIDES[side]})" for side, (_, same) in enumerate(counts) if not same]
             kept[suite] = (pairs, differ, skipped, moved, change, warned)
         reports = [[wave_lines(p, problem) for p in packages] for problem in WAVE_PROBLEMS]
 
@@ -238,6 +370,16 @@ def main(argv=None) -> int:
         f"method median ratio change/parent: lowest {by_ratio[0][1]} {by_ratio[0][0]:.4f}"
         f", highest {by_ratio[-1][1]} {by_ratio[-1][0]:.4f}"
     )
+    if args.ops:
+        for suite, by_method_ops in ops.items():
+            total = [sum(counts[side] for counts in by_method_ops.values()) for side in (0, 1)]
+            moved = [f"{m} {p:.2f} -> {c:.2f}" for m, (p, c) in by_method_ops.items() if p != c]
+            print(
+                f"{suite} numpy ops per step over {len(by_method_ops)} methods:"
+                f" parent {total[0]:.2f}, change {total[1]:.2f}"
+                + (f"; by method: {', '.join(moved)}" if moved else "")
+                + (f"; counted runs differ: {', '.join(ops_differ[suite])}" if ops_differ[suite] else "")
+            )
     return 0
 
 
