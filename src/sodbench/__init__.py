@@ -30,16 +30,9 @@ from .fluxes import (
     AusmVariant,
     FluxMethod,
     WaveSpeedEstimate,
-    WaveSpeedPair,
     compute_face_flux,
 )
-from .gas import (
-    ConservedState,
-    GasModel,
-    PrimitiveState,
-    conserved_to_primitive,
-    primitive_to_conserved,
-)
+from .gas import GasModel, PrimitiveState
 from .muscl import reconstruct_faces
 from .riemann import (
     ExactProfile,
@@ -49,7 +42,6 @@ from .riemann import (
     WaveSpeeds,
     exact_profile,
     rankine_hugoniot_speed,
-    sample,
     solve_star,
 )
 from .solver import (

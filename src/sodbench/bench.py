@@ -19,7 +19,7 @@ from .errors import InvalidConfig, SodbenchError
 from .fluxes import FluxMethod
 from .gas import GasModel, PrimitiveState, internal_energy_array, sound_speed_array
 from .riemann import ExactProfile, RiemannInput, WaveKind
-from .solver import Grid1D, RunConfig, SolutionField
+from .solver import RunConfig
 
 __all__ = [
     "RmseReport",
@@ -230,18 +230,9 @@ def wave_report(problem: RiemannInput) -> WaveReport:
     return WaveReport(p_star=star.p_star, u_star=star.u_star, left=left, right=right)
 
 
-def export_profile(
-    source: ExactProfile | SolutionField,
-    gas: GasModel,
-    grid: Grid1D | None = None,
-) -> ProfileExport:
-    """Flatten a profile to export columns; e = p / (rho (gamma - 1))."""
-    if isinstance(source, ExactProfile):
-        x, w = source.x, source.w
-    else:
-        if grid is None:
-            raise InvalidConfig("exporting a solver field needs its grid for positions")
-        x, w = grid.centers(), source.primitives(gas)
+def export_profile(x: np.ndarray, w: np.ndarray, gas: GasModel) -> ProfileExport:
+    """Columns of the primitive rows ``w`` at positions ``x``, with
+    e = p / (rho (gamma - 1))."""
     e = internal_energy_array(w, gas.gamma)
     return ProfileExport(
         x=x, density=w[0], velocity=w[1], pressure=w[2], internal_energy=e

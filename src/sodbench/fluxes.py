@@ -20,8 +20,6 @@ on top of the two-wave model with the usual star states.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +31,6 @@ __all__ = [
     "FluxMethod",
     "WaveSpeedEstimate",
     "AusmVariant",
-    "RoeAverages",
-    "WaveSpeedPair",
     "roe_average",
     "wave_speed_estimate",
     "flux_exact",
@@ -112,22 +108,6 @@ AUSM_UP_SIGMA = 1.0
 AUSM_UP_CUTOFF_MACH = 0.1
 
 
-@dataclass(frozen=True)
-class RoeAverages:
-    """Square-root-density weighted velocity, total enthalpy, and sound speed."""
-
-    u: np.ndarray | float
-    h_total: np.ndarray | float
-    a: np.ndarray | float
-
-
-class WaveSpeedPair(NamedTuple):
-    """Left/right signal speeds of a two-wave model."""
-
-    s_left: np.ndarray | float
-    s_right: np.ndarray | float
-
-
 _SIGN = np.array([1.0, -1.0])
 
 
@@ -147,7 +127,9 @@ def _fluxes_and_jump(faces, g: float):
 # Averages and signal-speed estimates
 # ---------------------------------------------------------------------------
 
-def roe_average(faces, gas: GasModel = GasModel()) -> RoeAverages:
+def roe_average(faces, gas: GasModel = GasModel()):
+    """Square-root-density weighted velocity, total enthalpy and sound speed,
+    as the tuple (u, h, a)."""
     g = gas.gamma
     s = np.sqrt(faces[0])
     den = s[0] + s[1]
@@ -156,25 +138,23 @@ def roe_average(faces, gas: GasModel = GasModel()) -> RoeAverages:
     u = (su[0] + su[1]) / den
     h = (sh[0] + sh[1]) / den
     a = np.sqrt((g - 1.0) * (h - 0.5 * u * u))
-    return RoeAverages(u=u, h_total=h, a=a)
+    return u, h, a
 
 
-def wave_speed_estimate(
-    variant: WaveSpeedEstimate, faces, gas: GasModel = GasModel()
-) -> WaveSpeedPair:
+def wave_speed_estimate(variant: WaveSpeedEstimate, faces, gas: GasModel = GasModel()):
     """Left/right signal speeds (S_L, S_R) for the HLL/HLLC families."""
     if variant is WaveSpeedEstimate.ROE:
-        avg = roe_average(faces, gas)
-        return WaveSpeedPair(avg.u - avg.a, avg.u + avg.a)
+        u, _, a = roe_average(faces, gas)
+        return u - a, u + a
     g = gas.gamma
     u = faces[1]
     a = sound_speed_array(faces, g)
 
     if variant is WaveSpeedEstimate.DAVIS1:
-        return WaveSpeedPair(u[0] - a[0], u[1] + a[1])
+        return u[0] - a[0], u[1] + a[1]
     if variant is WaveSpeedEstimate.DAVIS2:
         lo, hi = u - a, u + a
-        return WaveSpeedPair(np.minimum(lo[0], lo[1]), np.maximum(hi[0], hi[1]))
+        return np.minimum(lo[0], lo[1]), np.maximum(hi[0], hi[1])
     if variant is WaveSpeedEstimate.EINFELDT:
         s = np.sqrt(faces[0])
         den = s[0] + s[1]
@@ -183,7 +163,7 @@ def wave_speed_estimate(
         u_roe = (su[0] + su[1]) / den
         d2 = (sa[0] + sa[1]) / den + 0.5 * s[0] * s[1] * ((u[1] - u[0]) / den) ** 2
         d = np.sqrt(d2)
-        return WaveSpeedPair(u_roe - d, u_roe + d)
+        return u_roe - d, u_roe + d
     if variant is WaveSpeedEstimate.P_BASED:
         # Primitive-variable pressure estimate; compression (u_r < u_l)
         # raises the estimate and flags the shocked side.  Strong expansions
@@ -195,7 +175,7 @@ def wave_speed_estimate(
         shock_factor = (g + 1.0) / (2.0 * g)
         f = np.where(p_star <= p, 1.0, np.sqrt(1.0 + (p_floor / p - 1.0) * shock_factor))
         fa = f * a
-        return WaveSpeedPair(u[0] - fa[0], u[1] + fa[1])
+        return u[0] - fa[0], u[1] + fa[1]
     raise InvalidConfig(f"unknown wave speed estimate {variant!r}")
 
 
@@ -213,8 +193,7 @@ def flux_exact(faces, gas: GasModel = GasModel()) -> np.ndarray:
 def flux_roe(faces, gas: GasModel = GasModel()) -> np.ndarray:
     """Locally linearized (Roe-average) flux, without an entropy fix."""
     g = gas.gamma
-    avg = roe_average(faces, gas)
-    u, h, a = avg.u, avg.h_total, avg.a
+    u, h, a = roe_average(faces, gas)
     u_m, u_p, ua = u - a, u + a, u * a
 
     fl, fr, dq = _fluxes_and_jump(faces, g)

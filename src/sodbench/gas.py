@@ -1,11 +1,9 @@
-"""Calorically perfect gas model, flow-state containers, and the Euler flux.
+"""Calorically perfect gas model, the primitive state, and the Euler kernels.
 
-Two layers live here.  The dataclasses (``GasModel``, ``PrimitiveState``,
-``ConservedState``) are validated single-state values: the run and Riemann
-problem configurations hold them, and ``conserved_to_primitive`` checks a
-conserved state on its way back.  The ``*_array`` functions are the
-vectorized kernels everything computes with, single states included; they
-take ``(3, ...)`` float arrays laid out as rows of density, velocity,
+``GasModel`` and ``PrimitiveState`` are validated single-state values: the
+run and Riemann problem configurations hold them.  The ``*_array`` functions
+are the vectorized kernels everything computes with, single states included;
+they take ``(3, ...)`` float arrays laid out as rows of density, velocity,
 pressure (or mass, momentum, energy for conserved data).  The conserved
 state and the Euler flux are written once, in ``_state_and_flux_rows``.
 """
@@ -17,14 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NonPhysicalState
+from .errors import InvalidConfig
 
 __all__ = [
     "GasModel",
     "PrimitiveState",
-    "ConservedState",
-    "primitive_to_conserved",
-    "conserved_to_primitive",
     "sound_speed_array",
     "state_and_flux_array",
     "conserved_array",
@@ -65,42 +60,6 @@ class PrimitiveState:
     @property
     def array(self) -> np.ndarray:
         return np.array([self.rho, self.u, self.p])
-
-
-@dataclass(frozen=True)
-class ConservedState:
-    """Mass, momentum, and total energy per unit volume.
-
-    Not validated at construction, so that a state with non-positive density
-    or internal energy can be held: ``conserved_to_primitive`` rejects it.
-    The solver works on ``(3, n)`` arrays and never builds one.
-    """
-
-    mass: float
-    momentum: float
-    energy: float
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array([self.mass, self.momentum, self.energy])
-
-
-def primitive_to_conserved(w: PrimitiveState, gas: GasModel = GasModel()) -> ConservedState:
-    return ConservedState(*conserved_array(w.array, gas.gamma).tolist())
-
-
-def conserved_to_primitive(q: ConservedState, gas: GasModel = GasModel()) -> PrimitiveState:
-    """Exact inverse of :func:`primitive_to_conserved`.
-
-    Raises ``NonPhysicalState`` when the recovered density or pressure is not
-    positive.
-    """
-    if q.mass <= 0.0:
-        raise NonPhysicalState(f"non-positive density {q.mass}")
-    rho, u, p = primitive_array(q.array, gas.gamma).tolist()
-    if p <= 0.0:
-        raise NonPhysicalState(f"non-positive pressure {p}")
-    return PrimitiveState(rho=rho, u=u, p=p)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "pressure_function",
     "solve_star",
     "rankine_hugoniot_speed",
-    "sample",
     "exact_profile",
     "interface_states",
 ]
@@ -138,8 +137,9 @@ def pressure_function(p, side: _Side):
     """Velocity-jump function f(p) of one side and its derivative df/dp.
 
     Rarefaction branch for p <= p_side, shock branch above.  ``p`` may be a
-    scalar or an array; ``side`` holds the side's constants, made once per
-    solve by ``_side``.
+    scalar or an array, and f and df come back as arrays (0-d for one
+    problem); ``side`` holds the side's constants, made once per solve by
+    ``_side``.
     """
     p_k = side.p
 
@@ -159,8 +159,6 @@ def pressure_function(p, side: _Side):
     shock = p > p_k
     f = np.where(shock, f_shock, f_fan)
     df = np.where(shock, df_shock, df_fan)
-    if f.ndim == 0:
-        return float(f), float(df)
     return f, df
 
 
@@ -277,9 +275,9 @@ def solve_star(problem: RiemannInput) -> StarRegion:
 
     The wave speeds come from the kernel the profile is sampled with
     (``_outer_wave``), under its rule: a side is a shock where p* > p_k, and
-    the right side goes through the reflection x -> -x.  So ``sample`` at a
-    reported head returns the outer state.  Identical inputs give two fans of
-    zero width, since Newton's exact start returns p* = p_k exactly
+    the right side goes through the reflection x -> -x.  So the profile
+    sampled at a reported head is the outer state.  Identical inputs give two
+    fans of zero width, since Newton's exact start returns p* = p_k exactly
     (``_initial_pressure``).
     """
     g = problem.gas.gamma
@@ -364,21 +362,6 @@ def _sample_arrays(wl, wr, p_star, u_star, rho_star_l, rho_star_r, xi, gamma):
             pick(p_k, p_star, p_fan),
         ]
     )
-
-
-def sample(star: StarRegion, problem: RiemannInput, xi: float) -> PrimitiveState:
-    """State at similarity speed xi = x/t, covering all five regions."""
-    w = _sample_arrays(
-        problem.left.array,
-        problem.right.array,
-        star.p_star,
-        star.u_star,
-        star.rho_star_left,
-        star.rho_star_right,
-        float(xi),
-        problem.gas.gamma,
-    )
-    return PrimitiveState(rho=float(w[0]), u=float(w[1]), p=float(w[2]))
 
 
 def interface_states(wl: np.ndarray, wr: np.ndarray, gamma: float) -> np.ndarray:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from sodbench import cli
 from sodbench.cli import parse_and_run
 from sodbench.fluxes import FluxMethod
 
@@ -152,6 +153,7 @@ class TestBench:
             "rmse_velocity",
             "rmse_pressure",
             "rmse_total",
+            "error",
         ]
         assert len(rows) == 23
         assert [r[0] for r in rows[1:]] == [str(i) for i in range(1, 23)]
@@ -160,6 +162,28 @@ class TestBench:
             assert float(row[5]) == pytest.approx(
                 float(row[2]) + float(row[3]) + float(row[4]), rel=1e-12
             )
+            assert row[6] == ""
+
+    def test_failed_method_carries_its_reason(self, tmp_path, capsys):
+        # At gamma 3 the three AUSM variants die on Sod; the table is still
+        # written and the sweep exits 0
+        out = tmp_path / "table3.csv"
+        assert parse_and_run(["bench", "--gamma", "3", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = {row["method"]: row for row in csv.DictReader(fh)}
+        failed = {m: row["error"] for m, row in rows.items() if row["error"]}
+        assert list(failed) == ["ausm", "ausm-plus", "ausm-plus-up"]
+        err = capsys.readouterr().err
+        for method, reason in failed.items():
+            assert reason.startswith("NonPhysicalState: solver produced non-positive")
+            assert f"{method}: FAILED ({reason})" in err
+            assert rows[method]["rmse_total"] == "nan"
+
+    def test_a_reason_with_commas_and_quotes_reads_back_intact(self, tmp_path):
+        path = tmp_path / "t.csv"
+        reason = 'InvalidConfig: got dx=0.005, dt="0"'
+        cli._write_csv(str(path), "index,error", [(1, reason), (2, "")])
+        assert read_csv(path) == [["index", "error"], ["1", reason], ["2", ""]]
 
     def test_default_table_is_pinned_byte_for_byte(self, tmp_path, capsys):
         out = tmp_path / "table3.csv"
@@ -223,6 +247,10 @@ class TestInvalidInput:
             ["solve", "--jump", "nan", "--out", "OUT"],
             ["solve", "--x-max", "inf", "--dt", "0.001", "--out", "OUT"],
             ["solve", "--x-min=-1e308", "--x-max", "1e308", "--dt", "0.001", "--out", "OUT"],
+            # runs beyond the bound on cells x steps: 2e302 steps, and a
+            # step count that overflows a float
+            ["solve", "--x-max", "1e-300", "--out", "OUT"],
+            ["solve", "--dt", "5e-324", "--out", "OUT"],
         ],
         ids=" ".join,
     )

@@ -15,7 +15,6 @@ from sodbench.riemann import (
     exact_profile,
     pressure_function,
     rankine_hugoniot_speed,
-    sample,
     solve_star,
 )
 
@@ -36,9 +35,26 @@ MACH_SHOCKED = 0.65240
 
 
 def pfun(p, side):
-    """pressure_function of one side, a state or (3,) primitive rows, in GAS."""
+    """pressure_function of one side, a state or (3,) primitive rows, in GAS,
+    as two floats."""
     rows = side.array if isinstance(side, PrimitiveState) else side
-    return pressure_function(p, riemann._side(rows, GAS.gamma))
+    f, df = pressure_function(p, riemann._side(rows, GAS.gamma))
+    return float(f), float(df)
+
+
+def sample(star, problem, xi):
+    """The (3,) primitive state at similarity speed xi = x/t of one solved
+    problem, from the sampling kernel."""
+    return riemann._sample_arrays(
+        problem.left.array,
+        problem.right.array,
+        star.p_star,
+        star.u_star,
+        star.rho_star_left,
+        star.rho_star_right,
+        float(xi),
+        problem.gas.gamma,
+    )
 
 
 def random_inputs(n, seed=11):
@@ -298,8 +314,8 @@ class TestWaveSpeeds:
         star = solve_star(problem)
         for kind, outer in ((star.left_wave, problem.left), (star.right_wave, problem.right)):
             assert (kind is WaveKind.SHOCK) == (star.p_star > outer.p)
-        assert sample(star, problem, star.speeds.left_head) == problem.left
-        assert sample(star, problem, star.speeds.right_head) == problem.right
+        assert np.array_equal(sample(star, problem, star.speeds.left_head), problem.left.array)
+        assert np.array_equal(sample(star, problem, star.speeds.right_head), problem.right.array)
 
 
 class TestRankineHugoniot:
@@ -348,14 +364,12 @@ class TestSampling:
     def test_sod_face_ray_hits_star_left(self):
         star = solve_star(SOD)
         w = sample(star, SOD, 0.0)
-        assert (w.rho, w.u, w.p) == pytest.approx((RHO_STAR_L, U_STAR, P_STAR), abs=1e-5)
+        assert tuple(w) == pytest.approx((RHO_STAR_L, U_STAR, P_STAR), abs=1e-5)
 
     def test_undisturbed_sides(self):
         star = solve_star(SOD)
-        left = sample(star, SOD, -2.0)
-        assert (left.rho, left.u, left.p) == (1.0, 0.0, 1.0)
-        right = sample(star, SOD, 1.9)
-        assert (right.rho, right.u, right.p) == (0.125, 0.0, 0.1)
+        assert sample(star, SOD, -2.0).tolist() == [1.0, 0.0, 1.0]
+        assert sample(star, SOD, 1.9).tolist() == [0.125, 0.0, 0.1]
 
     def test_continuity_across_fan_edges(self):
         star = solve_star(SOD)
@@ -363,9 +377,7 @@ class TestSampling:
         for edge in (star.speeds.left_head, star.speeds.left_tail):
             lo = sample(star, SOD, edge - eps)
             hi = sample(star, SOD, edge + eps)
-            assert lo.p == pytest.approx(hi.p, abs=1e-10)
-            assert lo.u == pytest.approx(hi.u, abs=1e-10)
-            assert lo.rho == pytest.approx(hi.rho, abs=1e-10)
+            assert lo == pytest.approx(hi, abs=1e-10)
 
     def test_reflection_symmetry(self):
         star = solve_star(SOD)
@@ -375,11 +387,11 @@ class TestSampling:
         )
         mirrored = solve_star(mirrored_input)
         for xi in np.linspace(-2.0, 2.0, 41):
-            w = sample(star, SOD, xi)
-            m = sample(mirrored, mirrored_input, -xi)
-            assert m.rho == pytest.approx(w.rho, rel=1e-9)
-            assert m.u == pytest.approx(-w.u, rel=1e-9, abs=1e-11)
-            assert m.p == pytest.approx(w.p, rel=1e-9)
+            rho, u, p = sample(star, SOD, xi)
+            m_rho, m_u, m_p = sample(mirrored, mirrored_input, -xi)
+            assert m_rho == pytest.approx(rho, rel=1e-9)
+            assert m_u == pytest.approx(-u, rel=1e-9, abs=1e-11)
+            assert m_p == pytest.approx(p, rel=1e-9)
 
 
 # Non-vacuum states: every sound speed is at least 0.118, so the vacuum

@@ -1,15 +1,19 @@
 """Godunov time integration: setup, stepping, conservation, reproducibility."""
 
 import dataclasses
+import importlib.util
 import math
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sodbench
 from sodbench import bench, riemann, solver
 from sodbench.errors import (
     InvalidConfig,
@@ -926,20 +930,23 @@ class TestNoStack:
         exact_profile(RiemannInput(SOD_LEFT, SOD_RIGHT), Grid1D().centers(), 0.5, 0.2)
 
 
-# Toro, Riemann Solvers and Numerical Methods for Fluid Dynamics (3rd ed.),
-# Table 4.1: left state, right state, initial jump position, final time.
-TORO_TESTS = {
-    1: (PrimitiveState(1.0, 0.75, 1.0), PrimitiveState(0.125, 0.0, 0.1), 0.3, 0.2),
-    2: (PrimitiveState(1.0, -2.0, 0.4), PrimitiveState(1.0, 2.0, 0.4), 0.5, 0.15),
-    3: (PrimitiveState(1.0, 0.0, 1000.0), PrimitiveState(1.0, 0.0, 0.01), 0.5, 0.012),
-    4: (
-        PrimitiveState(5.99924, 19.5975, 460.894),
-        PrimitiveState(5.99242, -6.19633, 46.0950),
-        0.4,
-        0.035,
-    ),
-    5: (PrimitiveState(1.0, -19.59745, 1000.0), PrimitiveState(1.0, -19.59745, 0.01), 0.8, 0.012),
-}
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_script(path: Path):
+    """A module of the repository that is not in the package, by its path;
+    registered, since dataclasses look their module up."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Toro's Table 4.1 and the dt rule of its runs, as the benchmark's toro-suite
+# has them
+WORKLOADS = load_script(ROOT / "perfbench" / "workloads.py")
+TORO_TESTS = WORKLOADS.TORO_TESTS
 
 # (test, method) -> (cell, step) of the NonPhysicalState each run dies with
 # at 200 cells.  The other 97 runs of the 5 x 22 matrix complete.
@@ -961,13 +968,28 @@ TORO_FAILURES = {
 
 
 def toro_config(test: int, method: FluxMethod) -> RunConfig:
-    """Toro's test on 200 cells, dt from Courant 0.4 on the exact solution's
-    fastest wave, shortened so that t_final is a whole number of steps."""
+    """Toro's test on 200 cells, with the benchmark's dt."""
     left, right, x0, t_final = TORO_TESTS[test]
     cfg = RunConfig(method=method, left=left, right=right, jump_position=x0, t_final=t_final)
-    s = riemann.solve_star(RiemannInput(left, right, cfg.gas)).speeds
-    s_max = max(abs(v) for v in (s.left_head, s.left_tail, s.contact, s.right_tail, s.right_head))
-    return dataclasses.replace(cfg, dt=t_final / math.ceil(t_final * s_max / (0.4 * cfg.grid.dx)))
+    dt = WORKLOADS.toro_dt(RiemannInput(left, right, cfg.gas), cfg.grid.dx, t_final)
+    return dataclasses.replace(cfg, dt=dt)
+
+
+class TestToroCopies:
+    def test_failures_and_the_ab_sweep_suites_match_the_benchmark(self):
+        # the pinned runs here carry their cell and step; the benchmark's
+        # carry only the runs
+        pinned = WORKLOADS.TORO_PINNED_FAILURES
+        assert set(TORO_FAILURES) == {(test, m) for test, methods in pinned.items() for m in methods}
+        # tools/ab_sweep.py keeps plain tuples, as it loads two trees and
+        # must not import a third sodbench
+        ab_sweep = load_script(ROOT / "tools" / "ab_sweep.py")
+        assert list(ab_sweep.TORO_TESTS) == list(TORO_TESTS)
+        for test, (left, right, x0, t_final) in TORO_TESTS.items():
+            states = tuple((w.rho, w.u, w.p) for w in (left, right))
+            assert ab_sweep.TORO_TESTS[test] == (*states, x0, t_final)
+            dt = ab_sweep.suite_fields(sodbench, f"toro{test}")["dt"]
+            assert dt == toro_config(test, FluxMethod.RIEMANN).dt
 
 
 class TestToroFailures:

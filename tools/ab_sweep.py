@@ -69,6 +69,9 @@ import numpy as np
 SIDES = ("parent", "change")
 # Toro, Riemann Solvers and Numerical Methods for Fluid Dynamics (3rd ed.),
 # Table 4.1: left and right (rho, u, p), initial jump position, final time.
+# Plain tuples, since each side's states are built from its own tree's
+# classes; tests/test_solver.py holds them and the dt rule below equal to
+# perfbench/workloads.py's.
 TORO_TESTS = {
     1: ((1.0, 0.75, 1.0), (0.125, 0.0, 0.1), 0.3, 0.2),
     2: ((1.0, -2.0, 0.4), (1.0, 2.0, 0.4), 0.5, 0.15),
