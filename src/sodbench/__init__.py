@@ -26,12 +26,7 @@ from .errors import (
     SodbenchError,
     VacuumGenerated,
 )
-from .fluxes import (
-    AusmVariant,
-    FluxMethod,
-    WaveSpeedEstimate,
-    compute_face_flux,
-)
+from .fluxes import FluxMethod, compute_face_flux
 from .gas import GasModel, PrimitiveState
 from .muscl import reconstruct_faces
 from .riemann import (

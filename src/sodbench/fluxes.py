@@ -9,6 +9,13 @@ per-side quantity (state, Euler flux, sound speed, enthalpy, the split
 fluxes) is computed once on both sides; the splittings take their sign as
 a column of +1 and -1 shaped to a row ``faces[k]``.
 
+``FluxMethod`` is the only selector.  ``_KERNELS`` maps each method to its
+kernel and, for the two-wave and HLLC families, to one of the six signal-speed
+estimates ``(faces, g) -> (S_L, S_R)``: Davis-1, Davis-2, Roe, Einfeldt,
+p-based and AUFS.  AUSM, AUSM+ and AUSM+-up are three kernels.  Every kernel
+takes the ratio of specific heats as a float ``g``; ``compute_face_flux`` is
+the one entry that takes a validated ``GasModel``.
+
 Closed-form sources: Roe averages and wave strengths follow the standard
 eigendecomposition of the Roe-average Jacobian; the Steger-Warming and van
 Leer splittings are the classical perfect-gas forms; the AUSM family follows
@@ -20,6 +27,7 @@ on top of the two-wave model with the usual star states.
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -29,10 +37,13 @@ from .gas import GasModel, enthalpy_array, flux_array, sound_speed_array, state_
 
 __all__ = [
     "FluxMethod",
-    "WaveSpeedEstimate",
-    "AusmVariant",
     "roe_average",
-    "wave_speed_estimate",
+    "davis1_speeds",
+    "davis2_speeds",
+    "roe_speeds",
+    "einfeldt_speeds",
+    "pbased_speeds",
+    "aufs_speeds",
     "flux_exact",
     "flux_roe",
     "flux_hll",
@@ -40,7 +51,8 @@ __all__ = [
     "flux_sw_fvs",
     "flux_vanleer_fvs",
     "flux_ausm",
-    "flux_aufs",
+    "flux_ausm_plus",
+    "flux_ausm_plus_up",
     "flux_lf",
     "flux_rusanov",
     "compute_face_flux",
@@ -82,20 +94,6 @@ class FluxMethod(enum.Enum):
 _TABLE_ORDER = {m: i + 1 for i, m in enumerate(FluxMethod)}
 
 
-class WaveSpeedEstimate(enum.Enum):
-    DAVIS1 = "davis1"
-    DAVIS2 = "davis2"
-    ROE = "roe"
-    EINFELDT = "einfeldt"
-    P_BASED = "pbased"
-
-
-class AusmVariant(enum.Enum):
-    BASIC = "basic"
-    PLUS = "plus"
-    PLUS_UP = "plus-up"
-
-
 # The parameters the AUSM+ and AUSM+-up descriptions leave open, at their
 # published values: alpha and beta from Liou, J. Comput. Phys. 129 (1996);
 # Kp, Ku, sigma and the cutoff Mach number from Liou, J. Comput. Phys. 214
@@ -124,76 +122,108 @@ def _fluxes_and_jump(faces, g: float):
 
 
 # ---------------------------------------------------------------------------
-# Averages and signal-speed estimates
+# Averages and signal-speed estimates (S_L, S_R) for the HLL/HLLC families
 # ---------------------------------------------------------------------------
 
-def roe_average(faces, gas: GasModel = GasModel()):
-    """Square-root-density weighted velocity, total enthalpy and sound speed,
-    as the tuple (u, h, a)."""
-    g = gas.gamma
+def _roe_weights(faces):
+    """Both sides' square-root-density weights, their sum and the Roe-average
+    velocity."""
     s = np.sqrt(faces[0])
     den = s[0] + s[1]
     su = s * faces[1]
+    return s, den, (su[0] + su[1]) / den
+
+
+def roe_average(faces, g: float):
+    """Square-root-density weighted velocity, total enthalpy and sound speed,
+    as the tuple (u, h, a)."""
+    s, den, u = _roe_weights(faces)
     sh = s * enthalpy_array(faces, g)
-    u = (su[0] + su[1]) / den
     h = (sh[0] + sh[1]) / den
     a = np.sqrt((g - 1.0) * (h - 0.5 * u * u))
     return u, h, a
 
 
-def wave_speed_estimate(variant: WaveSpeedEstimate, faces, gas: GasModel = GasModel()):
-    """Left/right signal speeds (S_L, S_R) for the HLL/HLLC families."""
-    if variant is WaveSpeedEstimate.ROE:
-        u, _, a = roe_average(faces, gas)
-        return u - a, u + a
-    g = gas.gamma
+def davis1_speeds(faces, g: float):
+    """u_L - a_L and u_R + a_R."""
     u = faces[1]
     a = sound_speed_array(faces, g)
+    return u[0] - a[0], u[1] + a[1]
 
-    if variant is WaveSpeedEstimate.DAVIS1:
-        return u[0] - a[0], u[1] + a[1]
-    if variant is WaveSpeedEstimate.DAVIS2:
-        lo, hi = u - a, u + a
-        return np.minimum(lo[0], lo[1]), np.maximum(hi[0], hi[1])
-    if variant is WaveSpeedEstimate.EINFELDT:
-        s = np.sqrt(faces[0])
-        den = s[0] + s[1]
-        su = s * u
-        sa = s * a**2
-        u_roe = (su[0] + su[1]) / den
-        d2 = (sa[0] + sa[1]) / den + 0.5 * s[0] * s[1] * ((u[1] - u[0]) / den) ** 2
-        d = np.sqrt(d2)
-        return u_roe - d, u_roe + d
-    if variant is WaveSpeedEstimate.P_BASED:
-        # Primitive-variable pressure estimate; compression (u_r < u_l)
-        # raises the estimate and flags the shocked side.  Strong expansions
-        # can drive the raw estimate negative; the floor only affects the
-        # branch in which the compression factor is unused.
-        rho, p = faces[0], faces[2]
-        p_star = 0.5 * (p[0] + p[1]) - 0.125 * (u[1] - u[0]) * (a[1] + a[0]) * (rho[1] + rho[0])
-        p_floor = np.maximum(p_star, 0.0)
-        shock_factor = (g + 1.0) / (2.0 * g)
-        f = np.where(p_star <= p, 1.0, np.sqrt(1.0 + (p_floor / p - 1.0) * shock_factor))
-        fa = f * a
-        return u[0] - fa[0], u[1] + fa[1]
-    raise InvalidConfig(f"unknown wave speed estimate {variant!r}")
+
+def davis2_speeds(faces, g: float):
+    """The smaller u - a and the larger u + a of the two sides."""
+    u = faces[1]
+    a = sound_speed_array(faces, g)
+    lo, hi = u - a, u + a
+    return np.minimum(lo[0], lo[1]), np.maximum(hi[0], hi[1])
+
+
+def roe_speeds(faces, g: float):
+    """The Roe average's u -+ a."""
+    u, _, a = roe_average(faces, g)
+    return u - a, u + a
+
+
+def einfeldt_speeds(faces, g: float):
+    """The Roe-average velocity -+ Einfeldt's averaged sound speed."""
+    s, den, u_roe = _roe_weights(faces)
+    u = faces[1]
+    sa = s * sound_speed_array(faces, g) ** 2
+    d2 = (sa[0] + sa[1]) / den + 0.5 * s[0] * s[1] * ((u[1] - u[0]) / den) ** 2
+    d = np.sqrt(d2)
+    return u_roe - d, u_roe + d
+
+
+def pbased_speeds(faces, g: float):
+    """u -+ a scaled on a shocked side by the primitive-variable pressure
+    estimate.
+
+    Compression (u_r < u_l) raises the estimate and flags the shocked side.
+    Strong expansions can drive the raw estimate negative; the floor only
+    affects the branch in which the compression factor is unused.
+    """
+    u = faces[1]
+    a = sound_speed_array(faces, g)
+    rho, p = faces[0], faces[2]
+    p_star = 0.5 * (p[0] + p[1]) - 0.125 * (u[1] - u[0]) * (a[1] + a[0]) * (rho[1] + rho[0])
+    p_floor = np.maximum(p_star, 0.0)
+    shock_factor = (g + 1.0) / (2.0 * g)
+    f = np.where(p_star <= p, 1.0, np.sqrt(1.0 + (p_floor / p - 1.0) * shock_factor))
+    fa = f * a
+    return u[0] - fa[0], u[1] + fa[1]
+
+
+def aufs_speeds(faces, g: float):
+    """Artificially upstream splitting's speeds.
+
+    The two signal speeds are placed artificially at u_avg -+ S2, where u_avg
+    is the simple average of the face velocities and S2 an acoustic speed
+    scale.  Expanding the two-wave formula shows the double splitting: the
+    left/right fluxes are weighted by (1 +- M)/2 with M = u_avg/S2 (so the
+    sign of u_avg decides the upwind bias), and the residual dissipation
+    scales with S2 (1 - M^2).  Supersonic faces reduce to pure upwinding.
+    """
+    a = sound_speed_array(faces, g)
+    u_avg = 0.5 * (faces[1, 0] + faces[1, 1])
+    s2 = 0.5 * (a[0] + a[1])
+    return u_avg - s2, u_avg + s2
 
 
 # ---------------------------------------------------------------------------
 # Exact (Godunov) and Roe fluxes
 # ---------------------------------------------------------------------------
 
-def flux_exact(faces, gas: GasModel = GasModel()) -> np.ndarray:
+def flux_exact(faces, g: float) -> np.ndarray:
     """Solve the face Riemann problem exactly and evaluate the flux of the
     state sitting on the face ray."""
-    w0 = riemann.interface_states(faces[:, 0], faces[:, 1], gas.gamma)
-    return flux_array(w0, gas.gamma)
+    w0 = riemann.interface_states(faces[:, 0], faces[:, 1], g)
+    return flux_array(w0, g)
 
 
-def flux_roe(faces, gas: GasModel = GasModel()) -> np.ndarray:
+def flux_roe(faces, g: float) -> np.ndarray:
     """Locally linearized (Roe-average) flux, without an entropy fix."""
-    g = gas.gamma
-    u, h, a = roe_average(faces, gas)
+    u, h, a = roe_average(faces, g)
     u_m, u_p, ua = u - a, u + a, u * a
 
     fl, fr, dq = _fluxes_and_jump(faces, g)
@@ -214,17 +244,19 @@ def flux_roe(faces, gas: GasModel = GasModel()) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# HLL two-wave fluxes
+# HLL two-wave and HLLC three-wave fluxes
 # ---------------------------------------------------------------------------
 
-def _two_wave_flux(faces, s_left, s_right, g: float) -> np.ndarray:
-    """Two-wave flux with the signal speeds clamped around zero.
+def flux_hll(faces, g: float, speeds) -> np.ndarray:
+    """Harten-Lax-van Leer two-wave flux with the signal speeds
+    ``speeds(faces, g)`` clamped around zero.
 
     With S_L <= 0 <= S_R the expression is the standard intermediate-state
     flux; a clamped speed reproduces the pure upwind branches.  A spread below
     1e-12 (S_L >= 0 >= S_R: colliding supersonic streams, as on Toro's test 4
     with the Davis-1 speeds) falls back to the centered average.
     """
+    s_left, s_right = speeds(faces, g)
     sl = np.minimum(s_left, 0.0)
     sr = np.maximum(s_right, 0.0)
     fl, fr, dq = _fluxes_and_jump(faces, g)
@@ -237,24 +269,14 @@ def _two_wave_flux(faces, s_left, s_right, g: float) -> np.ndarray:
     return np.where(degenerate, 0.5 * (fl + fr), flux) if guarded else flux
 
 
-def flux_hll(variant: WaveSpeedEstimate, faces, gas: GasModel = GasModel()) -> np.ndarray:
-    """Harten-Lax-van Leer two-wave flux with the selected speed estimate."""
-    s_left, s_right = wave_speed_estimate(variant, faces, gas)
-    return _two_wave_flux(faces, s_left, s_right, gas.gamma)
-
-
-# ---------------------------------------------------------------------------
-# HLLC three-wave fluxes
-# ---------------------------------------------------------------------------
-
-def flux_hllc(variant: WaveSpeedEstimate, faces, gas: GasModel = GasModel()) -> np.ndarray:
-    """Two-wave model with the contact wave restored (star states).
+def flux_hllc(faces, g: float, speeds) -> np.ndarray:
+    """Two-wave model with the signal speeds ``speeds(faces, g)`` and the
+    contact wave restored (star states).
 
     Only the star state on the face's side of the contact is built: the left
     one where s* >= 0, the right one elsewhere.
     """
-    g = gas.gamma
-    s_l, s_r = wave_speed_estimate(variant, faces, gas)
+    s_l, s_r = speeds(faces, g)
     (rho_l, rho_r), (u_l, u_r), (p_l, p_r) = faces
     q, f = state_and_flux_array(faces, g)
 
@@ -289,29 +311,26 @@ def _central_flux(faces, speed, g: float) -> np.ndarray:
     return 0.5 * (fl + fr) - 0.5 * speed * dq
 
 
-def flux_lf(
-    faces, gas: GasModel = GasModel(), dx: float | None = None, dt: float | None = None
-) -> np.ndarray:
+def flux_lf(faces, g: float, dx: float | None, dt: float | None) -> np.ndarray:
     """Lax-Friedrichs flux; the dissipation speed is the mesh ratio dx/dt."""
-    if dx is None or dt is None or dt <= 0.0 or dx <= 0.0:
-        raise InvalidConfig(f"Lax-Friedrichs needs dx > 0 and dt > 0, got dx={dx}, dt={dt}")
-    return _central_flux(faces, dx / dt, gas.gamma)
+    if dx is None or dt is None or not (0.0 < dx < math.inf and 0.0 < dt < math.inf):
+        raise InvalidConfig(f"Lax-Friedrichs needs finite dx > 0 and dt > 0, got dx={dx}, dt={dt}")
+    return _central_flux(faces, dx / dt, g)
 
 
-def flux_rusanov(faces, gas: GasModel = GasModel()) -> np.ndarray:
+def flux_rusanov(faces, g: float) -> np.ndarray:
     """Single-wave flux with the local maximum signal speed."""
-    s = np.abs(faces[1]) + sound_speed_array(faces, gas.gamma)
-    return _central_flux(faces, np.maximum(s[0], s[1]), gas.gamma)
+    s = np.abs(faces[1]) + sound_speed_array(faces, g)
+    return _central_flux(faces, np.maximum(s[0], s[1]), g)
 
 
 # ---------------------------------------------------------------------------
 # Flux vector splittings: Steger-Warming and van Leer
 # ---------------------------------------------------------------------------
 
-def flux_sw_fvs(faces, gas: GasModel = GasModel()) -> np.ndarray:
+def flux_sw_fvs(faces, g: float) -> np.ndarray:
     """Steger-Warming eigenvalue splitting: F+ of the left state plus F- of
     the right one."""
-    g = gas.gamma
     sign = _side_sign(faces)
     rho, u = faces[0], faces[1]
     a = sound_speed_array(faces, g)
@@ -329,10 +348,9 @@ def flux_sw_fvs(faces, gas: GasModel = GasModel()) -> np.ndarray:
     return parts[:, 0] + parts[:, 1]
 
 
-def flux_vanleer_fvs(faces, gas: GasModel = GasModel()) -> np.ndarray:
+def flux_vanleer_fvs(faces, g: float) -> np.ndarray:
     """Mach-quadratic van Leer split with C1 matching at M = +-1: F+ of the
     left state plus F- of the right one."""
-    g = gas.gamma
     sign = _side_sign(faces)
     rho, u = faces[0], faces[1]
     a = sound_speed_array(faces, g)
@@ -350,7 +368,7 @@ def flux_vanleer_fvs(faces, gas: GasModel = GasModel()) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# AUSM family
+# AUSM family: the convective and pressure parts split
 # ---------------------------------------------------------------------------
 
 def _ausm_splits(mach, sign, alpha=None):
@@ -383,131 +401,122 @@ def _upwind(m_half, x):
     return np.where(m_half > 0.0, x[:, 0], x[:, 1])
 
 
-def flux_ausm(variant: AusmVariant, faces, gas: GasModel = GasModel()) -> np.ndarray:
-    """Advection upstream splitting: convective and pressure parts split.
-
-    basic    - per-side sound speeds, quadratic Mach split, cubic pressure split
-    plus     - common interface sound speed, 4th/5th degree polynomials
-    plus-up  - plus variant with pressure/velocity diffusion and low-Mach scaling
-    """
-    g = gas.gamma
-    sign = _side_sign(faces)
-    rho, u, p = faces[0], faces[1], faces[2]
-    h = enthalpy_array(faces, g)
-
-    if variant is AusmVariant.BASIC:
-        a = sound_speed_array(faces, g)
-        m_split, p_weight = _ausm_splits(u / a, sign)
-    elif variant is AusmVariant.PLUS or variant is AusmVariant.PLUS_UP:
-        a_half = _interface_sound_speed(u, h, sign, g)
-        alpha = AUSM_PLUS_ALPHA
-        if variant is AusmVariant.PLUS_UP:
-            uu = u * u
-            mach_bar_sq = (uu[0] + uu[1]) / (2.0 * a_half * a_half)
-            mach_ref = np.sqrt(np.minimum(np.maximum(mach_bar_sq, AUSM_UP_CUTOFF_MACH**2), 1.0))
-            fa = mach_ref * (2.0 - mach_ref)
-            alpha = AUSM_PLUS_ALPHA * (-4.0 + 5.0 * fa * fa)
-        m_split, p_weight = _ausm_splits(u / a_half, sign, alpha)
-    else:
-        raise InvalidConfig(f"unknown AUSM variant {variant!r}")
-    m_half = m_split[0] + m_split[1]
-    p_split = p_weight * p
-    p_half = p_split[0] + p_split[1]
-
-    if variant is AusmVariant.BASIC:
-        ra = rho * a
-        flux = m_half * _upwind(m_half, np.array([ra, ra * u, ra * h]))
-        flux[1] = flux[1] + p_half
-        return flux
-    if variant is AusmVariant.PLUS_UP:
-        rho_half = 0.5 * (rho[0] + rho[1])
-        m_p = (
-            -AUSM_UP_KP
-            / fa
-            * np.maximum(1.0 - AUSM_UP_SIGMA * mach_bar_sq, 0.0)
-            * (p[1] - p[0])
-            / (rho_half * a_half * a_half)
-        )
-        m_half = m_half + m_p
-        p_plus, p_minus = p_weight
-        p_u = -AUSM_UP_KU * p_plus * p_minus * (rho[0] + rho[1]) * fa * a_half * (u[1] - u[0])
-        p_half = p_half + p_u
-
-    # The mass flux convects (1, u, h) of the upwind side.
+def _upwind_mass_flux(m_half, p_half, a_half, rho, u, h):
+    """The plus variants' flux: the mass flux a_half m_half rho convects
+    (1, u, h) of the upwind side, and the momentum row adds p_half."""
     rho_up, u_up, h_up = _upwind(m_half, np.array([rho, u, h]))
     mdot = a_half * m_half * rho_up
     return np.array([mdot, mdot * u_up + p_half, mdot * h_up])
 
 
-# ---------------------------------------------------------------------------
-# AUFS: two-wave flux around artificially placed acoustic speeds
-# ---------------------------------------------------------------------------
-
-def flux_aufs(faces, gas: GasModel = GasModel()) -> np.ndarray:
-    """Artificially upstream splitting.
-
-    The two signal speeds are placed artificially at u_avg -+ S2, where u_avg
-    is the simple average of the face velocities and S2 an acoustic speed
-    scale.  Expanding the two-wave formula shows the double splitting: the
-    left/right fluxes are weighted by (1 +- M)/2 with M = u_avg/S2 (so the
-    sign of u_avg decides the upwind bias), and the residual dissipation
-    scales with S2 (1 - M^2).  Supersonic faces reduce to pure upwinding.
-    """
-    g = gas.gamma
+def flux_ausm(faces, g: float) -> np.ndarray:
+    """AUSM: per-side sound speeds, quadratic Mach split, cubic pressure
+    split."""
+    sign = _side_sign(faces)
+    rho, u, p = faces[0], faces[1], faces[2]
+    h = enthalpy_array(faces, g)
     a = sound_speed_array(faces, g)
-    u_avg = 0.5 * (faces[1, 0] + faces[1, 1])
-    s2 = 0.5 * (a[0] + a[1])
-    return _two_wave_flux(faces, u_avg - s2, u_avg + s2, g)
+    m_split, p_weight = _ausm_splits(u / a, sign)
+    m_half = m_split[0] + m_split[1]
+    p_split = p_weight * p
+    ra = rho * a
+    flux = m_half * _upwind(m_half, np.array([ra, ra * u, ra * h]))
+    flux[1] = flux[1] + (p_split[0] + p_split[1])
+    return flux
+
+
+def flux_ausm_plus(faces, g: float) -> np.ndarray:
+    """AUSM+: common interface sound speed, 4th/5th degree polynomials."""
+    sign = _side_sign(faces)
+    rho, u, p = faces[0], faces[1], faces[2]
+    h = enthalpy_array(faces, g)
+    a_half = _interface_sound_speed(u, h, sign, g)
+    m_split, p_weight = _ausm_splits(u / a_half, sign, AUSM_PLUS_ALPHA)
+    p_split = p_weight * p
+    return _upwind_mass_flux(m_split[0] + m_split[1], p_split[0] + p_split[1], a_half, rho, u, h)
+
+
+def flux_ausm_plus_up(faces, g: float) -> np.ndarray:
+    """AUSM+-up: AUSM+ with pressure and velocity diffusion and low-Mach
+    scaling."""
+    sign = _side_sign(faces)
+    rho, u, p = faces[0], faces[1], faces[2]
+    h = enthalpy_array(faces, g)
+    a_half = _interface_sound_speed(u, h, sign, g)
+    uu = u * u
+    mach_bar_sq = (uu[0] + uu[1]) / (2.0 * a_half * a_half)
+    mach_ref = np.sqrt(np.minimum(np.maximum(mach_bar_sq, AUSM_UP_CUTOFF_MACH**2), 1.0))
+    fa = mach_ref * (2.0 - mach_ref)
+    alpha = AUSM_PLUS_ALPHA * (-4.0 + 5.0 * fa * fa)
+    m_split, p_weight = _ausm_splits(u / a_half, sign, alpha)
+    p_split = p_weight * p
+
+    rho_half = 0.5 * (rho[0] + rho[1])
+    m_p = (
+        -AUSM_UP_KP
+        / fa
+        * np.maximum(1.0 - AUSM_UP_SIGMA * mach_bar_sq, 0.0)
+        * (p[1] - p[0])
+        / (rho_half * a_half * a_half)
+    )
+    p_plus, p_minus = p_weight
+    p_u = -AUSM_UP_KU * p_plus * p_minus * (rho[0] + rho[1]) * fa * a_half * (u[1] - u[0])
+    m_half = m_split[0] + m_split[1] + m_p
+    p_half = p_split[0] + p_split[1] + p_u
+    return _upwind_mass_flux(m_half, p_half, a_half, rho, u, h)
 
 
 # ---------------------------------------------------------------------------
 # Dispatcher
 # ---------------------------------------------------------------------------
 
-_E = WaveSpeedEstimate
-
-# Every kernel takes (faces, gas, dx, dt).  KNP's zero-anchored one-sided
-# speeds a+ = max(u_L + a_L, u_R + a_R, 0) and a- = min(u_L - a_L, u_R - a_R, 0)
-# are the Davis-2 estimates clamped around zero, and Kurganov-Tadmor with fixed
+# One entry per method: its kernel and, for the two-wave and HLLC families,
+# the signal-speed estimate the kernel takes.  AUFS is the two-wave flux
+# around its artificial speeds.  KNP's zero-anchored one-sided speeds
+# a+ = max(u_L + a_L, u_R + a_R, 0) and a- = min(u_L - a_L, u_R - a_R, 0) are
+# the Davis-2 estimates clamped around zero, and Kurganov-Tadmor with fixed
 # 0.5 weights is Rusanov's construction; sharing the kernels keeps
 # KNP == HLL-Davis2 and KT == Rusanov bit for bit.
 _KERNELS = {
-    FluxMethod.RIEMANN: lambda faces, gas, *_: flux_exact(faces, gas),
-    FluxMethod.ROE: lambda faces, gas, *_: flux_roe(faces, gas),
-    FluxMethod.KNP: lambda faces, gas, *_: flux_hll(_E.DAVIS2, faces, gas),
-    FluxMethod.KT: lambda faces, gas, *_: flux_rusanov(faces, gas),
-    FluxMethod.SW: lambda faces, gas, *_: flux_sw_fvs(faces, gas),
-    FluxMethod.VAN_LEER: lambda faces, gas, *_: flux_vanleer_fvs(faces, gas),
-    FluxMethod.AUSM: lambda faces, gas, *_: flux_ausm(AusmVariant.BASIC, faces, gas),
-    FluxMethod.AUSM_PLUS: lambda faces, gas, *_: flux_ausm(AusmVariant.PLUS, faces, gas),
-    FluxMethod.AUSM_PLUS_UP: lambda faces, gas, *_: flux_ausm(AusmVariant.PLUS_UP, faces, gas),
-    FluxMethod.AUFS: lambda faces, gas, *_: flux_aufs(faces, gas),
-    FluxMethod.HLL_DAVIS1: lambda faces, gas, *_: flux_hll(_E.DAVIS1, faces, gas),
-    FluxMethod.HLL_DAVIS2: lambda faces, gas, *_: flux_hll(_E.DAVIS2, faces, gas),
-    FluxMethod.HLL_ROE: lambda faces, gas, *_: flux_hll(_E.ROE, faces, gas),
-    FluxMethod.HLL_EINFELDT: lambda faces, gas, *_: flux_hll(_E.EINFELDT, faces, gas),
-    FluxMethod.HLL_PBASED: lambda faces, gas, *_: flux_hll(_E.P_BASED, faces, gas),
-    FluxMethod.HLLC_DAVIS1: lambda faces, gas, *_: flux_hllc(_E.DAVIS1, faces, gas),
-    FluxMethod.HLLC_DAVIS2: lambda faces, gas, *_: flux_hllc(_E.DAVIS2, faces, gas),
-    FluxMethod.HLLC_ROE: lambda faces, gas, *_: flux_hllc(_E.ROE, faces, gas),
-    FluxMethod.HLLC_EINFELDT: lambda faces, gas, *_: flux_hllc(_E.EINFELDT, faces, gas),
-    FluxMethod.HLLC_PBASED: lambda faces, gas, *_: flux_hllc(_E.P_BASED, faces, gas),
-    FluxMethod.LF: lambda faces, gas, dx, dt: flux_lf(faces, gas, dx, dt),
-    FluxMethod.RUSANOV: lambda faces, gas, *_: flux_rusanov(faces, gas),
+    FluxMethod.RIEMANN: (flux_exact,),
+    FluxMethod.ROE: (flux_roe,),
+    FluxMethod.KNP: (flux_hll, davis2_speeds),
+    FluxMethod.KT: (flux_rusanov,),
+    FluxMethod.SW: (flux_sw_fvs,),
+    FluxMethod.VAN_LEER: (flux_vanleer_fvs,),
+    FluxMethod.AUSM: (flux_ausm,),
+    FluxMethod.AUSM_PLUS: (flux_ausm_plus,),
+    FluxMethod.AUSM_PLUS_UP: (flux_ausm_plus_up,),
+    FluxMethod.AUFS: (flux_hll, aufs_speeds),
+    FluxMethod.HLL_DAVIS1: (flux_hll, davis1_speeds),
+    FluxMethod.HLL_DAVIS2: (flux_hll, davis2_speeds),
+    FluxMethod.HLL_ROE: (flux_hll, roe_speeds),
+    FluxMethod.HLL_EINFELDT: (flux_hll, einfeldt_speeds),
+    FluxMethod.HLL_PBASED: (flux_hll, pbased_speeds),
+    FluxMethod.HLLC_DAVIS1: (flux_hllc, davis1_speeds),
+    FluxMethod.HLLC_DAVIS2: (flux_hllc, davis2_speeds),
+    FluxMethod.HLLC_ROE: (flux_hllc, roe_speeds),
+    FluxMethod.HLLC_EINFELDT: (flux_hllc, einfeldt_speeds),
+    FluxMethod.HLLC_PBASED: (flux_hllc, pbased_speeds),
+    FluxMethod.LF: (flux_lf,),
+    FluxMethod.RUSANOV: (flux_rusanov,),
 }
 
 
 def compute_face_flux(
     method: FluxMethod,
     faces,
-    gas: GasModel = GasModel(),
+    gas: GasModel,
     *,
     dx: float | None = None,
     dt: float | None = None,
 ) -> np.ndarray:
     """Dispatch to the selected method on ``faces``, both sides' states as
     one ``(3, 2, ...)`` array.  Only Lax-Friedrichs consumes dx/dt."""
-    kernel = _KERNELS.get(method)
-    if kernel is None:
+    entry = _KERNELS.get(method)
+    if entry is None:
         raise InvalidConfig(f"unknown flux method {method!r}")
-    return kernel(faces, gas, dx, dt)
+    kernel, *speeds = entry
+    if kernel is flux_lf:
+        return flux_lf(faces, gas.gamma, dx, dt)
+    return kernel(faces, gas.gamma, *speeds)

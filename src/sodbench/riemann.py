@@ -91,18 +91,6 @@ class ExactProfile:
     w: np.ndarray  # (3, n) primitive rows
     time: float
 
-    @property
-    def density(self) -> np.ndarray:
-        return self.w[0]
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.w[1]
-
-    @property
-    def pressure(self) -> np.ndarray:
-        return self.w[2]
-
 
 class _Side(NamedTuple):
     """The constants of one side of many face problems in the pressure

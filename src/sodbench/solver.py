@@ -255,7 +255,7 @@ def advance(field: SolutionField, cfg: RunConfig, n_steps: int) -> SolutionField
             # Same object, bare raise: the failure still comes from muscl or
             # riemann.  A face counted from the window start becomes global.
             message = exc.args[0]
-            face = getattr(exc, "face", None)
+            face = exc.face
             if face is not None:
                 exc.face = lo + face
                 message = message.replace(f"face {face}", f"face {exc.face}", 1)
@@ -300,6 +300,8 @@ def advance(field: SolutionField, cfg: RunConfig, n_steps: int) -> SolutionField
 def step_count(cfg: RunConfig) -> int:
     """Number of steps to reach t_final exactly; t_final must be a multiple of dt."""
     n = cfg.t_final / cfg.dt
+    if not math.isfinite(n):
+        raise InvalidConfig(f"t_final={cfg.t_final} / dt={cfg.dt} is not a finite step count")
     n_round = round(n)
     if abs(n - n_round) > 1e-9:
         raise InvalidConfig(

@@ -440,32 +440,32 @@ class TestExactProfile:
             "shock": 0.5 + t * SHOCK_SPEED,
         }
         x = profile.x
-        assert np.all(profile.density[x < positions["head"]] == 1.0)
+        assert np.all(profile.w[0][x < positions["head"]] == 1.0)
         plateau_left = (x > positions["tail"]) & (x < positions["contact"])
-        assert profile.density[plateau_left] == pytest.approx(RHO_STAR_L, abs=1e-5)
+        assert profile.w[0][plateau_left] == pytest.approx(RHO_STAR_L, abs=1e-5)
         plateau_right = (x > positions["contact"]) & (x < positions["shock"])
-        assert profile.density[plateau_right] == pytest.approx(RHO_STAR_R, abs=1e-5)
-        assert np.all(profile.density[x > positions["shock"]] == 0.125)
+        assert profile.w[0][plateau_right] == pytest.approx(RHO_STAR_R, abs=1e-5)
+        assert np.all(profile.w[0][x > positions["shock"]] == 0.125)
         # pressure and velocity are continuous across the contact
-        assert profile.pressure[plateau_left | plateau_right] == pytest.approx(
+        assert profile.w[2][plateau_left | plateau_right] == pytest.approx(
             P_STAR, abs=1e-5
         )
-        assert profile.velocity[plateau_left | plateau_right] == pytest.approx(
+        assert profile.w[1][plateau_left | plateau_right] == pytest.approx(
             U_STAR, abs=1e-5
         )
 
     def test_initial_time_is_step_data(self):
         profile = exact_profile(SOD, self.grid(), 0.5, 0.0)
-        assert np.all(profile.density[:100] == 1.0)
-        assert np.all(profile.density[100:] == 0.125)
-        assert np.all(profile.velocity == 0.0)
+        assert np.all(profile.w[0][:100] == 1.0)
+        assert np.all(profile.w[0][100:] == 0.125)
+        assert np.all(profile.w[1] == 0.0)
 
     def test_uniform_input_gives_uniform_profile(self):
         w = PrimitiveState(0.9, 0.1, 1.1)
         profile = exact_profile(RiemannInput(w, w), self.grid(), 0.5, 0.15)
-        assert profile.density == pytest.approx(0.9, rel=1e-12)
-        assert profile.velocity == pytest.approx(0.1, rel=1e-12)
-        assert profile.pressure == pytest.approx(1.1, rel=1e-12)
+        assert profile.w[0] == pytest.approx(0.9, rel=1e-12)
+        assert profile.w[1] == pytest.approx(0.1, rel=1e-12)
+        assert profile.w[2] == pytest.approx(1.1, rel=1e-12)
 
     def test_rejects_unsorted_positions(self):
         with pytest.raises(ValueError):

@@ -261,10 +261,12 @@ class TestRun:
     def test_step_count(self):
         assert step_count(RunConfig()) == 200
 
-    def test_dt_beyond_final_time_rejected(self):
-        # t_final / dt rounds to 0 steps although time is asked to pass
-        with pytest.raises(InvalidConfig, match="no step"):
-            step_count(RunConfig(dt=1e300))
+    @pytest.mark.parametrize("dt, match", [(1e300, "no step"), (5e-324, "not a finite step count")])
+    def test_dt_without_a_step_count_rejected(self, dt, match):
+        # t_final / dt rounds to 0 steps although time is asked to pass, or
+        # overflows to inf
+        with pytest.raises(InvalidConfig, match=match):
+            step_count(RunConfig(dt=dt))
 
     def test_run_equals_repeated_steps_bitwise(self):
         cfg = small_cfg(method=FluxMethod.HLLC_ROE, n=40, dt=0.005, t_final=0.05)
