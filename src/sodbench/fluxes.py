@@ -273,33 +273,43 @@ def flux_hllc(faces, g: float, speeds) -> np.ndarray:
     """Two-wave model with the signal speeds ``speeds(faces, g)`` and the
     contact wave restored (star states).
 
-    Only the star state on the face's side of the contact is built: the left
-    one where s* >= 0, the right one elsewhere.
+    Both sides' star states are built at once, on the side axis, and each
+    face takes one: the left where s* >= 0, the right elsewhere.  The upwind
+    branches (S_L >= 0 or S_R <= 0) and the guards of a zero denominator are
+    built only in a batch where some face needs them.
     """
     s_l, s_r = speeds(faces, g)
-    (rho_l, rho_r), (u_l, u_r), (p_l, p_r) = faces
+    s = np.array([s_l, s_r])
+    rho, u, p = faces
     q, f = state_and_flux_array(faces, g)
 
-    m_l = rho_l * (s_l - u_l)  # mass flux into the left wave (negative)
-    m_r = rho_r * (s_r - u_r)
-    den = m_l - m_r
-    den = np.where(np.abs(den) < 1e-300, 1e-300, den)
-    s_star = (p_r - p_l + u_l * m_l - u_r * m_r) / den
+    m = rho * (s - u)  # mass flux into each wave (negative on the left)
+    um = u * m
+    s_star = (p[1] - p[0] + um[0] - um[1]) / _nonzero(m[0] - m[1])
 
-    left = s_star >= 0.0
-    rho_k, u_k, p_k = np.where(left, faces[:, 0], faces[:, 1])
-    s_k = np.where(left, s_l, s_r)
-    m_k = np.where(left, m_l, m_r)
-    q_k = np.where(left, q[:, 0], q[:, 1])
-    del q  # freed before the peak below; 1 MB at 20 000 faces
-
-    gap = s_k - s_star
-    factor = m_k / np.where(np.abs(gap) < 1e-300, 1e-300, gap)
-    energy = q_k[2] / rho_k + (s_star - u_k) * (s_star + p_k / m_k)
+    factor = m / _nonzero(s - s_star)
+    energy = q[2] / rho + (s_star - u) * (s_star + p / m)
     q_star = np.array([factor, factor * s_star, factor * energy])
-    f_star = np.where(left, f[:, 0], f[:, 1]) + s_k * (q_star - q_k)
+    f_star = f + s * (q_star - q)
+    flux = np.where(s_star >= 0.0, f_star[:, 0], f_star[:, 1])
 
-    return np.where(s_l >= 0.0, f[:, 0], np.where(s_r <= 0.0, f[:, 1], f_star))
+    # NaN-ignoring reductions: a NaN speed takes the star flux, as it does
+    # in the selects, and must not hide a face that needs them
+    if (
+        np.fmax.reduce(s_l, axis=None, initial=-np.inf) >= 0.0
+        or np.fmin.reduce(s_r, axis=None, initial=np.inf) <= 0.0
+    ):
+        flux = np.where(s_l >= 0.0, f[:, 0], np.where(s_r <= 0.0, f[:, 1], flux))
+    return flux
+
+
+def _nonzero(x):
+    """``x`` with each magnitude below 1e-300 raised to 1e-300; the where
+    is built only in a batch that has one."""
+    magnitude = np.abs(x)
+    if np.fmin.reduce(magnitude, axis=None, initial=np.inf) < 1e-300:
+        return np.where(magnitude < 1e-300, 1e-300, x)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +325,10 @@ def flux_lf(faces, g: float, dx: float | None, dt: float | None) -> np.ndarray:
     """Lax-Friedrichs flux; the dissipation speed is the mesh ratio dx/dt."""
     if dx is None or dt is None or not (0.0 < dx < math.inf and 0.0 < dt < math.inf):
         raise InvalidConfig(f"Lax-Friedrichs needs finite dx > 0 and dt > 0, got dx={dx}, dt={dt}")
-    return _central_flux(faces, dx / dt, g)
+    speed = float(dx) / float(dt)
+    if speed == math.inf:
+        raise InvalidConfig(f"Lax-Friedrichs needs a finite dx/dt, got dx={dx}, dt={dt}")
+    return _central_flux(faces, speed, g)
 
 
 def flux_rusanov(faces, g: float) -> np.ndarray:
@@ -350,20 +363,25 @@ def flux_sw_fvs(faces, g: float) -> np.ndarray:
 
 def flux_vanleer_fvs(faces, g: float) -> np.ndarray:
     """Mach-quadratic van Leer split with C1 matching at M = +-1: F+ of the
-    left state plus F- of the right one."""
+    left state plus F- of the right one.
+
+    The supersonic parts (the full flux and zero) are built only in a batch
+    where some side has |M| >= 1.
+    """
     sign = _side_sign(faces)
     rho, u = faces[0], faces[1]
     a = sound_speed_array(faces, g)
     mach = u / a
-    full = flux_array(faces, g)
 
     f_mass = sign * 0.25 * rho * a * (mach + sign) ** 2
     t = (g - 1.0) * u + sign * 2.0 * a
-    sub = np.array([f_mass, f_mass * t / g, f_mass * t * t / (2.0 * (g * g - 1.0))])
+    parts = np.array([f_mass, f_mass * t / g, f_mass * t * t / (2.0 * (g * g - 1.0))])
 
-    take_full = sign * mach >= 1.0  # wind fully through this side
-    take_zero = sign * mach <= -1.0
-    parts = np.where(take_full, full, np.where(take_zero, 0.0, sub))
+    # NaN-ignoring: a NaN Mach number takes the subsonic part either way
+    if np.fmax.reduce(np.abs(mach), axis=None, initial=0.0) >= 1.0:
+        sign_mach = sign * mach
+        take_full = sign_mach >= 1.0  # wind fully through this side
+        parts = np.where(take_full, flux_array(faces, g), np.where(sign_mach <= -1.0, 0.0, parts))
     return parts[:, 0] + parts[:, 1]
 
 
@@ -373,7 +391,10 @@ def flux_vanleer_fvs(faces, g: float) -> np.ndarray:
 
 def _ausm_splits(mach, sign, alpha=None):
     """Both sides' Mach and pressure splittings: AUSM's quadratic and cubic,
-    or with ``alpha`` AUSM+'s, which add beta and alpha times (M^2 - 1)^2."""
+    or with ``alpha`` AUSM+'s, which add beta and alpha times (M^2 - 1)^2.
+
+    The supersonic branch is built only in a batch where some |M| > 1.
+    """
     sq = (mach + sign) ** 2
     m_sub = sign * 0.25 * sq
     p_sub = 0.25 * sq * (2.0 - sign * mach)
@@ -382,6 +403,9 @@ def _ausm_splits(mach, sign, alpha=None):
         m_sub = m_sub + sign * AUSM_PLUS_BETA * bump
         p_sub = p_sub + sign * alpha * mach * bump
     abs_mach = np.abs(mach)
+    # NaN-propagating: a NaN Mach number takes the supersonic branch
+    if np.maximum.reduce(abs_mach, axis=None, initial=0.0) <= 1.0:
+        return m_sub, p_sub
     subsonic = abs_mach <= 1.0
     m_split = np.where(subsonic, m_sub, 0.5 * (mach + sign * abs_mach))
     return m_split, np.where(subsonic, p_sub, 0.5 * (1.0 + sign * np.sign(mach)))

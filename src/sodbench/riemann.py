@@ -315,6 +315,7 @@ def _sample_arrays(wl, wr, p_star, u_star, rho_star_l, rho_star_r, xi, gamma):
     sec. 4.5): the right state, u* and xi enter with u -> -u, and the sampled
     velocity is flipped back.  Negation is exact in IEEE arithmetic, so the
     values equal those of the right-side formulas written out directly.
+    The fan state is built only in a batch where some ray lies inside a fan.
     """
     g = gamma
     on_left = xi <= u_star
@@ -326,30 +327,24 @@ def _sample_arrays(wl, wr, p_star, u_star, rho_star_l, rho_star_r, xi, gamma):
     u_star = sign * u_star
     xi = sign * xi
     a_k, s_shock, head, tail = _outer_wave(rho_k, u_k, p_k, p_star, u_star, g)
-    mu2 = (g - 1.0) / (g + 1.0)
     # A shock leaves the outer state ahead of it and the star state behind;
     # a fan has the outer state ahead of its head, the star state behind its
     # tail, and the fan state in between.
     shock = p_star > p_k
     outer = np.where(shock, xi <= s_shock, xi <= head)
     star = shock | (xi >= tail)
-
-    fan_fac = 2.0 / (g + 1.0) + mu2 / a_k * (u_k - xi)
-    fan_fac = np.maximum(fan_fac, 1e-300)  # only consumed where the fan mask holds
-    rho_fan = rho_k * fan_fac ** (2.0 / (g - 1.0))
-    u_fan = 2.0 / (g + 1.0) * (a_k + 0.5 * (g - 1.0) * u_k + xi)
-    p_fan = p_k * fan_fac ** (2.0 * g / (g - 1.0))
-
-    def pick(v_outer, v_star, v_fan):
-        return np.where(outer, v_outer, np.where(star, v_star, v_fan))
-
-    return np.array(
-        [
-            pick(rho_k, rho_star, rho_fan),
-            sign * pick(u_k, u_star, u_fan),
-            pick(p_k, p_star, p_fan),
-        ]
-    )
+    behind = (rho_star, u_star, p_star)
+    # A ray in neither region, one of NaN speed too, takes the fan state
+    if not np.logical_and.reduce(outer | star, axis=None):
+        mu2 = (g - 1.0) / (g + 1.0)
+        fan_fac = 2.0 / (g + 1.0) + mu2 / a_k * (u_k - xi)
+        fan_fac = np.maximum(fan_fac, 1e-300)  # only consumed where the fan mask holds
+        rho_fan = rho_k * fan_fac ** (2.0 / (g - 1.0))
+        u_fan = 2.0 / (g + 1.0) * (a_k + 0.5 * (g - 1.0) * u_k + xi)
+        p_fan = p_k * fan_fac ** (2.0 * g / (g - 1.0))
+        behind = [np.where(star, v, v_fan) for v, v_fan in zip(behind, (rho_fan, u_fan, p_fan))]
+    rho, u, p = (np.where(outer, v, v_behind) for v, v_behind in zip((rho_k, u_k, p_k), behind))
+    return np.array([rho, sign * u, p])
 
 
 def interface_states(wl: np.ndarray, wr: np.ndarray, gamma: float) -> np.ndarray:

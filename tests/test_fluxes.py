@@ -134,6 +134,17 @@ def random_pairs(n, seed):
     return wl[:, keep], wr[:, keep]
 
 
+def subsonic_pairs(n, seed):
+    """Face pairs with |u| < 0.3 and every sound speed above 0.59, so that
+    every signal-speed estimate has S_L < 0 < S_R."""
+    rng = np.random.default_rng(seed)
+    wl, wr = (
+        np.stack([rng.uniform(0.5, 2.0, n), rng.uniform(-0.3, 0.3, n), rng.uniform(0.5, 2.0, n)])
+        for _ in range(2)
+    )
+    return wl, wr
+
+
 def jacobian(u, h):
     """Euler flux Jacobian in conserved variables at velocity u, enthalpy h."""
     return np.array(
@@ -391,6 +402,63 @@ class TestHllc:
             flux_hllc(sides(SOD_L, SOD_R), G, speeds), hllc_both_star_states(speeds, SOD_L, SOD_R)
         )
 
+    @pytest.mark.parametrize("speeds", ESTIMATES)
+    def test_upwind_selects_only_in_a_batch_that_needs_them(self, speeds):
+        # A subsonic block skips the selects; one face supersonic to the
+        # right, or to the left, added to it needs them
+        wl, wr = subsonic_pairs(40, 67)
+        s_l, s_r = speeds(sides(wl, wr), G)
+        assert s_l.max() < 0.0 < s_r.min()
+        assert_same_bytes(flux_hllc(sides(wl, wr), G, speeds), hllc_both_star_states(speeds, wl, wr))
+        for u in (3.0, -3.0):
+            l = np.concatenate([wl, [[1.0], [u], [1.0]]], axis=1)
+            r = np.concatenate([wr, [[1.05], [1.03 * u], [1.02]]], axis=1)
+            got = flux_hllc(sides(l, r), G, speeds)
+            assert_same_bytes(got, hllc_both_star_states(speeds, l, r))
+            assert_same_bytes(got[:, -1], flux_array(l[:, -1] if u > 0.0 else r[:, -1], G))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_nan_speed_hides_no_face_that_needs_a_select(self, side):
+        # A NaN S_L next to a face supersonic to the right, or a NaN S_R next
+        # to one supersonic to the left: a reduction that propagated the NaN
+        # would skip the select that face needs
+        u = 3.0 if side == 0 else -3.0
+        wl, wr = subsonic_pairs(8, 71)
+        wl = np.concatenate([wl, [[1.0], [u], [1.0]]], axis=1)
+        wr = np.concatenate([wr, [[1.05], [1.03 * u], [1.02]]], axis=1)
+
+        def speeds(faces, g):
+            both = davis1_speeds(faces, g)
+            both[side][0] = np.nan
+            return both
+
+        got = flux_hllc(sides(wl, wr), G, speeds)
+        assert_same_bytes(got, hllc_both_star_states(speeds, wl, wr))
+        assert np.isnan(got[:, 0]).all()
+        assert_same_bytes(got[:, -1], flux_array((wl, wr)[side][:, -1], G))
+
+    def test_zero_denominators_are_guarded(self):
+        # Speeds chosen per face: on face 0, den = m_L - m_R is exactly 0;
+        # on face 1, |S_L - s*| = 1e-301; both lie in the star region, so
+        # their flux is the guarded value.  On face 2, S_L = s* = 0 and the
+        # upwind flux is taken, with no division by 0 on the way.  Sod's
+        # face needs no guard, and a NaN S_L on a second one must not hide
+        # the others' need.
+        wl = np.array([[1.5, -2.0, 1.0], [1.0, 0.0, 1.0], [1.0, -1.0, 2.0], SOD_L, SOD_L]).T
+        wr = np.array([[1.0, -1.0, 2.5], [1.0, 0.0, 1.0], [1.0, -1.0, 1.0], SOD_R, SOD_R]).T
+
+        def speeds(faces, g):
+            s_l, s_r = davis1_speeds(faces, g)
+            s_l[:3], s_l[4] = (-1.0, -1e-301, 0.0), np.nan
+            s_r[:3] = 0.5, 1.0, 1.0
+            return s_l, s_r
+
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = flux_hllc(sides(wl, wr), G, speeds)
+            assert_same_bytes(got, hllc_both_star_states(speeds, wl, wr))
+        assert np.isfinite(got[:, :4]).all()
+        assert_same_bytes(got[:, 2], flux_array(wl[:, 2], G))
+
     def test_identical_states(self):
         w = np.array([1.1, 0.4, 0.9])
         for speeds in ESTIMATES:
@@ -471,6 +539,7 @@ class TestCentralFluxes:
             (0.005, np.nan),
             (np.inf, 0.001),
             (0.005, np.inf),
+            (1e300, 1e-10),  # both finite, their ratio is not
         ],
     )
     def test_lf_requires_mesh_ratio(self, dx, dt):
@@ -849,6 +918,21 @@ def former_flux_ausm(kernel, faces, g):
     return np.array([mdot, mdot * u_up + p_half, mdot * h_up])
 
 
+def former_flux_vanleer(faces, g):
+    sign = fluxes._side_sign(faces)
+    rho, u = faces[0], faces[1]
+    a = np.sqrt(g * faces[2] / rho)
+    mach = u / a
+    full = flux_array(faces, g)
+    f_mass = sign * 0.25 * rho * a * (mach + sign) ** 2
+    t = (g - 1.0) * u + sign * 2.0 * a
+    sub = np.array([f_mass, f_mass * t / g, f_mass * t * t / (2.0 * (g * g - 1.0))])
+    take_full = sign * mach >= 1.0
+    take_zero = sign * mach <= -1.0
+    parts = np.where(take_full, full, np.where(take_zero, 0.0, sub))
+    return parts[:, 0] + parts[:, 1]
+
+
 # A face: log10 of both densities, both Mach numbers, log10 of both
 # pressures, and how the two streams are turned.  Mach numbers are signed
 # zeros or at least 1e-3 in size, so that no rho u^2 is subnormal, where
@@ -863,12 +947,26 @@ FACE = st.tuples(
     st.floats(-3.0, 3.0),
     st.sampled_from(["as drawn", "colliding", "supersonic right", "supersonic left"]),
 )
+# A face whose two sides are subsonic, |M| <= 0.9, with the same bounds
+SUBSONIC_MACH = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-3, 0.9), st.floats(-0.9, -1e-3))
+SUBSONIC_FACE = st.tuples(
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    SUBSONIC_MACH,
+    SUBSONIC_MACH,
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.just("as drawn"),
+)
 
 
 @st.composite
 def face_arrays(draw):
-    """A (3, 2, m) block of faces, or one (3, 2) face."""
-    drawn = draw(st.lists(FACE, min_size=1, max_size=12))
+    """A (3, 2, m) block of faces, or one (3, 2) face; half the blocks are
+    subsonic on every side, which the kernels' supersonic and upwind
+    branches skip."""
+    face = FACE if draw(st.booleans()) else SUBSONIC_FACE
+    drawn = draw(st.lists(face, min_size=1, max_size=12))
     log_rho_l, log_rho_r, mach_l, mach_r, log_p_l, log_p_r = np.array([f[:6] for f in drawn]).T
     rho = 10.0 ** np.array([log_rho_l, log_rho_r])
     p = 10.0 ** np.array([log_p_l, log_p_r])
@@ -939,6 +1037,20 @@ class TestSharedKernelsMatchTheirFormerExpressions:
             got = fluxes._ausm_splits(mach, sign, a)
             for g, e in zip(got, former_ausm_splits(mach, sign, a)):
                 assert_same_bytes(g, e)
+
+    @settings(max_examples=150, deadline=None)
+    @given(face_arrays())
+    def test_hllc(self, faces):
+        with np.errstate(all="ignore"):
+            for speeds in ESTIMATES:
+                expected = hllc_both_star_states(speeds, faces[:, 0], faces[:, 1])
+                assert_same_bytes(flux_hllc(faces, G, speeds), expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(face_arrays())
+    def test_vanleer(self, faces):
+        with np.errstate(all="ignore"):
+            assert_same_bytes(flux_vanleer_fvs(faces, G), former_flux_vanleer(faces, G))
 
     @settings(max_examples=150, deadline=None)
     @given(face_arrays())

@@ -425,6 +425,115 @@ class TestInterfaceStates:
             assert w0[:, i] == pytest.approx(alone, rel=1e-12, abs=1e-12)
 
 
+def former_sample_arrays(wl, wr, p_star, u_star, rho_star_l, rho_star_r, xi, gamma):
+    """The sampler as it was before it skipped the fan state in a batch
+    with no ray inside a fan (notes/decisions.md section 18)."""
+    g = gamma
+    on_left = xi <= u_star
+    sign = np.where(on_left, 1.0, -1.0)
+    rho_k = np.where(on_left, wl[0], wr[0])
+    u_k = sign * np.where(on_left, wl[1], wr[1])
+    p_k = np.where(on_left, wl[2], wr[2])
+    rho_star = np.where(on_left, rho_star_l, rho_star_r)
+    u_star = sign * u_star
+    xi = sign * xi
+    a_k, s_shock, head, tail = riemann._outer_wave(rho_k, u_k, p_k, p_star, u_star, g)
+    mu2 = (g - 1.0) / (g + 1.0)
+    shock = p_star > p_k
+    outer = np.where(shock, xi <= s_shock, xi <= head)
+    star = shock | (xi >= tail)
+    fan_fac = 2.0 / (g + 1.0) + mu2 / a_k * (u_k - xi)
+    fan_fac = np.maximum(fan_fac, 1e-300)
+    rho_fan = rho_k * fan_fac ** (2.0 / (g - 1.0))
+    u_fan = 2.0 / (g + 1.0) * (a_k + 0.5 * (g - 1.0) * u_k + xi)
+    p_fan = p_k * fan_fac ** (2.0 * g / (g - 1.0))
+
+    def pick(v_outer, v_star, v_fan):
+        return np.where(outer, v_outer, np.where(star, v_star, v_fan))
+
+    return np.array(
+        [
+            pick(rho_k, rho_star, rho_fan),
+            sign * pick(u_k, u_star, u_fan),
+            pick(p_k, p_star, p_fan),
+        ]
+    )
+
+
+def assert_same_bytes(got, expected):
+    assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
+    assert got.tobytes() == expected.tobytes()
+
+
+# Toro's tests 1 (a transonic fan on the left) and 4 (two shocks, no fan),
+# from his Table 4.1
+TORO_1 = RiemannInput(PrimitiveState(1.0, 0.75, 1.0), PrimitiveState(0.125, 0.0, 0.1))
+TORO_4 = RiemannInput(
+    PrimitiveState(5.99924, 19.5975, 460.894), PrimitiveState(5.99242, -6.19633, 46.0950)
+)
+
+
+class TestSamplerMatchesItsFormerExpression:
+    """The sampler gives its former expression's bytes in a batch with a ray
+    inside a fan and in one without."""
+
+    @staticmethod
+    def face_ray(wl, wr):
+        star = riemann.star_state_arrays(wl, wr, GAS.gamma)
+        got = riemann.interface_states(wl, wr, GAS.gamma)
+        assert_same_bytes(got, former_sample_arrays(wl, wr, *star, 0.0, GAS.gamma))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_FUZZ_SIDE, _FUZZ_SIDE), min_size=1, max_size=12))
+    def test_face_rays(self, faces):
+        wl = np.array([left for left, _ in faces]).T
+        wr = np.array([right for _, right in faces]).T
+        a_l, a_r = sound_speed_array(wl, GAS.gamma), sound_speed_array(wr, GAS.gamma)
+        assume(np.all(wr[1] - wl[1] < 0.99 * 2.0 * (a_l + a_r) / (GAS.gamma - 1.0)))
+        self.face_ray(wl, wr)
+
+    def test_face_ray_in_a_transonic_fan_and_outside_any(self):
+        for problem, in_fan in ((TORO_1, True), (SOD, False)):
+            speeds = solve_star(problem).speeds
+            assert (speeds.left_head < 0.0 < speeds.left_tail) is in_fan
+            self.face_ray(problem.left.array, problem.right.array)
+        # both faces in one batch
+        wl = np.stack([TORO_1.left.array, SOD.left.array], axis=1)
+        wr = np.stack([TORO_1.right.array, SOD.right.array], axis=1)
+        self.face_ray(wl, wr)
+
+    def test_profiles_with_and_without_a_fan(self):
+        x = (np.arange(200) + 0.5) / 200
+        for problem, x0, t, fans in ((TORO_1, 0.3, 0.2, 1), (TORO_4, 0.4, 0.035, 0)):
+            star = solve_star(problem)
+            assert [star.left_wave, star.right_wave].count(WaveKind.FAN) == fans
+            profile = exact_profile(problem, x, x0, t)
+            expected = former_sample_arrays(
+                problem.left.array[:, None],
+                problem.right.array[:, None],
+                star.p_star,
+                star.u_star,
+                star.rho_star_left,
+                star.rho_star_right,
+                ((x - x0) / t)[None, :],
+                GAS.gamma,
+            )
+            assert_same_bytes(profile.w, expected.reshape(3, x.size))
+
+    def test_a_nan_ray_takes_the_fan_state(self):
+        # Rays outside the fan of Sod's mirror image, whose fan is on the
+        # right, and one of NaN speed, which is sampled right of the contact:
+        # there it is in no region, so the batch builds the fan state that
+        # the full expression picks
+        problem = RiemannInput(SOD.right, SOD.left)
+        star = solve_star(problem)
+        args = (problem.left.array[:, None], problem.right.array[:, None], star.p_star, star.u_star)
+        args += (star.rho_star_left, star.rho_star_right, np.array([[-1.9, np.nan, 2.0]]), GAS.gamma)
+        got = riemann._sample_arrays(*args)
+        assert_same_bytes(got, former_sample_arrays(*args))
+        assert np.isnan(got[:, 0, 1]).all()
+
+
 class TestExactProfile:
     def grid(self, n=200):
         return (np.arange(n) + 0.5) / n

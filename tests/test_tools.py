@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from sodbench.fluxes import FluxMethod
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -57,12 +59,17 @@ def test_ab_sweep_same_tree_counts_equal_ops():
         assert line.endswith("; largest change of final cells 0.00e+00 absolute, 0.00e+00 relative")
     assert lines[3] == "wave reports differ in 0 of 6 problems"
     assert "ratio change/parent: median" in result.stdout
-    # the --ops lines follow the method ratio line
+    # the --ops lines follow the method ratio line, which names all 22
+    # methods, lowest ratio first
     (by_method,) = [line for line in lines if line.startswith("method median ratio")]
-    assert re.fullmatch(
-        r"method median ratio change/parent: lowest [a-z0-9-]+ \d\.\d{4}, highest [a-z0-9-]+ \d\.\d{4}",
+    match = re.fullmatch(
+        r"method median ratio change/parent: " + ", ".join([r"([a-z0-9-]+) (\d\.\d{4})"] * 22),
         by_method,
     )
+    assert match is not None, by_method
+    names, ratios = match.groups()[::2], [float(r) for r in match.groups()[1::2]]
+    assert sorted(names) == sorted(m.value for m in FluxMethod)
+    assert ratios == sorted(ratios)
     found = ops_lines(result.stdout)
     assert list(found) == ["sod200", "sod20k", "toro2"], result.stdout
     for parent, change, rest in found.values():
