@@ -13,6 +13,7 @@ stencil, so its update is exactly 0 (``notes/decisions.md`` section 10).
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import operator
@@ -110,22 +111,43 @@ def derive_dt(co_max_target: float, dx: float, s_max_estimate: float) -> float:
     """dt = Co_max dx / S_max."""
     if not 0.0 < co_max_target < 1.0:
         raise InvalidConfig(f"target Courant number must lie in (0, 1), got {co_max_target}")
-    if s_max_estimate <= 0.0:
-        raise InvalidConfig(f"wave speed estimate must be positive, got {s_max_estimate}")
-    if dx <= 0.0:
-        raise InvalidConfig(f"cell width must be positive, got {dx}")
-    return co_max_target * dx / s_max_estimate
+    if not (math.isfinite(s_max_estimate) and s_max_estimate > 0.0):
+        raise InvalidConfig(
+            f"wave speed estimate s_max must be positive and finite, got {s_max_estimate}"
+        )
+    if not (math.isfinite(dx) and dx > 0.0):
+        raise InvalidConfig(f"cell width dx must be positive and finite, got {dx}")
+    dt = co_max_target * dx / s_max_estimate
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise InvalidConfig(
+            f"derived dt must be positive and finite, got {dt} from dx = {dx}"
+            f" and s_max = {s_max_estimate}"
+        )
+    return dt
+
+
+def _step_data(cfg: RunConfig) -> tuple[np.ndarray, int]:
+    """The conserved cells of the step data, and the number of cells left of
+    the jump: those whose center lies below it."""
+    grid = cfg.grid
+    x_min, dx = float(grid.x_min), float(grid.dx)
+    # The centers rise, so the left cells are a prefix.  Each center is
+    # computed in the IEEE operations of Grid1D.centers(), so the count is
+    # bitwise np.searchsorted(grid.centers(), x0), tied centers included,
+    # and a center equal to the jump counts as right.
+    n_left = bisect.bisect_left(
+        range(grid.n_cells), float(cfg.jump_position), key=lambda i: x_min + (i + 0.5) * dx
+    )
+    states = conserved_array(np.array([cfg.left.array, cfg.right.array]).T, cfg.gas.gamma)
+    cells = np.empty((3, grid.n_cells))
+    cells[:, :n_left] = states[:, :1]
+    cells[:, n_left:] = states[:, 1:]
+    return cells, n_left
 
 
 def initialize_sod(cfg: RunConfig) -> SolutionField:
     """Step data: left state where the cell center is left of the jump."""
-    # The centers rise, so the cells left of the jump are a prefix.
-    n_left = int(np.searchsorted(cfg.grid.centers(), cfg.jump_position))
-    gamma = cfg.gas.gamma
-    cells = np.empty((3, cfg.grid.n_cells))
-    cells[:, :n_left] = conserved_array(cfg.left.array[:, None], gamma)
-    cells[:, n_left:] = conserved_array(cfg.right.array[:, None], gamma)
-    return SolutionField(time=0.0, cells=cells, max_courant_observed=0.0)
+    return SolutionField(time=0.0, cells=_step_data(cfg)[0], max_courant_observed=0.0)
 
 
 def _check_positive(w: np.ndarray, step_index: int, first_cell: int = 0) -> None:
@@ -198,6 +220,31 @@ def advance(field: SolutionField, cfg: RunConfig, n_steps: int) -> SolutionField
     """March ``n_steps`` conservative updates of dt; steps are numbered from
     0 in failure reports.  The incoming field is checked once.
 
+    The field is copied, and its first window comes from a scan of every
+    interface, since a caller's field can hold any cells."""
+    try:
+        n_steps = operator.index(n_steps)
+    except TypeError:
+        raise InvalidConfig(f"number of steps must be an integer, got {n_steps!r}") from None
+    if n_steps < 0:
+        raise InvalidConfig(f"number of steps must be non-negative, got {n_steps}")
+    q = field.cells.copy()
+    lo, hi = _window(q, 0, q.shape[1])
+    return _march(q, lo, hi, cfg, n_steps, field.time, field.max_courant_observed)
+
+
+def _march(
+    q: np.ndarray,
+    lo: int,
+    hi: int,
+    cfg: RunConfig,
+    n_steps: int,
+    time: float,
+    max_courant: float,
+) -> SolutionField:
+    """The stepping loop: march the cells ``q`` in place from the first
+    window [lo, hi), at ``time`` and with the Courant maximum seen so far.
+
     Each step reconstructs, fluxes and updates only the window [lo, hi).  Its
     end interfaces carry no jump, so the zero-gradient ghost cells of the
     slice equal the real neighbours and every face in it matches the whole
@@ -207,19 +254,11 @@ def advance(field: SolutionField, cfg: RunConfig, n_steps: int) -> SolutionField
     for any cell of non-positive or NaN density or pressure (see
     ``reconstruct_faces``); the cells of the last step are checked once,
     after it (notes/decisions.md section 13)."""
-    try:
-        n_steps = operator.index(n_steps)
-    except TypeError:
-        raise InvalidConfig(f"number of steps must be an integer, got {n_steps!r}") from None
-    if n_steps < 0:
-        raise InvalidConfig(f"number of steps must be non-negative, got {n_steps}")
     method, gas, dt = cfg.method, cfg.gas, cfg.dt
     gamma = gas.gamma
     dx = cfg.grid.dx
     dt_dx = dt / dx
-    q = field.cells.copy()
     n = q.shape[1]
-    lo, hi = _window(q, 0, n)
     # Outside the first window the field is two uniform blocks: cells
     # [0, lo) equal cell 0 and cells [hi, n) equal cell n - 1, and the
     # window's first and last cells lie in those runs of equal cells
@@ -230,7 +269,6 @@ def advance(field: SolutionField, cfg: RunConfig, n_steps: int) -> SolutionField
     # cell fails wherever the right block would.
     _check_positive(w[:, :1], 0)
     _check_positive(w, 0, lo)
-    time = field.time
     # The window only grows, so the blocks keep their incoming state for the
     # whole call, and the signal of each non-empty block enters the Courant
     # maximum once, here.
@@ -283,7 +321,6 @@ def advance(field: SolutionField, cfg: RunConfig, n_steps: int) -> SolutionField
         # Summed step by step, not n * dt, so the time matches repeated steps.
         time += dt
     else:
-        max_courant = field.max_courant_observed
         if n_steps > 0:
             if used:
                 peak = max(peak, _signal_peak(batch[:, :used], gamma))
@@ -313,8 +350,17 @@ def step_count(cfg: RunConfig) -> int:
 
 
 def run(cfg: RunConfig) -> SolutionField:
-    """Initialize and march to t_final (which must be a multiple of dt)."""
-    return advance(initialize_sod(cfg), cfg, step_count(cfg))
+    """Initialize and march to t_final (which must be a multiple of dt).
+
+    The step data are marched in place.  They are two uniform blocks, so
+    the only interface that can carry a jump is the one between them, and
+    the first window comes from that interface alone (notes/decisions.md
+    section 19)."""
+    n_steps = step_count(cfg)
+    q, n_left = _step_data(cfg)
+    n = q.shape[1]
+    lo, hi = _window(q, max(n_left - 1, 0), min(n_left + 1, n))
+    return _march(q, lo, hi, cfg, n_steps, 0.0, 0.0)
 
 
 def sweep_config(cfg: RunConfig, method: FluxMethod) -> RunConfig:

@@ -251,6 +251,10 @@ class TestInvalidInput:
             # step count that overflows a float
             ["solve", "--x-max", "1e-300", "--out", "OUT"],
             ["solve", "--dt", "5e-324", "--out", "OUT"],
+            # a wave speed estimate that gives no finite positive dt
+            ["solve", "--s-max", "nan", "--out", "OUT"],
+            ["solve", "--s-max", "inf", "--out", "OUT"],
+            ["solve", "--s-max", "1e-320", "--out", "OUT"],
         ],
         ids=" ".join,
     )

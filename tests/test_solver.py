@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sodbench
@@ -89,6 +89,23 @@ class TestDeriveDt:
         with pytest.raises(InvalidConfig):
             derive_dt(0.4, 0.005, 0.0)
 
+    @pytest.mark.parametrize(
+        ("dx", "s_max", "match"),
+        [
+            (0.005, math.nan, "s_max must be positive and finite, got nan"),
+            (0.005, math.inf, "s_max must be positive and finite, got inf"),
+            (math.nan, 2.0, "dx must be positive and finite, got nan"),
+            (math.inf, 2.0, "dx must be positive and finite, got inf"),
+            # finite arguments whose dt overflows or underflows
+            (0.005, 1e-320, "derived dt must be positive and finite, got inf"),
+            (1e300, 1e-10, "derived dt must be positive and finite, got inf"),
+            (5e-324, 2.0, "derived dt must be positive and finite, got 0.0"),
+        ],
+    )
+    def test_non_finite_arguments_and_dt_rejected(self, dx, s_max, match):
+        with pytest.raises(InvalidConfig, match=match):
+            derive_dt(0.4, dx, s_max)
+
 
 class TestInitialization:
     def test_benchmark_layout(self):
@@ -130,6 +147,34 @@ class TestInitialization:
         got = initialize_sod(cfg).cells
         assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
         assert got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(4, 10**5),
+        x_min=st.floats(-1e16, 1e16),
+        width=st.floats(1e-6, 1e6),
+        at=st.floats(0.0, 1.0, exclude_max=True),
+        where=st.sampled_from(["on a center", "between centers", "left", "right"]),
+    )
+    @example(n=10**5, x_min=1e16, width=1e3, at=0.5, where="on a center")
+    @example(n=10**5, x_min=-1e16, width=1e3, at=0.25, where="between centers")
+    def test_jump_cell_is_the_centers_searchsorted(self, n, x_min, width, at, where):
+        # Near |x_min| = 1e16 the spacing of doubles (2) exceeds dx, so
+        # neighbouring centers tie
+        x_max = x_min + width
+        if not x_max > x_min:
+            x_max = math.nextafter(x_min, math.inf)
+        grid = Grid1D(x_min, x_max, n)
+        centers = grid.centers()
+        k = int(at * (n - 1))
+        x0 = {
+            "on a center": centers[k],
+            "between centers": (centers[k] + centers[k + 1]) / 2,
+            "left": x_min - width,
+            "right": x_max + width,
+        }[where]
+        cfg = RunConfig(grid=grid, jump_position=float(x0))
+        assert solver._step_data(cfg)[1] == np.searchsorted(centers, x0)
 
 
 class TestStep:
@@ -349,9 +394,10 @@ class TestRun:
 
 
 class TestOneLoop:
-    """run, step and timing_sweep all go through solver.advance, which looks
-    up these three entry points as module attributes on every call (wrappers
-    installed on the module must see every step)."""
+    """run, step and timing_sweep all go through solver._march, the one
+    stepping loop, which looks up these three entry points as module
+    attributes on every call (wrappers installed on the module must see
+    every step)."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -709,6 +755,22 @@ class TestWindow:
             tracemalloc.stop()
         assert peak < 1.5 * field.cells.nbytes
 
+    @pytest.mark.parametrize("method", [FluxMethod.RIEMANN, FluxMethod.HLLC_ROE, FluxMethod.RUSANOV])
+    def test_a_run_builds_its_cells_once(self, method):
+        # run marches the step data it builds: no copy of the cells and no
+        # centers array
+        grid = Grid1D(0.0, 1.0, 20_000)
+        dt = 0.4 * grid.dx / 2
+        cfg = RunConfig(method=method, grid=grid, dt=dt, t_final=20 * dt)
+        assert step_count(cfg) == 20
+        tracemalloc.start()
+        try:
+            final = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * final.cells.nbytes
+
 
 def bad_cell_flux(call, row, change):
     """compute_face_flux on a 20-cell window spanning the grid, where the
@@ -774,7 +836,7 @@ class TestOneCheckPerStep:
         # The face check that found the cell stays out of the report
         assert exc.__context__ is None and exc.__cause__ is None
         assert got.traceback[-1].path.name == "solver.py"
-        assert frame_local(exc, solver.advance, "batch") is None
+        assert frame_local(exc, solver._march, "batch") is None
 
     def test_a_kernel_failure_drops_the_batch(self, monkeypatch):
         # The third step's flux fails on good cells: the error is the
@@ -798,7 +860,7 @@ class TestOneCheckPerStep:
         exc = excinfo.value
         assert (exc.args, exc.face, exc.step) == (("vacuum at face 2 at step 2",), 2, 2)
         assert excinfo.traceback[-1].path.name == "test_solver.py"
-        assert frame_local(exc, solver.advance, "batch") is None
+        assert frame_local(exc, solver._march, "batch") is None
 
     # (method, Toro test or None for Sod)
     COURANT_RUNS = [(FluxMethod.LF, None), (FluxMethod.RUSANOV, None), (FluxMethod.ROE, 1)]
@@ -1056,6 +1118,72 @@ class TestToroMatrix:
                 assert final.cells.tobytes() == expected.cells.tobytes(), (test, method)
                 assert_same_field(final, expected)
         assert narrowed == TORO_NARROWING
+
+
+def run_bytes(march, *args):
+    """The bytes of the final cells, the time and the Courant maximum of a
+    march, or the type, message, cell, face and step of the error it raises."""
+    try:
+        final = march(*args)
+    except SodbenchError as exc:
+        return type(exc), exc.args, getattr(exc, "cell", None), exc.face, exc.step
+    return final.cells.tobytes(), final.time, final.max_courant_observed
+
+
+# The Sod-200 benchmark run (None) and Toro's tests 1-5
+PROBLEMS = [None, *TORO_TESTS]
+
+
+class TestRunIsAdvance:
+    """run marches the step data it builds in place, and takes its first
+    window from the one interface between the two blocks; advance copies a
+    caller's field and scans every interface.  Both drive the one stepping
+    loop, so a run is advance's march of the step data, byte for byte
+    (notes/decisions.md section 19)."""
+
+    @pytest.mark.parametrize("method", list(FluxMethod), ids=lambda m: m.value)
+    @pytest.mark.parametrize("test", PROBLEMS, ids=lambda t: "sod" if t is None else f"toro{t}")
+    def test_run_is_advance_of_the_step_data(self, test, method):
+        cfg = RunConfig(method=method) if test is None else toro_config(test, method)
+        got = run_bytes(run, cfg)
+        assert got == run_bytes(solver.advance, initialize_sod(cfg), cfg, step_count(cfg))
+        # the 13 pinned failures compare their errors
+        assert isinstance(got[0], type) == ((test, method.value) in TORO_FAILURES)
+
+    # RunConfig fields on a 50-cell grid, and the number of left cells
+    FIRST_WINDOWS = {
+        "jump at cell 0": ({"jump_position": -0.25}, 0),
+        "jump at cell n": ({"jump_position": 1.25}, 50),
+        "jump on a center": ({"jump_position": float(Grid1D(0.0, 1.0, 50).centers()[20])}, 20),
+        "equal states": ({"right": SOD_LEFT}, 25),
+        "signed zeros": (
+            {"left": PrimitiveState(1.0, 0.0, 1.0), "right": PrimitiveState(1.0, -0.0, 1.0)},
+            25,
+        ),
+    }
+
+    @pytest.mark.parametrize("method", [FluxMethod.RIEMANN, FluxMethod.LF, FluxMethod.HLLC_ROE])
+    @pytest.mark.parametrize("case", list(FIRST_WINDOWS))
+    def test_first_window_is_the_full_scans(self, monkeypatch, case, method):
+        fields, n_left = self.FIRST_WINDOWS[case]
+        cfg = dataclasses.replace(small_cfg(method, t_final=0.04), **fields)
+        cells = initialize_sod(cfg).cells
+        n = cells.shape[1]
+        assert solver._step_data(cfg)[1] == n_left
+        if case == "signed zeros":
+            # one block, under !=, whose momenta differ in their bytes
+            assert not np.signbit(cells[1, :n_left]).any() and np.signbit(cells[1, n_left:]).all()
+        scans = []
+        window = solver._window
+
+        def counted(q, start, stop):
+            scans.append(((start, stop), window(q, start, stop)))
+            return scans[-1][1]
+
+        monkeypatch.setattr(solver, "_window", counted)
+        got = run_bytes(run, cfg)
+        assert scans == [((max(n_left - 1, 0), min(n_left + 1, n)), window(cells, 0, n))]
+        assert got == run_bytes(solver.advance, initialize_sod(cfg), cfg, step_count(cfg))
 
 
 class TestNewtonWork:

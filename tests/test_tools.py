@@ -78,6 +78,12 @@ def test_ab_sweep_same_tree_counts_equal_ops():
         # no method's count differs, and every counted run gave the
         # uncounted run's bytes
         assert rest == ""
+    # the last lines: each side's minor page faults per run, per suite
+    faults = [
+        re.fullmatch(r"(\w+) minor page faults per run over 22 runs: parent \d+\.\d, change \d+\.\d", line)
+        for line in lines[-3:]
+    ]
+    assert [match and match[1] for match in faults] == ["sod200", "sod20k", "toro2"], result.stdout
 
 
 def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
@@ -92,7 +98,7 @@ def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
     riemann.write_text(text)
     # and a square root of -1 warns once per run of the 22
     solver = change / "sodbench" / "solver.py"
-    old = "    return advance(initialize_sod(cfg), cfg, step_count(cfg))\n"
+    old = "    return _march(q, lo, hi, cfg, n_steps, 0.0, 0.0)\n"
     assert solver.read_text().count(old) == 1
     solver.write_text(solver.read_text().replace(old, "    np.sqrt(-1.0)\n" + old))
     result = run_ab_sweep(ROOT / "src", change, ("sod200",), "--ops")

@@ -19,9 +19,11 @@ compared byte for byte, differ between the sides is counted as differing,
 and is timed only if it completes on both.  The pass also counts each side's
 ``RuntimeWarning``s per suite, every occurrence, so that a change which
 computes on cells the parent never reached shows even when its results
-agree.  Over the runs that complete on both sides, the largest absolute
-change of a final cell is kept, and the largest relative one: a conserved
-row's largest change over that row's largest magnitude on the parent side.
+agree, and each side's minor page faults (``getrusage``) around each run, so
+that an allocation change shows next to the op counts.  Over the runs that
+complete on both sides, the largest absolute change of a final cell is
+kept, and the largest relative one: a conserved row's largest change over
+that row's largest magnitude on the parent side.
 After that, each rep runs every timed run once on each side, back to back,
 and alternates the side that goes first from run to run and from rep to
 rep.  A side's sweep time is the sum of its run times in a rep.  The script
@@ -32,9 +34,10 @@ Then it prints in how many of six problems (Sod's and Toro's 1-5) the exact
 solver's wave report (``bench.wave_report``'s lines, or its error) differs,
 each side's median sweep over all seven suites, and the median, min and max
 of that ratio.
-Last, it prints every method's median ratio, lowest first, each method's
+Then it prints every method's median ratio, lowest first, each method's
 time summed over all suites in a rep, so that a change shows where its
-saving lands.
+saving lands.  Last, it prints per suite each side's minor page faults per
+run of the untimed pass.
 
 With ``--ops`` the untimed pass also runs each timed run once more per side
 with its numpy operations counted, and prints per suite each side's
@@ -57,6 +60,7 @@ import argparse
 import contextlib
 import importlib
 import math
+import resource
 import shutil
 import statistics
 import sys
@@ -272,11 +276,14 @@ def main(argv=None) -> int:
             return time.perf_counter() - start, final
 
         def counted_run(cfg, side: int):
-            # The untimed pass: the result and the RuntimeWarnings it raised
+            # The untimed pass: the result, the RuntimeWarnings it raised and
+            # the minor page faults it took
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 result = run(cfg, side)[1]
-            return result, sum(issubclass(w.category, RuntimeWarning) for w in caught)
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            return result, sum(issubclass(w.category, RuntimeWarning) for w in caught), faults
 
         def stamp(final):
             # Bytes, so that -0.0 and 0.0 (equal under !=) count as differing
@@ -295,6 +302,8 @@ def main(argv=None) -> int:
         # differ, largest absolute and relative change of final cells, each
         # side's RuntimeWarnings)
         kept = {}
+        # suite -> each side's minor page faults over the untimed pass
+        faulted = {}
         # suite -> method -> each side's operations per step, and the counted
         # runs that differ from their uncounted one
         ops, ops_differ = {suite: {} for suite in SUITES}, {suite: [] for suite in SUITES}
@@ -302,13 +311,15 @@ def main(argv=None) -> int:
             fields = [suite_fields(p, suite) for p in packages]
             moved = [k for k in {**fields[0], **fields[1]} if fields[0].get(k) != fields[1].get(k)]
             pairs, differ, skipped, change, warned = [], 0, 0, [0.0, 0.0], [0, 0]
+            faulted[suite] = [0, 0]
             for method in methods:
                 pair = [side_config(p, f, method) for p, f in zip(packages, fields)]
                 results = []
                 for side, cfg in enumerate(pair):
-                    result, count = counted_run(cfg, side)
+                    result, count, faults = counted_run(cfg, side)
                     results.append(result)
                     warned[side] += count
+                    faulted[suite][side] += faults
                 failed = [isinstance(r, tuple) for r in results]
                 if all(failed) and results[0] == results[1]:
                     skipped += 1
@@ -381,6 +392,11 @@ def main(argv=None) -> int:
                 + (f"; by method: {', '.join(moved)}" if moved else "")
                 + (f"; counted runs differ: {', '.join(ops_differ[suite])}" if ops_differ[suite] else "")
             )
+    for suite, (parent, change) in faulted.items():
+        print(
+            f"{suite} minor page faults per run over {len(methods)} runs:"
+            f" parent {parent / len(methods):.1f}, change {change / len(methods):.1f}"
+        )
     return 0
 
 
