@@ -7,11 +7,9 @@ reference.
 """
 
 from .bench import (
-    ProfileExport,
     RmseReport,
     TimingReport,
     WaveReport,
-    export_profile,
     rmse,
     rmse_report,
     run_all_methods,

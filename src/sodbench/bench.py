@@ -1,9 +1,8 @@
-"""Benchmark harness: wave report, RMSE sweep, timing sweep, profile export.
+"""Benchmark harness: wave report, RMSE sweep, timing sweep.
 
 Produces the quantitative benchmark artifacts: the wave-property table of the
 exact solution (with both shock-speed validity checks), the 22-method RMSE
-table, the relative-runtime comparison, and the CSV profile data behind the
-solution plots.
+table and the relative-runtime comparison.
 """
 
 from __future__ import annotations
@@ -25,13 +24,11 @@ __all__ = [
     "RmseReport",
     "TimingReport",
     "WaveReport",
-    "ProfileExport",
     "rmse",
     "rmse_report",
     "run_all_methods",
     "timing_sweep",
     "wave_report",
-    "export_profile",
 ]
 
 
@@ -108,17 +105,6 @@ class WaveReport:
             f"contact discontinuity: velocity {self.u_star:.5f}, pressure {self.p_star:.5f}"
         ]
         return side("left", self.left) + header + side("right", self.right)
-
-
-@dataclass(frozen=True)
-class ProfileExport:
-    """Columns of one solution profile, one row per cell center."""
-
-    x: np.ndarray
-    density: np.ndarray
-    velocity: np.ndarray
-    pressure: np.ndarray
-    internal_energy: np.ndarray
 
 
 def rmse(numerical: np.ndarray, exact: np.ndarray) -> tuple[float, float, float]:
@@ -229,11 +215,3 @@ def wave_report(problem: RiemannInput) -> WaveReport:
     )
     return WaveReport(p_star=star.p_star, u_star=star.u_star, left=left, right=right)
 
-
-def export_profile(x: np.ndarray, w: np.ndarray, gas: GasModel) -> ProfileExport:
-    """Columns of the primitive rows ``w`` at positions ``x``, with
-    e = p / (rho (gamma - 1))."""
-    e = internal_energy_array(w, gas.gamma)
-    return ProfileExport(
-        x=x, density=w[0], velocity=w[1], pressure=w[2], internal_energy=e
-    )

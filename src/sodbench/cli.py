@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
+
+import numpy as np
 
 from . import bench, riemann, solver
 from .errors import InvalidConfig, SodbenchError
 from .fluxes import FluxMethod
-from .gas import GasModel
+from .gas import GasModel, internal_energy_array
 from .riemann import RiemannInput
 from .solver import Grid1D, RunConfig
 
@@ -98,6 +101,22 @@ def _write_csv(path: str, header: str, rows) -> None:
         out.writerows([v if isinstance(v, str) else f"{v:.12g}" for v in row] for row in rows)
 
 
+def _write_profile(path: str, x: np.ndarray, w: np.ndarray, gas: GasModel) -> None:
+    """The primitive rows ``w`` at positions ``x``, with e = p / (rho (gamma - 1))."""
+    _write_csv(path, _PROFILE_HEADER, zip(x, *w, internal_energy_array(w, gas.gamma)))
+
+
+def _check_out(path: str | None) -> None:
+    """Reject an output path that no file can be written to, before any run."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise InvalidConfig(f"output path {path!r} is a directory")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise InvalidConfig(f"output path {path!r}: no directory {parent!r}")
+
+
 def _run_config(args: argparse.Namespace, method: FluxMethod) -> RunConfig:
     grid = Grid1D(x_min=args.x_min, x_max=args.x_max, n_cells=args.cells)
     dt = args.dt
@@ -149,9 +168,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     gas = GasModel(gamma=args.gamma)
     problem = RiemannInput(left=solver.SOD_LEFT, right=solver.SOD_RIGHT, gas=gas)
     profile = riemann.exact_profile(problem, grid.centers(), args.jump, args.time)
-    e = bench.export_profile(profile.x, profile.w, gas)
-    rows = zip(e.x, e.density, e.velocity, e.pressure, e.internal_energy)
-    _write_csv(args.out, _PROFILE_HEADER, rows)
+    _write_profile(args.out, profile.x, profile.w, gas)
     print(f"wrote exact profile ({args.cells} cells, t={args.time}) to {args.out}")
     return EXIT_OK
 
@@ -170,9 +187,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     cfg = _run_config(args, method)
     field = solver.run(cfg)
     if args.out:
-        e = bench.export_profile(cfg.grid.centers(), field.primitives(cfg.gas), cfg.gas)
-        rows = zip(e.x, e.density, e.velocity, e.pressure, e.internal_energy)
-        _write_csv(args.out, _PROFILE_HEADER, rows)
+        _write_profile(args.out, cfg.grid.centers(), field.primitives(cfg.gas), cfg.gas)
     print(
         f"{method.value}: {solver.step_count(cfg)} steps to t={field.time:.6g}, "
         f"max Courant {field.max_courant_observed:.5f}"
@@ -242,9 +257,13 @@ def parse_and_run(argv: list[str]) -> int:
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code or 0)
     try:
+        _check_out(getattr(args, "out", None))
         return _COMMANDS[args.command](args)
     except InvalidConfig as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_INVALID_CONFIG
+    except MemoryError as exc:  # a grid too large for this machine
+        print(f"invalid configuration: out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
     except SodbenchError as exc:  # every other solver failure is numerical
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

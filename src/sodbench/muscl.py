@@ -28,7 +28,9 @@ def reconstruct_faces(w: np.ndarray) -> np.ndarray:
     half-slope d_m d_p / (d_m + d_p) where d_m d_p > 0, and 0 elsewhere
     (J. Comput. Phys. 14, 1974): phi(r) d_m / 2 with phi(r) = (r + |r|) /
     (1 + |r|) and r = d_p / d_m.  It is symmetric in d_m and d_p, so the one
-    slope serves both of the cell's faces.
+    slope serves both of the cell's faces.  The solver's window rests on
+    the zero slope next to a flat difference: its end cells never move
+    (``solver._grow``).
 
     Raises ``NonPhysicalState``, naming a face with a non-positive or NaN
     density or pressure on either side.  Every cell i is a face state twice,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidConfig, NoConvergence, NonPhysicalState, VacuumGenerated
 from .fluxes import FluxMethod, compute_face_flux
-from .gas import GasModel, PrimitiveState, conserved_array, primitive_array, sound_speed_array
+from .gas import GasModel, PrimitiveState, conserved_array, primitive_array
 from .muscl import reconstruct_faces
 
 __all__ = [
@@ -193,25 +193,20 @@ def _window(q: np.ndarray, start: int, stop: int) -> tuple[int, int]:
 def _grow(q: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
     """The window after a step that updated its cells [lo, hi) in ``q``.
 
-    The cells beyond each end were never updated and still equal their
-    block, so a new jump lies inside the window or on an end interface.
-    Only a jump on an end's two outermost interfaces lacks two window cells
-    on its outer side: one between the block and the end cell grows that
-    end by two cells, one between the end cell and its inner neighbour by
-    one.  The (3, 3) end slices compare as Python floats, which agree with
-    numpy's != on NaN and on -0.0 (notes/decisions.md section 10)."""
+    An end away from a wall holds two copies of its block (cells lo and
+    lo + 1, or hi - 2 and hi - 1), whose half-slopes are 0 (see
+    ``reconstruct_faces``): the end cell's update is exactly 0, so it never
+    moves.  Where the inner cell moved, the end grows by one cell.  The
+    (3, 2) end slices compare as Python floats, which agree with numpy's !=
+    on NaN and on -0.0 (notes/decisions.md sections 10 and 20)."""
     n = q.shape[1]
     if lo > 0:
-        block, end, inner = q[:, lo - 1 : lo + 2].T.tolist()
-        if end != block:
-            lo = max(lo - 2, 0)
-        elif inner != end:
+        end, inner = q[:, lo : lo + 2].T.tolist()
+        if inner != end:
             lo -= 1
     if hi < n:
-        inner, end, block = q[:, hi - 2 : hi + 1].T.tolist()
-        if end != block:
-            hi = min(hi + 2, n)
-        elif inner != end:
+        inner, end = q[:, hi - 2 : hi].T.tolist()
+        if inner != end:
             hi += 1
     return lo, hi
 
@@ -248,7 +243,8 @@ def _march(
     Each step reconstructs, fluxes and updates only the window [lo, hi).  Its
     end interfaces carry no jump, so the zero-gradient ghost cells of the
     slice equal the real neighbours and every face in it matches the whole
-    grid's.  Failures report whole-grid cells and faces.
+    grid's.  Failures report whole-grid cells and faces.  An end cell away
+    from a wall never moves (see ``_grow``), so it is its block's state.
 
     A step's cells are checked by the next step's face check, which fails
     for any cell of non-positive or NaN density or pressure (see
@@ -269,12 +265,9 @@ def _march(
     # cell fails wherever the right block would.
     _check_positive(w[:, :1], 0)
     _check_positive(w, 0, lo)
-    # The window only grows, so the blocks keep their incoming state for the
-    # whole call, and the signal of each non-empty block enters the Courant
-    # maximum once, here.
-    blocks = w[:, [0, -1]][:, [lo > 0, hi < n]]
-    peak = float((np.abs(blocks[1]) + sound_speed_array(blocks, gamma)).max(initial=0.0))
-    # Each updated window, once checked, waits here for its Courant signal
+    # Each updated window, once checked, waits here for its Courant signal;
+    # its end cells carry the blocks' signal into every batch.
+    peak = 0.0
     cap = _SIGNAL_BATCH
     batch = np.empty((3, cap))
     used = 0

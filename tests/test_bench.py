@@ -1,4 +1,4 @@
-"""Benchmark harness: RMSE, sweeps, wave report, profile export, timing."""
+"""Benchmark harness: RMSE, sweeps, wave report, profile columns, timing."""
 
 import dataclasses
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sodbench.bench import (
-    export_profile,
     rmse,
     rmse_report,
     run_all_methods,
@@ -15,7 +14,7 @@ from sodbench.bench import (
 )
 from sodbench.errors import InvalidConfig
 from sodbench.fluxes import FluxMethod
-from sodbench.gas import GasModel, PrimitiveState
+from sodbench.gas import GasModel, PrimitiveState, internal_energy_array
 from sodbench.riemann import RiemannInput, WaveKind, exact_profile
 from sodbench.solver import Grid1D, RunConfig, run
 
@@ -138,36 +137,24 @@ class TestWaveReport:
         assert "0.92745" in text
 
 
-class TestExportProfile:
+class TestProfileColumns:
+    """The columns of a profile CSV: the primitive rows and e = p / (rho (gamma - 1))."""
+
     def test_exact_profile_rows(self):
         cfg = RunConfig()
         profile = exact_profile(SOD, cfg.grid.centers(), 0.5, 0.2)
-        export = export_profile(profile.x, profile.w, GAS)
+        columns = np.vstack([profile.w, internal_energy_array(profile.w, GAS.gamma)])
         # undisturbed edges carry the initial states and their energies
-        np.testing.assert_allclose(
-            [export.density[0], export.velocity[0], export.pressure[0], export.internal_energy[0]],
-            [1.0, 0.0, 1.0, 2.5],
-            rtol=1e-12,
-        )
-        np.testing.assert_allclose(
-            [export.density[-1], export.velocity[-1], export.pressure[-1], export.internal_energy[-1]],
-            [0.125, 0.0, 0.1, 2.0],
-            rtol=1e-12,
-        )
+        np.testing.assert_allclose(columns[:, 0], [1.0, 0.0, 1.0, 2.5], rtol=1e-12)
+        np.testing.assert_allclose(columns[:, -1], [0.125, 0.0, 0.1, 2.0], rtol=1e-12)
         # a cell on the star-left plateau (x = 0.55 is between tail and contact)
-        i = int(np.argmin(np.abs(export.x - 0.55)))
-        np.testing.assert_allclose(
-            [export.density[i], export.velocity[i], export.pressure[i], export.internal_energy[i]],
-            [0.42632, 0.92745, 0.30313, 1.77760],
-            atol=1e-5,
-        )
+        i = int(np.argmin(np.abs(profile.x - 0.55)))
+        np.testing.assert_allclose(columns[:, i], [0.42632, 0.92745, 0.30313, 1.77760], atol=1e-5)
 
     def test_energy_column_consistency(self):
-        field = run(RunConfig(method=FluxMethod.KNP))
-        cfg = RunConfig()
-        export = export_profile(cfg.grid.centers(), field.primitives(GAS), GAS)
-        expected = export.pressure / (export.density * (GAS.gamma - 1.0))
-        np.testing.assert_allclose(export.internal_energy, expected, rtol=1e-12)
+        w = run(RunConfig(method=FluxMethod.KNP)).primitives(GAS)
+        expected = w[2] / (w[0] * (GAS.gamma - 1.0))
+        np.testing.assert_allclose(internal_energy_array(w, GAS.gamma), expected, rtol=1e-12)
 
 
 class TestTimingSweep:

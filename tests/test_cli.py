@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, CSV contracts, exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,6 +134,17 @@ class TestSolve:
         # dx / 2.19157 = 0.002281 at 200 cells
         assert parse_and_run(["solve", "--flux", "lf", "--dt", "0.002", "--time", "0.01"]) == 0
 
+    def test_gamma_near_one_stops_the_exact_flux(self, capsys):
+        # The fan branch's ratio**z - 1, z = (gamma - 1) / (2 gamma), rounds
+        # at about eps / z: 4.4e-12 at 1.0001, above the Newton tolerance of
+        # 1e-12, where 1.0002 still converges (notes/decisions.md section 9)
+        assert parse_and_run(["solve", "--gamma", "1.0002"]) == 0
+        capsys.readouterr()
+        assert parse_and_run(["solve", "--gamma", "1.0001"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: NoConvergence: star pressure iteration")
+        assert ": face 116 stopped at " in err and err.endswith(" at step 140\n")
+
     def test_van_leer_profile_is_pinned_byte_for_byte(self, tmp_path, capsys):
         # van Leer's splitting calls gas.flux_array on every step
         out = tmp_path / "van_leer.csv"
@@ -255,14 +269,70 @@ class TestInvalidInput:
             ["solve", "--s-max", "nan", "--out", "OUT"],
             ["solve", "--s-max", "inf", "--out", "OUT"],
             ["solve", "--s-max", "1e-320", "--out", "OUT"],
+            # an output path that is a directory, or in a missing one
+            ["exact", "--out", "DIR"],
+            ["solve", "--out", "DIR"],
+            ["exact", "--out", "NODIR"],
+            ["solve", "--out", "NODIR"],
+            ["bench", "--out", "NODIR"],
+            ["timing", "--reps", "3", "--out", "NODIR"],
         ],
         ids=" ".join,
     )
     def test_rejected_with_exit_2(self, argv, tmp_path, capsys):
-        out = tmp_path / "out.csv"
-        assert parse_and_run([str(out) if a == "OUT" else a for a in argv]) == 2
+        paths = {"OUT": tmp_path / "out.csv", "DIR": tmp_path, "NODIR": tmp_path / "no" / "x.csv"}
+        assert parse_and_run([str(paths.get(a, a)) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["exact", "solve", "bench", "timing"])
+    def test_an_unusable_out_is_rejected_before_any_run(self, command, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran before the output path was checked")
+
+        for module, name in [
+            (cli.riemann, "exact_profile"),
+            (cli.solver, "run"),
+            (cli.bench, "run_all_methods"),
+            (cli.bench, "timing_sweep"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        assert parse_and_run([command, "--out", str(tmp_path / "no" / "x.csv")]) == 2
         assert "invalid configuration" in capsys.readouterr().err
-        assert not out.exists()
+
+
+class TestOutOfMemory:
+    def test_memory_error_is_config_error(self, monkeypatch, capsys):
+        def too_large(cfg):
+            raise MemoryError("Unable to allocate 2.24 GiB")
+
+        monkeypatch.setattr(cli.solver, "run", too_large)
+        assert parse_and_run(["solve", "--cells", "100000000", "--time", "2e-9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "invalid configuration: out of memory: Unable to allocate 2.24 GiB\n"
+        assert captured.out == ""
+
+    def test_a_grid_beyond_the_address_space(self):
+        # A child limited to 1.5 GB of address space: 10^8 cells x 1 step
+        # passes the bound on cell-steps, and its (3, 10^8) cells take
+        # 2.4 GB.  The allocation fails before a page is touched
+        pytest.importorskip("resource")
+        limit = 1536 * 2**20
+        code = (
+            f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from sodbench.cli import parse_and_run\n"
+            "sys.exit(parse_and_run(['solve', '--cells', '100000000', '--time', '2e-9']))"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("invalid configuration: out of memory: ")
+        assert done.stderr.count("\n") == 1
 
 
 class TestParser:

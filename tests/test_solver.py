@@ -448,9 +448,7 @@ def whole_grid_check(w, step_index):
         )
 
 
-def full_domain_advance(
-    field, cfg, n_steps, reconstruct=reconstruct_faces, flux_of=compute_face_flux
-):
+def full_domain_advance(field, cfg, n_steps, flux_of=compute_face_flux):
     """The stepping loop without a window: every step reconstructs, fluxes,
     updates, checks and monitors the whole grid, in the arithmetic of
     solver.advance.  The cells are checked after every step."""
@@ -460,7 +458,7 @@ def full_domain_advance(
     whole_grid_check(w, 0)
     time, max_courant = field.time, field.max_courant_observed
     for k in range(n_steps):
-        faces = reconstruct(w)
+        faces = reconstruct_faces(w)
         flux = flux_of(cfg.method, faces, cfg.gas, dx=dx, dt=cfg.dt)
         q = q - (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
         w = primitive_array(q, gamma)
@@ -469,58 +467,6 @@ def full_domain_advance(
         max_courant = max(max_courant, float(signal.max()) * cfg.dt / dx)
         time += cfg.dt
     return solver.SolutionField(time=time, cells=q, max_courant_observed=max_courant)
-
-
-def mirrored(reconstruct):
-    """The reconstruction applied to the mirror image x -> -x, u -> -u.  A
-    failure names its face in the order of the faces handed back."""
-    flip = np.array([1.0, -1.0, 1.0])[:, None]
-
-    def run(w):
-        try:
-            faces = reconstruct(flip * w[:, ::-1])
-        except NonPhysicalState as exc:
-            face = w.shape[1] - exc.face
-            message = f"mirrored reconstruction fails at face {face}"
-            raise NonPhysicalState(message, face=face) from None
-        # Mirroring swaps the two sides of every face and reverses the faces
-        return flip[:, :, None] * faces[:, ::-1, ::-1]
-
-    return run
-
-
-def one_slope(phi):
-    """MUSCL as reconstruct_faces builds it, w +- phi(r) d_m / 2 with
-    r = d_p / d_m (0 where either difference is 0), for a phi other than
-    van Leer's.  A failure names the first face with a non-positive density
-    or pressure on either side."""
-
-    def reconstruct(w):
-        ext = np.concatenate([w[:, :1], w, w[:, -1:]], axis=1)
-        d = ext[:, 1:] - ext[:, :-1]
-        d_m, d_p = d[:, :-1], d[:, 1:]
-        r = np.divide(d_p, d_m, out=np.zeros_like(d_m), where=(d_m != 0.0) & (d_p != 0.0))
-        half = 0.5 * phi(r) * d_m
-        faces = np.empty((3, 2, d.shape[1]))
-        faces[:, 0, 0], faces[:, 0, 1:] = w[:, 0], w + half
-        faces[:, 1, :-1], faces[:, 1, -1] = w - half, w[:, -1]
-        bad = ~((faces[0] > 0.0) & (faces[2] > 0.0)).all(axis=0)
-        if bad.any():
-            face = int(bad.argmax())
-            raise NonPhysicalState(f"non-positive reconstructed state at face {face}", face=face)
-        return faces
-
-    return reconstruct
-
-
-# phi = 1/5: the slope of a cell whose left difference is a jump stays open,
-# so the flux moves the cell right of it as well
-open_limiter = one_slope(lambda r: np.full_like(r, 0.2))
-
-# Van Leer's phi(0) = 0 leaves a window's end cells unchanged, so an end
-# grows by one cell a step at most; phi = 1/5 moves the right end cell and
-# its mirror image the left one, and each grows that end by two
-RECONSTRUCTIONS = (reconstruct_faces, open_limiter, mirrored(open_limiter))
 
 
 def layered_field(cfg, states, starts):
@@ -540,16 +486,23 @@ def assert_same_field(got, expected):
 def check_growth_against_rescan(monkeypatch):
     """Check every window solver._grow returns against the rule it stands
     for: the union of the window the step marched and the window of a rescan
-    of cells lo - 1 ... hi, wherever that rescan finds a jump.  Returns two
-    lists: one gets each marched window whose rescan finds a narrower one,
-    the other the cells each check grows the left and the right end by."""
+    of cells lo - 1 ... hi, wherever that rescan finds a jump.  Also check
+    the invariant the rule rests on: each end cell of the marched window
+    away from a wall still equals its block, cell 0 or cell n - 1, and no
+    end grows by more than one cell.  Returns two lists: one gets each
+    marched window whose rescan finds a narrower one, the other the cells
+    each check grows the left and the right end by."""
     grow = solver._grow
     narrowing, growth = [], []
 
     def checked(q, lo, hi):
+        n = q.shape[1]
+        assert lo == 0 or not (q[:, lo] != q[:, 0]).any()
+        assert hi == n or not (q[:, hi - 1] != q[:, -1]).any()
         got = grow(q, lo, hi)
         growth.append((lo - got[0], got[1] - hi))
-        start, stop = max(lo - 1, 0), min(hi + 1, q.shape[1])
+        assert max(growth[-1]) <= 1
+        start, stop = max(lo - 1, 0), min(hi + 1, n)
         if (q[:, start + 1 : stop] != q[:, start : stop - 1]).any():
             scan_lo, scan_hi = solver._window(q, start, stop)
             assert got == (min(lo, scan_lo), max(hi, scan_hi))
@@ -610,7 +563,8 @@ class TestWindow:
     loop's bit for bit (notes/decisions.md section 10)."""
 
     @pytest.mark.parametrize("method", list(FluxMethod))
-    def test_sod(self, method):
+    def test_sod(self, method, monkeypatch):
+        check_growth_against_rescan(monkeypatch)
         cfg = RunConfig(method=method)
         expected = full_domain_advance(initialize_sod(cfg), cfg, step_count(cfg))
         assert_same_field(run(cfg), expected)
@@ -663,26 +617,19 @@ class TestWindow:
             assert np.array_equal(solver.advance(field, cfg, 1).cells, field.cells), method
 
     def test_growth_matches_the_rescan_and_the_whole_grid(self):
-        # Only phi = 1/5 and its mirror image grow an end by two cells, so
-        # the march must meet both cases or those branches of solver._grow
-        # go unchecked
-        grown_by_two = set()
+        # An end grows by at most one cell a step, and the march must grow
+        # each end somewhere, or that branch of solver._grow goes unchecked
+        grown = set()
 
         @settings(max_examples=60, deadline=None)
-        @given(
-            blocks_on_a_background(48),
-            st.sampled_from(list(FluxMethod)),
-            st.sampled_from(RECONSTRUCTIONS),
-            st.integers(1, 12),
-        )
-        def march(layout, method, reconstruct, n_steps):
+        @given(blocks_on_a_background(48), st.sampled_from(list(FluxMethod)), st.integers(1, 12))
+        def march(layout, method, n_steps):
             cfg = RunConfig(method=method, grid=Grid1D(0.0, 1.0, 48), dt=0.4 / 96)
             field = layered_field(cfg, *layout)
             with pytest.MonkeyPatch.context() as patch:
                 _, growth = check_growth_against_rescan(patch)
-                patch.setattr(solver, "reconstruct_faces", reconstruct)
                 got = outcome(solver.advance, field, cfg, n_steps)
-            expected = outcome(full_domain_advance, field, cfg, n_steps, reconstruct)
+            expected = outcome(full_domain_advance, field, cfg, n_steps)
             assert type(got) is type(expected)
             if isinstance(expected, tuple):
                 assert got == expected
@@ -690,38 +637,32 @@ class TestWindow:
                 assert got.cells.tobytes() == expected.cells.tobytes()
                 assert_same_field(got, expected)
             for cells in growth:
-                grown_by_two.update(end for end, n in zip(("left", "right"), cells) if n == 2)
+                assert set(cells) <= {0, 1}
+                grown.update(end for end, n in zip(("left", "right"), cells) if n == 1)
 
         march()
-        assert grown_by_two == {"left", "right"}
+        assert grown == {"left", "right"}
 
-    limiter_minus_one = staticmethod(one_slope(lambda r: -np.ones_like(r)))
-
-    def assert_courant_of_the_fast_block(self, monkeypatch, reconstruct, states):
-        monkeypatch.setattr(solver, "reconstruct_faces", reconstruct)
+    @staticmethod
+    def assert_courant_of_the_fast_block(states):
         cfg = small_cfg(FluxMethod.HLL_DAVIS1, n=60, dt=0.001)
         field = layered_field(cfg, states, (0, 30))
         got = solver.advance(field, cfg, 3)
         assert got.max_courant_observed == pytest.approx((3.0 + math.sqrt(1.4)) * 0.06, rel=1e-14)
-        assert_same_field(got, full_domain_advance(field, cfg, 3, reconstruct))
+        assert_same_field(got, full_domain_advance(field, cfg, 3))
 
-    def test_courant_monitor_counts_cells_outside_the_first_window(self, monkeypatch):
-        # Supersonic flow speeding up across a jump: the fast cells right of
-        # it set the Courant maximum.  With van Leer's phi(0) = 0 the window
-        # keeps an unchanged copy of each side's state.  A limiter with
-        # phi(0) = -1 slows every right cell of the window down instead, so
-        # only the incoming state outside it holds the maximum
+    def test_courant_monitor_counts_the_right_block(self):
+        # Supersonic flow speeding up across a jump: every fast cell the
+        # flux reaches slows down, so only the copies of the right block at
+        # the window's end keep the fast block's signal for the monitor
         slow, fast = PrimitiveState(1.0, 2.0, 1.0), PrimitiveState(1.0, 3.0, 1.0)
-        self.assert_courant_of_the_fast_block(monkeypatch, self.limiter_minus_one, (slow, fast))
+        self.assert_courant_of_the_fast_block((slow, fast))
 
-    def test_courant_monitor_counts_the_left_block(self, monkeypatch):
+    def test_courant_monitor_counts_the_left_block(self):
         # The mirror image (x -> -x, u -> -u) of the test above: the fast
-        # block lies left of the jump.  The one-slope reconstruction keeps
-        # the window's left end cell unchanged for any limiter; only the
-        # mirrored one changes it, leaving the maximum to the left block
+        # block lies left of the jump
         slow, fast = PrimitiveState(1.0, -2.0, 1.0), PrimitiveState(1.0, -3.0, 1.0)
-        reconstruct = mirrored(self.limiter_minus_one)
-        self.assert_courant_of_the_fast_block(monkeypatch, reconstruct, (fast, slow))
+        self.assert_courant_of_the_fast_block((fast, slow))
 
     def test_a_narrower_rescan_still_checks_every_updated_cell(self, monkeypatch):
         # The first window is [0, 4).  This flux makes cells 0-2 equal and of
