@@ -5,8 +5,8 @@ left state of the face on its right is w + s/2 and the right state of the
 face on its left is w - s/2 (second order where the data are smooth,
 nearest-cell values at an extremum or next to a flat difference).  Both
 sides come out as one C-contiguous (3, 2, n+1) array, the layout the flux
-kernels take: each primitive row ``faces[k]`` is one (2, n+1) block.  The
-slopes take one pass over all three rows (notes/decisions.md section 15).
+kernels take: each primitive row ``faces[k]`` is one (2, n+1) block
+(notes/decisions.md sections 15 and 21).
 """
 
 from __future__ import annotations
@@ -17,20 +17,24 @@ from .errors import NonPhysicalState
 
 __all__ = ["reconstruct_faces"]
 
+# The ghost cells' half-slopes: w + -0.0 and w - +0.0 are w bit for bit
+_GHOST_HALVES = np.array([-0.0, 0.0])
 
-def reconstruct_faces(w: np.ndarray) -> np.ndarray:
-    """Both primitive states at all n+1 faces of a grid, as one (3, 2, n+1)
+
+def reconstruct_faces(wp: np.ndarray) -> np.ndarray:
+    """Both primitive states at the n+1 faces of n cells, as one (3, 2, n+1)
     array: ``faces[:, 0]`` face-left and ``faces[:, 1]`` face-right.
 
-    ``w`` holds (3, n) cell-center primitives; each component (rho, u, p) is
-    reconstructed independently, and the boundary faces copy the edge cells.
-    A cell with left and right differences d_m and d_p has van Leer's
-    half-slope d_m d_p / (d_m + d_p) where d_m d_p > 0, and 0 elsewhere
-    (J. Comput. Phys. 14, 1974): phi(r) d_m / 2 with phi(r) = (r + |r|) /
-    (1 + |r|) and r = d_p / d_m.  It is symmetric in d_m and d_p, so the one
-    slope serves both of the cell's faces.  The solver's window rests on
-    the zero slope next to a flat difference: its end cells never move
-    (``solver._grow``).
+    ``wp`` holds (3, n + 2) cell-center primitives: the n cells between one
+    ghost cell at each end, a copy of the edge cell for a zero-gradient
+    boundary.  Each component (rho, u, p) is reconstructed independently,
+    and the boundary faces take the ghost cells' states.  A cell with left
+    and right differences d_m and d_p has van Leer's half-slope
+    d_m d_p / (d_m + d_p) where d_m d_p > 0, and 0 elsewhere (J. Comput.
+    Phys. 14, 1974): phi(r) d_m / 2 with phi(r) = (r + |r|) / (1 + |r|) and
+    r = d_p / d_m.  It is symmetric in d_m and d_p, so the one slope serves
+    both of the cell's faces.  The solver's window rests on the zero slope
+    next to a flat difference: its end cells never move (``solver._grow``).
 
     Raises ``NonPhysicalState``, naming a face with a non-positive or NaN
     density or pressure on either side.  Every cell i is a face state twice,
@@ -40,31 +44,26 @@ def reconstruct_faces(w: np.ndarray) -> np.ndarray:
     density or pressure makes this raise, and the solver relies on that to
     check a step's cells (notes/decisions.md section 13).
     """
-    w = np.asarray(w, dtype=float)
-    n = w.shape[1]
-    # d[:, i] = w_i - w_{i-1}; a ghost cell copying each edge cell makes the
-    # end columns w_end - w_end: 0, or NaN for a non-finite edge cell.
-    d = np.empty((3, n + 1))
-    np.subtract(w[:, 1:], w[:, :-1], out=d[:, 1:-1])
-    ends = w[:, :: max(n - 1, 1)]
-    np.subtract(ends, ends, out=d[:, ::n])
+    n = wp.shape[1] - 2
+    # d[:, k] = wp_k - wp_{k-1}, one subtraction; column 0 stays 0.  Cell i
+    # is column i + 1 of d and of ``half``, in one zeroed buffer.
+    buf = np.zeros((2, 3, n + 2))
+    d, half = buf[0], buf[1]
+    np.subtract(wp[:, 1:], wp[:, :-1], out=d[:, 1:])
     # The rows laid end to end put each cell's d_m and d_p side by side; the
-    # two pairs that span rows land in the spare last column of ``half``.
+    # ghost columns get the pairs that span rows, and are set after.
     d_m, d_p = d.ravel()[:-1], d.ravel()[1:]
-    half = np.zeros((3, n + 1))
     q = half.ravel()[:-1]
     # Dividing before the product keeps differences near 1e154 from
     # overflowing it; the product in the mask may overflow (numpy warns),
     # but its sign holds.
     np.divide(d_p, d_m + d_p, out=q, where=d_m * d_p > 0.0)
     np.multiply(d_m, q, out=q)
-    half = half[:, :n]
+    half[:, :: n + 1] = _GHOST_HALVES
 
     faces = np.empty((3, 2, n + 1))
-    faces[:, 0, 0] = w[:, 0]
-    np.add(w, half, out=faces[:, 0, 1:])
-    np.subtract(w, half, out=faces[:, 1, :-1])
-    faces[:, 1, -1] = w[:, -1]
+    np.add(wp[:, :-1], half[:, :-1], out=faces[:, 0])
+    np.subtract(wp[:, 1:], half[:, 1:], out=faces[:, 1])
 
     # Density and pressure rows of both sides at once; a NaN fails "> 0" too.
     if np.minimum.reduce(faces[::2], axis=None) > 0.0:

@@ -363,6 +363,9 @@ def interface_states(wl: np.ndarray, wr: np.ndarray, gamma: float) -> np.ndarray
 def exact_profile(problem: RiemannInput, x: np.ndarray, jump_position: float, t: float) -> ExactProfile:
     """Exact solution at positions ``x`` and time ``t`` (step data at t = 0)."""
     x = np.asarray(x, dtype=float)
+    # A NaN difference fails "<= 0" too, so a non-finite position is caught first
+    if not np.isfinite(x).all():
+        raise InvalidConfig(f"positions must be finite, got {x[~np.isfinite(x)][0]}")
     if np.any(np.diff(x) <= 0.0):
         raise InvalidConfig("positions must be strictly increasing")
     if not (math.isfinite(t) and t >= 0.0):

@@ -127,8 +127,9 @@ def derive_dt(co_max_target: float, dx: float, s_max_estimate: float) -> float:
 
 
 def _step_data(cfg: RunConfig) -> tuple[np.ndarray, int]:
-    """The conserved cells of the step data, and the number of cells left of
-    the jump: those whose center lies below it."""
+    """The conserved cells of the step data in ``q[:, 1:-1]`` of a buffer
+    ``q`` with a ghost column at each end (set by ``_march``), and the
+    number of cells left of the jump: those whose center lies below it."""
     grid = cfg.grid
     x_min, dx = float(grid.x_min), float(grid.dx)
     # The centers rise, so the left cells are a prefix.  Each center is
@@ -139,15 +140,16 @@ def _step_data(cfg: RunConfig) -> tuple[np.ndarray, int]:
         range(grid.n_cells), float(cfg.jump_position), key=lambda i: x_min + (i + 0.5) * dx
     )
     states = conserved_array(np.array([cfg.left.array, cfg.right.array]).T, cfg.gas.gamma)
-    cells = np.empty((3, grid.n_cells))
+    q = np.empty((3, grid.n_cells + 2))
+    cells = q[:, 1:-1]
     cells[:, :n_left] = states[:, :1]
     cells[:, n_left:] = states[:, 1:]
-    return cells, n_left
+    return q, n_left
 
 
 def initialize_sod(cfg: RunConfig) -> SolutionField:
     """Step data: left state where the cell center is left of the jump."""
-    return SolutionField(time=0.0, cells=_step_data(cfg)[0], max_courant_observed=0.0)
+    return SolutionField(time=0.0, cells=_step_data(cfg)[0][:, 1:-1], max_courant_observed=0.0)
 
 
 def _check_positive(w: np.ndarray, step_index: int, first_cell: int = 0) -> None:
@@ -215,16 +217,19 @@ def advance(field: SolutionField, cfg: RunConfig, n_steps: int) -> SolutionField
     """March ``n_steps`` conservative updates of dt; steps are numbered from
     0 in failure reports.  The incoming field is checked once.
 
-    The field is copied, and its first window comes from a scan of every
-    interface, since a caller's field can hold any cells."""
+    The field is copied between two ghost columns, and its first window
+    comes from a scan of every interface, since a caller's field can hold
+    any cells."""
     try:
         n_steps = operator.index(n_steps)
     except TypeError:
         raise InvalidConfig(f"number of steps must be an integer, got {n_steps!r}") from None
     if n_steps < 0:
         raise InvalidConfig(f"number of steps must be non-negative, got {n_steps}")
-    q = field.cells.copy()
-    lo, hi = _window(q, 0, q.shape[1])
+    n = field.cells.shape[1]
+    q = np.empty((3, n + 2))
+    q[:, 1:-1] = field.cells
+    lo, hi = _window(field.cells, 0, n)
     return _march(q, lo, hi, cfg, n_steps, field.time, field.max_courant_observed)
 
 
@@ -237,14 +242,18 @@ def _march(
     time: float,
     max_courant: float,
 ) -> SolutionField:
-    """The stepping loop: march the cells ``q`` in place from the first
-    window [lo, hi), at ``time`` and with the Courant maximum seen so far.
+    """The stepping loop: march the cells ``q[:, 1:-1]`` in place from the
+    first window [lo, hi), at ``time`` and with the Courant maximum seen so
+    far.  ``q``'s first and last columns are ghost cells, which copy the
+    edge cells: zero-gradient walls.
 
-    Each step reconstructs, fluxes and updates only the window [lo, hi).  Its
-    end interfaces carry no jump, so the zero-gradient ghost cells of the
-    slice equal the real neighbours and every face in it matches the whole
-    grid's.  Failures report whole-grid cells and faces.  An end cell away
-    from a wall never moves (see ``_grow``), so it is its block's state.
+    Each step reconstructs, fluxes and updates only the window [lo, hi).
+    MUSCL reads it with one cell more at each end, the real neighbour or,
+    at a wall, the ghost, so every face in it matches the whole grid's.  A
+    ghost is refreshed after a step whose window reaches its wall
+    (notes/decisions.md section 21).  Failures report whole-grid cells and
+    faces.  An end cell away from a wall never moves (see ``_grow``), so it
+    is its block's state.
 
     A step's cells are checked by the next step's face check, which fails
     for any cell of non-positive or NaN density or pressure (see
@@ -254,17 +263,20 @@ def _march(
     gamma = gas.gamma
     dx = cfg.grid.dx
     dt_dx = dt / dx
-    n = q.shape[1]
+    cells = q[:, 1:-1]
+    n = cells.shape[1]
+    # Zero-gradient walls: the ghost columns copy the edge cells
+    q[:, 0], q[:, -1] = cells[:, 0], cells[:, -1]
     # Outside the first window the field is two uniform blocks: cells
     # [0, lo) equal cell 0 and cells [hi, n) equal cell n - 1, and the
     # window's first and last cells lie in those runs of equal cells
     # (notes/decisions.md section 11).  So the window's end cells stand for
-    # the blocks.
-    w = primitive_array(q[:, lo:hi], gamma)
+    # the blocks.  ``w`` holds the window and a cell beyond each end.
+    w = primitive_array(q[:, lo : hi + 2], gamma)
     # In grid order: the left block as cell 0, then the window, whose last
     # cell fails wherever the right block would.
-    _check_positive(w[:, :1], 0)
-    _check_positive(w, 0, lo)
+    _check_positive(w[:, 1:2], 0)
+    _check_positive(w[:, 1:-1], 0, lo)
     # Each updated window, once checked, waits here for its Courant signal;
     # its end cells carry the blocks' signal into every batch.
     peak = 0.0
@@ -279,7 +291,7 @@ def _march(
             # A failed run's traceback keeps this frame alive, and with it
             # the batch
             batch = None
-            if k > 0 and not np.minimum.reduce(w[::2], axis=None) > 0.0:
+            if k > 0 and not np.minimum.reduce(w[::2, 1:-1], axis=None) > 0.0:
                 # The last step made a bad cell: it is reported below, out
                 # of this handler, as that step's cell check reported it
                 break
@@ -300,17 +312,22 @@ def _march(
                 peak = max(peak, _signal_peak(batch[:, :used], gamma))
                 used = 0
             if width > cap:
-                peak = max(peak, _signal_peak(w, gamma))
+                peak = max(peak, _signal_peak(w[:, 1:-1], gamma))
             else:
-                batch[:, used : used + width] = w
+                batch[:, used : used + width] = w[:, 1:-1]
                 used += width
-        q[:, lo:hi] -= dt_dx * (flux[:, 1:] - flux[:, :-1])
+        cells[:, lo:hi] -= dt_dx * (flux[:, 1:] - flux[:, :-1])
+        # An edge cell moves only in a window at its wall
+        if lo == 0:
+            q[:, 0] = cells[:, 0]
+        if hi == n:
+            q[:, -1] = cells[:, -1]
         # A window that spans the grid cannot grow.  It never narrows: one
         # wider than needed is still exact, and so every updated cell is
         # checked and monitored.
         if lo > 0 or hi < n:
-            lo, hi = _grow(q, lo, hi)
-        w = primitive_array(q[:, lo:hi], gamma)
+            lo, hi = _grow(cells, lo, hi)
+        w = primitive_array(q[:, lo : hi + 2], gamma)
         # Summed step by step, not n * dt, so the time matches repeated steps.
         time += dt
     else:
@@ -318,13 +335,13 @@ def _march(
             if used:
                 peak = max(peak, _signal_peak(batch[:, :used], gamma))
             batch = None  # before the check can raise, as above
-            _check_positive(w, k, lo)
-            peak = max(peak, _signal_peak(w, gamma))
+            _check_positive(w[:, 1:-1], k, lo)
+            peak = max(peak, _signal_peak(w[:, 1:-1], gamma))
             # (s dt) / dx rises with s, so its largest value is that of the peak
             max_courant = max(max_courant, peak * dt / dx)
-        return SolutionField(time=time, cells=q, max_courant_observed=max_courant)
+        return SolutionField(time=time, cells=cells, max_courant_observed=max_courant)
     # Only the break above gets here
-    _check_positive(w, k - 1, lo)
+    _check_positive(w[:, 1:-1], k - 1, lo)
 
 
 def step_count(cfg: RunConfig) -> int:
@@ -351,8 +368,8 @@ def run(cfg: RunConfig) -> SolutionField:
     section 19)."""
     n_steps = step_count(cfg)
     q, n_left = _step_data(cfg)
-    n = q.shape[1]
-    lo, hi = _window(q, max(n_left - 1, 0), min(n_left + 1, n))
+    n = q.shape[1] - 2
+    lo, hi = _window(q[:, 1:-1], max(n_left - 1, 0), min(n_left + 1, n))
     return _march(q, lo, hi, cfg, n_steps, 0.0, 0.0)
 
 

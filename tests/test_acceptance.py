@@ -292,7 +292,8 @@ class TestCriterion07PropertySuites:
         n = 2000
 
         def velocity_faces(u):
-            return reconstruct_faces(np.array([np.ones(n), u, np.ones(n)]))[1]
+            w = np.array([np.ones(n), u, np.ones(n)])
+            return reconstruct_faces(np.pad(w, ((0, 0), (1, 1)), mode="edge"))[1]
 
         ramp = velocity_faces(0.5 * np.arange(n))
         alternating = rng.uniform(0.1, 1.0, n) * (-1.0) ** np.arange(n)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sodbench.errors import InvalidConfig
-from sodbench import fluxes
+from sodbench import bench, fluxes
 from sodbench.fluxes import (
     FluxMethod,
     aufs_speeds,
@@ -35,8 +35,10 @@ from sodbench.gas import (
     conserved_array,
     enthalpy_array,
     flux_array,
+    sound_speed_array,
     state_and_flux_array,
 )
+from sodbench.solver import RunConfig
 
 GAS = GasModel()
 G = 1.4
@@ -592,6 +594,54 @@ class TestFluxVectorSplittings:
         f_below = flux_vanleer_fvs(sides(below, np.array([1.0, 20.0, 1.0])), G)
         f_above = flux_vanleer_fvs(sides(above, np.array([1.0, 20.0, 1.0])), G)
         assert f_below == pytest.approx(f_above, rel=1e-6)
+
+
+def slipped_sw(faces, g):
+    """flux_sw_fvs with H' = u^2 + a^2/(g - 1) where the total enthalpy
+    H = u^2/2 + a^2/(g - 1) belongs: the slip that reproduces the reference
+    table's Steger-Warming row (notes/decisions.md section 1)."""
+    sign = fluxes._side_sign(faces)
+    rho, u = faces[0], faces[1]
+    a = sound_speed_array(faces, g)
+    h = enthalpy_array(faces, g) + 0.5 * u * u
+    lam = (u - a, u, u + a)
+    l1, l2, l3 = (0.5 * (x + sign * np.abs(x)) for x in lam)
+    c = rho / (2.0 * g)
+    parts = np.array(
+        [
+            c * (l1 + 2.0 * (g - 1.0) * l2 + l3),
+            c * (l1 * (u - a) + 2.0 * (g - 1.0) * l2 * u + l3 * (u + a)),
+            c * (l1 * (h - u * a) + (g - 1.0) * l2 * u * u + l3 * (h + u * a)),
+        ]
+    )
+    return parts[:, 0] + parts[:, 1]
+
+
+class TestStegerWarmingRow:
+    """The reference row of Steger-Warming (total 0.17921) is what the
+    split gives with u^2 in place of u^2/2 in its enthalpy.  That split is
+    not consistent, so src keeps the canonical one (notes/decisions.md
+    section 1)."""
+
+    def test_the_slipped_split_gives_the_reference_total(self, monkeypatch):
+        monkeypatch.setitem(fluxes._KERNELS, FluxMethod.SW, (slipped_sw,))
+        report = bench.rmse_report(RunConfig(method=FluxMethod.SW))
+        assert round(report.rmse_total, 5) == 0.17921
+        # the canonical split's total, as the acceptance criteria read it
+        monkeypatch.undo()
+        assert round(bench.rmse_report(RunConfig(method=FluxMethod.SW)).rmse_total, 5) == 0.04101
+
+    def test_the_slip_adds_rho_u_cubed_over_two_gamma_to_the_energy_flux(self):
+        # F+ + F- of one state: (l1 + l3) summed over the split is 2u, and
+        # the energy row carries (rho / 2 gamma) (l1 + l3) (H' - H)
+        w = random_primitives(500, 71)
+        excess = slipped_sw(sides(w, w), G) - flux_array(w, G)
+        expected = np.array([np.zeros(500), np.zeros(500), w[0] * w[1] ** 3 / (2.0 * G)])
+        assert excess == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    def test_the_canonical_split_stays_consistent(self):
+        w = random_primitives(500, 71)
+        assert flux_sw_fvs(sides(w, w), G) == pytest.approx(flux_array(w, G), rel=1e-12, abs=1e-12)
 
 
 class TestAusmFamily:

@@ -1,5 +1,8 @@
 """MUSCL reconstruction with van Leer's limited slope."""
 
+import collections
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,12 @@ from hypothesis import strategies as st
 
 from sodbench.errors import NonPhysicalState
 from sodbench.muscl import reconstruct_faces
+
+def faces_of(w):
+    """reconstruct_faces on cells ``w`` between ghost cells that copy the
+    edge cells."""
+    return reconstruct_faces(np.pad(w, ((0, 0), (1, 1)), mode="edge"))
+
 
 # The ratio form's zero-gradient guard: a difference at or below it counted
 # as flat.  reconstruct_faces has no guard; the oracle below keeps it.
@@ -34,7 +43,7 @@ def sides_of(faces):
 
 def face_pair(*samples):
     """(v_L, v_R) at the face between the two middle samples."""
-    left, right = sides_of(reconstruct_faces(velocity_stencil(*samples)))
+    left, right = sides_of(faces_of(velocity_stencil(*samples)))
     return float(left[1, 2]), float(right[1, 2])
 
 
@@ -103,7 +112,7 @@ class TestVanLeerSlope:
         # differences and is at most the smaller one, up to round-off
         rng = np.random.default_rng(2)
         u = rng.uniform(-1.0, 1.0, 500)
-        left, right = sides_of(reconstruct_faces(np.array([np.ones(500), u, np.ones(500)])))
+        left, right = sides_of(faces_of(np.array([np.ones(500), u, np.ones(500)])))
         d = np.diff(u, prepend=u[0], append=u[-1])
         d_m, d_p = d[:-1], d[1:]
         for half in (left[1, 1:] - u, u - right[1, :-1]):
@@ -114,8 +123,8 @@ class TestVanLeerSlope:
         # phi(r) d_m = phi(1/r) d_p: the slope seen from either side agrees
         rng = np.random.default_rng(1)
         w = np.stack([np.ones(200), rng.uniform(-1.0, 1.0, 200), np.ones(200)])
-        left, right = sides_of(reconstruct_faces(w))
-        m_left, m_right = sides_of(reconstruct_faces(w[:, ::-1]))
+        left, right = sides_of(faces_of(w))
+        m_left, m_right = sides_of(faces_of(w[:, ::-1]))
         assert left == pytest.approx(m_right[:, ::-1], rel=1e-14, abs=1e-15)
         assert right == pytest.approx(m_left[:, ::-1], rel=1e-14, abs=1e-15)
 
@@ -123,7 +132,7 @@ class TestVanLeerSlope:
 class TestReconstructFaces:
     def test_uniform_field(self):
         w = np.tile(np.array([[1.0], [0.5], [2.0]]), (1, 10))
-        left, right = sides_of(reconstruct_faces(w))
+        left, right = sides_of(faces_of(w))
         assert left.shape == (3, 11)
         assert np.array_equal(left, right)
         assert np.all(left == w[:, :1])
@@ -131,7 +140,7 @@ class TestReconstructFaces:
     def test_step_data_keeps_the_jump_sharp(self):
         w = np.tile(np.array([[1.0], [0.0], [1.0]]), (1, 8))
         w[:, 4:] = np.array([[0.125], [0.0], [0.1]])
-        left, right = sides_of(reconstruct_faces(w))
+        left, right = sides_of(faces_of(w))
         # face 4 sits on the jump; zero one-sided differences turn limiting off
         assert left[:, 4] == pytest.approx([1.0, 0.0, 1.0])
         assert right[:, 4] == pytest.approx([0.125, 0.0, 0.1])
@@ -140,7 +149,7 @@ class TestReconstructFaces:
         n = 16
         rho = 1.0 + 0.05 * np.arange(n)
         w = np.stack([rho, np.full(n, 0.3), np.full(n, 2.0)])
-        left, right = sides_of(reconstruct_faces(w))
+        left, right = sides_of(faces_of(w))
         midpoints = 0.5 * (rho[:-1] + rho[1:])  # analytic interpolant at faces
         assert left[0, 2:-2] == pytest.approx(midpoints[1:-1], rel=1e-14)
         assert right[0, 2:-2] == pytest.approx(midpoints[1:-1], rel=1e-14)
@@ -148,7 +157,7 @@ class TestReconstructFaces:
     def test_boundary_faces_copy_edge_cells(self):
         rng = np.random.default_rng(4)
         w = np.stack([rng.uniform(1, 2, 6), rng.uniform(-1, 1, 6), rng.uniform(1, 2, 6)])
-        left, right = sides_of(reconstruct_faces(w))
+        left, right = sides_of(faces_of(w))
         assert np.array_equal(left[:, 0], w[:, 0])
         assert np.array_equal(right[:, 0], w[:, 0])
         assert np.array_equal(left[:, -1], w[:, -1])
@@ -162,7 +171,7 @@ class TestReconstructFaces:
         rng = np.random.default_rng(8)
         for _ in range(50):
             w = guard_exercising_field(rng, 64)
-            left, right = sides_of(reconstruct_faces(w))
+            left, right = sides_of(faces_of(w))
             oracle_left, oracle_right = two_ratio_reconstruction(w)
             bound = 4.0 * EPSILON * np.abs(w).max()
             assert np.abs(left - oracle_left).max() <= bound
@@ -175,7 +184,7 @@ class TestReconstructFaces:
         w = guard_exercising_field(rng, 400)
         d = np.diff(w, axis=1, prepend=w[:, :1], append=w[:, -1:])
         shut = np.sign(d[:, :-1]) * np.sign(d[:, 1:]) <= 0.0
-        left, right = sides_of(reconstruct_faces(w))
+        left, right = sides_of(faces_of(w))
         assert shut.mean() > 0.3
         assert np.array_equal(left[:, 1:][shut], w[shut])
         assert np.array_equal(right[:, :-1][shut], w[shut])
@@ -191,7 +200,7 @@ class TestReconstructFaces:
         n = 40
         u = np.cumsum(10.0 ** rng.uniform(154.0, 160.0, n) * rng.choice([-1.0, 1.0], n))
         w = np.array([np.ones(n), u, np.concatenate([[1.0], np.arange(1, n) * 1e160])])
-        left, right = sides_of(reconstruct_faces(w))
+        left, right = sides_of(faces_of(w))
         oracle_left, oracle_right = two_ratio_reconstruction(w)
         assert np.isfinite(left).all() and np.isfinite(right).all()
         for got, expected in ((left, oracle_left), (right, oracle_right)):
@@ -202,7 +211,7 @@ class TestReconstructFaces:
         rng = np.random.default_rng(7)
         values = np.cumsum(rng.uniform(0.0, 1.0, 20)) + 1.0
         w = np.stack([values, values, values])
-        left, right = sides_of(reconstruct_faces(w))
+        left, right = sides_of(faces_of(w))
         lo = np.concatenate([[values[0]], np.minimum(values[:-1], values[1:]), [values[-1]]])
         hi = np.concatenate([[values[0]], np.maximum(values[:-1], values[1:]), [values[-1]]])
         for face in (left, right):
@@ -213,13 +222,13 @@ class TestReconstructFaces:
         w = np.tile(np.array([[1.0], [0.0], [1.0]]), (1, 8))
         w[2, 3] = -0.5
         with pytest.raises(NonPhysicalState):
-            reconstruct_faces(w)
+            faces_of(w)
 
     def test_nan_input_is_reported(self):
         w = np.tile(np.array([[1.0], [0.0], [1.0]]), (1, 8))
         w[0, 5] = np.nan
         with pytest.raises(NonPhysicalState) as excinfo:
-            reconstruct_faces(w)
+            faces_of(w)
         assert excinfo.value.face == 6  # face 6 takes its left state from cell 5
         # faces 5 and 6 fail on their right side too; the left side is named
         assert "face-left" in str(excinfo.value)
@@ -233,7 +242,7 @@ class TestReconstructFaces:
         w = np.ones((3, 8))
         w[0] = [1.0, 1e-300, 1.0] + [1e20] * 5
         with pytest.raises(NonPhysicalState) as excinfo:
-            reconstruct_faces(w)
+            faces_of(w)
         assert excinfo.value.face == 2
         assert "face-right" in str(excinfo.value)
         assert str(excinfo.value).endswith("at face 2")
@@ -258,12 +267,12 @@ class TestReconstructFaces:
         w = np.array(values).reshape(3, -1)
         w[row, cell] = bad
         with np.errstate(all="ignore"), pytest.raises(NonPhysicalState):
-            reconstruct_faces(w)
+            faces_of(w)
 
     def test_both_sides_come_in_one_contiguous_array(self):
         rng = np.random.default_rng(9)
         w = np.stack([rng.uniform(1, 2, 7), rng.uniform(-1, 1, 7), rng.uniform(1, 2, 7)])
-        faces = reconstruct_faces(w)
+        faces = faces_of(w)
         assert faces.shape == (3, 2, 8)
         assert faces.flags.c_contiguous
 
@@ -317,7 +326,7 @@ class TestOneContiguousPass:
     def test_bitwise_the_concatenated_form(self, values):
         w = np.array(values).reshape(3, -1)
         with np.errstate(all="ignore"):
-            assert outcome(reconstruct_faces, w) == outcome(concatenated_reconstruction, w)
+            assert outcome(faces_of, w) == outcome(concatenated_reconstruction, w)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("special", [np.inf, -np.inf, np.nan, -0.0])
@@ -328,12 +337,125 @@ class TestOneContiguousPass:
                 w = base.copy()
                 w[row, cell] = special
                 with np.errstate(all="ignore"):
-                    assert outcome(reconstruct_faces, w) == outcome(concatenated_reconstruction, w)
+                    assert outcome(faces_of, w) == outcome(concatenated_reconstruction, w)
 
     def test_a_strided_window_is_read_without_being_changed(self):
+        # The kernel gets the strided window with its ghost cells, cells 1
+        # and 25 of the grid, which copy the window's edge cells 3 and 23
         rng = np.random.default_rng(5)
         grid = np.stack([rng.uniform(1, 2, 30), rng.uniform(-1, 1, 30), rng.uniform(1, 2, 30)])
+        grid[:, [1, 25]] = grid[:, [3, 23]]
         window = grid[:, 3:25:2]
         before = grid.tobytes()
-        assert outcome(reconstruct_faces, window) == outcome(concatenated_reconstruction, window)
+        assert outcome(reconstruct_faces, grid[:, 1:27:2]) == outcome(concatenated_reconstruction, window)
+        assert grid.tobytes() == before
+
+
+def former_reconstruction(w):
+    """Oracle: reconstruct_faces as it was before it took ghost cells, on
+    (3, n) cells: the end columns of the differences by a subtraction of
+    their own, and the boundary faces copied from the edge cells."""
+    w = np.asarray(w, dtype=float)
+    n = w.shape[1]
+    d = np.empty((3, n + 1))
+    np.subtract(w[:, 1:], w[:, :-1], out=d[:, 1:-1])
+    ends = w[:, :: max(n - 1, 1)]
+    np.subtract(ends, ends, out=d[:, ::n])
+    d_m, d_p = d.ravel()[:-1], d.ravel()[1:]
+    half = np.zeros((3, n + 1))
+    q = half.ravel()[:-1]
+    np.divide(d_p, d_m + d_p, out=q, where=d_m * d_p > 0.0)
+    np.multiply(d_m, q, out=q)
+    half = half[:, :n]
+
+    faces = np.empty((3, 2, n + 1))
+    faces[:, 0, 0] = w[:, 0]
+    np.add(w, half, out=faces[:, 0, 1:])
+    np.subtract(w, half, out=faces[:, 1, :-1])
+    faces[:, 1, -1] = w[:, -1]
+
+    if np.minimum.reduce(faces[::2], axis=None) > 0.0:
+        return faces
+    bad = ~((faces[0] > 0.0) & (faces[2] > 0.0))
+    side, face = divmod(int(bad.argmax()), bad.shape[1])
+    raise NonPhysicalState(
+        f"reconstructed face-{('left', 'right')[side]} state has non-positive density or "
+        f"pressure at face {face}",
+        face=face,
+    )
+
+
+def warned_outcome(reconstruct, w):
+    """outcome(reconstruct, w), and the messages of the RuntimeWarnings it
+    raised, every occurrence counted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        result = outcome(reconstruct, w)
+    return result, collections.Counter(str(c.message) for c in caught if c.category is RuntimeWarning)
+
+
+def check_against_the_former_kernel(w):
+    """The faces' bytes, or the error's type, message and face, are the
+    former kernel's, and so are the RuntimeWarnings, but for one: where both
+    of its subtractions met inf - inf, an infinite edge cell and a same-signed
+    infinite neighbour, it warned twice of that, and the one subtraction
+    over the ghost cells warns once."""
+    got, got_warnings = warned_outcome(faces_of, w)
+    expected, expected_warnings = warned_outcome(former_reconstruction, w)
+    assert got == expected
+    inf = np.isinf(w)
+    twice = inf[:, [0, -1]].any() and (inf[:, 1:] & (w[:, 1:] == w[:, :-1])).any()
+    expected_warnings["invalid value encountered in subtract"] -= int(twice)
+    assert got_warnings == +expected_warnings
+
+
+class TestTheFormerKernel:
+    """reconstruct_faces reads its ghost cells where the former kernel made
+    them; on edge-padded cells it gives that kernel's faces bit for bit,
+    its error and its warnings (notes/decisions.md section 21)."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(CELL, min_size=3 * n, max_size=3 * n)))
+    def test_bitwise_on_edge_padded_blocks(self, values):
+        check_against_the_former_kernel(np.array(values).reshape(3, -1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("special", [0.0, -0.0, np.nan, np.inf, -np.inf])
+    def test_a_special_value_at_an_end(self, n, special):
+        base = np.array([[1.0, 0.5, 2.0], [-0.0, 2.0, 0.0], [3.0, 1.0, 0.5]])[:, :n]
+        for row in range(3):
+            for cells in ([0], [n - 1], [0, n - 1]):
+                w = base.copy()
+                w[row, cells] = special
+                check_against_the_former_kernel(w)
+
+    def test_signed_zero_velocities_at_both_ends(self):
+        # The ghosts' half-slopes, -0.0 on the left and +0.0 on the right,
+        # keep the sign of a zero velocity on both sides of both boundary
+        # faces; a half-slope of +0.0 on the left would turn -0.0 into +0.0
+        w = np.array([[1.0, 2.0, 1.5], [-0.0, 0.3, -0.0], [1.0, 1.0, 1.0]])
+        faces = faces_of(w)
+        assert np.signbit(faces[1][:, [0, -1]]).all()
+        check_against_the_former_kernel(w)
+        w[1, [0, -1]] = 0.0
+        assert not np.signbit(faces_of(w)[1][:, [0, -1]]).any()
+
+    def test_differences_near_1e154(self):
+        # d_m d_p overflows in the mask, which warns of it once, as before
+        rng = np.random.default_rng(12)
+        n = 40
+        u = np.cumsum(10.0 ** rng.uniform(154.0, 160.0, n) * rng.choice([-1.0, 1.0], n))
+        w = np.array([np.ones(n), u, np.concatenate([[1.0], np.arange(1, n) * 1e160])])
+        check_against_the_former_kernel(w)
+        assert warned_outcome(faces_of, w)[1] == {"overflow encountered in multiply": 1}
+
+    def test_a_strided_padded_window(self):
+        # A (3, n + 2) view with a stride of three cells whose ghost columns
+        # copy its edge cells, as the solver's buffer would hold them
+        rng = np.random.default_rng(13)
+        grid = np.stack([rng.uniform(1, 2, 40), rng.uniform(-1, 1, 40), rng.uniform(1, 2, 40)])
+        grid[:, [0, 36]] = grid[:, [3, 33]]
+        before = grid.tobytes()
+        got = warned_outcome(reconstruct_faces, grid[:, 0:37:3])
+        assert got == warned_outcome(former_reconstruction, grid[:, 3:34:3])
         assert grid.tobytes() == before

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import sodbench.riemann as riemann
 from sodbench import bench
-from sodbench.errors import DegenerateJump, NoConvergence, VacuumGenerated
+from sodbench.errors import DegenerateJump, InvalidConfig, NoConvergence, VacuumGenerated
 from sodbench.gas import GasModel, PrimitiveState, sound_speed_array
 from sodbench.riemann import (
     RiemannInput,
@@ -579,6 +579,16 @@ class TestExactProfile:
     def test_rejects_unsorted_positions(self):
         with pytest.raises(ValueError):
             exact_profile(SOD, np.array([0.3, 0.2, 0.5]), 0.5, 0.1)
+
+    @pytest.mark.parametrize(
+        ("x", "bad"),
+        [([0.1, np.nan, 0.9], "nan"), ([0.1, 0.5, np.inf], "inf"), ([-np.inf, 0.5, 0.9], "-inf")],
+    )
+    def test_rejects_non_finite_positions(self, x, bad):
+        # np.diff of a NaN is NaN, and "NaN <= 0" is False: without its own
+        # check the NaN position took the star state
+        with pytest.raises(InvalidConfig, match=f"positions must be finite, got {bad}$"):
+            exact_profile(SOD, np.array(x), 0.5, 0.2)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):

@@ -220,7 +220,8 @@ class TestStep:
         # 100, which face 101 takes as its left state, as on the whole grid.
         # That step's window starts two cells left of its first jump, and
         # muscl counts faces from there; advance reports the grid's face and
-        # stamps the step on the exception muscl raised
+        # stamps the step on the exception muscl raised.  MUSCL's input
+        # starts one cell left of the window
         cfg = RunConfig()
         q = solver.advance(initialize_sod(cfg), cfg, 2).cells
         window_start = int(np.argmax((q[:, 1:] != q[:, :-1]).any(axis=0))) - 1
@@ -231,7 +232,7 @@ class TestStep:
             calls.append(1)
             if len(calls) == 3:
                 w = w.copy()
-                w[2, 100 - window_start] = -1.0
+                w[2, 101 - window_start] = -1.0
             return real(w)
 
         monkeypatch.setattr(solver, "reconstruct_faces", poisoned)
@@ -458,7 +459,7 @@ def full_domain_advance(field, cfg, n_steps, flux_of=compute_face_flux):
     whole_grid_check(w, 0)
     time, max_courant = field.time, field.max_courant_observed
     for k in range(n_steps):
-        faces = reconstruct_faces(w)
+        faces = reconstruct_faces(np.pad(w, ((0, 0), (1, 1)), mode="edge"))
         flux = flux_of(cfg.method, faces, cfg.gas, dx=dx, dt=cfg.dt)
         q = q - (cfg.dt / dx) * (flux[:, 1:] - flux[:, :-1])
         w = primitive_array(q, gamma)
@@ -576,6 +577,28 @@ class TestWindow:
         cfg = dataclasses.replace(small_cfg(method), jump_position=cells_from_wall / 50)
         field = initialize_sod(cfg)
         assert_same_field(run(cfg), full_domain_advance(field, cfg, step_count(cfg)))
+
+    @pytest.mark.parametrize("jump", [0.1, 0.9])
+    def test_a_window_at_a_wall_reads_the_ghost_of_the_edge_cell(self, monkeypatch, jump):
+        # MUSCL reads one cell beyond each end of the window; at a wall that
+        # is the ghost column, which must copy the edge cell as the last
+        # step left it.  Lax-Friedrichs at 50 cells reaches the near wall
+        # first, the far one later, and moves the edge cells on every step
+        # after
+        cfg = dataclasses.replace(small_cfg(FluxMethod.LF, t_final=0.4), jump_position=jump)
+        grow, walls = solver._grow, []
+
+        def spied(q, lo, hi):
+            got = grow(q, lo, hi)
+            walls.append((got[0] == 0, got[1] == q.shape[1]))
+            return got
+
+        monkeypatch.setattr(solver, "_grow", spied)
+        field, n_steps = initialize_sod(cfg), step_count(cfg)
+        got = solver.advance(field, cfg, n_steps)
+        near = walls.index((True, False) if jump < 0.5 else (False, True))
+        assert 0 < near < walls.index((True, True)) < n_steps - 10
+        assert_same_field(got, full_domain_advance(field, cfg, n_steps))
 
     @pytest.mark.parametrize("method", list(FluxMethod))
     def test_two_jumps_with_a_uniform_gap_inside_the_window(self, method):
@@ -887,7 +910,8 @@ class TestIncomingField:
             return grown
 
         def counted_reconstruct(w):
-            widths.append(w.shape[1])
+            # the window's cells, between a cell at each end
+            widths.append(w.shape[1] - 2)
             return reconstruct(w)
 
         monkeypatch.setattr(solver, "_grow", counted_grow)

@@ -78,9 +78,14 @@ def test_ab_sweep_same_tree_counts_equal_ops():
         # no method's count differs, and every counted run gave the
         # uncounted run's bytes
         assert rest == ""
-    # the last lines: each side's minor page faults per run, per suite
+    # the last lines: each side's minor page faults per run, per suite, in
+    # the solve and in the scoring
     faults = [
-        re.fullmatch(r"(\w+) minor page faults per run over 22 runs: parent \d+\.\d, change \d+\.\d", line)
+        re.fullmatch(
+            r"(\w+) minor page faults per run over 22 runs, solve \+ scoring:"
+            r" parent \d+\.\d \+ \d+\.\d, change \d+\.\d \+ \d+\.\d",
+            line,
+        )
         for line in lines[-3:]
     ]
     assert [match and match[1] for match in faults] == ["sod200", "sod20k", "toro2"], result.stdout

@@ -19,11 +19,14 @@ compared byte for byte, differ between the sides is counted as differing,
 and is timed only if it completes on both.  The pass also counts each side's
 ``RuntimeWarning``s per suite, every occurrence, so that a change which
 computes on cells the parent never reached shows even when its results
-agree, and each side's minor page faults (``getrusage``) around each run, so
-that an allocation change shows next to the op counts.  Over the runs that
-complete on both sides, the largest absolute change of a final cell is
-kept, and the largest relative one: a conserved row's largest change over
-that row's largest magnitude on the parent side.
+agree, and each side's minor page faults (``getrusage``) around each run and
+around its scoring, so that an allocation change shows next to the op
+counts.  A run is scored as ``perfbench`` scores it: ``bench.rmse`` of its
+final primitives against the exact profile on its grid, built once per
+suite from the side's own tree.  Over the runs that complete on both sides,
+the largest absolute change of a final cell is kept, and the largest
+relative one: a conserved row's largest change over that row's largest
+magnitude on the parent side.
 After that, each rep runs every timed run once on each side, back to back,
 and alternates the side that goes first from run to run and from rep to
 rep.  A side's sweep time is the sum of its run times in a rep.  The script
@@ -37,7 +40,7 @@ of that ratio.
 Then it prints every method's median ratio, lowest first, each method's
 time summed over all suites in a rep, so that a change shows where its
 saving lands.  Last, it prints per suite each side's minor page faults per
-run of the untimed pass.
+run of the untimed pass, in the solve and in the scoring.
 
 With ``--ops`` the untimed pass also runs each timed run once more per side
 with its numpy operations counted, and prints per suite each side's
@@ -241,6 +244,12 @@ def counting(package):
             m.np = np
 
 
+def reference_profile(package, cfg):
+    """The exact profile a run of ``cfg`` is scored against."""
+    problem = package.RiemannInput(cfg.left, cfg.right, cfg.gas)
+    return package.exact_profile(problem, cfg.grid.centers(), cfg.jump_position, cfg.t_final)
+
+
 def side_config(package, fields: dict, method: str):
     """The configuration built from one side's own classes."""
     values = dict(fields)
@@ -275,15 +284,23 @@ def main(argv=None) -> int:
                 return time.perf_counter() - start, (type(exc).__name__, str(exc))
             return time.perf_counter() - start, final
 
-        def counted_run(cfg, side: int):
+        def minor_faults():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+        def counted_run(cfg, side: int, reference):
             # The untimed pass: the result, the RuntimeWarnings it raised and
-            # the minor page faults it took
+            # the minor page faults its solve and its scoring took
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
-                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                start = minor_faults()
                 result = run(cfg, side)[1]
-                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-            return result, sum(issubclass(w.category, RuntimeWarning) for w in caught), faults
+                solved = minor_faults()
+            scored = solved
+            if not isinstance(result, tuple):
+                packages[side].rmse(result.primitives(cfg.gas), reference.w)
+                scored = minor_faults()
+            warned = sum(issubclass(w.category, RuntimeWarning) for w in caught)
+            return result, warned, (solved - start, scored - solved)
 
         def stamp(final):
             # Bytes, so that -0.0 and 0.0 (equal under !=) count as differing
@@ -302,7 +319,8 @@ def main(argv=None) -> int:
         # differ, largest absolute and relative change of final cells, each
         # side's RuntimeWarnings)
         kept = {}
-        # suite -> each side's minor page faults over the untimed pass
+        # suite -> each side's minor page faults over the untimed pass, in the
+        # solves and in the scoring
         faulted = {}
         # suite -> method -> each side's operations per step, and the counted
         # runs that differ from their uncounted one
@@ -311,15 +329,19 @@ def main(argv=None) -> int:
             fields = [suite_fields(p, suite) for p in packages]
             moved = [k for k in {**fields[0], **fields[1]} if fields[0].get(k) != fields[1].get(k)]
             pairs, differ, skipped, change, warned = [], 0, 0, [0.0, 0.0], [0, 0]
-            faulted[suite] = [0, 0]
+            faulted[suite] = [[0, 0], [0, 0]]
+            references = [
+                reference_profile(p, side_config(p, f, methods[0])) for p, f in zip(packages, fields)
+            ]
             for method in methods:
                 pair = [side_config(p, f, method) for p, f in zip(packages, fields)]
                 results = []
                 for side, cfg in enumerate(pair):
-                    result, count, faults = counted_run(cfg, side)
+                    result, count, faults = counted_run(cfg, side, references[side])
                     results.append(result)
                     warned[side] += count
-                    faulted[suite][side] += faults
+                    for k, n in enumerate(faults):
+                        faulted[suite][side][k] += n
                 failed = [isinstance(r, tuple) for r in results]
                 if all(failed) and results[0] == results[1]:
                     skipped += 1
@@ -392,11 +414,9 @@ def main(argv=None) -> int:
                 + (f"; by method: {', '.join(moved)}" if moved else "")
                 + (f"; counted runs differ: {', '.join(ops_differ[suite])}" if ops_differ[suite] else "")
             )
-    for suite, (parent, change) in faulted.items():
-        print(
-            f"{suite} minor page faults per run over {len(methods)} runs:"
-            f" parent {parent / len(methods):.1f}, change {change / len(methods):.1f}"
-        )
+    for suite, sides in faulted.items():
+        per_run = [f"{SIDES[i]} {solve / len(methods):.1f} + {scoring / len(methods):.1f}" for i, (solve, scoring) in enumerate(sides)]
+        print(f"{suite} minor page faults per run over {len(methods)} runs, solve + scoring: {', '.join(per_run)}")
     return 0
 
 
