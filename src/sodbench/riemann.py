@@ -5,9 +5,10 @@ self-similar sampling (including transonic fans), full-domain profiles, and
 the mass-jump shock-speed cross check.  The ``*_arrays`` kernels solve many
 independent face problems at once; a face with equal states comes back
 unchanged, since Newton starts there at exactly p_L.  The dataclass API
-solves one problem and is what the wave report and the tests consume; its
-wave speeds come from ``_outer_wave``, the kernel the profile is sampled
-with, so the reported pattern and the sampled one cannot disagree.
+solves one problem, as a batch of one face, and is what the wave report and
+the tests consume; its wave speeds come from ``_outer_wave``, the kernel the
+profile is sampled with, so the reported pattern and the sampled one cannot
+disagree.
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ class ExactProfile:
 
 
 class _Side(NamedTuple):
-    """The constants of one side of many face problems in the pressure
-    function (Toro, 3rd ed., sec. 4.2), made once per star-state solve."""
+    """The constants of the sides of many face problems in the pressure
+    function (Toro, 3rd ed., sec. 4.2), made once per star-state solve.  Of
+    the (3, 2, m) block of both sides each array is (2, m), left side first."""
 
     p: np.ndarray
     a: np.ndarray
@@ -121,40 +123,36 @@ def _side(w, gamma: float) -> _Side:
     )
 
 
-def pressure_function(p, side: _Side):
-    """Velocity-jump function f(p) of one side and its derivative df/dp.
+def pressure_function(p, sides: _Side):
+    """Velocity-jump function f(p) of each side and its derivative df/dp.
 
-    Rarefaction branch for p <= p_side, shock branch above.  ``p`` may be a
-    scalar or an array, and f and df come back as arrays (0-d for one
-    problem); ``side`` holds the side's constants, made once per solve by
-    ``_side``.
+    Rarefaction branch for p <= p_side, shock branch above.  ``p`` broadcasts
+    against the side constants, which ``_side`` makes once per solve: with
+    those of the (3, 2, m) block one call evaluates both sides of every face
+    at its (m,) pressures, and f and df come back as (2, m) arrays.
     """
-    p_k = side.p
-
-    # Shock branch (Hugoniot): f = (p - p_k) sqrt(A / (p + B))
+    p_k = sides.p
     jump = p - p_k
-    p_b = p + side.big_b
-    root = np.sqrt(side.big_a / p_b)
-    f_shock = jump * root
-    df_shock = root * (1.0 - 0.5 * jump / p_b)
 
     # Rarefaction branch (isentrope), with ratio^(-(g+1)/(2g)) = ratio^z / ratio
     ratio = p / p_k
-    ratio_z = ratio**side.z
-    f_fan = side.fan * (ratio_z - 1.0)
-    df_fan = ratio_z / ratio * side.inv_rho_a
+    ratio_z = ratio**sides.z
+    f = sides.fan * (ratio_z - 1.0)
+    df = ratio_z / ratio * sides.inv_rho_a
 
-    shock = p > p_k
-    f = np.where(shock, f_shock, f_fan)
-    df = np.where(shock, df_shock, df_fan)
+    # Shock branch (Hugoniot), f = (p - p_k) sqrt(A / (p + B)), in place where
+    # p > p_k: the difference of two distinct floats is never 0
+    shock = jump > 0.0
+    p_b = p + sides.big_b
+    root = np.sqrt(sides.big_a / p_b)
+    np.copyto(f, jump * root, where=shock)
+    np.copyto(df, root * (1.0 - 0.5 * jump / p_b), where=shock)
     return f, df
 
 
-def _check_vacuum(
-    wl: np.ndarray, wr: np.ndarray, a_l: np.ndarray, a_r: np.ndarray, gamma: float
-) -> None:
-    vacuum = 2.0 * (a_l + a_r) / (gamma - 1.0) <= wr[1] - wl[1]
-    if np.logical_or.reduce(vacuum, axis=None):
+def _check_vacuum(a_sum: np.ndarray, du: np.ndarray, gamma: float) -> None:
+    vacuum = 2.0 * a_sum / (gamma - 1.0) <= du
+    if np.count_nonzero(vacuum):
         face = int(np.argmax(vacuum))
         raise VacuumGenerated(
             f"pressure positivity condition violated: states would generate vacuum at face {face}",
@@ -162,7 +160,7 @@ def _check_vacuum(
         )
 
 
-def _initial_pressure(wl, wr, left: _Side, right: _Side, du):
+def _initial_pressure(w, sides: _Side, du, a_sum):
     """Newton's start: the two-rarefaction guess p_TR (Toro, 3rd ed., eq. 4.46)
     wherever it does not exceed both side pressures.
 
@@ -181,45 +179,43 @@ def _initial_pressure(wl, wr, left: _Side, right: _Side, du):
     the denominator, misses p_L there by an ulp or more, and that ulp in the
     momentum flux spreads into uniform states.
     """
-    z = left.z
-    num = left.a + right.a - 0.5 * (left.gamma - 1.0) * du
-    den = left.a + right.a * (left.p / right.p) ** z
-    p = left.p * (num / den) ** (1.0 / z)
-    both_shocks = p > np.maximum(left.p, right.p)
-    if np.logical_or.reduce(both_shocks, axis=None):
-        p_pv = 0.5 * (left.p + right.p) - 0.125 * du * (wl[0] + wr[0]) * (left.a + right.a)
+    p_l, p_r = sides.p
+    num = a_sum - 0.5 * (sides.gamma - 1.0) * du
+    den = sides.a[0] + sides.a[1] * (p_l / p_r) ** sides.z
+    p = p_l * (num / den) ** (1.0 / sides.z)
+    both_shocks = p > np.maximum(p_l, p_r)
+    if np.count_nonzero(both_shocks):
+        p_pv = 0.5 * (p_l + p_r) - 0.125 * du * (w[0, 0] + w[0, 1]) * a_sum
         p_pv = np.maximum(p_pv, 0.0)
-        g_l = np.sqrt(left.big_a / (p_pv + left.big_b))
-        g_r = np.sqrt(right.big_a / (p_pv + right.big_b))
-        p_ts = (g_l * left.p + g_r * right.p - du) / (g_l + g_r)
+        g = np.sqrt(sides.big_a / (p_pv + sides.big_b))
+        g_p = g * sides.p
+        p_ts = (g_p[0] + g_p[1] - du) / (g[0] + g[1])
         # p_TR is above the floor here: flooring the min below gives
         # min(p_TR, max(p_TS, floor))
-        p = np.where(both_shocks, np.minimum(p, p_ts), p)
+        np.minimum(p, p_ts, out=p, where=both_shocks)
     return np.maximum(p, PRESSURE_FLOOR)
 
 
-def _star_pressure(wl, wr, left: _Side, right: _Side):
+def _star_pressure(w, sides: _Side, du, a_sum):
     """Newton iteration for the star pressure of many face problems at once."""
-    du = wr[1] - wl[1]
-    p = _initial_pressure(wl, wr, left, right, du)
-    converged = np.zeros(np.shape(p), dtype=bool)
+    p = _initial_pressure(w, sides, du, a_sum)
+    converged = np.zeros(p.shape, dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
-        f_l, df_l = pressure_function(p, left)
-        f_r, df_r = pressure_function(p, right)
-        residual = f_l + f_r + du
-        dp = residual / (df_l + df_r)
+        f, df = pressure_function(p, sides)
+        residual = f[0] + f[1] + du
+        dp = residual / (df[0] + df[1])
         # f is concave: a step from above p* can land far below it, even
         # below zero, so no step goes under a tenth of p, from where Newton
         # climbs back in a few iterations
         p_new = np.maximum(p - dp, 0.1 * p)
         converged |= np.abs(dp) <= NEWTON_RTOL * p_new
         p = p_new
-        if np.logical_and.reduce(converged, axis=None):
+        if np.count_nonzero(converged) == converged.size:
             return p
     # Near vacuum f is flat in p, and the round-off of the residual alone
     # moves p by more than NEWTON_RTOL: such a face has stalled, not failed
-    converged |= np.abs(residual) <= ROUNDOFF_RTOL * (np.abs(f_l) + np.abs(f_r) + np.abs(du))
-    if np.logical_and.reduce(converged, axis=None):
+    converged |= np.abs(residual) <= ROUNDOFF_RTOL * (np.abs(f).sum(axis=0) + np.abs(du))
+    if np.count_nonzero(converged) == converged.size:
         return p
     face = int(np.argmin(converged))
     residual = float(np.ravel(np.abs(dp) / p)[face])
@@ -233,29 +229,29 @@ def _star_pressure(wl, wr, left: _Side, right: _Side):
 
 
 def star_state_arrays(wl: np.ndarray, wr: np.ndarray, gamma: float):
-    """Star pressure, contact velocity, and the two star densities (arrays).
+    """Star pressure, contact velocity, and the two star densities of many
+    face problems: (m,) arrays for (3, m) states, and (1,) ones for a single
+    face's (3,) states, which is solved as a batch of one.
 
-    The side constants are made once here and serve every pressure-function
-    call of the solve: two per Newton iteration and two for u*.
+    The two sides are one (3, 2, m) block, so each per-side quantity is one
+    array operation, and the side constants, made once, serve every
+    pressure-function call: one per Newton iteration and one for u*.
     """
-    wl = np.asarray(wl, dtype=float)
-    wr = np.asarray(wr, dtype=float)
-    left, right = _side(wl, gamma), _side(wr, gamma)
-    _check_vacuum(wl, wr, left.a, right.a, gamma)
-    p_star = _star_pressure(wl, wr, left, right)
-    f_l, _ = pressure_function(p_star, left)
-    f_r, _ = pressure_function(p_star, right)
-    u_star = 0.5 * (wl[1] + wr[1]) + 0.5 * (f_r - f_l)
+    w = np.concatenate((wl.reshape(3, 1, -1), wr.reshape(3, 1, -1)), axis=1)
+    sides = _side(w, gamma)
+    du = w[1, 1] - w[1, 0]
+    a_sum = sides.a[0] + sides.a[1]
+    _check_vacuum(a_sum, du, gamma)
+    p_star = _star_pressure(w, sides, du, a_sum)
+    f, _ = pressure_function(p_star, sides)
+    u_star = 0.5 * (w[1, 0] + w[1, 1]) + 0.5 * (f[1] - f[0])
 
+    # Star densities: the isentrope, and the Hugoniot where p* > p_k
     mu = (gamma - 1.0) / (gamma + 1.0)
-
-    def star_density(side):
-        ratio = p_star / side[2]
-        shocked = side[0] * (ratio + mu) / (mu * ratio + 1.0)
-        isentropic = side[0] * ratio ** (1.0 / gamma)
-        return np.where(p_star > side[2], shocked, isentropic)
-
-    return p_star, u_star, star_density(wl), star_density(wr)
+    ratio = p_star / sides.p
+    rho_star = w[0] * ratio ** (1.0 / gamma)
+    np.copyto(rho_star, w[0] * (ratio + mu) / (mu * ratio + 1.0), where=p_star > sides.p)
+    return p_star, u_star, rho_star[0], rho_star[1]
 
 
 def solve_star(problem: RiemannInput) -> StarRegion:
@@ -266,11 +262,12 @@ def solve_star(problem: RiemannInput) -> StarRegion:
     the right side goes through the reflection x -> -x.  So the profile
     sampled at a reported head is the outer state.  Identical inputs give two
     fans of zero width, since Newton's exact start returns p* = p_k exactly
-    (``_initial_pressure``).
+    (``_initial_pressure``).  The star region is solved as a batch of one
+    face, so it is the exact flux's for the same face, bit for bit.
     """
     g = problem.gas.gamma
     star = star_state_arrays(problem.left.array, problem.right.array, g)
-    p_star, u_star, rho_l, rho_r = (float(v) for v in star)
+    p_star, u_star, rho_l, rho_r = (v.item() for v in star)
 
     def side(outer: PrimitiveState, rho_star: float, sign: float):
         # The right side enters with u -> -u and its speeds come back negated
@@ -308,7 +305,10 @@ def _outer_wave(rho_k, u_k, p_k, p_star, u_star, g):
 
 
 def _sample_arrays(wl, wr, p_star, u_star, rho_star_l, rho_star_r, xi, gamma):
-    """Self-similar state at speed(s) xi.  All arguments broadcast together.
+    """Self-similar state at speed(s) xi.  The star values and xi broadcast
+    together; the (3, ...) states' rows have the shape of ``xi <= u_star`` or
+    are single values, so that one select takes the outer state and the
+    velocity flips in place.
 
     Only the waves left of the contact are written out.  Right of it the
     reflection x -> -x swaps the sides and flips every velocity (Toro, 3rd ed.,
@@ -320,9 +320,8 @@ def _sample_arrays(wl, wr, p_star, u_star, rho_star_l, rho_star_r, xi, gamma):
     g = gamma
     on_left = xi <= u_star
     sign = np.where(on_left, 1.0, -1.0)
-    rho_k = np.where(on_left, wl[0], wr[0])
-    u_k = sign * np.where(on_left, wl[1], wr[1])
-    p_k = np.where(on_left, wl[2], wr[2])
+    rho_k, u_k, p_k = np.where(on_left, wl, wr)
+    u_k *= sign
     rho_star = np.where(on_left, rho_star_l, rho_star_r)
     u_star = sign * u_star
     xi = sign * xi
@@ -354,10 +353,9 @@ def interface_states(wl: np.ndarray, wr: np.ndarray, gamma: float) -> np.ndarray
     solved, one with equal states too: Newton's exact start returns its state
     (``_initial_pressure``), with a velocity of -0.0 as +0.0.
     """
-    wl = np.asarray(wl, dtype=float)
-    wr = np.asarray(wr, dtype=float)
-    p_star, u_star, rho_l, rho_r = star_state_arrays(wl, wr, gamma)
-    return _sample_arrays(wl, wr, p_star, u_star, rho_l, rho_r, 0.0, gamma)
+    star = star_state_arrays(wl, wr, gamma)
+    w0 = _sample_arrays(wl.reshape(3, -1), wr.reshape(3, -1), *star, 0.0, gamma)
+    return w0.reshape(wl.shape)
 
 
 def exact_profile(problem: RiemannInput, x: np.ndarray, jump_position: float, t: float) -> ExactProfile:
@@ -385,7 +383,7 @@ def exact_profile(problem: RiemannInput, x: np.ndarray, jump_position: float, t:
         star.u_star,
         star.rho_star_left,
         star.rho_star_right,
-        xi[None, :],
+        xi,
         problem.gas.gamma,
     )
-    return ExactProfile(x=x, w=w.reshape(3, x.size), time=t)
+    return ExactProfile(x=x, w=w, time=t)

@@ -9,8 +9,9 @@ from sodbench import riemann
 def newton_iterations(monkeypatch):
     """Newton iterations of each star-state solve made while the test runs.
 
-    They are counted from the module's pressure-function calls: two per
-    iteration and two more for u* (``notes/decisions.md`` section 4).
+    They are counted from the module's pressure-function calls: one per
+    iteration, for both sides, and one more for u* (``notes/decisions.md``
+    sections 4 and 22).
     """
     iterations = []
     calls = 0
@@ -26,8 +27,8 @@ def newton_iterations(monkeypatch):
         nonlocal calls
         calls = 0
         result = star_state_arrays(*args)
-        assert calls >= 4 and calls % 2 == 0, f"{calls} pressure-function calls in one solve"
-        iterations.append((calls - 2) // 2)
+        assert calls >= 2, f"{calls} pressure-function calls in one solve"
+        iterations.append(calls - 1)
         return result
 
     monkeypatch.setattr(riemann, "star_state_arrays", count_star)

@@ -36,10 +36,10 @@ MACH_SHOCKED = 0.65240
 
 def pfun(p, side):
     """pressure_function of one side, a state or (3,) primitive rows, in GAS,
-    as two floats."""
+    as two floats; the side's constants are those of a batch of one face."""
     rows = side.array if isinstance(side, PrimitiveState) else side
-    f, df = pressure_function(p, riemann._side(rows, GAS.gamma))
-    return float(f), float(df)
+    f, df = pressure_function(p, riemann._side(rows[:, None], GAS.gamma))
+    return f.item(), df.item()
 
 
 def sample(star, problem, xi):
@@ -402,13 +402,18 @@ _STATE = st.tuples(
 
 
 class TestInterfaceStates:
-    @settings(max_examples=60, deadline=None)
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],  # the list only grows
+    )
     @given(st.lists(st.tuples(_STATE, _STATE, st.booleans()), min_size=1, max_size=24))
-    def test_equal_faces_pass_through_and_the_rest_are_solved(self, faces):
+    def test_equal_faces_pass_through_and_the_rest_are_solved(self, newton_iterations, faces):
         wl = np.array([left for left, _, _ in faces]).T
         wr = np.array([left if same else right for left, right, same in faces]).T
         equal = (wl == wr).all(axis=0)
         w0 = riemann.interface_states(wl, wr, GAS.gamma)
+        batch_iterations = newton_iterations[-1]
         # a face with equal states is solved too: Newton's exact start
         # returns its state (+0.0 for a velocity of -0.0, equal under ==)
         assert np.array_equal(w0[:, equal], wl[:, equal])
@@ -418,11 +423,17 @@ class TestInterfaceStates:
         star = riemann.star_state_arrays(a_l, a_r, GAS.gamma)
         batch = riemann._sample_arrays(a_l, a_r, *star, 0.0, GAS.gamma)
         assert np.array_equal(w0[:, ~equal], batch)
-        # ... and agree with solving each face alone to Newton's tolerance
+        # ... and equal each face solved alone, a batch of one, bit for bit
+        # where Newton stops at the batch's iteration.  Newton runs until
+        # every face of a batch has converged, and the iterations a face
+        # takes past its own stop move it within Newton's tolerance
         for i in np.flatnonzero(~equal):
             alone = riemann.interface_states(wl[:, i], wr[:, i], GAS.gamma)
             assert alone.shape == (3,)
-            assert w0[:, i] == pytest.approx(alone, rel=1e-12, abs=1e-12)
+            if newton_iterations[-1] == batch_iterations:
+                assert np.array_equal(alone, w0[:, i])
+            else:
+                assert w0[:, i] == pytest.approx(alone, rel=1e-12, abs=1e-12)
 
 
 def former_sample_arrays(wl, wr, p_star, u_star, rho_star_l, rho_star_r, xi, gamma):
@@ -479,9 +490,10 @@ class TestSamplerMatchesItsFormerExpression:
 
     @staticmethod
     def face_ray(wl, wr):
+        # one face's (3,) states give (1,) star values and its (3,) state
         star = riemann.star_state_arrays(wl, wr, GAS.gamma)
         got = riemann.interface_states(wl, wr, GAS.gamma)
-        assert_same_bytes(got, former_sample_arrays(wl, wr, *star, 0.0, GAS.gamma))
+        assert_same_bytes(got, former_sample_arrays(wl, wr, *star, 0.0, GAS.gamma).reshape(wl.shape))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(_FUZZ_SIDE, _FUZZ_SIDE), min_size=1, max_size=12))
@@ -528,10 +540,10 @@ class TestSamplerMatchesItsFormerExpression:
         problem = RiemannInput(SOD.right, SOD.left)
         star = solve_star(problem)
         args = (problem.left.array[:, None], problem.right.array[:, None], star.p_star, star.u_star)
-        args += (star.rho_star_left, star.rho_star_right, np.array([[-1.9, np.nan, 2.0]]), GAS.gamma)
+        args += (star.rho_star_left, star.rho_star_right, np.array([-1.9, np.nan, 2.0]), GAS.gamma)
         got = riemann._sample_arrays(*args)
         assert_same_bytes(got, former_sample_arrays(*args))
-        assert np.isnan(got[:, 0, 1]).all()
+        assert np.isnan(got[:, 1]).all()
 
 
 class TestExactProfile:

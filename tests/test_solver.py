@@ -1004,6 +1004,46 @@ def toro_config(test: int, method: FluxMethod) -> RunConfig:
     return dataclasses.replace(cfg, dt=dt)
 
 
+def bulk_config(method: FluxMethod) -> RunConfig:
+    """Sod on 20 000 cells for 20 steps, as the benchmark's sod20k-bulk."""
+    grid = Grid1D(n_cells=WORKLOADS.BULK_CELLS)
+    dt = derive_dt(WORKLOADS.COURANT_TARGET, grid.dx, 2.0)
+    return RunConfig(method=method, grid=grid, dt=dt, t_final=WORKLOADS.BULK_STEPS * dt)
+
+
+class TestOneProblemIsABatchOfOne:
+    """A single problem is solved as a batch of one face, so its star region
+    is the exact flux's for the same face (notes/decisions.md section 22)."""
+
+    @pytest.mark.parametrize("test", [0, *TORO_TESTS])
+    def test_solve_star_equals_the_face_in_a_batch(self, test):
+        left, right = (SOD_LEFT, SOD_RIGHT) if test == 0 else TORO_TESTS[test][:2]
+        star = riemann.solve_star(RiemannInput(left, right))
+        # the face as the window hands it over: strided rows of (3, 2, 1) faces
+        faces = np.array([left.array, right.array]).T[:, :, None]
+        batch = riemann.star_state_arrays(faces[:, 0], faces[:, 1], GAS.gamma)
+        got = (star.p_star, star.u_star, star.rho_star_left, star.rho_star_right)
+        assert np.array(got).tobytes() == np.concatenate(batch).tobytes()
+
+
+class TestBulkReferenceProfile:
+    def test_its_peak_stays_at_the_three_select_sampler(self):
+        # sod20k-bulk's peak_rss_mb is set by its reference profile on 20 000
+        # centres (notes/decisions.md section 22): the sampler takes the
+        # outer state with one select and flips its velocity in place, so
+        # its tracemalloc peak stays at the 4 244 656 bytes of the former
+        # three selects; flipped out of place it reads 4 404 656
+        call = WORKLOADS._reference_call(bulk_config(FluxMethod.RIEMANN))
+        exact_profile(*call)  # warm
+        tracemalloc.start()
+        try:
+            exact_profile(*call)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.05 * 2**20
+
+
 class TestToroCopies:
     def test_failures_and_the_ab_sweep_suites_match_the_benchmark(self):
         # the pinned runs here carry their cell and step; the benchmark's
@@ -1168,6 +1208,31 @@ class TestNewtonWork:
         run(cfg)
         assert len(newton_iterations) == step_count(cfg)
         assert max(newton_iterations) <= 6
+
+    def test_each_exact_run_takes_the_pinned_iterations(self, newton_iterations):
+        # Newton's total over each run of the exact flux, the same whether
+        # counted from two pressure-function calls per iteration or from one
+        # (notes/decisions.md section 22)
+        configs = {
+            "sod200": RunConfig(method=FluxMethod.RIEMANN),
+            "sod20k": bulk_config(FluxMethod.RIEMANN),
+            **{f"toro{test}": toro_config(test, FluxMethod.RIEMANN) for test in TORO_TESTS},
+        }
+        totals = {}
+        for name, cfg in configs.items():
+            newton_iterations.clear()  # drop the solves that sized dt
+            run(cfg)
+            assert len(newton_iterations) == step_count(cfg)
+            totals[name] = sum(newton_iterations)
+        assert totals == {
+            "sod200": 603,
+            "sod20k": 64,
+            "toro1": 682,
+            "toro2": 507,
+            "toro3": 954,
+            "toro4": 860,
+            "toro5": 1444,
+        }
 
     def test_toro3_undisturbed_left_state_stays_bitwise(self):
         # faces whose velocities differ by round-off keep p* = p bitwise, so

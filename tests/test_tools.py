@@ -43,6 +43,19 @@ def ops_lines(stdout):
     return found
 
 
+def layer_lines(stdout):
+    """suite -> each side's {layer: ops per step} of the --ops layer lines."""
+    found = {}
+    for line in stdout.splitlines():
+        match = re.fullmatch(r"(\w+) numpy ops per step by layer: parent (.*); change (.*)", line)
+        if match:
+            found[match[1]] = tuple(
+                {layer: float(n) for layer, n in (item.split() for item in side.split(", "))}
+                for side in (match[2], match[3])
+            )
+    return found
+
+
 def test_ab_sweep_same_tree_counts_equal_ops():
     src = ROOT / "src"
     # The full seven suites take minutes; Sod-200, Sod-20k and Toro 2 cover
@@ -78,6 +91,15 @@ def test_ab_sweep_same_tree_counts_equal_ops():
         # no method's count differs, and every counted run gave the
         # uncounted run's bytes
         assert rest == ""
+    # each operation counts toward the package module that made it, and
+    # the five layers make up the total
+    layers = layer_lines(result.stdout)
+    assert list(layers) == ["sod200", "sod20k", "toro2"], result.stdout
+    for suite, (parent, change) in layers.items():
+        assert parent == change
+        assert list(parent) == ["solver", "gas", "muscl", "fluxes", "riemann"]
+        assert sum(parent.values()) == pytest.approx(found[suite][0], abs=0.03)
+        assert parent["riemann"] > 0.0
     # the last lines: each side's minor page faults per run, per suite, in
     # the solve and in the scoring
     faults = [

@@ -51,6 +51,11 @@ array-function call on an array the package computed (``a * b``,
 ``x.max()``); calls made inside a counted one do not count again.  The
 count divides by the run's steps, so set-up is spread over them.  A counted
 run whose result is not byte for byte that of the uncounted one is named.
+Each operation also counts toward the layer that made it: the package module
+(``solver``, ``gas``, ``muscl``, ``fluxes``, ``riemann``) of the innermost
+package frame on the stack at the call.  A second line per suite gives each
+side's operations per step by layer, summed over the methods, so the exact
+flux's own ``riemann`` operations are read off it.
 
 The host's speed drifts by tens of percent from one process to the next,
 while pairing run by run inside one process reads a gain within a few
@@ -70,6 +75,7 @@ import sys
 import tempfile
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -140,16 +146,32 @@ def wave_lines(package, states):
         return type(exc).__name__, str(exc)
 
 
+LAYERS = ("solver", "gas", "muscl", "fluxes", "riemann")
+
+
 class OpCounter:
-    """Counts operations; a call made inside a counted one is not counted."""
+    """Counts operations by layer, the module of the innermost frame of the
+    counted package; a call made inside a counted one is not counted."""
 
     def __init__(self):
-        self.ops = 0
+        self.ops = Counter()
         self.depth = 0
+        self.package = ""
+
+    def layer(self) -> str:
+        prefix = self.package + "."
+        frame = sys._getframe(2)
+        while frame is not None:
+            name = frame.f_globals.get("__name__", "")
+            if name.startswith(prefix):
+                return name.removeprefix(prefix)
+            frame = frame.f_back
+        return "outside"
 
     @contextlib.contextmanager
     def op(self):
-        self.ops += self.depth == 0
+        if self.depth == 0:
+            self.ops[self.layer()] += 1
         self.depth += 1
         try:
             yield
@@ -237,6 +259,7 @@ def counting(package):
     ]
     for m in modules:
         m.np = CountedNumpy()
+    COUNTER.package = package.__name__
     try:
         yield
     finally:
@@ -307,13 +330,16 @@ def main(argv=None) -> int:
             return final.cells.tobytes() + np.array([final.time, final.max_courant_observed]).tobytes()
 
         def ops_per_step(cfg, side: int, final):
-            # One more run with numpy counted, checked against the uncounted one
-            COUNTER.ops = 0
+            # One more run with numpy counted, checked against the uncounted
+            # one; its operations per step by layer
+            COUNTER.ops = Counter()
             with counting(packages[side]), warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 result = run(cfg, side)[1]
             same = not isinstance(result, tuple) and stamp(result) == stamp(final)
-            return COUNTER.ops / packages[side].solver.step_count(cfg), same
+            steps = packages[side].solver.step_count(cfg)
+            by_layer = {layer: n / steps for layer, n in COUNTER.ops.items()}
+            return sum(COUNTER.ops.values()) / steps, by_layer, same
 
         # suite -> (config pairs, runs that differ, runs skipped, fields that
         # differ, largest absolute and relative change of final cells, each
@@ -322,9 +348,10 @@ def main(argv=None) -> int:
         # suite -> each side's minor page faults over the untimed pass, in the
         # solves and in the scoring
         faulted = {}
-        # suite -> method -> each side's operations per step, and the counted
-        # runs that differ from their uncounted one
-        ops, ops_differ = {suite: {} for suite in SUITES}, {suite: [] for suite in SUITES}
+        # suite -> method -> each side's operations per step, in all and by
+        # layer, and the counted runs that differ from their uncounted one
+        ops, layer_ops = {suite: {} for suite in SUITES}, {suite: {} for suite in SUITES}
+        ops_differ = {suite: [] for suite in SUITES}
         for suite in SUITES:
             fields = [suite_fields(p, suite) for p in packages]
             moved = [k for k in {**fields[0], **fields[1]} if fields[0].get(k) != fields[1].get(k)]
@@ -357,8 +384,9 @@ def main(argv=None) -> int:
                 pairs.append(pair)
                 if args.ops:
                     counts = [ops_per_step(cfg, side, results[side]) for side, cfg in enumerate(pair)]
-                    ops[suite][method] = [count for count, _ in counts]
-                    ops_differ[suite] += [f"{method} ({SIDES[side]})" for side, (_, same) in enumerate(counts) if not same]
+                    ops[suite][method] = [count for count, _, _ in counts]
+                    layer_ops[suite][method] = [by_layer for _, by_layer, _ in counts]
+                    ops_differ[suite] += [f"{method} ({SIDES[side]})" for side, (*_, same) in enumerate(counts) if not same]
             kept[suite] = (pairs, differ, skipped, moved, change, warned)
         reports = [[wave_lines(p, problem) for p in packages] for problem in WAVE_PROBLEMS]
 
@@ -413,6 +441,19 @@ def main(argv=None) -> int:
                 f" parent {total[0]:.2f}, change {total[1]:.2f}"
                 + (f"; by method: {', '.join(moved)}" if moved else "")
                 + (f"; counted runs differ: {', '.join(ops_differ[suite])}" if ops_differ[suite] else "")
+            )
+            by_layer = [Counter() for _ in SIDES]
+            for sides in layer_ops[suite].values():
+                for side, layers in enumerate(sides):
+                    by_layer[side].update(layers)
+            # a layer outside the five (a new module, or "outside") is listed too
+            names = [*LAYERS, *sorted({k for c in by_layer for k in c} - set(LAYERS))]
+            print(
+                f"{suite} numpy ops per step by layer: "
+                + "; ".join(
+                    f"{name} " + ", ".join(f"{layer} {counts[layer]:.2f}" for layer in names)
+                    for name, counts in zip(SIDES, by_layer)
+                )
             )
     for suite, sides in faulted.items():
         per_run = [f"{SIDES[i]} {solve / len(methods):.1f} + {scoring / len(methods):.1f}" for i, (solve, scoring) in enumerate(sides)]
