@@ -42,6 +42,9 @@ NEWTON_MAX_ITER = 100
 # A residual f_L + f_R + du within this share of |f_L| + |f_R| + |du| is the
 # round-off of its terms: 4 ulps of 1, fixed rather than read from the host.
 ROUNDOFF_RTOL = 4.0 * 2.0**-52
+# Positions of an exact profile sampled in one pass (notes/decisions.md
+# section 23).  Fixed, so the sampler's temporaries do not grow with the grid.
+_PROFILE_BLOCK = 2048
 
 
 class WaveKind(enum.Enum):
@@ -359,12 +362,19 @@ def interface_states(wl: np.ndarray, wr: np.ndarray, gamma: float) -> np.ndarray
 
 
 def exact_profile(problem: RiemannInput, x: np.ndarray, jump_position: float, t: float) -> ExactProfile:
-    """Exact solution at positions ``x`` and time ``t`` (step data at t = 0)."""
+    """Exact solution at positions ``x`` and time ``t`` (step data at t = 0).
+
+    The positions are sampled in blocks of ``_PROFILE_BLOCK``, each written
+    into its columns of the one (3, n) result.  The sampler is elementwise,
+    so a block's values are those of one pass over all positions.
+    """
     x = np.asarray(x, dtype=float)
-    # A NaN difference fails "<= 0" too, so a non-finite position is caught first
+    if x.ndim != 1:
+        raise InvalidConfig(f"positions must be one-dimensional, got shape {x.shape}")
+    # A NaN fails "<=" too, so a non-finite position is caught first
     if not np.isfinite(x).all():
         raise InvalidConfig(f"positions must be finite, got {x[~np.isfinite(x)][0]}")
-    if np.any(np.diff(x) <= 0.0):
+    if np.any(x[1:] <= x[:-1]):
         raise InvalidConfig("positions must be strictly increasing")
     if not (math.isfinite(t) and t >= 0.0):
         raise InvalidConfig(f"time must be non-negative and finite, got {t}")
@@ -375,15 +385,11 @@ def exact_profile(problem: RiemannInput, x: np.ndarray, jump_position: float, t:
         w = np.where(on_left, problem.left.array[:, None], problem.right.array[:, None])
         return ExactProfile(x=x, w=w, time=0.0)
     star = solve_star(problem)
-    xi = (x - jump_position) / t
-    w = _sample_arrays(
-        problem.left.array[:, None],
-        problem.right.array[:, None],
-        star.p_star,
-        star.u_star,
-        star.rho_star_left,
-        star.rho_star_right,
-        xi,
-        problem.gas.gamma,
-    )
+    wl, wr = problem.left.array[:, None], problem.right.array[:, None]
+    values = (star.p_star, star.u_star, star.rho_star_left, star.rho_star_right)
+    w = np.empty((3, x.size))
+    for lo in range(0, x.size, _PROFILE_BLOCK):
+        block = slice(lo, lo + _PROFILE_BLOCK)
+        xi = (x[block] - jump_position) / t
+        w[:, block] = _sample_arrays(wl, wr, *values, xi, problem.gas.gamma)
     return ExactProfile(x=x, w=w, time=t)

@@ -1,8 +1,11 @@
 """Exact Riemann solver: star region, wave speeds, sampling, profiles."""
 
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import sodbench.riemann as riemann
@@ -592,16 +595,107 @@ class TestExactProfile:
         with pytest.raises(ValueError):
             exact_profile(SOD, np.array([0.3, 0.2, 0.5]), 0.5, 0.1)
 
+    def test_rejects_a_signed_zero_pair(self):
+        # -0.0 == 0.0, so the two positions are not strictly increasing
+        with pytest.raises(InvalidConfig, match="positions must be strictly increasing$"):
+            exact_profile(SOD, np.array([0.0, -0.0]), 0.5, 0.1)
+
+    @pytest.mark.parametrize("x", [np.float64(0.5), np.full((2, 3), 0.5)], ids=["0-d", "2-d"])
+    def test_rejects_positions_that_are_not_one_dimensional(self, x):
+        # numpy's own errors came first: "diff requires input that is at
+        # least one dimensional" or "operands could not be broadcast"
+        with pytest.raises(InvalidConfig, match=re.escape(f"one-dimensional, got shape {x.shape}")):
+            exact_profile(SOD, x, 0.5, 0.1)
+
     @pytest.mark.parametrize(
         ("x", "bad"),
         [([0.1, np.nan, 0.9], "nan"), ([0.1, 0.5, np.inf], "inf"), ([-np.inf, 0.5, 0.9], "-inf")],
     )
     def test_rejects_non_finite_positions(self, x, bad):
-        # np.diff of a NaN is NaN, and "NaN <= 0" is False: without its own
-        # check the NaN position took the star state
+        # a comparison with a NaN is False: without its own check the NaN
+        # position took the star state
         with pytest.raises(InvalidConfig, match=f"positions must be finite, got {bad}$"):
             exact_profile(SOD, np.array(x), 0.5, 0.2)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             exact_profile(SOD, self.grid(), 0.5, -0.1)
+
+
+# Sod's problem and Toro's tests 1-5 (his Table 4.1): states, jump position
+# and final time
+PROFILE_PROBLEMS = {
+    "sod": (SOD, 0.5, 0.2),
+    "toro1": (TORO_1, 0.3, 0.2),
+    "toro2": (RiemannInput(PrimitiveState(1.0, -2.0, 0.4), PrimitiveState(1.0, 2.0, 0.4)), 0.5, 0.15),
+    "toro3": (RiemannInput(PrimitiveState(1.0, 0.0, 1000.0), PrimitiveState(1.0, 0.0, 0.01)), 0.5, 0.012),
+    "toro4": (TORO_4, 0.4, 0.035),
+    "toro5": (
+        RiemannInput(PrimitiveState(1.0, -19.59745, 1000.0), PrimitiveState(1.0, -19.59745, 0.01)),
+        0.8,
+        0.012,
+    ),
+}
+BLOCK = riemann._PROFILE_BLOCK
+TORO_1_SPEEDS = solve_star(TORO_1).speeds
+
+
+def one_pass_profile(problem, x, x0, t):
+    """The exact profile as one sampler call over every position."""
+    star = solve_star(problem)
+    return riemann._sample_arrays(
+        problem.left.array[:, None],
+        problem.right.array[:, None],
+        star.p_star,
+        star.u_star,
+        star.rho_star_left,
+        star.rho_star_right,
+        (x - x0) / t,
+        problem.gas.gamma,
+    )
+
+
+class TestBlockedProfile:
+    """The profile, sampled in blocks of positions, has the bytes of one
+    sampler call over all of them: the sampler is elementwise, and a block
+    with no ray inside a fan leaves the fan state out."""
+
+    @staticmethod
+    def check(problem, x, x0, t, block=BLOCK):
+        with mock.patch.object(riemann, "_PROFILE_BLOCK", block):
+            got = exact_profile(problem, x, x0, t).w
+        assert_same_bytes(got, one_pass_profile(problem, x, x0, t))
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+    @pytest.mark.parametrize("name", list(PROFILE_PROBLEMS))
+    def test_the_module_block(self, name, n):
+        problem, x0, t = PROFILE_PROBLEMS[name]
+        self.check(problem, (np.arange(n) + 0.5) / max(n, 1), x0, t)
+
+    @pytest.mark.parametrize("block", [1, 3])
+    @pytest.mark.parametrize("name", list(PROFILE_PROBLEMS))
+    def test_small_blocks(self, name, block):
+        problem, x0, t = PROFILE_PROBLEMS[name]
+        for n in (1, 2, 3, 4, 7, 200):
+            self.check(problem, (np.arange(n) + 0.5) / n, x0, t, block)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(list(PROFILE_PROBLEMS)),
+        x=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40, unique=True).map(sorted),
+        x0=st.sampled_from([0.0, 0.5]),
+        t=st.sampled_from([1.0, 0.2]),
+        block=st.integers(1, 5),
+    )
+    # blocks of 2 on Toro 1's rays: the first ends exactly on the left fan's
+    # head, the next two lie inside the fan, the edge between them too, and
+    # the third ends exactly on its tail
+    @example(
+        name="toro1",
+        x=[TORO_1_SPEEDS.left_head - 0.1, TORO_1_SPEEDS.left_head, -0.3, -0.1, 0.1, TORO_1_SPEEDS.left_tail, 0.5],
+        x0=0.0,
+        t=1.0,
+        block=2,
+    )
+    def test_any_positions(self, name, x, x0, t, block):
+        self.check(PROFILE_PROBLEMS[name][0], np.array(x), x0, t, block)

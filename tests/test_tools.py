@@ -71,6 +71,7 @@ def test_ab_sweep_same_tree_counts_equal_ops():
     for line in lines[:3]:
         assert line.endswith("; largest change of final cells 0.00e+00 absolute, 0.00e+00 relative")
     assert lines[3] == "wave reports differ in 0 of 6 problems"
+    assert lines[4] == "exact profiles differ in 0 of 3 suites"
     assert "ratio change/parent: median" in result.stdout
     # the --ops lines follow the method ratio line, which names all 22
     # methods, lowest ratio first
@@ -137,6 +138,8 @@ def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
     assert line is not None, result.stdout
     assert int(line[1]) > 0
     assert float(line[2]) > 0.0 and float(line[3]) > 0.0
+    # the looser tolerance moves the star state the profile is sampled from
+    assert "exact profiles differ in 1 of 1 suites" in result.stdout.splitlines()
     # Fewer Newton iterations are fewer operations of the exact flux; the
     # square root adds one operation to each run of every method
     parent, change, rest = ops_lines(result.stdout)["sod200"]

@@ -35,8 +35,9 @@ per-rep ratio change/parent, the two largest changes, which fields differ
 between the sides if any do, and the two warning counts if they differ.
 Then it prints in how many of six problems (Sod's and Toro's 1-5) the exact
 solver's wave report (``bench.wave_report``'s lines, or its error) differs,
-each side's median sweep over all seven suites, and the median, min and max
-of that ratio.
+in how many suites the two sides' exact profiles (positions and values,
+compared byte for byte) differ, each side's median sweep over all seven
+suites, and the median, min and max of that ratio.
 Then it prints every method's median ratio, lowest first, each method's
 time summed over all suites in a rep, so that a change shows where its
 saving lands.  Last, it prints per suite each side's minor page faults per
@@ -352,6 +353,8 @@ def main(argv=None) -> int:
         # layer, and the counted runs that differ from their uncounted one
         ops, layer_ops = {suite: {} for suite in SUITES}, {suite: {} for suite in SUITES}
         ops_differ = {suite: [] for suite in SUITES}
+        # suites whose two exact profiles are not byte for byte the same
+        profiles_differ = 0
         for suite in SUITES:
             fields = [suite_fields(p, suite) for p in packages]
             moved = [k for k in {**fields[0], **fields[1]} if fields[0].get(k) != fields[1].get(k)]
@@ -360,6 +363,8 @@ def main(argv=None) -> int:
             references = [
                 reference_profile(p, side_config(p, f, methods[0])) for p, f in zip(packages, fields)
             ]
+            stamps = [r.x.tobytes() + r.w.tobytes() for r in references]
+            profiles_differ += stamps[0] != stamps[1]
             for method in methods:
                 pair = [side_config(p, f, method) for p, f in zip(packages, fields)]
                 results = []
@@ -417,6 +422,7 @@ def main(argv=None) -> int:
         )
     differ = sum(parent != change for parent, change in reports)
     print(f"wave reports differ in {differ} of {len(reports)} problems")
+    print(f"exact profiles differ in {profiles_differ} of {len(SUITES)} suites")
     total = [
         [sum(s[side][rep] for s in sweeps.values()) for rep in range(args.reps)] for side in (0, 1)
     ]
