@@ -7,6 +7,7 @@ table and the relative-runtime comparison.
 
 from __future__ import annotations
 
+import operator
 import statistics
 import time
 from dataclasses import dataclass
@@ -160,6 +161,10 @@ def timing_sweep(base_cfg: RunConfig, repetitions: int = 3) -> list[TimingReport
     the exact reference are excluded.  Runs stay sequential on one thread so
     the comparison is not skewed by contention.
     """
+    try:
+        repetitions = operator.index(repetitions)
+    except TypeError:
+        raise InvalidConfig(f"repetitions must be an integer, got {repetitions!r}") from None
     if repetitions < 3:
         raise InvalidConfig(f"need at least 3 repetitions, got {repetitions}")
     timings = []

@@ -110,6 +110,8 @@ def _check_out(path: str | None) -> None:
     """Reject an output path that no file can be written to, before any run."""
     if path is None:
         return
+    if not path:
+        raise InvalidConfig("output path is empty")
     if os.path.isdir(path):
         raise InvalidConfig(f"output path {path!r} is a directory")
     parent = os.path.dirname(path) or "."
@@ -186,12 +188,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         ) from None
     cfg = _run_config(args, method)
     field = solver.run(cfg)
-    if args.out:
+    if args.out is not None:
         _write_profile(args.out, cfg.grid.centers(), field.primitives(cfg.gas), cfg.gas)
     print(
         f"{method.value}: {solver.step_count(cfg)} steps to t={field.time:.6g}, "
         f"max Courant {field.max_courant_observed:.5f}"
-        + (f", profile written to {args.out}" if args.out else "")
+        + (f", profile written to {args.out}" if args.out is not None else "")
     )
     return EXIT_OK
 

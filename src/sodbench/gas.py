@@ -51,9 +51,9 @@ class PrimitiveState:
 
     def __post_init__(self):
         if not (math.isfinite(self.rho) and math.isfinite(self.u) and math.isfinite(self.p)):
-            raise ValueError(f"non-finite primitive state ({self.rho}, {self.u}, {self.p})")
+            raise InvalidConfig(f"non-finite primitive state ({self.rho}, {self.u}, {self.p})")
         if self.rho <= 0.0 or self.p <= 0.0:
-            raise ValueError(
+            raise InvalidConfig(
                 f"density and pressure must be positive, got rho={self.rho}, p={self.p}"
             )
 

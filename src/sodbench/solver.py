@@ -87,6 +87,8 @@ class RunConfig:
     right: PrimitiveState = SOD_RIGHT
 
     def __post_init__(self):
+        if not isinstance(self.method, FluxMethod):
+            raise InvalidConfig(f"method must be a FluxMethod, got {self.method!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise InvalidConfig(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.t_final) and self.t_final >= 0.0):
@@ -215,7 +217,8 @@ def _grow(q: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
 
 def advance(field: SolutionField, cfg: RunConfig, n_steps: int) -> SolutionField:
     """March ``n_steps`` conservative updates of dt; steps are numbered from
-    0 in failure reports.  The incoming field is checked once.
+    0 in failure reports.  The incoming field is checked once: its cells
+    must be a (3, n_cells) array of ``cfg``'s grid, and positive.
 
     The field is copied between two ghost columns, and its first window
     comes from a scan of every interface, since a caller's field can hold
@@ -226,7 +229,10 @@ def advance(field: SolutionField, cfg: RunConfig, n_steps: int) -> SolutionField
         raise InvalidConfig(f"number of steps must be an integer, got {n_steps!r}") from None
     if n_steps < 0:
         raise InvalidConfig(f"number of steps must be non-negative, got {n_steps}")
-    n = field.cells.shape[1]
+    n = cfg.grid.n_cells
+    shape = getattr(field.cells, "shape", None)
+    if shape != (3, n):
+        raise InvalidConfig(f"field cells must be a (3, {n}) array for the grid, got shape {shape}")
     q = np.empty((3, n + 2))
     q[:, 1:-1] = field.cells
     lo, hi = _window(field.cells, 0, n)

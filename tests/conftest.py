@@ -1,8 +1,26 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and loaders shared by the test modules."""
+
+import functools
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
 from sodbench import riemann
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@functools.cache
+def load_script(path: Path):
+    """A module of the repository that is not in the package, by its path,
+    loaded once; registered, since dataclasses look their module up."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -172,3 +172,9 @@ class TestTimingSweep:
     def test_minimum_repetitions(self):
         with pytest.raises(InvalidConfig):
             timing_sweep(RunConfig(), repetitions=2)
+
+    @pytest.mark.parametrize("repetitions", [3.0, "3"])
+    def test_repetitions_must_be_an_integer(self, repetitions):
+        # 3.0 passed the minimum and failed in range() with a TypeError
+        with pytest.raises(InvalidConfig, match="repetitions must be an integer"):
+            timing_sweep(RunConfig(), repetitions=repetitions)

@@ -276,6 +276,11 @@ class TestInvalidInput:
             ["solve", "--out", "NODIR"],
             ["bench", "--out", "NODIR"],
             ["timing", "--reps", "3", "--out", "NODIR"],
+            # or empty
+            ["exact", "--out", ""],
+            ["solve", "--out", ""],
+            ["bench", "--out", ""],
+            ["timing", "--reps", "3", "--out", ""],
         ],
         ids=" ".join,
     )
@@ -286,8 +291,9 @@ class TestInvalidInput:
         assert err.startswith("invalid configuration: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out", ["no/x.csv", ""], ids=["missing-directory", "empty"])
     @pytest.mark.parametrize("command", ["exact", "solve", "bench", "timing"])
-    def test_an_unusable_out_is_rejected_before_any_run(self, command, tmp_path, monkeypatch, capsys):
+    def test_an_unusable_out_is_rejected_before_any_run(self, command, out, tmp_path, monkeypatch, capsys):
         def refuse(*args, **kwargs):
             raise AssertionError("ran before the output path was checked")
 
@@ -298,7 +304,7 @@ class TestInvalidInput:
             (cli.bench, "timing_sweep"),
         ]:
             monkeypatch.setattr(module, name, refuse)
-        assert parse_and_run([command, "--out", str(tmp_path / "no" / "x.csv")]) == 2
+        assert parse_and_run([command, "--out", str(tmp_path / out) if out else ""]) == 2
         assert "invalid configuration" in capsys.readouterr().err
 
 

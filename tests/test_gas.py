@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sodbench.errors import InvalidConfig
 from sodbench.gas import (
     GasModel,
     PrimitiveState,
@@ -45,15 +46,15 @@ class TestGasModel:
 
 class TestStateValidation:
     def test_rejects_nonpositive_density_or_pressure(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             PrimitiveState(0.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             PrimitiveState(1.0, 1.0, -0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             PrimitiveState(1.0, 1.0, 0.0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             PrimitiveState(1.0, math.inf, 1.0)
 
 

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import sodbench.riemann as riemann
+from conftest import ROOT, load_script
 from sodbench import bench
 from sodbench.errors import DegenerateJump, InvalidConfig, NoConvergence, VacuumGenerated
 from sodbench.gas import GasModel, PrimitiveState, sound_speed_array
@@ -479,12 +480,12 @@ def assert_same_bytes(got, expected):
     assert got.tobytes() == expected.tobytes()
 
 
-# Toro's tests 1 (a transonic fan on the left) and 4 (two shocks, no fan),
-# from his Table 4.1
-TORO_1 = RiemannInput(PrimitiveState(1.0, 0.75, 1.0), PrimitiveState(0.125, 0.0, 0.1))
-TORO_4 = RiemannInput(
-    PrimitiveState(5.99924, 19.5975, 460.894), PrimitiveState(5.99242, -6.19633, 46.0950)
-)
+# Toro's tests 1-5 from his Table 4.1, as the benchmark's toro-suite has
+# them: the problem, jump position and final time
+WORKLOADS = load_script(ROOT / "perfbench" / "workloads.py")
+TORO = {test: (RiemannInput(left, right), x0, t) for test, (left, right, x0, t) in WORKLOADS.TORO_TESTS.items()}
+# tests 1 (a transonic fan on the left) and 4 (two shocks, no fan)
+TORO_1, TORO_4 = TORO[1][0], TORO[4][0]
 
 
 class TestSamplerMatchesItsFormerExpression:
@@ -519,7 +520,8 @@ class TestSamplerMatchesItsFormerExpression:
 
     def test_profiles_with_and_without_a_fan(self):
         x = (np.arange(200) + 0.5) / 200
-        for problem, x0, t, fans in ((TORO_1, 0.3, 0.2, 1), (TORO_4, 0.4, 0.035, 0)):
+        for test, fans in ((1, 1), (4, 0)):
+            problem, x0, t = TORO[test]
             star = solve_star(problem)
             assert [star.left_wave, star.right_wave].count(WaveKind.FAN) == fans
             profile = exact_profile(problem, x, x0, t)
@@ -622,20 +624,9 @@ class TestExactProfile:
             exact_profile(SOD, self.grid(), 0.5, -0.1)
 
 
-# Sod's problem and Toro's tests 1-5 (his Table 4.1): states, jump position
-# and final time
-PROFILE_PROBLEMS = {
-    "sod": (SOD, 0.5, 0.2),
-    "toro1": (TORO_1, 0.3, 0.2),
-    "toro2": (RiemannInput(PrimitiveState(1.0, -2.0, 0.4), PrimitiveState(1.0, 2.0, 0.4)), 0.5, 0.15),
-    "toro3": (RiemannInput(PrimitiveState(1.0, 0.0, 1000.0), PrimitiveState(1.0, 0.0, 0.01)), 0.5, 0.012),
-    "toro4": (TORO_4, 0.4, 0.035),
-    "toro5": (
-        RiemannInput(PrimitiveState(1.0, -19.59745, 1000.0), PrimitiveState(1.0, -19.59745, 0.01)),
-        0.8,
-        0.012,
-    ),
-}
+# Sod's problem and Toro's tests 1-5: the problem, jump position and final
+# time
+PROFILE_PROBLEMS = {"sod": (SOD, 0.5, 0.2), **{f"toro{test}": problem for test, problem in TORO.items()}}
 BLOCK = riemann._PROFILE_BLOCK
 TORO_1_SPEEDS = solve_star(TORO_1).speeds
 

@@ -1,19 +1,16 @@
 """Godunov time integration: setup, stepping, conservation, reproducibility."""
 
 import dataclasses
-import importlib.util
 import math
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import sodbench
+from conftest import ROOT, load_script
 from sodbench import bench, riemann, solver
 from sodbench.errors import (
     InvalidConfig,
@@ -708,12 +705,11 @@ class TestWindow:
     def test_no_whole_grid_primitive_array(self, method):
         # The copy of the cells is the only (3, n) array a call allocates:
         # the primitives are kept on the window alone (about 16 cells here)
-        grid = Grid1D(0.0, 1.0, 20_000)
-        cfg = RunConfig(method=method, grid=grid, dt=0.4 * grid.dx / 2)
+        cfg = bulk_config(method)
         field = initialize_sod(cfg)
         tracemalloc.start()
         try:
-            solver.advance(field, cfg, 20)
+            solver.advance(field, cfg, step_count(cfg))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -723,10 +719,7 @@ class TestWindow:
     def test_a_run_builds_its_cells_once(self, method):
         # run marches the step data it builds: no copy of the cells and no
         # centers array
-        grid = Grid1D(0.0, 1.0, 20_000)
-        dt = 0.4 * grid.dx / 2
-        cfg = RunConfig(method=method, grid=grid, dt=dt, t_final=20 * dt)
-        assert step_count(cfg) == 20
+        cfg = bulk_config(method)
         tracemalloc.start()
         try:
             final = run(cfg)
@@ -899,6 +892,15 @@ class TestIncomingField:
         )
         assert got.value.cell == start
 
+    @pytest.mark.parametrize("shape", [(3, 50), (2, 10), (3, 0)])
+    def test_cells_not_of_the_grid_are_rejected(self, shape):
+        # Under the 200-cell default a 50-cell field marched with dx = 1/200
+        # and reported a Courant maximum for a grid it never had; (2, 10)
+        # died in numpy broadcasting, and (3, 0) raised IndexError
+        with pytest.raises(InvalidConfig) as excinfo:
+            solver.advance(solver.SolutionField(time=0.0, cells=np.ones(shape)), RunConfig(), 1)
+        assert str(excinfo.value) == f"field cells must be a (3, 200) array for the grid, got shape {shape}"
+
     def test_a_window_spanning_the_grid_is_not_checked_again(self, monkeypatch):
         # it cannot grow, and a window wider than needed is exact
         checks, widths = [], []
@@ -959,23 +961,12 @@ class TestNoStack:
         exact_profile(RiemannInput(SOD_LEFT, SOD_RIGHT), Grid1D().centers(), 0.5, 0.2)
 
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def load_script(path: Path):
-    """A module of the repository that is not in the package, by its path;
-    registered, since dataclasses look their module up."""
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-# Toro's Table 4.1 and the dt rule of its runs, as the benchmark's toro-suite
-# has them
+# The benchmark's workloads: Toro's Table 4.1, and the runs of toro-suite
+# and sod20k-bulk
 WORKLOADS = load_script(ROOT / "perfbench" / "workloads.py")
 TORO_TESTS = WORKLOADS.TORO_TESTS
+TORO_RUNS = {run.label: run for run in WORKLOADS.toro_suite().runs}
+BULK = WORKLOADS.sod20k_bulk()
 
 # (test, method) -> (cell, step) of the NonPhysicalState each run dies with
 # at 200 cells.  The other 97 runs of the 5 x 22 matrix complete.
@@ -997,18 +988,13 @@ TORO_FAILURES = {
 
 
 def toro_config(test: int, method: FluxMethod) -> RunConfig:
-    """Toro's test on 200 cells, with the benchmark's dt."""
-    left, right, x0, t_final = TORO_TESTS[test]
-    cfg = RunConfig(method=method, left=left, right=right, jump_position=x0, t_final=t_final)
-    dt = WORKLOADS.toro_dt(RiemannInput(left, right, cfg.gas), cfg.grid.dx, t_final)
-    return dataclasses.replace(cfg, dt=dt)
+    """Toro's test on 200 cells, as the benchmark's toro-suite runs it."""
+    return TORO_RUNS[f"test{test}/{method.value}"].cfg
 
 
 def bulk_config(method: FluxMethod) -> RunConfig:
     """Sod on 20 000 cells for 20 steps, as the benchmark's sod20k-bulk."""
-    grid = Grid1D(n_cells=WORKLOADS.BULK_CELLS)
-    dt = derive_dt(WORKLOADS.COURANT_TARGET, grid.dx, 2.0)
-    return RunConfig(method=method, grid=grid, dt=dt, t_final=WORKLOADS.BULK_STEPS * dt)
+    return solver.sweep_config(BULK.runs[0].cfg, method)
 
 
 class TestOneProblemIsABatchOfOne:
@@ -1033,7 +1019,7 @@ class TestBulkReferenceProfile:
         # tracemalloc peak, 919 120 bytes, is the 480 000-byte result and
         # one block's temporaries.  One sampler call over every position
         # read 4 244 736, and blocks cut from the whole grid's xi 1 062 848
-        call = WORKLOADS._reference_call(bulk_config(FluxMethod.RIEMANN))
+        (call,) = BULK.reference_calls
         exact_profile(*call)  # warm
         tracemalloc.start()
         try:
@@ -1044,24 +1030,13 @@ class TestBulkReferenceProfile:
         assert peak <= 0.9 * 2**20
 
 
-class TestToroCopies:
-    def test_failures_and_the_ab_sweep_suites_match_the_benchmark(self):
+class TestToroFailures:
+    def test_the_pinned_runs_are_the_benchmarks(self):
         # the pinned runs here carry their cell and step; the benchmark's
         # carry only the runs
         pinned = WORKLOADS.TORO_PINNED_FAILURES
         assert set(TORO_FAILURES) == {(test, m) for test, methods in pinned.items() for m in methods}
-        # tools/ab_sweep.py keeps plain tuples, as it loads two trees and
-        # must not import a third sodbench
-        ab_sweep = load_script(ROOT / "tools" / "ab_sweep.py")
-        assert list(ab_sweep.TORO_TESTS) == list(TORO_TESTS)
-        for test, (left, right, x0, t_final) in TORO_TESTS.items():
-            states = tuple((w.rho, w.u, w.p) for w in (left, right))
-            assert ab_sweep.TORO_TESTS[test] == (*states, x0, t_final)
-            dt = ab_sweep.suite_fields(sodbench, f"toro{test}")["dt"]
-            assert dt == toro_config(test, FluxMethod.RIEMANN).dt
 
-
-class TestToroFailures:
     # A step's bad cells reach the next step's reconstruction before they
     # are reported; in these runs that raises no warning either
     @pytest.mark.filterwarnings("error")
@@ -1110,12 +1085,11 @@ class TestToroMatrix:
             for method in FluxMethod:
                 if (test, method.value) in TORO_FAILURES:
                     continue
-                cfg = toro_config(test, method)
+                toro_run = TORO_RUNS[f"test{test}/{method.value}"]
+                cfg = toro_run.cfg
                 narrowing.clear()
                 final = run(cfg)
-                problem = RiemannInput(cfg.left, cfg.right, cfg.gas)
-                reference = exact_profile(problem, cfg.grid.centers(), cfg.jump_position, cfg.t_final)
-                rmse = bench.rmse(final.primitives(GAS), reference.w)
+                rmse = bench.rmse(final.primitives(GAS), toro_run.reference.w)
                 assert all(math.isfinite(r) for r in rmse), (test, method)
                 if narrowing:
                     narrowed.add((test, method.value))
@@ -1204,7 +1178,6 @@ class TestNewtonWork:
         # the two-rarefaction start overshot to the pressure floor here and
         # took up to 15 iterations
         cfg = toro_config(5, FluxMethod.RIEMANN)
-        newton_iterations.clear()  # drop the solve that sized dt
         run(cfg)
         assert len(newton_iterations) == step_count(cfg)
         assert max(newton_iterations) <= 6
@@ -1220,7 +1193,7 @@ class TestNewtonWork:
         }
         totals = {}
         for name, cfg in configs.items():
-            newton_iterations.clear()  # drop the solves that sized dt
+            newton_iterations.clear()
             run(cfg)
             assert len(newton_iterations) == step_count(cfg)
             totals[name] = sum(newton_iterations)
@@ -1260,3 +1233,9 @@ class TestConfigValidation:
     def test_non_negative_final_time_required(self):
         with pytest.raises(InvalidConfig):
             RunConfig(t_final=-0.1)
+
+    def test_method_must_be_a_flux_method(self):
+        # a name passed set-up and failed at step 0, which bench.rmse_report
+        # turned into a table row
+        with pytest.raises(InvalidConfig, match="method must be a FluxMethod, got 'roe'"):
+            RunConfig(method="roe")

@@ -1,25 +1,25 @@
 """Smoke tests of the scripts in tools/."""
 
-import importlib.util
 import json
 import re
 import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import ROOT, load_script
 from sodbench.fluxes import FluxMethod
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_ab_sweep(parent, change, suites, *options):
-    """tools/ab_sweep.py on two source trees, one rep of the given suites."""
+    """tools/ab_sweep.py on two source trees, one rep of the given suites;
+    it leaves no ``sodbench`` module behind."""
     script = (
         f"import sys; import ab_sweep; ab_sweep.SUITES = {tuple(suites)!r};"
-        " sys.exit(ab_sweep.main(sys.argv[1:]))"
+        " code = ab_sweep.main(sys.argv[1:]);"
+        " assert not [m for m in sys.modules if m.split('.')[0] == 'sodbench'];"
+        " sys.exit(code)"
     )
     return subprocess.run(
         [sys.executable, "-c", script, str(parent), str(change), "--reps", "1", *options],
@@ -36,7 +36,7 @@ def ops_lines(stdout):
     found = {}
     for line in stdout.splitlines():
         match = re.fullmatch(
-            r"(\w+) numpy ops per step over \d+ methods: parent (\S+), change ([^;]+)(.*)", line
+            r"(\S+) numpy ops per step over \d+ methods: parent (\S+), change ([^;]+)(.*)", line
         )
         if match:
             found[match[1]] = (float(match[2]), float(match[3]), match[4])
@@ -47,7 +47,7 @@ def layer_lines(stdout):
     """suite -> each side's {layer: ops per step} of the --ops layer lines."""
     found = {}
     for line in stdout.splitlines():
-        match = re.fullmatch(r"(\w+) numpy ops per step by layer: parent (.*); change (.*)", line)
+        match = re.fullmatch(r"(\S+) numpy ops per step by layer: parent (.*); change (.*)", line)
         if match:
             found[match[1]] = tuple(
                 {layer: float(n) for layer, n in (item.split() for item in side.split(", "))}
@@ -58,14 +58,15 @@ def layer_lines(stdout):
 
 def test_ab_sweep_same_tree_counts_equal_ops():
     src = ROOT / "src"
-    # The full seven suites take minutes; Sod-200, Sod-20k and Toro 2 cover
-    # the three kinds.
-    result = run_ab_sweep(src, src, ("sod200", "sod20k", "toro2"), "--ops")
+    # The full seven suites take minutes; one of each workload covers the
+    # three kinds.
+    suites = ("sod200-sweep", "sod20k-bulk", "toro-suite/test2")
+    result = run_ab_sweep(src, src, suites, "--ops")
     # Toro's test 2 kills six methods (tests/test_solver.py, TORO_FAILURES)
     lines = result.stdout.splitlines()
-    assert lines[0].startswith("sod200: final cells differ in 0 of 22 runs (0 failing on both")
-    assert lines[1].startswith("sod20k: final cells differ in 0 of 22 runs (0 failing on both")
-    assert lines[2].startswith("toro2: final cells differ in 0 of 16 runs (6 failing on both")
+    assert lines[0].startswith("sod200-sweep: final cells differ in 0 of 22 runs (0 failing on both")
+    assert lines[1].startswith("sod20k-bulk: final cells differ in 0 of 22 runs (0 failing on both")
+    assert lines[2].startswith("toro-suite/test2: final cells differ in 0 of 16 runs (6 failing on both")
     assert "fields differ" not in result.stdout
     assert "warnings differ" not in result.stdout
     for line in lines[:3]:
@@ -85,7 +86,7 @@ def test_ab_sweep_same_tree_counts_equal_ops():
     assert sorted(names) == sorted(m.value for m in FluxMethod)
     assert ratios == sorted(ratios)
     found = ops_lines(result.stdout)
-    assert list(found) == ["sod200", "sod20k", "toro2"], result.stdout
+    assert tuple(found) == suites, result.stdout
     for parent, change, rest in found.values():
         # about 2 000 operations per sweep-step on Sod-200
         assert parent == change > 500.0
@@ -95,7 +96,7 @@ def test_ab_sweep_same_tree_counts_equal_ops():
     # each operation counts toward the package module that made it, and
     # the five layers make up the total
     layers = layer_lines(result.stdout)
-    assert list(layers) == ["sod200", "sod20k", "toro2"], result.stdout
+    assert tuple(layers) == suites, result.stdout
     for suite, (parent, change) in layers.items():
         assert parent == change
         assert list(parent) == ["solver", "gas", "muscl", "fluxes", "riemann"]
@@ -105,19 +106,21 @@ def test_ab_sweep_same_tree_counts_equal_ops():
     # the solve and in the scoring
     faults = [
         re.fullmatch(
-            r"(\w+) minor page faults per run over 22 runs, solve \+ scoring:"
+            r"(\S+) minor page faults per run over 22 runs, solve \+ scoring:"
             r" parent \d+\.\d \+ \d+\.\d, change \d+\.\d \+ \d+\.\d",
             line,
         )
         for line in lines[-3:]
     ]
-    assert [match and match[1] for match in faults] == ["sod200", "sod20k", "toro2"], result.stdout
+    assert tuple(match and match[1] for match in faults) == suites, result.stdout
 
 
 def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
-    # A negative control of the bitwise gate and of the warning count: a
-    # looser Newton tolerance in the exact solver stops its iteration early,
-    # which moves the Sod-200 result of the exact flux
+    # A negative control of the bitwise gate, of the warning count and of
+    # the workload check: a looser Newton tolerance in the exact solver stops
+    # its iteration early, which moves the Sod-200 result of the exact flux.
+    # Its density RMSE, 0.0079794262867, leaves the seed table's
+    # 0.00797942617047 by more than the benchmark's rtol of 1e-8
     change = tmp_path / "src"
     shutil.copytree(ROOT / "src", change, ignore=shutil.ignore_patterns("__pycache__"))
     riemann = change / "sodbench" / "riemann.py"
@@ -129,10 +132,11 @@ def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
     old = "    return _march(q, lo, hi, cfg, n_steps, 0.0, 0.0)\n"
     assert solver.read_text().count(old) == 1
     solver.write_text(solver.read_text().replace(old, "    np.sqrt(-1.0)\n" + old))
-    result = run_ab_sweep(ROOT / "src", change, ("sod200",), "--ops")
+    result = run_ab_sweep(ROOT / "src", change, ("sod200-sweep",), "--ops")
     line = re.match(
-        r"sod200: final cells differ in (\d+) of 22 runs.*; largest change of final cells"
-        r" (\S+) absolute, (\S+) relative; warnings differ: parent 0, change 22$",
+        r"sod200-sweep: final cells differ in (\d+) of 22 runs.*; largest change of final cells"
+        r" (\S+) absolute, (\S+) relative; warnings differ: parent 0, change 22"
+        r"; workload check fails: parent 0, change 1$",
         result.stdout.splitlines()[0],
     )
     assert line is not None, result.stdout
@@ -142,7 +146,7 @@ def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
     assert "exact profiles differ in 1 of 1 suites" in result.stdout.splitlines()
     # Fewer Newton iterations are fewer operations of the exact flux; the
     # square root adds one operation to each run of every method
-    parent, change, rest = ops_lines(result.stdout)["sod200"]
+    parent, change, rest = ops_lines(result.stdout)["sod200-sweep"]
     assert "counted runs differ" not in rest
     exact = re.search(r"riemann (\S+) -> (\S+?)(,|$)", rest)
     assert exact is not None, rest
@@ -152,13 +156,6 @@ def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
     for method, before, after in others:
         if method != "riemann":
             assert float(after) == pytest.approx(float(before) + 1 / 200, abs=0.006), method
-
-
-def load_record_bench():
-    spec = importlib.util.spec_from_file_location("record_bench", ROOT / "tools" / "record_bench.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def stub_result(metrics, trace):
@@ -185,7 +182,7 @@ def stub_result(metrics, trace):
 
 class TestRecordBench:
     def test_stub_record_passes_the_schema_check(self, tmp_path, monkeypatch):
-        rb = load_record_bench()
+        rb = load_script(ROOT / "tools" / "record_bench.py")
         spec = rb.benchmark_spec()
         runs = []
 
@@ -209,7 +206,7 @@ class TestRecordBench:
         assert entry["trace0"]["kernel_ms"] == [1.0, 2.0, 3.0]
 
     def test_schema_check_names_what_is_wrong(self):
-        rb = load_record_bench()
+        rb = load_script(ROOT / "tools" / "record_bench.py")
         spec = rb.benchmark_spec()
         results = {
             w["name"]: {t: stub_result(spec["end_to_end"] if t == 0 else spec["per_layer"], t) for t in (0, 1)}

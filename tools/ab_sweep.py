@@ -4,13 +4,12 @@
 
 Each SRC is a checkout root or its ``src`` directory.  The two ``sodbench``
 packages are copied into one temporary directory as ``sodbench_parent`` and
-``sodbench_change`` and imported into this process.  A suite is Sod's
-problem at 200 cells (``sod200``, the paper's table), Sod's problem at 20 000
-cells for 20 steps of dt = 0.4 dx / 2 (``sod20k``, as ``perfbench``'s
-``sod20k-bulk``), or one of Toro's tests 1-5 (``toro1`` .. ``toro5``) at 200
-cells, with dt from Courant 0.4 on the exact solution's fastest wave,
-shortened so that the final time is a whole number of steps.  Each side
-takes a suite's fields, that dt too, from its own tree and runs with them.
+``sodbench_change`` and imported into this process.  The suites are the
+benchmark's workloads: ``sod200-sweep``, ``sod20k-bulk``, and ``toro-suite``
+split by Toro's test into ``toro-suite/test1`` .. ``toro-suite/test5``.
+``perfbench/workloads.py`` is executed once per side with ``sodbench``
+bound to the side's package, so each side builds the runs (a Toro test's dt
+included), their exact references and checks from its own tree.
 
 One untimed pass runs every method of every suite once on each side.  A run
 that fails on both sides with the same error (Toro's 13 pinned failures) is
@@ -21,27 +20,31 @@ and is timed only if it completes on both.  The pass also counts each side's
 computes on cells the parent never reached shows even when its results
 agree, and each side's minor page faults (``getrusage``) around each run and
 around its scoring, so that an allocation change shows next to the op
-counts.  A run is scored as ``perfbench`` scores it: ``bench.rmse`` of its
-final primitives against the exact profile on its grid, built once per
-suite from the side's own tree.  Over the runs that complete on both sides,
-the largest absolute change of a final cell is kept, and the largest
-relative one: a conserved row's largest change over that row's largest
-magnitude on the parent side.
+counts.  A run is scored and checked as ``perfbench`` does it: the
+workload's check of ``bench.rmse`` against its exact reference.  Over the
+runs that complete on both sides, the largest absolute change of a final
+cell is kept, and the largest relative one: a conserved row's largest
+change over that row's largest magnitude on the parent side.
 After that, each rep runs every timed run once on each side, back to back,
 and alternates the side that goes first from run to run and from rep to
 rep.  A side's sweep time is the sum of its run times in a rep.  The script
 prints, per suite, how many runs differ or were skipped, the median of the
 per-rep ratio change/parent, the two largest changes, which fields differ
-between the sides if any do, and the two warning counts if they differ.
-Then it prints in how many of six problems (Sod's and Toro's 1-5) the exact
-solver's wave report (``bench.wave_report``'s lines, or its error) differs,
-in how many suites the two sides' exact profiles (positions and values,
-compared byte for byte) differ, each side's median sweep over all seven
-suites, and the median, min and max of that ratio.
+between the sides if any do, the two warning counts if they differ, and
+each side's count of completed runs that fail their workload's check if
+either is not 0.  Then it prints in how many of the workloads' six Riemann
+problems (Sod's and Toro's 1-5) the exact solver's wave report
+(``bench.wave_report``'s lines, or its error) differs, in how many suites
+the two sides' exact profiles (positions and values, compared byte for
+byte) differ, each side's median sweep over the suites, and the median, min
+and max of that ratio.
 Then it prints every method's median ratio, lowest first, each method's
 time summed over all suites in a rep, so that a change shows where its
 saving lands.  Last, it prints per suite each side's minor page faults per
-run of the untimed pass, in the solve and in the scoring.
+run of the untimed pass, in the solve and in the scoring.  These follow the
+heap's history in the one process as much as the code: a same-tree run read
+0.0 + 51.4 per ``sod20k-bulk`` run on the parent side, 3.9 + 10.7 on the
+change side.
 
 With ``--ops`` the untimed pass also runs each timed run once more per side
 with its numpy operations counted, and prints per suite each side's
@@ -67,8 +70,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
-import math
+import importlib.util
 import resource
 import shutil
 import statistics
@@ -82,24 +84,9 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
-# Toro, Riemann Solvers and Numerical Methods for Fluid Dynamics (3rd ed.),
-# Table 4.1: left and right (rho, u, p), initial jump position, final time.
-# Plain tuples, since each side's states are built from its own tree's
-# classes; tests/test_solver.py holds them and the dt rule below equal to
-# perfbench/workloads.py's.
-TORO_TESTS = {
-    1: ((1.0, 0.75, 1.0), (0.125, 0.0, 0.1), 0.3, 0.2),
-    2: ((1.0, -2.0, 0.4), (1.0, 2.0, 0.4), 0.5, 0.15),
-    3: ((1.0, 0.0, 1000.0), (1.0, 0.0, 0.01), 0.5, 0.012),
-    4: ((5.99924, 19.5975, 460.894), (5.99242, -6.19633, 46.0950), 0.4, 0.035),
-    5: ((1.0, -19.59745, 1000.0), (1.0, -19.59745, 0.01), 0.8, 0.012),
-}
-SUITES = ("sod200", "sod20k") + tuple(f"toro{test}" for test in TORO_TESTS)
-# Sod's states and Toro's, whose exact wave reports are compared
-WAVE_PROBLEMS = [((1.0, 0.0, 1.0), (0.125, 0.0, 0.1))] + [t[:2] for t in TORO_TESTS.values()]
-COURANT = 0.4
-BULK_CELLS = 20_000
-BULK_STEPS = 20
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+# The suites to run, by name; None runs all seven
+SUITES = None
 
 
 def package_dir(src: str) -> Path:
@@ -119,28 +106,41 @@ def load(srcs: list[str], tmp: Path) -> list:
     return packages
 
 
-def suite_fields(package, suite: str) -> dict:
-    """The RunConfig fields of a suite other than the method, with states as
-    (rho, u, p) tuples and the grid as its cell count; a Toro test's dt comes
-    from the given tree's exact solver."""
-    if suite == "sod200":
-        return {}
-    if suite == "sod20k":
-        # dt from Courant 0.4 on a wave speed estimate of 2, as sod20k-bulk
-        dt = COURANT * package.Grid1D(n_cells=BULK_CELLS).dx / 2.0
-        return {"grid": BULK_CELLS, "dt": dt, "t_final": BULK_STEPS * dt}
-    left, right, x0, t_final = TORO_TESTS[int(suite.removeprefix("toro"))]
-    problem = package.RiemannInput(package.PrimitiveState(*left), package.PrimitiveState(*right))
-    s = package.solve_star(problem).speeds
-    s_max = max(abs(v) for v in (s.left_head, s.left_tail, s.contact, s.right_tail, s.right_head))
-    dx = package.Grid1D().dx
-    dt = t_final / math.ceil(t_final * s_max / (COURANT * dx))
-    return {"left": left, "right": right, "jump_position": x0, "t_final": t_final, "dt": dt}
+def side_suites(package) -> tuple[dict, list]:
+    """One side's suites, built by ``perfbench/workloads.py`` from the side's
+    own package: suite -> (its workload, its runs), a Toro test's runs being
+    a suite of their own; and the Riemann problems of the workloads'
+    references, each once.  While the script runs, ``sodbench`` and its
+    submodules are the package's in sys.modules; what was there is restored."""
+    name = f"workloads_{package.__name__}"
+    spec = importlib.util.spec_from_file_location(name, WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    bound = {
+        "sodbench" + k.removeprefix(package.__name__): m
+        for k, m in list(sys.modules.items()) if k.partition(".")[0] == package.__name__
+    }
+    bound[name] = module  # dataclasses look their module up
+    saved = {k: sys.modules.get(k) for k in bound}
+    sys.modules.update(bound)
+    try:
+        spec.loader.exec_module(module)
+        workloads = [factory() for factory in module.FACTORIES.values()]
+    finally:
+        for k in saved:
+            del sys.modules[k]
+        sys.modules.update({k: m for k, m in saved.items() if m is not None})
+    suites = {}
+    for workload in workloads:
+        for run in workload.runs:
+            test = run.label.rpartition("/")[0]
+            suite = f"{workload.name}/{test}" if test else workload.name
+            suites.setdefault(suite, (workload, []))[1].append(run)
+    problems = dict.fromkeys(call[0] for workload in workloads for call in workload.reference_calls)
+    return suites, list(problems)
 
 
-def wave_lines(package, states):
+def wave_lines(package, problem):
     """The lines of one side's wave report of a problem, or its error."""
-    problem = package.RiemannInput(*(package.PrimitiveState(*w) for w in states))
     try:
         return package.wave_report(problem).lines()
     except package.SodbenchError as exc:
@@ -268,23 +268,6 @@ def counting(package):
             m.np = np
 
 
-def reference_profile(package, cfg):
-    """The exact profile a run of ``cfg`` is scored against."""
-    problem = package.RiemannInput(cfg.left, cfg.right, cfg.gas)
-    return package.exact_profile(problem, cfg.grid.centers(), cfg.jump_position, cfg.t_final)
-
-
-def side_config(package, fields: dict, method: str):
-    """The configuration built from one side's own classes."""
-    values = dict(fields)
-    for k in ("left", "right"):
-        if k in values:
-            values[k] = package.PrimitiveState(*values[k])
-    if "grid" in values:
-        values["grid"] = package.Grid1D(n_cells=values["grid"])
-    return package.RunConfig(method=package.FluxMethod(method), **values)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
@@ -300,7 +283,7 @@ def main(argv=None) -> int:
         packages = load([args.parent_src, args.change_src], Path(tmp))
         methods = [m.value for m in packages[0].FluxMethod]
 
-        def run(cfg, side: int):
+        def timed(cfg, side: int):
             start = time.perf_counter()
             try:
                 final = packages[side].run(cfg)
@@ -311,20 +294,22 @@ def main(argv=None) -> int:
         def minor_faults():
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-        def counted_run(cfg, side: int, reference):
-            # The untimed pass: the result, the RuntimeWarnings it raised and
-            # the minor page faults its solve and its scoring took
+        def counted_run(run, side: int, workload):
+            # The untimed pass: the result, the RuntimeWarnings it raised, the
+            # minor page faults its solve and its scoring took, and whether it
+            # fails its workload's check
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
                 start = minor_faults()
-                result = run(cfg, side)[1]
+                result = timed(run.cfg, side)[1]
                 solved = minor_faults()
-            scored = solved
+            scored, failed = solved, False
             if not isinstance(result, tuple):
-                packages[side].rmse(result.primitives(cfg.gas), reference.w)
+                scores = packages[side].rmse(result.primitives(run.cfg.gas), run.reference.w)
                 scored = minor_faults()
+                failed = workload.check(run, result, scores) is not None
             warned = sum(issubclass(w.category, RuntimeWarning) for w in caught)
-            return result, warned, (solved - start, scored - solved)
+            return result, warned, (solved - start, scored - solved), failed
 
         def stamp(final):
             # Bytes, so that -0.0 and 0.0 (equal under !=) count as differing
@@ -336,42 +321,47 @@ def main(argv=None) -> int:
             COUNTER.ops = Counter()
             with counting(packages[side]), warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                result = run(cfg, side)[1]
+                result = timed(cfg, side)[1]
             same = not isinstance(result, tuple) and stamp(result) == stamp(final)
             steps = packages[side].solver.step_count(cfg)
             by_layer = {layer: n / steps for layer, n in COUNTER.ops.items()}
             return sum(COUNTER.ops.values()) / steps, by_layer, same
 
-        # suite -> (config pairs, runs that differ, runs skipped, fields that
-        # differ, largest absolute and relative change of final cells, each
-        # side's RuntimeWarnings)
+        suite_sides, problem_sides = zip(*(side_suites(p) for p in packages))
+        suites = list(suite_sides[0]) if SUITES is None else list(SUITES)
+        # suite -> (config pairs, runs compared, runs that differ, runs
+        # skipped, fields that differ, largest absolute and relative change of
+        # final cells, each side's RuntimeWarnings and runs failing the check)
         kept = {}
         # suite -> each side's minor page faults over the untimed pass, in the
         # solves and in the scoring
         faulted = {}
         # suite -> method -> each side's operations per step, in all and by
         # layer, and the counted runs that differ from their uncounted one
-        ops, layer_ops = {suite: {} for suite in SUITES}, {suite: {} for suite in SUITES}
-        ops_differ = {suite: [] for suite in SUITES}
+        ops, layer_ops = {suite: {} for suite in suites}, {suite: {} for suite in suites}
+        ops_differ = {suite: [] for suite in suites}
         # suites whose two exact profiles are not byte for byte the same
         profiles_differ = 0
-        for suite in SUITES:
-            fields = [suite_fields(p, suite) for p in packages]
-            moved = [k for k in {**fields[0], **fields[1]} if fields[0].get(k) != fields[1].get(k)]
-            pairs, differ, skipped, change, warned = [], 0, 0, [0.0, 0.0], [0, 0]
+        for suite in suites:
+            workloads = [sides[suite][0] for sides in suite_sides]
+            run_pairs = list(zip(*(sides[suite][1] for sides in suite_sides)))
+            # The configuration fields that differ between the sides (a Toro
+            # test's dt comes from each side's exact solver): a suite's runs
+            # share all but the method, and reprs compare the sides' classes
+            cfgs = [vars(r.cfg) for r in run_pairs[0]]
+            moved = [k for k in cfgs[0] if repr(cfgs[0][k]) != repr(cfgs[1][k])]
+            pairs, differ, skipped, change, warned, failing = [], 0, 0, [0.0, 0.0], [0, 0], [0, 0]
             faulted[suite] = [[0, 0], [0, 0]]
-            references = [
-                reference_profile(p, side_config(p, f, methods[0])) for p, f in zip(packages, fields)
-            ]
-            stamps = [r.x.tobytes() + r.w.tobytes() for r in references]
+            stamps = [r.reference.x.tobytes() + r.reference.w.tobytes() for r in run_pairs[0]]
             profiles_differ += stamps[0] != stamps[1]
-            for method in methods:
-                pair = [side_config(p, f, method) for p, f in zip(packages, fields)]
+            for run_pair in run_pairs:
+                pair = [r.cfg for r in run_pair]
                 results = []
-                for side, cfg in enumerate(pair):
-                    result, count, faults = counted_run(cfg, side, references[side])
+                for side, run in enumerate(run_pair):
+                    result, count, faults, fails_check = counted_run(run, side, workloads[side])
                     results.append(result)
                     warned[side] += count
+                    failing[side] += fails_check
                     for k, n in enumerate(faults):
                         faulted[suite][side][k] += n
                 failed = [isinstance(r, tuple) for r in results]
@@ -388,14 +378,15 @@ def main(argv=None) -> int:
                 change[1] = max(change[1], float((gap.max(axis=1) / np.abs(parent).max(axis=1)).max()))
                 pairs.append(pair)
                 if args.ops:
+                    method = pair[0].method.value
                     counts = [ops_per_step(cfg, side, results[side]) for side, cfg in enumerate(pair)]
                     ops[suite][method] = [count for count, _, _ in counts]
                     layer_ops[suite][method] = [by_layer for _, by_layer, _ in counts]
                     ops_differ[suite] += [f"{method} ({SIDES[side]})" for side, (*_, same) in enumerate(counts) if not same]
-            kept[suite] = (pairs, differ, skipped, moved, change, warned)
-        reports = [[wave_lines(p, problem) for p in packages] for problem in WAVE_PROBLEMS]
+            kept[suite] = (pairs, len(run_pairs), differ, skipped, moved, change, warned, failing)
+        reports = [[wave_lines(p, problem) for p, problem in zip(packages, pair)] for pair in zip(*problem_sides)]
 
-        sweeps = {suite: [[0.0] * args.reps for _ in SIDES] for suite in SUITES}
+        sweeps = {suite: [[0.0] * args.reps for _ in SIDES] for suite in suites}
         by_method = {method: [[0.0] * args.reps for _ in SIDES] for method in methods}
         for rep in range(args.reps):
             i = 0
@@ -403,7 +394,7 @@ def main(argv=None) -> int:
                 for pair in pairs:
                     first = (i + rep) % 2
                     for side in (first, 1 - first):
-                        elapsed = run(pair[side], side)[0]
+                        elapsed = timed(pair[side], side)[0]
                         sweeps[suite][side][rep] += elapsed
                         by_method[pair[0].method.value][side][rep] += elapsed
                     i += 1
@@ -411,18 +402,19 @@ def main(argv=None) -> int:
     def ratios(times):
         return [c / p for p, c in zip(*times)]
 
-    for suite, (pairs, differ, skipped, moved, change, warned) in kept.items():
+    for suite, (pairs, n_runs, differ, skipped, moved, change, warned, failing) in kept.items():
         ratio = f"{statistics.median(ratios(sweeps[suite])):.4f}" if pairs else "n/a"
         print(
-            f"{suite}: final cells differ in {differ} of {len(methods) - skipped} runs"
+            f"{suite}: final cells differ in {differ} of {n_runs - skipped} runs"
             f" ({skipped} failing on both sides skipped); median ratio change/parent {ratio}"
             f"; largest change of final cells {change[0]:.2e} absolute, {change[1]:.2e} relative"
             + (f"; fields differ: {', '.join(moved)}" if moved else "")
             + (f"; warnings differ: parent {warned[0]}, change {warned[1]}" if warned[0] != warned[1] else "")
+            + (f"; workload check fails: parent {failing[0]}, change {failing[1]}" if any(failing) else "")
         )
     differ = sum(parent != change for parent, change in reports)
     print(f"wave reports differ in {differ} of {len(reports)} problems")
-    print(f"exact profiles differ in {profiles_differ} of {len(SUITES)} suites")
+    print(f"exact profiles differ in {profiles_differ} of {len(suites)} suites")
     total = [
         [sum(s[side][rep] for s in sweeps.values()) for rep in range(args.reps)] for side in (0, 1)
     ]
@@ -462,8 +454,9 @@ def main(argv=None) -> int:
                 )
             )
     for suite, sides in faulted.items():
-        per_run = [f"{SIDES[i]} {solve / len(methods):.1f} + {scoring / len(methods):.1f}" for i, (solve, scoring) in enumerate(sides)]
-        print(f"{suite} minor page faults per run over {len(methods)} runs, solve + scoring: {', '.join(per_run)}")
+        n_runs = kept[suite][1]
+        per_run = [f"{SIDES[i]} {solve / n_runs:.1f} + {scoring / n_runs:.1f}" for i, (solve, scoring) in enumerate(sides)]
+        print(f"{suite} minor page faults per run over {n_runs} runs, solve + scoring: {', '.join(per_run)}")
     return 0
 
 
