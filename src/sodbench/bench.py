@@ -109,17 +109,35 @@ class WaveReport:
 
 
 def rmse(numerical: np.ndarray, exact: np.ndarray) -> tuple[float, float, float]:
-    """Root mean square deviation per primitive variable over all cells."""
+    """Root mean square deviation per primitive variable over all cells.
+
+    Both profiles are (3, n) primitive rows with n >= 1.  Each row is
+    scored in turn in one (n,) buffer, so no (3, n) difference is built.
+    For C-contiguous profiles, as the solver's and the exact solver's are,
+    the result is bitwise that of the whole-array form
+    ``sqrt(mean((numerical - exact) ** 2, axis=-1))``: a reduce along the
+    last axis sums each row pairwise as a 1-D reduce does, and ``mean``
+    divides by n (``notes/decisions.md`` section 24).  On a
+    Fortran-ordered pair the whole-array form summed each row in order.
+    """
     numerical = np.asarray(numerical, dtype=float)
     exact = np.asarray(exact, dtype=float)
     if numerical.shape != exact.shape:
         raise InvalidConfig(
             f"profile shapes differ: {numerical.shape} vs {exact.shape}"
         )
-    diff = numerical - exact
-    diff *= diff  # bitwise x ** 2, without a second temporary
-    err = np.sqrt(np.mean(diff, axis=-1))
-    return float(err[0]), float(err[1]), float(err[2])
+    if numerical.ndim != 2 or numerical.shape[0] != 3 or numerical.shape[1] < 1:
+        raise InvalidConfig(
+            f"profiles must be (3, n) primitive rows with n >= 1, got shape {numerical.shape}"
+        )
+    n = numerical.shape[1]
+    scores = []
+    diff = np.empty(n)
+    for numerical_row, exact_row in zip(numerical, exact):
+        np.subtract(numerical_row, exact_row, out=diff)
+        diff *= diff  # bitwise x ** 2, without a second temporary
+        scores.append(float(np.sqrt(np.add.reduce(diff) / n)))
+    return tuple(scores)
 
 
 def _exact_reference(cfg: RunConfig) -> ExactProfile:

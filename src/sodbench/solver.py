@@ -87,8 +87,16 @@ class RunConfig:
     right: PrimitiveState = SOD_RIGHT
 
     def __post_init__(self):
-        if not isinstance(self.method, FluxMethod):
-            raise InvalidConfig(f"method must be a FluxMethod, got {self.method!r}")
+        for name, kind in (
+            ("method", FluxMethod),
+            ("grid", Grid1D),
+            ("gas", GasModel),
+            ("left", PrimitiveState),
+            ("right", PrimitiveState),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise InvalidConfig(f"{name} must be a {kind.__name__}, got {value!r}")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise InvalidConfig(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.t_final) and self.t_final >= 0.0):

@@ -1,9 +1,13 @@
 """Benchmark harness: RMSE, sweeps, wave report, profile columns, timing."""
 
 import dataclasses
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sodbench.bench import (
     rmse,
@@ -27,6 +31,34 @@ def sweep():
     return run_all_methods(RunConfig())
 
 
+def whole_array_rmse(numerical, exact):
+    """The former form of ``bench.rmse``, one (3, n) difference: the oracle
+    of the row-by-row one."""
+    diff = numerical - exact
+    diff *= diff
+    err = np.sqrt(np.mean(diff, axis=-1))
+    return float(err[0]), float(err[1]), float(err[2])
+
+
+def scored(f, numerical, exact):
+    """The bytes of f's scores and the set of its RuntimeWarning messages; a
+    row-by-row form can warn once per row where the whole array warns once."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scores = f(numerical, exact)
+    messages = {str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)}
+    return np.array(scores).tobytes(), messages
+
+
+# Finite values, differences whose squares overflow (near 1e155), and the
+# special values the scoring must carry like the whole-array form
+SCORE_VALUES = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(-2e155, 2e155),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e155, -1e155]),
+)
+
+
 class TestRmse:
     def test_identical_profiles(self):
         w = np.random.default_rng(0).uniform(0.5, 2.0, (3, 50))
@@ -39,6 +71,53 @@ class TestRmse:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidConfig):
             rmse(np.zeros((3, 10)), np.zeros((3, 11)))
+
+    @pytest.mark.parametrize("shape", [(2, 5), (5,), (3, 2, 4), (3, 0)])
+    def test_profiles_must_be_three_rows_of_cells(self, shape):
+        # (2, 5) and (5,) raised a bare IndexError, (3, 2, 4) a TypeError,
+        # and (3, 0) returned NaNs with two RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidConfig, match=r"must be \(3, n\) primitive rows with n >= 1"):
+                rmse(np.ones(shape), np.zeros(shape))
+
+    # numpy's pairwise sum works in blocks of 8 and of 128 elements, and a
+    # reduce's inner loop is cut at 8 192
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193, 20_000])
+    def test_bitwise_the_whole_array_form(self, n):
+        rng = np.random.default_rng(n)
+        numerical = rng.uniform(-1.0, 1.0, (3, n)) * np.array([[1e-6], [1.0], [1e6]])
+        exact = rng.uniform(-1.0, 1.0, (3, n))
+        assert np.array(rmse(numerical, exact)).tobytes() == np.array(
+            whole_array_rmse(numerical, exact)
+        ).tobytes()
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(*[st.lists(SCORE_VALUES, min_size=3 * n, max_size=3 * n)] * 2)
+        )
+    )
+    @example(([1e155, 0.0, np.inf], [-1e155, -0.0, np.inf]))
+    @example(([np.nan, -0.0, -np.inf], [0.0, 0.0, -np.inf]))
+    def test_special_values_as_the_whole_array_form(self, values):
+        numerical, exact = (np.array(v).reshape(3, -1) for v in values)
+        assert scored(rmse, numerical, exact) == scored(whole_array_rmse, numerical, exact)
+
+    def test_no_grid_sized_temporary(self):
+        # Each row is scored in turn in one (n,) buffer.  The (3, n)
+        # difference of the whole-array form read a peak of 481 112 bytes,
+        # a fresh difference per row 320 608; this form reads 161 408
+        rng = np.random.default_rng(0)
+        numerical, exact = rng.uniform(0.5, 2.0, (2, 3, 20_000))
+        rmse(numerical, exact)  # warm
+        tracemalloc.start()
+        try:
+            rmse(numerical, exact)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < numerical[0].nbytes + 8192
 
     def test_roe_run_component_errors(self):
         report = rmse_report(RunConfig(method=FluxMethod.ROE))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -1239,3 +1240,18 @@ class TestConfigValidation:
         # turned into a table row
         with pytest.raises(InvalidConfig, match="method must be a FluxMethod, got 'roe'"):
             RunConfig(method="roe")
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("left", (1.0, 0.0, 1.0), "PrimitiveState"),
+            ("right", (0.125, 0.0, 0.1), "PrimitiveState"),
+            ("grid", 200, "Grid1D"),
+            ("gas", 1.4, "GasModel"),
+        ],
+    )
+    def test_fields_must_have_their_types(self, field, value, kind):
+        # each passed set-up, and bench.rmse_report died with a bare
+        # AttributeError on the first attribute it read
+        with pytest.raises(InvalidConfig, match=re.escape(f"{field} must be a {kind}, got {value!r}")):
+            RunConfig(**{field: value})

@@ -64,9 +64,18 @@ def test_ab_sweep_same_tree_counts_equal_ops():
     result = run_ab_sweep(src, src, suites, "--ops")
     # Toro's test 2 kills six methods (tests/test_solver.py, TORO_FAILURES)
     lines = result.stdout.splitlines()
-    assert lines[0].startswith("sod200-sweep: final cells differ in 0 of 22 runs (0 failing on both")
-    assert lines[1].startswith("sod20k-bulk: final cells differ in 0 of 22 runs (0 failing on both")
-    assert lines[2].startswith("toro-suite/test2: final cells differ in 0 of 16 runs (6 failing on both")
+    assert lines[0].startswith(
+        "sod200-sweep: final cells differ in 0 of 22 runs (0 failing on both sides skipped)"
+        "; scores differ in 0 of 22 runs;"
+    )
+    assert lines[1].startswith(
+        "sod20k-bulk: final cells differ in 0 of 22 runs (0 failing on both sides skipped)"
+        "; scores differ in 0 of 22 runs;"
+    )
+    assert lines[2].startswith(
+        "toro-suite/test2: final cells differ in 0 of 16 runs (6 failing on both sides skipped)"
+        "; scores differ in 0 of 16 runs;"
+    )
     assert "fields differ" not in result.stdout
     assert "warnings differ" not in result.stdout
     for line in lines[:3]:
@@ -116,9 +125,10 @@ def test_ab_sweep_same_tree_counts_equal_ops():
 
 
 def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
-    # A negative control of the bitwise gate, of the warning count and of
-    # the workload check: a looser Newton tolerance in the exact solver stops
-    # its iteration early, which moves the Sod-200 result of the exact flux.
+    # A negative control of the bitwise gate, of the score comparison, of the
+    # warning count and of the workload check: a looser Newton tolerance in
+    # the exact solver stops its iteration early, which moves the Sod-200
+    # result of the exact flux and the exact profile every run is scored on.
     # Its density RMSE, 0.0079794262867, leaves the seed table's
     # 0.00797942617047 by more than the benchmark's rtol of 1e-8
     change = tmp_path / "src"
@@ -134,7 +144,8 @@ def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
     solver.write_text(solver.read_text().replace(old, "    np.sqrt(-1.0)\n" + old))
     result = run_ab_sweep(ROOT / "src", change, ("sod200-sweep",), "--ops")
     line = re.match(
-        r"sod200-sweep: final cells differ in (\d+) of 22 runs.*; largest change of final cells"
+        r"sod200-sweep: final cells differ in (\d+) of 22 runs \(0 failing on both sides skipped\)"
+        r"; scores differ in 22 of 22 runs; .*; largest change of final cells"
         r" (\S+) absolute, (\S+) relative; warnings differ: parent 0, change 22"
         r"; workload check fails: parent 0, change 1$",
         result.stdout.splitlines()[0],

@@ -21,14 +21,16 @@ computes on cells the parent never reached shows even when its results
 agree, and each side's minor page faults (``getrusage``) around each run and
 around its scoring, so that an allocation change shows next to the op
 counts.  A run is scored and checked as ``perfbench`` does it: the
-workload's check of ``bench.rmse`` against its exact reference.  Over the
-runs that complete on both sides, the largest absolute change of a final
-cell is kept, and the largest relative one: a conserved row's largest
-change over that row's largest magnitude on the parent side.
+workload's check of ``bench.rmse`` against its side's exact reference.  Over
+the runs that complete on both sides, the two sides' RMSE triples are
+compared byte for byte, and the largest absolute change of a final cell is
+kept, and the largest relative one: a conserved row's largest change over
+that row's largest magnitude on the parent side.
 After that, each rep runs every timed run once on each side, back to back,
 and alternates the side that goes first from run to run and from rep to
 rep.  A side's sweep time is the sum of its run times in a rep.  The script
-prints, per suite, how many runs differ or were skipped, the median of the
+prints, per suite, how many runs differ or were skipped, in how many of the
+runs that complete on both sides the scores differ, the median of the
 per-rep ratio change/parent, the two largest changes, which fields differ
 between the sides if any do, the two warning counts if they differ, and
 each side's count of completed runs that fail their workload's check if
@@ -43,7 +45,7 @@ time summed over all suites in a rep, so that a change shows where its
 saving lands.  Last, it prints per suite each side's minor page faults per
 run of the untimed pass, in the solve and in the scoring.  These follow the
 heap's history in the one process as much as the code: a same-tree run read
-0.0 + 51.4 per ``sod20k-bulk`` run on the parent side, 3.9 + 10.7 on the
+44.5 + 3.5 per ``sod20k-bulk`` run on the parent side, 0.0 + 5.3 on the
 change side.
 
 With ``--ops`` the untimed pass also runs each timed run once more per side
@@ -295,21 +297,21 @@ def main(argv=None) -> int:
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
         def counted_run(run, side: int, workload):
-            # The untimed pass: the result, the RuntimeWarnings it raised, the
-            # minor page faults its solve and its scoring took, and whether it
-            # fails its workload's check
+            # The untimed pass: the result, its scores, the RuntimeWarnings it
+            # raised, the minor page faults its solve and its scoring took, and
+            # whether it fails its workload's check
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
                 start = minor_faults()
                 result = timed(run.cfg, side)[1]
                 solved = minor_faults()
-            scored, failed = solved, False
+            scores, scored, failed = None, solved, False
             if not isinstance(result, tuple):
                 scores = packages[side].rmse(result.primitives(run.cfg.gas), run.reference.w)
                 scored = minor_faults()
                 failed = workload.check(run, result, scores) is not None
             warned = sum(issubclass(w.category, RuntimeWarning) for w in caught)
-            return result, warned, (solved - start, scored - solved), failed
+            return result, scores, warned, (solved - start, scored - solved), failed
 
         def stamp(final):
             # Bytes, so that -0.0 and 0.0 (equal under !=) count as differing
@@ -351,15 +353,17 @@ def main(argv=None) -> int:
             cfgs = [vars(r.cfg) for r in run_pairs[0]]
             moved = [k for k in cfgs[0] if repr(cfgs[0][k]) != repr(cfgs[1][k])]
             pairs, differ, skipped, change, warned, failing = [], 0, 0, [0.0, 0.0], [0, 0], [0, 0]
+            scores_differ = 0
             faulted[suite] = [[0, 0], [0, 0]]
             stamps = [r.reference.x.tobytes() + r.reference.w.tobytes() for r in run_pairs[0]]
             profiles_differ += stamps[0] != stamps[1]
             for run_pair in run_pairs:
                 pair = [r.cfg for r in run_pair]
-                results = []
+                results, scores = [], []
                 for side, run in enumerate(run_pair):
-                    result, count, faults, fails_check = counted_run(run, side, workloads[side])
+                    result, score, count, faults, fails_check = counted_run(run, side, workloads[side])
                     results.append(result)
+                    scores.append(score)
                     warned[side] += count
                     failing[side] += fails_check
                     for k, n in enumerate(faults):
@@ -373,6 +377,8 @@ def main(argv=None) -> int:
                     continue
                 if stamp(results[0]) != stamp(results[1]):
                     differ += 1
+                # Bytes, as in stamp
+                scores_differ += np.array(scores[0]).tobytes() != np.array(scores[1]).tobytes()
                 parent, gap = results[0].cells, np.abs(results[1].cells - results[0].cells)
                 change[0] = max(change[0], float(gap.max()))
                 change[1] = max(change[1], float((gap.max(axis=1) / np.abs(parent).max(axis=1)).max()))
@@ -383,7 +389,7 @@ def main(argv=None) -> int:
                     ops[suite][method] = [count for count, _, _ in counts]
                     layer_ops[suite][method] = [by_layer for _, by_layer, _ in counts]
                     ops_differ[suite] += [f"{method} ({SIDES[side]})" for side, (*_, same) in enumerate(counts) if not same]
-            kept[suite] = (pairs, len(run_pairs), differ, skipped, moved, change, warned, failing)
+            kept[suite] = (pairs, len(run_pairs), differ, skipped, scores_differ, moved, change, warned, failing)
         reports = [[wave_lines(p, problem) for p, problem in zip(packages, pair)] for pair in zip(*problem_sides)]
 
         sweeps = {suite: [[0.0] * args.reps for _ in SIDES] for suite in suites}
@@ -402,11 +408,12 @@ def main(argv=None) -> int:
     def ratios(times):
         return [c / p for p, c in zip(*times)]
 
-    for suite, (pairs, n_runs, differ, skipped, moved, change, warned, failing) in kept.items():
+    for suite, (pairs, n_runs, differ, skipped, scores_differ, moved, change, warned, failing) in kept.items():
         ratio = f"{statistics.median(ratios(sweeps[suite])):.4f}" if pairs else "n/a"
         print(
             f"{suite}: final cells differ in {differ} of {n_runs - skipped} runs"
-            f" ({skipped} failing on both sides skipped); median ratio change/parent {ratio}"
+            f" ({skipped} failing on both sides skipped); scores differ in {scores_differ} of {len(pairs)} runs"
+            f"; median ratio change/parent {ratio}"
             f"; largest change of final cells {change[0]:.2e} absolute, {change[1]:.2e} relative"
             + (f"; fields differ: {', '.join(moved)}" if moved else "")
             + (f"; warnings differ: parent {warned[0]}, change {warned[1]}" if warned[0] != warned[1] else "")
