@@ -176,10 +176,13 @@ class TestMethodEnum:
         assert FluxMethod("hllc-einfeldt") is FluxMethod.HLLC_EINFELDT
 
 
-class TestSchemeConfig:
+class TestAusmConstants:
     def test_defaults(self):
         assert fluxes.AUSM_PLUS_ALPHA == pytest.approx(3.0 / 16.0)
         assert fluxes.AUSM_PLUS_BETA == pytest.approx(1.0 / 8.0)
+        assert fluxes.AUSM_UP_KP == 0.25
+        assert fluxes.AUSM_UP_KU == 0.75
+        assert fluxes.AUSM_UP_SIGMA == 1.0
         assert fluxes.AUSM_UP_CUTOFF_MACH == 0.1
 
 

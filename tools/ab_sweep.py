@@ -18,9 +18,7 @@ compared byte for byte, differ between the sides is counted as differing,
 and is timed only if it completes on both.  The pass also counts each side's
 ``RuntimeWarning``s per suite, every occurrence, so that a change which
 computes on cells the parent never reached shows even when its results
-agree, and each side's minor page faults (``getrusage``) around each run and
-around its scoring, so that an allocation change shows next to the op
-counts.  A run is scored and checked as ``perfbench`` does it: the
+agree.  A run is scored and checked as ``perfbench`` does it: the
 workload's check of ``bench.rmse`` against its side's exact reference.  Over
 the runs that complete on both sides, the two sides' RMSE triples are
 compared byte for byte, and the largest absolute change of a final cell is
@@ -40,23 +38,21 @@ problems (Sod's and Toro's 1-5) the exact solver's wave report
 the two sides' exact profiles (positions and values, compared byte for
 byte) differ, each side's median sweep over the suites, and the median, min
 and max of that ratio.
-Then it prints every method's median ratio, lowest first, each method's
+Last, it prints every method's median ratio, lowest first, each method's
 time summed over all suites in a rep, so that a change shows where its
-saving lands.  Last, it prints per suite each side's minor page faults per
-run of the untimed pass, in the solve and in the scoring.  These follow the
-heap's history in the one process as much as the code: a same-tree run read
-44.5 + 3.5 per ``sod20k-bulk`` run on the parent side, 0.0 + 5.3 on the
-change side.
+saving lands.  One rep cannot size a change: with ``--reps 1`` a same-tree
+run read per-method ratios of 0.95 to 1.10.
 
-With ``--ops`` the untimed pass also runs each timed run once more per side
-with its numpy operations counted, and prints per suite each side's
+With ``--ops`` the untimed pass counts each run's numpy operations as the
+run makes them, and the script prints per suite each side's
 operations per step summed over the methods, and each method whose count
 differs.  An operation is one call of a numpy function or ufunc (a method
 such as ``reduce`` included) that the package makes, or one ufunc or
 array-function call on an array the package computed (``a * b``,
 ``x.max()``); calls made inside a counted one do not count again.  The
-count divides by the run's steps, so set-up is spread over them.  A counted
-run whose result is not byte for byte that of the uncounted one is named.
+count divides by the run's steps, so set-up is spread over them.  The first
+timed rep checks the instrument: a timed run whose result is not byte for
+byte that of its counted run is named.
 Each operation also counts toward the layer that made it: the package module
 (``solver``, ``gas``, ``muscl``, ``fluxes``, ``riemann``) of the innermost
 package frame on the stack at the call.  A second line per suite gives each
@@ -72,8 +68,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import importlib.util
-import resource
 import shutil
 import statistics
 import sys
@@ -171,15 +167,19 @@ class OpCounter:
             frame = frame.f_back
         return "outside"
 
-    @contextlib.contextmanager
-    def op(self):
+    def call(self, f, *args, **kwargs):
+        """``f(*args, **kwargs)`` as one operation, its arrays returned as
+        Counted views, so that what is computed from them counts too."""
         if self.depth == 0:
             self.ops[self.layer()] += 1
         self.depth += 1
         try:
-            yield
+            result = f(*args, **kwargs)
         finally:
             self.depth -= 1
+        if isinstance(result, tuple):
+            return tuple(r.view(Counted) if type(r) is np.ndarray else r for r in result)
+        return result.view(Counted) if type(result) is np.ndarray else result
 
 
 COUNTER = OpCounter()
@@ -189,42 +189,22 @@ def plain(x):
     return x.view(np.ndarray) if isinstance(x, Counted) else x
 
 
-def marked(result):
-    """The arrays of a result as Counted views, so that what is computed
-    from them counts too."""
-    if isinstance(result, tuple):
-        return tuple(marked(r) for r in result)
-    return result.view(Counted) if type(result) is np.ndarray else result
-
-
 class Counted(np.ndarray):
     """An array whose ufunc and array-function calls count."""
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         out = kwargs.get("out")
-        with COUNTER.op():
-            if out is not None:
-                kwargs["out"] = tuple(map(plain, out))
-            if "where" in kwargs:
-                kwargs["where"] = plain(kwargs["where"])
-            result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        if out is not None:
+            kwargs["out"] = tuple(map(plain, out))
+        if "where" in kwargs:
+            kwargs["where"] = plain(kwargs["where"])
+        result = COUNTER.call(getattr(ufunc, method), *map(plain, inputs), **kwargs)
         if out is not None:
             return out[0] if len(out) == 1 else out
-        return marked(result)
+        return result
 
     def __array_function__(self, func, types, args, kwargs):
-        with COUNTER.op():
-            result = super().__array_function__(func, types, args, kwargs)
-        return marked(result)
-
-
-def counted_call(f):
-    def call(*args, **kwargs):
-        with COUNTER.op():
-            result = f(*args, **kwargs)
-        return marked(result)
-
-    return call
+        return COUNTER.call(super().__array_function__, func, types, args, kwargs)
 
 
 class CountedUfunc:
@@ -234,11 +214,11 @@ class CountedUfunc:
         self._ufunc = ufunc
 
     def __call__(self, *args, **kwargs):
-        return counted_call(self._ufunc)(*args, **kwargs)
+        return COUNTER.call(self._ufunc, *args, **kwargs)
 
     def __getattr__(self, name):
         attr = getattr(self._ufunc, name)
-        return counted_call(attr) if callable(attr) else attr
+        return functools.partial(COUNTER.call, attr) if callable(attr) else attr
 
 
 class CountedNumpy:
@@ -249,23 +229,27 @@ class CountedNumpy:
         if isinstance(attr, np.ufunc):
             return CountedUfunc(attr)
         if callable(attr) and not isinstance(attr, type):
-            return counted_call(attr)
+            return functools.partial(COUNTER.call, attr)
         return attr
 
 
 @contextlib.contextmanager
 def counting(package):
-    """Numpy counted in every module of the package while the block runs."""
+    """Numpy counted in every module of the package while the block runs;
+    yields the counts by layer, which stop growing when the block ends."""
     modules = [
         m for name, m in list(sys.modules.items())
         if name.startswith(package.__name__ + ".") and getattr(m, "np", None) is np
     ]
     for m in modules:
         m.np = CountedNumpy()
-    COUNTER.package = package.__name__
+    COUNTER.package, COUNTER.ops = package.__name__, Counter()
     try:
-        yield
+        yield COUNTER.ops
     finally:
+        # What is computed later from the block's Counted arrays (a run's
+        # scoring) counts into a counter that nothing reads
+        COUNTER.ops = Counter()
         for m in modules:
             m.np = np
 
@@ -293,53 +277,34 @@ def main(argv=None) -> int:
                 return time.perf_counter() - start, (type(exc).__name__, str(exc))
             return time.perf_counter() - start, final
 
-        def minor_faults():
-            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-        def counted_run(run, side: int, workload):
-            # The untimed pass: the result, its scores, the RuntimeWarnings it
-            # raised, the minor page faults its solve and its scoring took, and
-            # whether it fails its workload's check
+        def untimed(run, side: int, workload):
+            # The untimed pass, counted under --ops: the result, its
+            # operations by layer, the RuntimeWarnings it raised, its scores,
+            # and whether it fails its workload's check
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
-                start = minor_faults()
-                result = timed(run.cfg, side)[1]
-                solved = minor_faults()
-            scores, scored, failed = None, solved, False
+                with counting(packages[side]) if args.ops else contextlib.nullcontext(Counter()) as counts:
+                    result = timed(run.cfg, side)[1]
+            warned = sum(issubclass(w.category, RuntimeWarning) for w in caught)
+            scores, failed = None, False
             if not isinstance(result, tuple):
                 scores = packages[side].rmse(result.primitives(run.cfg.gas), run.reference.w)
-                scored = minor_faults()
                 failed = workload.check(run, result, scores) is not None
-            warned = sum(issubclass(w.category, RuntimeWarning) for w in caught)
-            return result, scores, warned, (solved - start, scored - solved), failed
+            return result, counts, warned, scores, failed
 
         def stamp(final):
             # Bytes, so that -0.0 and 0.0 (equal under !=) count as differing
             return final.cells.tobytes() + np.array([final.time, final.max_courant_observed]).tobytes()
 
-        def ops_per_step(cfg, side: int, final):
-            # One more run with numpy counted, checked against the uncounted
-            # one; its operations per step by layer
-            COUNTER.ops = Counter()
-            with counting(packages[side]), warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                result = timed(cfg, side)[1]
-            same = not isinstance(result, tuple) and stamp(result) == stamp(final)
-            steps = packages[side].solver.step_count(cfg)
-            by_layer = {layer: n / steps for layer, n in COUNTER.ops.items()}
-            return sum(COUNTER.ops.values()) / steps, by_layer, same
-
         suite_sides, problem_sides = zip(*(side_suites(p) for p in packages))
         suites = list(suite_sides[0]) if SUITES is None else list(SUITES)
-        # suite -> (config pairs, runs compared, runs that differ, runs
-        # skipped, fields that differ, largest absolute and relative change of
-        # final cells, each side's RuntimeWarnings and runs failing the check)
+        # suite -> (each timed run's config pair and its two stamps, runs
+        # compared, runs that differ, runs skipped, fields that differ,
+        # largest absolute and relative change of final cells, each side's
+        # RuntimeWarnings and runs failing the check)
         kept = {}
-        # suite -> each side's minor page faults over the untimed pass, in the
-        # solves and in the scoring
-        faulted = {}
         # suite -> method -> each side's operations per step, in all and by
-        # layer, and the counted runs that differ from their uncounted one
+        # layer, and the timed runs that differ from their counted one
         ops, layer_ops = {suite: {} for suite in suites}, {suite: {} for suite in suites}
         ops_differ = {suite: [] for suite in suites}
         # suites whose two exact profiles are not byte for byte the same
@@ -354,20 +319,16 @@ def main(argv=None) -> int:
             moved = [k for k in cfgs[0] if repr(cfgs[0][k]) != repr(cfgs[1][k])]
             pairs, differ, skipped, change, warned, failing = [], 0, 0, [0.0, 0.0], [0, 0], [0, 0]
             scores_differ = 0
-            faulted[suite] = [[0, 0], [0, 0]]
-            stamps = [r.reference.x.tobytes() + r.reference.w.tobytes() for r in run_pairs[0]]
-            profiles_differ += stamps[0] != stamps[1]
+            profiles = [r.reference.x.tobytes() + r.reference.w.tobytes() for r in run_pairs[0]]
+            profiles_differ += profiles[0] != profiles[1]
             for run_pair in run_pairs:
                 pair = [r.cfg for r in run_pair]
-                results, scores = [], []
-                for side, run in enumerate(run_pair):
-                    result, score, count, faults, fails_check = counted_run(run, side, workloads[side])
-                    results.append(result)
-                    scores.append(score)
-                    warned[side] += count
-                    failing[side] += fails_check
-                    for k, n in enumerate(faults):
-                        faulted[suite][side][k] += n
+                results, counts, n_warned, scores, fails_check = zip(
+                    *(untimed(run, side, workloads[side]) for side, run in enumerate(run_pair))
+                )
+                for side in (0, 1):
+                    warned[side] += n_warned[side]
+                    failing[side] += fails_check[side]
                 failed = [isinstance(r, tuple) for r in results]
                 if all(failed) and results[0] == results[1]:
                     skipped += 1
@@ -375,20 +336,20 @@ def main(argv=None) -> int:
                 if any(failed):
                     differ += 1
                     continue
-                if stamp(results[0]) != stamp(results[1]):
+                stamps = [stamp(r) for r in results]
+                if stamps[0] != stamps[1]:
                     differ += 1
                 # Bytes, as in stamp
                 scores_differ += np.array(scores[0]).tobytes() != np.array(scores[1]).tobytes()
                 parent, gap = results[0].cells, np.abs(results[1].cells - results[0].cells)
                 change[0] = max(change[0], float(gap.max()))
                 change[1] = max(change[1], float((gap.max(axis=1) / np.abs(parent).max(axis=1)).max()))
-                pairs.append(pair)
+                pairs.append((pair, stamps))
                 if args.ops:
                     method = pair[0].method.value
-                    counts = [ops_per_step(cfg, side, results[side]) for side, cfg in enumerate(pair)]
-                    ops[suite][method] = [count for count, _, _ in counts]
-                    layer_ops[suite][method] = [by_layer for _, by_layer, _ in counts]
-                    ops_differ[suite] += [f"{method} ({SIDES[side]})" for side, (*_, same) in enumerate(counts) if not same]
+                    steps = [packages[side].solver.step_count(cfg) for side, cfg in enumerate(pair)]
+                    ops[suite][method] = [sum(c.values()) / n for c, n in zip(counts, steps)]
+                    layer_ops[suite][method] = [{k: v / n for k, v in c.items()} for c, n in zip(counts, steps)]
             kept[suite] = (pairs, len(run_pairs), differ, skipped, scores_differ, moved, change, warned, failing)
         reports = [[wave_lines(p, problem) for p, problem in zip(packages, pair)] for pair in zip(*problem_sides)]
 
@@ -397,12 +358,20 @@ def main(argv=None) -> int:
         for rep in range(args.reps):
             i = 0
             for suite, (pairs, *_) in kept.items():
-                for pair in pairs:
+                for pair, stamps in pairs:
+                    method = pair[0].method.value
                     first = (i + rep) % 2
+                    finals = [None, None]
                     for side in (first, 1 - first):
-                        elapsed = timed(pair[side], side)[0]
+                        elapsed, finals[side] = timed(pair[side], side)
                         sweeps[suite][side][rep] += elapsed
-                        by_method[pair[0].method.value][side][rep] += elapsed
+                        by_method[method][side][rep] += elapsed
+                    if args.ops and rep == 0:
+                        ops_differ[suite] += [
+                            f"{method} ({name})"
+                            for name, final, counted in zip(SIDES, finals, stamps)
+                            if isinstance(final, tuple) or stamp(final) != counted
+                        ]
                     i += 1
 
     def ratios(times):
@@ -460,10 +429,6 @@ def main(argv=None) -> int:
                     for name, counts in zip(SIDES, by_layer)
                 )
             )
-    for suite, sides in faulted.items():
-        n_runs = kept[suite][1]
-        per_run = [f"{SIDES[i]} {solve / n_runs:.1f} + {scoring / n_runs:.1f}" for i, (solve, scoring) in enumerate(sides)]
-        print(f"{suite} minor page faults per run over {n_runs} runs, solve + scoring: {', '.join(per_run)}")
     return 0
 
 
