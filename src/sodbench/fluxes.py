@@ -179,17 +179,15 @@ def pbased_speeds(faces, g: float):
     """u -+ a scaled on a shocked side by the primitive-variable pressure
     estimate.
 
-    Compression (u_r < u_l) raises the estimate and flags the shocked side.
-    Strong expansions can drive the raw estimate negative; the floor only
-    affects the branch in which the compression factor is unused.
+    Compression (u_r < u_l) raises the estimate and flags the shocked side,
+    where p* > p; elsewhere the maximum makes the factor exactly 1.
     """
     u = faces[1]
     a = sound_speed_array(faces, g)
     rho, p = faces[0], faces[2]
     p_star = 0.5 * (p[0] + p[1]) - 0.125 * (u[1] - u[0]) * (a[1] + a[0]) * (rho[1] + rho[0])
-    p_floor = np.maximum(p_star, 0.0)
     shock_factor = (g + 1.0) / (2.0 * g)
-    f = np.where(p_star <= p, 1.0, np.sqrt(1.0 + (p_floor / p - 1.0) * shock_factor))
+    f = np.sqrt(np.maximum(1.0 + (p_star / p - 1.0) * shock_factor, 1.0))
     fa = f * a
     return u[0] - fa[0], u[1] + fa[1]
 
@@ -348,14 +346,14 @@ def flux_sw_fvs(faces, g: float) -> np.ndarray:
     rho, u = faces[0], faces[1]
     a = sound_speed_array(faces, g)
     h = enthalpy_array(faces, g)
-    lam = (u - a, u, u + a)
-    l1, l2, l3 = (0.5 * (x + sign * np.abs(x)) for x in lam)
+    u_m, u_p, ua = u - a, u + a, u * a
+    l1, l2, l3 = (0.5 * (x + sign * np.abs(x)) for x in (u_m, u, u_p))
     c = rho / (2.0 * g)
     parts = np.array(
         [
             c * (l1 + 2.0 * (g - 1.0) * l2 + l3),
-            c * (l1 * (u - a) + 2.0 * (g - 1.0) * l2 * u + l3 * (u + a)),
-            c * (l1 * (h - u * a) + (g - 1.0) * l2 * u * u + l3 * (h + u * a)),
+            c * (l1 * u_m + 2.0 * (g - 1.0) * l2 * u + l3 * u_p),
+            c * (l1 * (h - ua) + (g - 1.0) * l2 * u * u + l3 * (h + ua)),
         ]
     )
     return parts[:, 0] + parts[:, 1]
@@ -375,7 +373,8 @@ def flux_vanleer_fvs(faces, g: float) -> np.ndarray:
 
     f_mass = sign * 0.25 * rho * a * (mach + sign) ** 2
     t = (g - 1.0) * u + sign * 2.0 * a
-    parts = np.array([f_mass, f_mass * t / g, f_mass * t * t / (2.0 * (g * g - 1.0))])
+    ft = f_mass * t
+    parts = np.array([f_mass, ft / g, ft * t / (2.0 * (g * g - 1.0))])
 
     # NaN-ignoring: a NaN Mach number takes the subsonic part either way
     if np.fmax.reduce(np.abs(mach), axis=None, initial=0.0) >= 1.0:
@@ -395,9 +394,9 @@ def _ausm_splits(mach, sign, alpha=None):
 
     The supersonic branch is built only in a batch where some |M| > 1.
     """
-    sq = (mach + sign) ** 2
-    m_sub = sign * 0.25 * sq
-    p_sub = 0.25 * sq * (2.0 - sign * mach)
+    quarter = 0.25 * (mach + sign) ** 2
+    m_sub = sign * quarter
+    p_sub = quarter * (2.0 - sign * mach)
     if alpha is not None:
         bump = (mach * mach - 1.0) ** 2
         m_sub = m_sub + sign * AUSM_PLUS_BETA * bump
@@ -475,7 +474,8 @@ def flux_ausm_plus_up(faces, g: float) -> np.ndarray:
     m_split, p_weight = _ausm_splits(u / a_half, sign, alpha)
     p_split = p_weight * p
 
-    rho_half = 0.5 * (rho[0] + rho[1])
+    rho_sum = rho[0] + rho[1]
+    rho_half = 0.5 * rho_sum
     m_p = (
         -AUSM_UP_KP
         / fa
@@ -484,7 +484,7 @@ def flux_ausm_plus_up(faces, g: float) -> np.ndarray:
         / (rho_half * a_half * a_half)
     )
     p_plus, p_minus = p_weight
-    p_u = -AUSM_UP_KU * p_plus * p_minus * (rho[0] + rho[1]) * fa * a_half * (u[1] - u[0])
+    p_u = -AUSM_UP_KU * p_plus * p_minus * rho_sum * fa * a_half * (u[1] - u[0])
     m_half = m_split[0] + m_split[1] + m_p
     p_half = p_split[0] + p_split[1] + p_u
     return _upwind_mass_flux(m_half, p_half, a_half, rho, u, h)

@@ -162,11 +162,13 @@ def initialize_sod(cfg: RunConfig) -> SolutionField:
     return SolutionField(time=0.0, cells=_step_data(cfg)[0][:, 1:-1], max_courant_observed=0.0)
 
 
-def _check_positive(w: np.ndarray, step_index: int, first_cell: int = 0) -> None:
-    # Density and pressure rows at once; a NaN fails "> 0" too.
+def _check_positive(w: np.ndarray, step_index: int, lo: int) -> None:
+    # ``w``: the window from cell lo and a cell beyond each end, the first
+    # standing for cell 0 (see ``_march``).  A NaN fails "> 0" too.
     if np.minimum.reduce(w[::2], axis=None) > 0.0:
         return
-    cell = first_cell + int(np.argmax(~((w[0] > 0.0) & (w[2] > 0.0))))
+    j = int(np.argmax(~((w[0] > 0.0) & (w[2] > 0.0))))
+    cell = lo + j - 1 if j else 0
     raise NonPhysicalState(
         f"solver produced non-positive density/pressure in cell {cell} at step {step_index}",
         cell=cell,
@@ -282,15 +284,13 @@ def _march(
     # Zero-gradient walls: the ghost columns copy the edge cells
     q[:, 0], q[:, -1] = cells[:, 0], cells[:, -1]
     # Outside the first window the field is two uniform blocks: cells
-    # [0, lo) equal cell 0 and cells [hi, n) equal cell n - 1, and the
-    # window's first and last cells lie in those runs of equal cells
-    # (notes/decisions.md section 11).  So the window's end cells stand for
-    # the blocks.  ``w`` holds the window and a cell beyond each end.
+    # [0, lo) equal cell 0 and cells [hi, n) equal cell n - 1.  The window's
+    # end cells, and the cell or ghost beyond each in ``w``, lie in those
+    # runs of equal cells (notes/decisions.md section 11).  So one check of
+    # ``w`` runs in grid order: the left block as cell 0, then the window,
+    # whose last cell fails wherever the right block would.
     w = primitive_array(q[:, lo : hi + 2], gamma)
-    # In grid order: the left block as cell 0, then the window, whose last
-    # cell fails wherever the right block would.
-    _check_positive(w[:, 1:2], 0)
-    _check_positive(w[:, 1:-1], 0, lo)
+    _check_positive(w, 0, lo)
     # Each updated window, once checked, waits here for its Courant signal;
     # its end cells carry the blocks' signal into every batch.
     peak = 0.0
@@ -305,7 +305,7 @@ def _march(
             # A failed run's traceback keeps this frame alive, and with it
             # the batch
             batch = None
-            if k > 0 and not np.minimum.reduce(w[::2, 1:-1], axis=None) > 0.0:
+            if k > 0 and not np.minimum.reduce(w[::2], axis=None) > 0.0:
                 # The last step made a bad cell: it is reported below, out
                 # of this handler, as that step's cell check reported it
                 break
@@ -349,13 +349,13 @@ def _march(
             if used:
                 peak = max(peak, _signal_peak(batch[:, :used], gamma))
             batch = None  # before the check can raise, as above
-            _check_positive(w[:, 1:-1], k, lo)
+            _check_positive(w, k, lo)
             peak = max(peak, _signal_peak(w[:, 1:-1], gamma))
             # (s dt) / dx rises with s, so its largest value is that of the peak
             max_courant = max(max_courant, peak * dt / dx)
         return SolutionField(time=time, cells=cells, max_courant_observed=max_courant)
     # Only the break above gets here
-    _check_positive(w[:, 1:-1], k - 1, lo)
+    _check_positive(w, k - 1, lo)
 
 
 def step_count(cfg: RunConfig) -> int:

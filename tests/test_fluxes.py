@@ -1111,3 +1111,200 @@ class TestSharedKernelsMatchTheirFormerExpressions:
         with np.errstate(all="ignore"):
             for kernel in AUSM_KERNELS:
                 assert_same_bytes(kernel(faces, G), former_flux_ausm(kernel, faces, G))
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the kernels as they were written before each value was formed
+# once (notes/decisions.md section 25)
+# ---------------------------------------------------------------------------
+
+def repeated_pbased_speeds(faces, g):
+    u = faces[1]
+    a = sound_speed_array(faces, g)
+    rho, p = faces[0], faces[2]
+    p_star = 0.5 * (p[0] + p[1]) - 0.125 * (u[1] - u[0]) * (a[1] + a[0]) * (rho[1] + rho[0])
+    p_floor = np.maximum(p_star, 0.0)
+    shock_factor = (g + 1.0) / (2.0 * g)
+    f = np.where(p_star <= p, 1.0, np.sqrt(1.0 + (p_floor / p - 1.0) * shock_factor))
+    fa = f * a
+    return u[0] - fa[0], u[1] + fa[1]
+
+
+def repeated_flux_sw(faces, g):
+    sign = fluxes._side_sign(faces)
+    rho, u = faces[0], faces[1]
+    a = sound_speed_array(faces, g)
+    h = enthalpy_array(faces, g)
+    lam = (u - a, u, u + a)
+    l1, l2, l3 = (0.5 * (x + sign * np.abs(x)) for x in lam)
+    c = rho / (2.0 * g)
+    parts = np.array(
+        [
+            c * (l1 + 2.0 * (g - 1.0) * l2 + l3),
+            c * (l1 * (u - a) + 2.0 * (g - 1.0) * l2 * u + l3 * (u + a)),
+            c * (l1 * (h - u * a) + (g - 1.0) * l2 * u * u + l3 * (h + u * a)),
+        ]
+    )
+    return parts[:, 0] + parts[:, 1]
+
+
+def repeated_flux_vanleer(faces, g):
+    sign = fluxes._side_sign(faces)
+    rho, u = faces[0], faces[1]
+    a = sound_speed_array(faces, g)
+    mach = u / a
+    f_mass = sign * 0.25 * rho * a * (mach + sign) ** 2
+    t = (g - 1.0) * u + sign * 2.0 * a
+    parts = np.array([f_mass, f_mass * t / g, f_mass * t * t / (2.0 * (g * g - 1.0))])
+    if np.fmax.reduce(np.abs(mach), axis=None, initial=0.0) >= 1.0:
+        sign_mach = sign * mach
+        take_full = sign_mach >= 1.0
+        parts = np.where(take_full, flux_array(faces, g), np.where(sign_mach <= -1.0, 0.0, parts))
+    return parts[:, 0] + parts[:, 1]
+
+
+def repeated_ausm_splits(mach, sign, alpha=None):
+    sq = (mach + sign) ** 2
+    m_sub = sign * 0.25 * sq
+    p_sub = 0.25 * sq * (2.0 - sign * mach)
+    if alpha is not None:
+        bump = (mach * mach - 1.0) ** 2
+        m_sub = m_sub + sign * fluxes.AUSM_PLUS_BETA * bump
+        p_sub = p_sub + sign * alpha * mach * bump
+    abs_mach = np.abs(mach)
+    if np.maximum.reduce(abs_mach, axis=None, initial=0.0) <= 1.0:
+        return m_sub, p_sub
+    subsonic = abs_mach <= 1.0
+    m_split = np.where(subsonic, m_sub, 0.5 * (mach + sign * abs_mach))
+    return m_split, np.where(subsonic, p_sub, 0.5 * (1.0 + sign * np.sign(mach)))
+
+
+def repeated_flux_ausm_plus_up(faces, g):
+    sign = fluxes._side_sign(faces)
+    rho, u, p = faces[0], faces[1], faces[2]
+    h = enthalpy_array(faces, g)
+    a_half = fluxes._interface_sound_speed(u, h, sign, g)
+    uu = u * u
+    mach_bar_sq = (uu[0] + uu[1]) / (2.0 * a_half * a_half)
+    mach_ref = np.sqrt(np.minimum(np.maximum(mach_bar_sq, fluxes.AUSM_UP_CUTOFF_MACH**2), 1.0))
+    fa = mach_ref * (2.0 - mach_ref)
+    alpha = fluxes.AUSM_PLUS_ALPHA * (-4.0 + 5.0 * fa * fa)
+    m_split, p_weight = repeated_ausm_splits(u / a_half, sign, alpha)
+    p_split = p_weight * p
+
+    rho_half = 0.5 * (rho[0] + rho[1])
+    m_p = (
+        -fluxes.AUSM_UP_KP
+        / fa
+        * np.maximum(1.0 - fluxes.AUSM_UP_SIGMA * mach_bar_sq, 0.0)
+        * (p[1] - p[0])
+        / (rho_half * a_half * a_half)
+    )
+    p_plus, p_minus = p_weight
+    p_u = -fluxes.AUSM_UP_KU * p_plus * p_minus * (rho[0] + rho[1]) * fa * a_half * (u[1] - u[0])
+    m_half = m_split[0] + m_split[1] + m_p
+    p_half = p_split[0] + p_split[1] + p_u
+    return fluxes._upwind_mass_flux(m_half, p_half, a_half, rho, u, h)
+
+
+# Special values: signed zeros, infinities, NaN, the smallest subnormal and
+# magnitudes whose products, or sums, overflow or underflow
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300, 1e300, -1e300, 1.7e308]
+# Those a face's density and pressure can take: the kernels run on faces
+# that passed the face check, rho > 0 and p > 0 (muscl.reconstruct_faces)
+POSITIVE_SPECIAL = [np.inf, 5e-324, 1e-300, 1e300, 1.7e308]
+
+
+@st.composite
+def special_face_arrays(draw, positive=True):
+    """A (3, 2) face or a (3, 2, m) block of 1 to 24 faces: densities and
+    pressures in 10^[-3, 3], Mach numbers in [-3, 3], and some entries
+    replaced by special values; with ``positive``, a density or pressure
+    only by a positive one."""
+    m = draw(st.integers(1, 24))
+    drawn = draw(st.lists(st.floats(-3.0, 3.0), min_size=6 * m, max_size=6 * m))
+    log_rho, mach, log_p = np.array(drawn).reshape(3, 2, m)
+    rho, p = 10.0**log_rho, 10.0**log_p
+    faces = np.array([rho, mach * np.sqrt(G * p / rho), p])
+    flat = faces.reshape(-1)
+    for i in draw(st.lists(st.integers(0, flat.size - 1), max_size=flat.size)):
+        row = i // (2 * m)
+        values = POSITIVE_SPECIAL if positive and row != 1 else SPECIAL
+        flat[i] = draw(st.sampled_from(values))
+    return faces[:, :, 0] if m == 1 and draw(st.booleans()) else faces
+
+
+class TestEachValueOnceMatchesTheRepeatedForms:
+    """The kernels that form each value once give the bytes of their former
+    forms, which formed some twice, on single faces and blocks of 1 to 24
+    faces with special values."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(special_face_arrays())
+    def test_pbased_speeds(self, faces):
+        # The one difference: a side where p = p* = +inf, for which the
+        # select gave the factor 1 and the square root's argument is now
+        # inf / inf, NaN
+        with np.errstate(all="ignore"):
+            got = pbased_speeds(faces, G)
+            expected = [np.array(s) for s in repeated_pbased_speeds(faces, G)]
+            rho, u, p = faces
+            a = sound_speed_array(faces, G)
+            p_star = 0.5 * (p[0] + p[1]) - 0.125 * (u[1] - u[0]) * (a[1] + a[0]) * (rho[1] + rho[0])
+        for side, (g, e) in enumerate(zip(got, expected)):
+            changed = (p[side] == np.inf) & (p_star == np.inf)
+            assert np.isnan(g[changed]).all()
+            e[changed] = g[changed]
+            assert_same_bytes(g, e)
+
+    def test_pbased_a_side_at_infinite_pressure_and_estimate(self):
+        # Compression at an infinite left pressure and sound speed: p* = inf
+        faces = sides([1.0, 1.0, np.inf], [1.0, 0.0, 1.0])
+        with np.errstate(all="ignore"):
+            got = pbased_speeds(faces, G)
+            before = repeated_pbased_speeds(faces, G)
+        # The left side's factor is NaN, where the select gave 1 and
+        # S_L = 1 - 1 * inf; the right side is shocked either way
+        assert np.isnan(got[0]) and before[0] == -np.inf
+        assert_same_bytes(got[1], before[1])
+        assert got[1] == np.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(special_face_arrays(positive=False))
+    def test_steger_warming(self, faces):
+        with np.errstate(all="ignore"):
+            assert_same_bytes(flux_sw_fvs(faces, G), repeated_flux_sw(faces, G))
+
+    @settings(max_examples=200, deadline=None)
+    @given(special_face_arrays(positive=False))
+    def test_van_leer(self, faces):
+        with np.errstate(all="ignore"):
+            assert_same_bytes(flux_vanleer_fvs(faces, G), repeated_flux_vanleer(faces, G))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(SPECIAL + [1.0, -1.0]), st.floats(-3.0, 3.0)), min_size=1, max_size=24
+        ),
+        st.one_of(st.just(fluxes.AUSM_PLUS_ALPHA), st.sampled_from(SPECIAL), st.floats(-0.75, 0.1875)),
+    )
+    def test_ausm_splits(self, machs, alpha):
+        # One face's (2,) Mach numbers, or both sides of a block as (2, m)
+        # rows with the side sign as a column; AUSM's splittings, then
+        # AUSM+'s with alpha as one value and, as AUSM+-up has it, one per face
+        mach = np.array(machs * 2).reshape(2, -1)
+        single = len(machs) == 1
+        sign = np.array([1.0, -1.0]) if single else np.array([[1.0], [-1.0]])
+        if single:
+            mach = mach[:, 0]
+        with np.errstate(all="ignore"):
+            for a in (None, alpha, np.full(mach.shape[1:], alpha)):
+                got = fluxes._ausm_splits(mach, sign, a)
+                for g, e in zip(got, repeated_ausm_splits(mach, sign, a)):
+                    assert_same_bytes(g, e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(special_face_arrays(positive=False))
+    def test_ausm_plus_up(self, faces):
+        with np.errstate(all="ignore"):
+            assert_same_bytes(flux_ausm_plus_up(faces, G), repeated_flux_ausm_plus_up(faces, G))

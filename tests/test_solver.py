@@ -375,21 +375,62 @@ class TestRun:
         field = run(RunConfig(method=FluxMethod.RIEMANN))
         assert 0.42 <= field.max_courant_observed <= 0.48
 
-    def test_grid_refinement_reduces_total_rmse(self):
-        def total_rmse(n_cells, dt):
-            cfg = RunConfig(method=FluxMethod.RIEMANN, grid=Grid1D(0.0, 1.0, n_cells), dt=dt)
-            final = run(cfg)
-            reference = exact_profile(
-                RiemannInput(cfg.left, cfg.right, cfg.gas),
-                cfg.grid.centers(),
-                cfg.jump_position,
-                cfg.t_final,
-            )
-            return float(
-                np.sum(np.sqrt(np.mean((final.primitives(GAS) - reference.w) ** 2, axis=1)))
-            )
+    def test_grid_refinement_rates(self):
+        # Sod at 100, 200, 400 and 800 cells with dt = 0.001 * 200 / n: the
+        # density L1 error against the exact profile, and each method's
+        # three rates log2(E_n / E_2n) pinned to their measured values.
+        # The discontinuities keep them well below 2: most lie in
+        # 0.50-0.72.  AUSM's last rate, 0.165, is pinned as observed: its
+        # star-region velocity error grows with the grid, and whether that
+        # belongs to the Liou-Steffen splitting is open (ROADMAP item 5)
+        errors, total_rmse = {}, {}
+        for method in FluxMethod:
+            for n in (100, 200, 400, 800):
+                cfg = RunConfig(method=method, grid=Grid1D(0.0, 1.0, n), dt=0.001 * 200 / n)
+                w = run(cfg).primitives(GAS)
+                reference = exact_profile(
+                    RiemannInput(cfg.left, cfg.right, cfg.gas), cfg.grid.centers(), cfg.jump_position, cfg.t_final
+                )
+                errors.setdefault(method, []).append(float(np.mean(np.abs(w[0] - reference.w[0]))))
+                total_rmse[method, n] = sum(bench.rmse(w, reference.w))
+        rates = {
+            method.value: [math.log2(coarse / fine) for coarse, fine in zip(e, e[1:])]
+            for method, e in errors.items()
+        }
+        assert rates.keys() == REFINEMENT_RATES.keys()
+        for method, measured in REFINEMENT_RATES.items():
+            assert rates[method] == pytest.approx(measured, abs=0.005), method
+        # and the total RMSE of the three primitives falls
+        for method in FluxMethod:
+            assert total_rmse[method, 400] < total_rmse[method, 200], method
 
-        assert total_rmse(400, 0.0005) < total_rmse(200, 0.001)
+
+# Each method's density L1 rates per doubling from 100 to 800 cells,
+# measured on Sod (TestRun.test_grid_refinement_rates)
+REFINEMENT_RATES = {
+    "riemann": (0.545, 0.559, 0.560),
+    "roe": (0.618, 0.541, 0.553),
+    "knp": (0.627, 0.606, 0.619),
+    "kt": (0.723, 0.679, 0.658),
+    "sw": (0.684, 0.635, 0.640),
+    "van-leer": (0.589, 0.568, 0.543),
+    "ausm": (0.523, 0.510, 0.165),
+    "ausm-plus": (0.669, 0.587, 0.500),
+    "ausm-plus-up": (1.163, 0.831, 0.680),
+    "aufs": (0.613, 0.591, 0.601),
+    "hll-davis1": (0.603, 0.599, 0.616),
+    "hll-davis2": (0.627, 0.606, 0.619),
+    "hll-roe": (0.617, 0.593, 0.604),
+    "hll-einfeldt": (0.617, 0.593, 0.605),
+    "hll-pbased": (0.617, 0.600, 0.621),
+    "hllc-davis1": (0.609, 0.568, 0.568),
+    "hllc-davis2": (0.622, 0.573, 0.592),
+    "hllc-roe": (0.621, 0.563, 0.571),
+    "hllc-einfeldt": (0.621, 0.563, 0.571),
+    "hllc-pbased": (0.607, 0.564, 0.582),
+    "lf": (0.406, 0.500, 0.587),
+    "rusanov": (0.723, 0.679, 0.658),
+}
 
 
 class TestOneLoop:

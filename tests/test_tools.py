@@ -43,6 +43,17 @@ def ops_lines(stdout):
     return found
 
 
+def method_ops(rest):
+    """method -> (parent, change) of an --ops line's by-method part, each
+    method listed once, as ``m p`` or, where its count moved, ``m p -> c``."""
+    by_method = rest.removeprefix("; by method: ")
+    found = {}
+    for item in by_method.split(", "):
+        method, parent, *moved = item.split()
+        found[method] = (float(parent), float(moved[-1] if moved else parent))
+    return found
+
+
 def layer_lines(stdout):
     """suite -> each side's {layer: ops per step} of the --ops layer lines."""
     found = {}
@@ -60,9 +71,35 @@ def layer_lines(stdout):
 # (solver, gas, muscl, fluxes, riemann).  A change that moves a count
 # declares its new one here.
 PINNED_OPS = {
-    "sod200-sweep": (1569.32, (72.46, 389.47, 242.00, 666.02, 199.37)),
-    "sod20k-bulk": (1618.15, (88.00, 411.75, 242.00, 672.25, 204.15)),
-    "toro-suite/test2": (1148.94, (54.30, 277.39, 176.00, 460.00, 181.25)),
+    "sod200-sweep": (1565.22, (72.35, 389.47, 242.00, 662.02, 199.37)),
+    "sod20k-bulk": (1613.05, (86.90, 411.75, 242.00, 668.25, 204.15)),
+    "toro-suite/test2": (1144.86, (54.22, 277.39, 176.00, 456.00, 181.25)),
+}
+# Each method's operations per Sod-200 step, exact to the printed digits:
+# a run's count over its 200 steps
+SOD200_METHOD_OPS = {
+    "riemann": 234.730,
+    "roe": 96.365,
+    "knp": 50.365,
+    "kt": 42.365,
+    "sw": 67.365,
+    "van-leer": 43.135,
+    "ausm": 57.265,
+    "ausm-plus": 70.215,
+    "ausm-plus-up": 99.395,
+    "aufs": 52.365,
+    "hll-davis1": 48.365,
+    "hll-davis2": 50.365,
+    "hll-roe": 63.365,
+    "hll-einfeldt": 65.365,
+    "hll-pbased": 64.365,
+    "hllc-davis1": 66.365,
+    "hllc-davis2": 68.365,
+    "hllc-roe": 81.365,
+    "hllc-einfeldt": 83.365,
+    "hllc-pbased": 82.365,
+    "lf": 35.635,
+    "rusanov": 42.365,
 }
 
 
@@ -107,10 +144,15 @@ def test_ab_sweep_same_tree_counts_equal_ops():
     found = ops_lines(result.stdout)
     assert tuple(found) == suites, result.stdout
     for suite, (parent, change, rest) in found.items():
+        # every method is listed, no method's count differs, and every timed
+        # run of the first rep gave its counted run's bytes
+        assert "counted runs differ" not in rest
+        counts = method_ops(rest)
+        assert len(counts) == (16 if suite == "toro-suite/test2" else 22)
+        assert all(p == c for p, c in counts.values()), rest
+        if suite == "sod200-sweep":
+            assert {m: p for m, (p, _) in counts.items()} == SOD200_METHOD_OPS
         assert parent == change == PINNED_OPS[suite][0]
-        # no method's count differs, and every timed run of the first rep
-        # gave its counted run's bytes
-        assert rest == ""
     # each operation counts toward the package module that made it, and
     # the five layers make up the total
     layers = layer_lines(result.stdout)

@@ -45,11 +45,12 @@ run read per-method ratios of 0.95 to 1.10.
 
 With ``--ops`` the untimed pass counts each run's numpy operations as the
 run makes them, and the script prints per suite each side's
-operations per step summed over the methods, and each method whose count
-differs.  An operation is one call of a numpy function or ufunc (a method
-such as ``reduce`` included) that the package makes, or one ufunc or
-array-function call on an array the package computed (``a * b``,
-``x.max()``); calls made inside a counted one do not count again.  The
+operations per step summed over the methods, and each method's count, as
+``parent -> change`` where the two differ.  An operation is one call of a
+numpy function or ufunc (a method such as ``reduce`` included) that the
+package makes, or one ufunc or array-function call on an array the package
+computed or keeps at module level (``a * b``, ``x.max()``, ``_SIGN * 0.25``);
+calls made inside a counted one do not count again.  The
 count divides by the run's steps, so set-up is spread over them.  The first
 timed rep checks the instrument: a timed run whose result is not byte for
 byte that of its counted run is named.
@@ -235,14 +236,16 @@ class CountedNumpy:
 
 @contextlib.contextmanager
 def counting(package):
-    """Numpy counted in every module of the package while the block runs;
-    yields the counts by layer, which stop growing when the block ends."""
-    modules = [
-        m for name, m in list(sys.modules.items())
-        if name.startswith(package.__name__ + ".") and getattr(m, "np", None) is np
-    ]
-    for m in modules:
+    """Numpy counted in every module of the package while the block runs,
+    and each module-level array viewed as Counted; yields the counts by
+    layer, which stop growing when the block ends."""
+    modules = [m for name, m in list(sys.modules.items()) if name.startswith(package.__name__ + ".")]
+    users = [m for m in modules if getattr(m, "np", None) is np]
+    arrays = [(m, k, v) for m in modules for k, v in vars(m).items() if type(v) is np.ndarray]
+    for m in users:
         m.np = CountedNumpy()
+    for m, k, v in arrays:
+        setattr(m, k, v.view(Counted))
     COUNTER.package, COUNTER.ops = package.__name__, Counter()
     try:
         yield COUNTER.ops
@@ -250,8 +253,10 @@ def counting(package):
         # What is computed later from the block's Counted arrays (a run's
         # scoring) counts into a counter that nothing reads
         COUNTER.ops = Counter()
-        for m in modules:
+        for m in users:
             m.np = np
+        for m, k, v in arrays:
+            setattr(m, k, v)
 
 
 def main(argv=None) -> int:
@@ -409,11 +414,11 @@ def main(argv=None) -> int:
     if args.ops:
         for suite, by_method_ops in ops.items():
             total = [sum(counts[side] for counts in by_method_ops.values()) for side in (0, 1)]
-            moved = [f"{m} {p:.2f} -> {c:.2f}" for m, (p, c) in by_method_ops.items() if p != c]
+            each = [f"{m} {p:.3f}" + (f" -> {c:.3f}" if p != c else "") for m, (p, c) in by_method_ops.items()]
             print(
                 f"{suite} numpy ops per step over {len(by_method_ops)} methods:"
                 f" parent {total[0]:.2f}, change {total[1]:.2f}"
-                + (f"; by method: {', '.join(moved)}" if moved else "")
+                + (f"; by method: {', '.join(each)}" if each else "")
                 + (f"; counted runs differ: {', '.join(ops_differ[suite])}" if ops_differ[suite] else "")
             )
             by_layer = [Counter() for _ in SIDES]
