@@ -259,12 +259,12 @@ def flux_hll(faces, g: float, speeds) -> np.ndarray:
     sr = np.maximum(s_right, 0.0)
     fl, fr, dq = _fluxes_and_jump(faces, g)
     spread = sr - sl
-    degenerate = spread < 1e-12
-    guarded = np.logical_or.reduce(degenerate, axis=None)
-    if guarded:
-        spread = np.where(degenerate, 1.0, spread)
-    flux = (sr * fl - sl * fr + sl * sr * dq) / spread
-    return np.where(degenerate, 0.5 * (fl + fr), flux) if guarded else flux
+    blend = sr * fl - sl * fr + sl * sr * dq
+    # NaN-ignoring: a NaN spread is not degenerate, as in the selects
+    if np.fmin.reduce(spread, axis=None, initial=np.inf) < 1e-12:
+        degenerate = spread < 1e-12
+        return np.where(degenerate, 0.5 * (fl + fr), blend / np.where(degenerate, 1.0, spread))
+    return blend / spread
 
 
 def flux_hllc(faces, g: float, speeds) -> np.ndarray:
@@ -349,10 +349,11 @@ def flux_sw_fvs(faces, g: float) -> np.ndarray:
     u_m, u_p, ua = u - a, u + a, u * a
     l1, l2, l3 = (0.5 * (x + sign * np.abs(x)) for x in (u_m, u, u_p))
     c = rho / (2.0 * g)
+    middle = 2.0 * (g - 1.0) * l2
     parts = np.array(
         [
-            c * (l1 + 2.0 * (g - 1.0) * l2 + l3),
-            c * (l1 * u_m + 2.0 * (g - 1.0) * l2 * u + l3 * u_p),
+            c * (l1 + middle + l3),
+            c * (l1 * u_m + middle * u + l3 * u_p),
             c * (l1 * (h - ua) + (g - 1.0) * l2 * u * u + l3 * (h + ua)),
         ]
     )

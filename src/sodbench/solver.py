@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidConfig, NoConvergence, NonPhysicalState, VacuumGenerated
 from .fluxes import FluxMethod, compute_face_flux
-from .gas import GasModel, PrimitiveState, conserved_array, primitive_array
+from .gas import GasModel, PrimitiveState, conserved_array, primitive_array, sound_speed_array
 from .muscl import reconstruct_faces
 
 __all__ = [
@@ -183,15 +183,8 @@ _SIGNAL_BATCH = 2048
 
 
 def _signal_peak(w: np.ndarray, gamma: float) -> float:
-    """The largest |u| + a over primitive cells ``w``, computed in ``w``'s
-    own rows, in the arithmetic of ``sound_speed_array``."""
-    a = w[2]
-    a *= gamma
-    a /= w[0]
-    np.sqrt(a, out=a)
-    s = np.abs(w[1], out=w[1])
-    s += a
-    return float(np.maximum.reduce(s))
+    """The largest |u| + a over primitive cells ``w``."""
+    return float(np.maximum.reduce(np.abs(w[1]) + sound_speed_array(w, gamma)))
 
 
 def _window(q: np.ndarray, start: int, stop: int) -> tuple[int, int]:

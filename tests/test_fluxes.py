@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sodbench.errors import InvalidConfig
-from sodbench import bench, fluxes
+from sodbench import bench, fluxes, solver
 from sodbench.fluxes import (
     FluxMethod,
     aufs_speeds,
@@ -1115,7 +1115,7 @@ class TestSharedKernelsMatchTheirFormerExpressions:
 
 # ---------------------------------------------------------------------------
 # Oracles: the kernels as they were written before each value was formed
-# once (notes/decisions.md section 25)
+# once (notes/decisions.md sections 25 and 26)
 # ---------------------------------------------------------------------------
 
 def repeated_pbased_speeds(faces, g):
@@ -1207,6 +1207,32 @@ def repeated_flux_ausm_plus_up(faces, g):
     return fluxes._upwind_mass_flux(m_half, p_half, a_half, rho, u, h)
 
 
+def repeated_flux_hll(faces, g, speeds):
+    # The guard's mask formed in every batch, and tested with an OR of it
+    s_left, s_right = speeds(faces, g)
+    sl = np.minimum(s_left, 0.0)
+    sr = np.maximum(s_right, 0.0)
+    fl, fr, dq = fluxes._fluxes_and_jump(faces, g)
+    spread = sr - sl
+    degenerate = spread < 1e-12
+    guarded = np.logical_or.reduce(degenerate, axis=None)
+    if guarded:
+        spread = np.where(degenerate, 1.0, spread)
+    flux = (sr * fl - sl * fr + sl * sr * dq) / spread
+    return np.where(degenerate, 0.5 * (fl + fr), flux) if guarded else flux
+
+
+def repeated_signal_peak(w, gamma):
+    # The sound speed formed a second time, in w's own rows, as p gamma
+    a = w[2]
+    a *= gamma
+    a /= w[0]
+    np.sqrt(a, out=a)
+    s = np.abs(w[1], out=w[1])
+    s += a
+    return float(np.maximum.reduce(s))
+
+
 # Special values: signed zeros, infinities, NaN, the smallest subnormal and
 # magnitudes whose products, or sums, overflow or underflow
 SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300, 1e300, -1e300, 1.7e308]
@@ -1237,7 +1263,8 @@ def special_face_arrays(draw, positive=True):
 class TestEachValueOnceMatchesTheRepeatedForms:
     """The kernels that form each value once give the bytes of their former
     forms, which formed some twice, on single faces and blocks of 1 to 24
-    faces with special values."""
+    faces with special values; so does the Courant signal, on such cells
+    and in Sod-200 runs."""
 
     @settings(max_examples=200, deadline=None)
     @given(special_face_arrays())
@@ -1308,3 +1335,77 @@ class TestEachValueOnceMatchesTheRepeatedForms:
     def test_ausm_plus_up(self, faces):
         with np.errstate(all="ignore"):
             assert_same_bytes(flux_ausm_plus_up(faces, G), repeated_flux_ausm_plus_up(faces, G))
+
+    @settings(max_examples=200, deadline=None)
+    @given(special_face_arrays(positive=False), st.data())
+    def test_hll_guard(self, faces, data):
+        # The six estimates, and speeds drawn from the special values and
+        # magnitudes about the 1e-12 threshold, so that the guard fires on
+        # some faces and NaN spreads lie beside them
+        shape = faces.shape[2:]
+        values = st.one_of(st.sampled_from(SPECIAL + [1e-12, 1.0, -1.0]), st.floats(-2e-12, 2e-12))
+        n = 2 * int(np.prod(shape))
+        drawn = np.array(data.draw(st.lists(values, min_size=n, max_size=n))).reshape(2, *shape)
+        with np.errstate(all="ignore"):
+            for speeds in [*ESTIMATES, lambda faces, g: tuple(drawn)]:
+                assert_same_bytes(flux_hll(faces, G, speeds), repeated_flux_hll(faces, G, speeds))
+
+    def test_hll_guard_fires_beside_a_nan_spread(self):
+        # Spreads NaN, 0 (S_L >= 0 >= S_R: degenerate) and 2
+        faces = np.stack([sides(SOD_L, SOD_R)] * 3, axis=-1)
+        speeds = lambda faces, g: (np.array([np.nan, 0.5, -1.0]), np.array([1.0, -0.5, 1.0]))
+        fl, fr = flux_array(faces[:, 0], G), flux_array(faces[:, 1], G)
+        with np.errstate(all="ignore"):
+            got = flux_hll(faces, G, speeds)
+            assert_same_bytes(got, repeated_flux_hll(faces, G, speeds))
+        assert np.isnan(got[:, 0]).all()
+        assert_same_bytes(got[:, 1], 0.5 * (fl[:, 1] + fr[:, 1]))
+        assert np.isfinite(got[:, 2]).all()
+
+    def test_hll_all_spreads_nan(self):
+        faces = np.stack([sides(SOD_L, SOD_R)] * 3, axis=-1)
+        speeds = lambda faces, g: (np.full(3, np.nan), np.ones(3))
+        with np.errstate(all="ignore"):
+            got = flux_hll(faces, G, speeds)
+            assert_same_bytes(got, repeated_flux_hll(faces, G, speeds))
+        assert np.isnan(got).all()
+
+    @settings(max_examples=200, deadline=None)
+    @given(special_face_arrays(positive=False))
+    def test_signal_peak(self, faces):
+        # 2 to 48 primitive cells; the argument is left as it was
+        w = faces.reshape(3, -1)
+        before = w.copy()
+        with np.errstate(all="ignore"):
+            got = solver._signal_peak(w, G)
+            expected = repeated_signal_peak(w.copy(), G)
+        assert_same_bytes(w, before)
+        assert_same_bytes(got, expected)
+
+    @pytest.mark.parametrize("method", [FluxMethod.RIEMANN, FluxMethod.HLL_DAVIS1, FluxMethod.SW])
+    def test_signal_peak_of_windows_wider_than_the_batch(self, monkeypatch, method):
+        # With a batch of 8 cells the Sod-200 windows outgrow it within a
+        # few steps, and each is reduced alone, where the former form wrote
+        # into the live window.  Each call gives the former form's bytes
+        # and leaves its window as it was, and the run ends as under the
+        # former form, Courant maximum included.
+        monkeypatch.setattr(solver, "_SIGNAL_BATCH", 8)
+        cfg = RunConfig(method=method)
+        widths = []
+        signal_peak = solver._signal_peak
+
+        def compared(w, gamma):
+            before = w.copy()
+            got = signal_peak(w, gamma)
+            assert_same_bytes(w, before)
+            assert_same_bytes(got, repeated_signal_peak(w.copy(), gamma))
+            widths.append(w.shape[1])
+            return got
+
+        monkeypatch.setattr(solver, "_signal_peak", compared)
+        got = solver.run(cfg)
+        assert max(widths) > 8
+        monkeypatch.setattr(solver, "_signal_peak", repeated_signal_peak)
+        expected = solver.run(cfg)
+        assert_same_bytes(got.cells, expected.cells)
+        assert_same_bytes(got.max_courant_observed, expected.max_courant_observed)

@@ -6,13 +6,16 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import ROOT, load_script
+from sodbench import solver
 from sodbench.fluxes import FluxMethod
+from sodbench.solver import RunConfig
 
 
-def run_ab_sweep(parent, change, suites, *options):
+def run_ab_sweep(parent, change, suites):
     """tools/ab_sweep.py on two source trees, one rep of the given suites;
     it leaves no ``sodbench`` module behind."""
     script = (
@@ -22,7 +25,7 @@ def run_ab_sweep(parent, change, suites, *options):
         " sys.exit(code)"
     )
     return subprocess.run(
-        [sys.executable, "-c", script, str(parent), str(change), "--reps", "1", *options],
+        [sys.executable, "-c", script, str(parent), str(change), "--reps", "1"],
         cwd=ROOT / "tools",
         capture_output=True,
         text=True,
@@ -32,7 +35,7 @@ def run_ab_sweep(parent, change, suites, *options):
 
 
 def ops_lines(stdout):
-    """suite -> (parent, change, the rest) of the --ops lines."""
+    """suite -> (parent, change, the rest) of the operation count lines."""
     found = {}
     for line in stdout.splitlines():
         match = re.fullmatch(
@@ -44,8 +47,9 @@ def ops_lines(stdout):
 
 
 def method_ops(rest):
-    """method -> (parent, change) of an --ops line's by-method part, each
-    method listed once, as ``m p`` or, where its count moved, ``m p -> c``."""
+    """method -> (parent, change) of an operation count line's by-method
+    part, each method listed once, as ``m p`` or, where its count moved,
+    ``m p -> c``."""
     by_method = rest.removeprefix("; by method: ")
     found = {}
     for item in by_method.split(", "):
@@ -55,7 +59,7 @@ def method_ops(rest):
 
 
 def layer_lines(stdout):
-    """suite -> each side's {layer: ops per step} of the --ops layer lines."""
+    """suite -> each side's {layer: ops per step} of the operation layer lines."""
     found = {}
     for line in stdout.splitlines():
         match = re.fullmatch(r"(\S+) numpy ops per step by layer: parent (.*); change (.*)", line)
@@ -71,28 +75,28 @@ def layer_lines(stdout):
 # (solver, gas, muscl, fluxes, riemann).  A change that moves a count
 # declares its new one here.
 PINNED_OPS = {
-    "sod200-sweep": (1565.22, (72.35, 389.47, 242.00, 662.02, 199.37)),
-    "sod20k-bulk": (1613.05, (86.90, 411.75, 242.00, 668.25, 204.15)),
-    "toro-suite/test2": (1144.86, (54.22, 277.39, 176.00, 456.00, 181.25)),
+    "sod200-sweep": (1557.22, (69.56, 392.26, 242.00, 654.02, 199.37)),
+    "sod20k-bulk": (1605.05, (80.30, 418.35, 242.00, 660.25, 204.15)),
+    "toro-suite/test2": (1139.86, (51.38, 280.23, 176.00, 451.00, 181.25)),
 }
 # Each method's operations per Sod-200 step, exact to the printed digits:
 # a run's count over its 200 steps
 SOD200_METHOD_OPS = {
     "riemann": 234.730,
     "roe": 96.365,
-    "knp": 50.365,
+    "knp": 49.365,
     "kt": 42.365,
-    "sw": 67.365,
+    "sw": 66.365,
     "van-leer": 43.135,
     "ausm": 57.265,
     "ausm-plus": 70.215,
     "ausm-plus-up": 99.395,
-    "aufs": 52.365,
-    "hll-davis1": 48.365,
-    "hll-davis2": 50.365,
-    "hll-roe": 63.365,
-    "hll-einfeldt": 65.365,
-    "hll-pbased": 64.365,
+    "aufs": 51.365,
+    "hll-davis1": 47.365,
+    "hll-davis2": 49.365,
+    "hll-roe": 62.365,
+    "hll-einfeldt": 64.365,
+    "hll-pbased": 63.365,
     "hllc-davis1": 66.365,
     "hllc-davis2": 68.365,
     "hllc-roe": 81.365,
@@ -108,7 +112,7 @@ def test_ab_sweep_same_tree_counts_equal_ops():
     # The full seven suites take minutes; one of each workload covers the
     # three kinds.
     suites = ("sod200-sweep", "sod20k-bulk", "toro-suite/test2")
-    result = run_ab_sweep(src, src, suites, "--ops")
+    result = run_ab_sweep(src, src, suites)
     # Toro's test 2 kills six methods (tests/test_solver.py, TORO_FAILURES)
     lines = result.stdout.splitlines()
     assert lines[0].startswith(
@@ -130,8 +134,8 @@ def test_ab_sweep_same_tree_counts_equal_ops():
     assert lines[3] == "wave reports differ in 0 of 6 problems"
     assert lines[4] == "exact profiles differ in 0 of 3 suites"
     assert "ratio change/parent: median" in result.stdout
-    # the --ops lines follow the method ratio line, which names all 22
-    # methods, lowest ratio first
+    # the operation count lines follow the method ratio line, which names
+    # all 22 methods, lowest ratio first
     (by_method,) = [line for line in lines if line.startswith("method median ratio")]
     match = re.fullmatch(
         r"method median ratio change/parent: " + ", ".join([r"([a-z0-9-]+) (\d\.\d{4})"] * 22),
@@ -187,7 +191,7 @@ def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
     assert solver.read_text().count(old) == 1
     perturb = "    if isinstance(np, type(math)):\n        q[0, 1] *= 2.0\n"
     solver.write_text(solver.read_text().replace(old, "    np.sqrt(-1.0)\n" + perturb + old))
-    result = run_ab_sweep(ROOT / "src", change, ("sod200-sweep",), "--ops")
+    result = run_ab_sweep(ROOT / "src", change, ("sod200-sweep",))
     line = re.match(
         r"sod200-sweep: final cells differ in (\d+) of 22 runs \(0 failing on both sides skipped\)"
         r"; scores differ in 22 of 22 runs; .*; largest change of final cells"
@@ -213,6 +217,46 @@ def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
     for method, before, after in others:
         if method != "riemann":
             assert float(after) == pytest.approx(float(before) + 1 / 200, abs=0.006), method
+
+
+def test_perfbench_tracer_sees_every_layer_of_sod200_runs(monkeypatch):
+    # perfbench/spans.py wraps seven names that the package looks up at call
+    # time, and counts the exact flux's faces from the first two arguments
+    # of riemann.interface_states, the two sides.  A change that calls one
+    # of those names through another binding, or hands interface_states
+    # other arguments, would show only in the benchmark's traced run.  So
+    # the tracer runs here as perfbench installs it, on Sod-200 runs of
+    # three methods; the exact one is needed, since layer_metrics divides
+    # by its riemann calls.
+    spans = load_script(ROOT / "perfbench" / "spans.py")
+    # The exact run's faces and active faces (two sides that differ), as
+    # the solver hands them to the flux
+    faces = [0, 0]
+    compute_face_flux = solver.compute_face_flux
+
+    def count_faces(method, block, *args, **kwargs):
+        if method is FluxMethod.RIEMANN:
+            faces[0] += block.shape[-1]
+            faces[1] += int(np.count_nonzero((block[:, 0] != block[:, 1]).any(axis=0)))
+        return compute_face_flux(method, block, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "compute_face_flux", count_faces)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for run_id, method in enumerate((FluxMethod.RIEMANN, FluxMethod.RUSANOV, FluxMethod.HLLC_ROE)):
+            cfg = solver.sweep_config(RunConfig(), method)
+            tracer.begin_run(run_id, method.value, solver.step_count(cfg), 0)
+            solver.run(cfg)
+            tracer.end_run(1.0, None)
+    finally:
+        tracer.uninstall()
+    # raises MissingSpans where a run bypassed a wrapped name
+    metrics = spans.layer_metrics(tracer)
+    assert metrics["solver.steps"] == (600.0, "count")
+    # one recovery per step and one of the step data per run
+    assert metrics["gas.primitive_array.calls_per_step"] == (1.005, "calls/step")
+    assert (tracer.faces, tracer.active_faces) == tuple(faces) == (13_864, 13_064)
 
 
 def stub_result(metrics, trace):

@@ -1,6 +1,6 @@
 """Paired in-process timing of the 22-method sweeps on two source trees.
 
-    python3 tools/ab_sweep.py PARENT_SRC CHANGE_SRC [--reps N] [--ops]
+    python3 tools/ab_sweep.py PARENT_SRC CHANGE_SRC [--reps N]
 
 Each SRC is a checkout root or its ``src`` directory.  The two ``sodbench``
 packages are copied into one temporary directory as ``sodbench_parent`` and
@@ -43,17 +43,17 @@ time summed over all suites in a rep, so that a change shows where its
 saving lands.  One rep cannot size a change: with ``--reps 1`` a same-tree
 run read per-method ratios of 0.95 to 1.10.
 
-With ``--ops`` the untimed pass counts each run's numpy operations as the
-run makes them, and the script prints per suite each side's
-operations per step summed over the methods, and each method's count, as
-``parent -> change`` where the two differ.  An operation is one call of a
-numpy function or ufunc (a method such as ``reduce`` included) that the
-package makes, or one ufunc or array-function call on an array the package
-computed or keeps at module level (``a * b``, ``x.max()``, ``_SIGN * 0.25``);
-calls made inside a counted one do not count again.  The
-count divides by the run's steps, so set-up is spread over them.  The first
-timed rep checks the instrument: a timed run whose result is not byte for
-byte that of its counted run is named.
+The untimed pass also counts each run's numpy operations as the run makes
+them, and the script prints per suite each side's operations per step
+summed over the methods, and each method's count, as ``parent -> change``
+where the two differ.  An operation is one call of a numpy function or
+ufunc (a method such as ``reduce`` included) that the package makes, or one
+ufunc or array-function call on an array the package computed or keeps at
+module level (``a * b``, ``x.max()``, ``_SIGN * 0.25``); calls made inside a
+counted one do not count again.  The count divides by the run's steps, so
+set-up is spread over them.  The first timed rep checks the instrument: a
+timed run whose result is not byte for byte that of its counted run is
+named.
 Each operation also counts toward the layer that made it: the package module
 (``solver``, ``gas``, ``muscl``, ``fluxes``, ``riemann``) of the innermost
 package frame on the stack at the call.  A second line per suite gives each
@@ -264,7 +264,6 @@ def main(argv=None) -> int:
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     parser.add_argument("--reps", type=int, default=10, help="timed sweeps per side")
-    parser.add_argument("--ops", action="store_true", help="count numpy operations per step")
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
@@ -283,12 +282,12 @@ def main(argv=None) -> int:
             return time.perf_counter() - start, final
 
         def untimed(run, side: int, workload):
-            # The untimed pass, counted under --ops: the result, its
-            # operations by layer, the RuntimeWarnings it raised, its scores,
-            # and whether it fails its workload's check
+            # The untimed pass: the result, its operations by layer, the
+            # RuntimeWarnings it raised, its scores, and whether it fails its
+            # workload's check
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
-                with counting(packages[side]) if args.ops else contextlib.nullcontext(Counter()) as counts:
+                with counting(packages[side]) as counts:
                     result = timed(run.cfg, side)[1]
             warned = sum(issubclass(w.category, RuntimeWarning) for w in caught)
             scores, failed = None, False
@@ -350,11 +349,10 @@ def main(argv=None) -> int:
                 change[0] = max(change[0], float(gap.max()))
                 change[1] = max(change[1], float((gap.max(axis=1) / np.abs(parent).max(axis=1)).max()))
                 pairs.append((pair, stamps))
-                if args.ops:
-                    method = pair[0].method.value
-                    steps = [packages[side].solver.step_count(cfg) for side, cfg in enumerate(pair)]
-                    ops[suite][method] = [sum(c.values()) / n for c, n in zip(counts, steps)]
-                    layer_ops[suite][method] = [{k: v / n for k, v in c.items()} for c, n in zip(counts, steps)]
+                method = pair[0].method.value
+                steps = [packages[side].solver.step_count(cfg) for side, cfg in enumerate(pair)]
+                ops[suite][method] = [sum(c.values()) / n for c, n in zip(counts, steps)]
+                layer_ops[suite][method] = [{k: v / n for k, v in c.items()} for c, n in zip(counts, steps)]
             kept[suite] = (pairs, len(run_pairs), differ, skipped, scores_differ, moved, change, warned, failing)
         reports = [[wave_lines(p, problem) for p, problem in zip(packages, pair)] for pair in zip(*problem_sides)]
 
@@ -371,7 +369,7 @@ def main(argv=None) -> int:
                         elapsed, finals[side] = timed(pair[side], side)
                         sweeps[suite][side][rep] += elapsed
                         by_method[method][side][rep] += elapsed
-                    if args.ops and rep == 0:
+                    if rep == 0:
                         ops_differ[suite] += [
                             f"{method} ({name})"
                             for name, final, counted in zip(SIDES, finals, stamps)
@@ -411,29 +409,28 @@ def main(argv=None) -> int:
         (statistics.median(ratios(times)), method) for method, times in by_method.items() if times[0][0]
     )
     print("method median ratio change/parent: " + ", ".join(f"{m} {r:.4f}" for r, m in by_ratio))
-    if args.ops:
-        for suite, by_method_ops in ops.items():
-            total = [sum(counts[side] for counts in by_method_ops.values()) for side in (0, 1)]
-            each = [f"{m} {p:.3f}" + (f" -> {c:.3f}" if p != c else "") for m, (p, c) in by_method_ops.items()]
-            print(
-                f"{suite} numpy ops per step over {len(by_method_ops)} methods:"
-                f" parent {total[0]:.2f}, change {total[1]:.2f}"
-                + (f"; by method: {', '.join(each)}" if each else "")
-                + (f"; counted runs differ: {', '.join(ops_differ[suite])}" if ops_differ[suite] else "")
+    for suite, by_method_ops in ops.items():
+        total = [sum(counts[side] for counts in by_method_ops.values()) for side in (0, 1)]
+        each = [f"{m} {p:.3f}" + (f" -> {c:.3f}" if p != c else "") for m, (p, c) in by_method_ops.items()]
+        print(
+            f"{suite} numpy ops per step over {len(by_method_ops)} methods:"
+            f" parent {total[0]:.2f}, change {total[1]:.2f}"
+            + (f"; by method: {', '.join(each)}" if each else "")
+            + (f"; counted runs differ: {', '.join(ops_differ[suite])}" if ops_differ[suite] else "")
+        )
+        by_layer = [Counter() for _ in SIDES]
+        for sides in layer_ops[suite].values():
+            for side, layers in enumerate(sides):
+                by_layer[side].update(layers)
+        # a layer outside the five (a new module, or "outside") is listed too
+        names = [*LAYERS, *sorted({k for c in by_layer for k in c} - set(LAYERS))]
+        print(
+            f"{suite} numpy ops per step by layer: "
+            + "; ".join(
+                f"{name} " + ", ".join(f"{layer} {counts[layer]:.2f}" for layer in names)
+                for name, counts in zip(SIDES, by_layer)
             )
-            by_layer = [Counter() for _ in SIDES]
-            for sides in layer_ops[suite].values():
-                for side, layers in enumerate(sides):
-                    by_layer[side].update(layers)
-            # a layer outside the five (a new module, or "outside") is listed too
-            names = [*LAYERS, *sorted({k for c in by_layer for k in c} - set(LAYERS))]
-            print(
-                f"{suite} numpy ops per step by layer: "
-                + "; ".join(
-                    f"{name} " + ", ".join(f"{layer} {counts[layer]:.2f}" for layer in names)
-                    for name, counts in zip(SIDES, by_layer)
-                )
-            )
+        )
     return 0
 
 
