@@ -2,7 +2,22 @@
 
 
 class SodbenchError(Exception):
-    """Base class for all solver-specific failures."""
+    """Base class for all solver-specific failures.
+
+    A failure inside a run carries where it happened: the offending cell
+    (time integrator) or face (reconstruction, flux), and the time step.
+    Each is None where it does not apply.
+    """
+
+    cell: int | None
+    face: int | None
+    step: int | None
+
+    def __init__(self, message: str, *, cell=None, face=None, step=None):
+        super().__init__(message)
+        self.cell = cell
+        self.face = face
+        self.step = step
 
 
 class InvalidConfig(SodbenchError, ValueError):
@@ -10,57 +25,27 @@ class InvalidConfig(SodbenchError, ValueError):
 
 
 class NonPhysicalState(SodbenchError):
-    """A state with non-positive density or pressure was produced.
-
-    Carries the offending cell (time integrator) or face (reconstruction)
-    index and the time step, so blow-ups can be located.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        cell: int | None = None,
-        step: int | None = None,
-        face: int | None = None,
-    ):
-        super().__init__(message)
-        self.cell = cell
-        self.step = step
-        self.face = face
+    """A state with non-positive density or pressure was produced."""
 
 
 class NoConvergence(SodbenchError):
     """The exact Riemann pressure iteration hit its iteration cap.
 
     Carries the first unconverged face problem, its last relative update
-    |dp|/p, the number of iterations made and, inside a run, the time step.
+    |dp|/p and the number of iterations made.
     """
 
-    def __init__(
-        self,
-        message: str,
-        face: int | None = None,
-        residual: float | None = None,
-        iterations: int | None = None,
-        step: int | None = None,
-    ):
-        super().__init__(message)
-        self.face = face
+    residual: float | None
+    iterations: int | None
+
+    def __init__(self, message: str, *, residual=None, iterations=None, **location):
+        super().__init__(message, **location)
         self.residual = residual
         self.iterations = iterations
-        self.step = step
 
 
 class VacuumGenerated(SodbenchError):
-    """The two states would generate a vacuum region (excluded by design).
-
-    Carries the first such face problem and, inside a run, the time step.
-    """
-
-    def __init__(self, message: str, face: int | None = None, step: int | None = None):
-        super().__init__(message)
-        self.face = face
-        self.step = step
+    """The two states would generate a vacuum region (excluded by design)."""
 
 
 class DegenerateJump(SodbenchError):

@@ -88,10 +88,7 @@ class FluxMethod(enum.Enum):
     @property
     def table_index(self) -> int:
         """1-based position in the benchmark ordering."""
-        return _TABLE_ORDER[self]
-
-
-_TABLE_ORDER = {m: i + 1 for i, m in enumerate(FluxMethod)}
+        return list(FluxMethod).index(self) + 1
 
 
 # The parameters the AUSM+ and AUSM+-up descriptions leave open, at their

@@ -376,33 +376,94 @@ class TestRun:
         assert 0.42 <= field.max_courant_observed <= 0.48
 
     def test_grid_refinement_rates(self):
-        # Sod at 100, 200, 400 and 800 cells with dt = 0.001 * 200 / n: the
-        # density L1 error against the exact profile, and each method's
-        # three rates log2(E_n / E_2n) pinned to their measured values.
-        # The discontinuities keep them well below 2: most lie in
-        # 0.50-0.72.  AUSM's last rate, 0.165, is pinned as observed: its
-        # star-region velocity error grows with the grid, and whether that
-        # belongs to the Liou-Steffen splitting is open (ROADMAP item 5)
-        errors, total_rmse = {}, {}
+        # Each method's three rates pinned to their measured values.  The
+        # discontinuities keep them well below 2: most lie in 0.50-0.72.
+        # AUSM's last rate, 0.165, is pinned as observed: its star-region
+        # velocity error grows with the grid, and the stall needs MUSCL
+        # (test_first_order_refinement_rates)
+        rates = {}
         for method in FluxMethod:
-            for n in (100, 200, 400, 800):
-                cfg = RunConfig(method=method, grid=Grid1D(0.0, 1.0, n), dt=0.001 * 200 / n)
-                w = run(cfg).primitives(GAS)
-                reference = exact_profile(
-                    RiemannInput(cfg.left, cfg.right, cfg.gas), cfg.grid.centers(), cfg.jump_position, cfg.t_final
-                )
-                errors.setdefault(method, []).append(float(np.mean(np.abs(w[0] - reference.w[0]))))
-                total_rmse[method, n] = sum(bench.rmse(w, reference.w))
-        rates = {
-            method.value: [math.log2(coarse / fine) for coarse, fine in zip(e, e[1:])]
-            for method, e in errors.items()
-        }
+            rates[method.value], total_rmse = refinement(method)
+            # and the total RMSE of the three primitives falls
+            assert total_rmse[2] < total_rmse[1], method
         assert rates.keys() == REFINEMENT_RATES.keys()
         for method, measured in REFINEMENT_RATES.items():
             assert rates[method] == pytest.approx(measured, abs=0.005), method
-        # and the total RMSE of the three primitives falls
-        for method in FluxMethod:
-            assert total_rmse[method, 400] < total_rmse[method, 200], method
+
+    def test_first_order_refinement_rates(self, monkeypatch):
+        # With zero slopes AUSM converges as AUSM+ and HLLC-Roe do, where
+        # with MUSCL its last rate falls to 0.165: the stall needs MUSCL,
+        # not the Liou-Steffen splitting alone (notes/decisions.md
+        # section 27)
+        monkeypatch.setattr(solver, "reconstruct_faces", first_order_faces)
+        for method, measured in FIRST_ORDER_RATES.items():
+            assert refinement(FluxMethod(method))[0] == pytest.approx(measured, abs=0.005), method
+
+    def test_lax_friedrichs_cells_pair_up(self, monkeypatch):
+        # Lax-Friedrichs with the dissipation speed dx/dt updates a cell
+        # from its two neighbours alone, so on Sod-200 its cells pair up.
+        # Every cell then sits next to a difference at rounding level, and
+        # its van Leer half-slope is no larger: the MUSCL run is its
+        # first-order run to 7.4e-14, though not bit for bit
+        cfg = RunConfig(method=FluxMethod.LF)
+        half_slopes = record_half_slopes(monkeypatch)
+        final = run(cfg)
+        monkeypatch.setattr(solver, "reconstruct_faces", first_order_faces)
+        first_order = run(cfg).cells
+        assert len(half_slopes) == 200
+        # 1.61e-13 over the steps, 8.57e-14 on the last one
+        assert max(half_slopes) < 2e-13
+        # and 100 of the final field's 199 differences in each row
+        w = final.primitives(GAS)
+        assert (np.abs(np.diff(w, axis=1)) < 1e-12).sum(axis=1).tolist() == [100, 100, 100]
+        assert 0.0 < np.abs(final.cells - first_order).max() < 1e-13
+
+
+def refinement(method):
+    """Sod at 100, 200, 400 and 800 cells with dt = 0.001 * 200 / n: the
+    three rates log2(E_n / E_2n) of the density L1 error E against the
+    exact profile, and the total RMSE of the three primitives at each n."""
+    errors, total_rmse = [], []
+    for n in (100, 200, 400, 800):
+        cfg = RunConfig(method=method, grid=Grid1D(0.0, 1.0, n), dt=0.001 * 200 / n)
+        w = run(cfg).primitives(GAS)
+        reference = exact_profile(
+            RiemannInput(cfg.left, cfg.right, cfg.gas), cfg.grid.centers(), cfg.jump_position, cfg.t_final
+        )
+        errors.append(float(np.mean(np.abs(w[0] - reference.w[0]))))
+        total_rmse.append(sum(bench.rmse(w, reference.w)))
+    return [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])], total_rmse
+
+
+def record_half_slopes(monkeypatch):
+    """The largest |half-slope| of each reconstruction the solver makes
+    while the test runs, as MUSCL's face-left states less their cells."""
+    half_slopes = []
+
+    def recording(wp):
+        faces = reconstruct_faces(wp)
+        half_slopes.append(float(np.abs(faces[:, 0, 1:] - wp[:, 1:-1]).max()))
+        return faces
+
+    monkeypatch.setattr(solver, "reconstruct_faces", recording)
+    return half_slopes
+
+
+def first_order_faces(wp):
+    """``reconstruct_faces`` with zero slopes: the two sides of each face
+    are its two adjacent cells, checked as MUSCL checks its faces, so a bad
+    cell raises as it does there."""
+    faces = np.empty((3, 2, wp.shape[1] - 1))
+    faces[:, 0], faces[:, 1] = wp[:, :-1], wp[:, 1:]
+    if np.minimum.reduce(faces[::2], axis=None) > 0.0:
+        return faces
+    bad = ~((faces[0] > 0.0) & (faces[2] > 0.0))
+    side, face = divmod(int(bad.argmax()), bad.shape[1])
+    raise NonPhysicalState(
+        f"reconstructed face-{('left', 'right')[side]} state has non-positive density or "
+        f"pressure at face {face}",
+        face=face,
+    )
 
 
 # Each method's density L1 rates per doubling from 100 to 800 cells,
@@ -430,6 +491,12 @@ REFINEMENT_RATES = {
     "hllc-pbased": (0.607, 0.564, 0.582),
     "lf": (0.406, 0.500, 0.587),
     "rusanov": (0.723, 0.679, 0.658),
+}
+# and with zero slopes (TestRun.test_first_order_refinement_rates)
+FIRST_ORDER_RATES = {
+    "ausm": (0.671, 0.660, 0.660),
+    "ausm-plus": (0.658, 0.652, 0.658),
+    "hllc-roe": (0.654, 0.654, 0.659),
 }
 
 
@@ -562,7 +629,7 @@ def outcome(march, *args):
     try:
         return march(*args)
     except SodbenchError as exc:
-        return type(exc), getattr(exc, "cell", None), exc.face
+        return type(exc), exc.cell, exc.face
 
 
 # Moderate states, some moving, for random piecewise-constant fields
@@ -1027,6 +1094,8 @@ TORO_FAILURES = {
     (4, "hllc-davis1"): (84, 34),
     (5, "aufs"): (159, 239),
 }
+# The pinned runs that complete with zero slopes
+TORO_FIRST_ORDER_COMPLETES = {(4, "ausm-plus"), (4, "hll-davis1"), (4, "hllc-davis1"), (5, "aufs")}
 
 
 def toro_config(test: int, method: FluxMethod) -> RunConfig:
@@ -1084,14 +1153,40 @@ class TestToroFailures:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(("test", "method"), list(TORO_FAILURES))
     def test_pinned_failure(self, test, method):
-        with pytest.raises(NonPhysicalState) as excinfo:
-            run(toro_config(test, FluxMethod(method)))
-        cell, step_index = TORO_FAILURES[test, method]
-        exc = excinfo.value
-        assert (exc.cell, exc.face, exc.step) == (cell, None, step_index)
-        assert str(exc) == (
-            f"solver produced non-positive density/pressure in cell {cell} at step {step_index}"
-        )
+        assert_pinned_failure(test, method)
+
+    # With zero slopes the nine early deaths die alike, so their flux makes
+    # the bad cell; the four late ones complete, so MUSCL is implicated
+    # (notes/decisions.md section 27)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(("test", "method"), list(TORO_FAILURES))
+    def test_first_order_control(self, test, method, monkeypatch):
+        monkeypatch.setattr(solver, "reconstruct_faces", first_order_faces)
+        if (test, method) in TORO_FIRST_ORDER_COMPLETES:
+            w = run(toro_config(test, FluxMethod(method))).primitives(GAS)
+            assert np.all(w[::2] > 0.0)
+        else:
+            assert_pinned_failure(test, method)
+
+    # Each early death is first order already: every face MUSCL builds in
+    # the run is its cell's value
+    @pytest.mark.parametrize(
+        ("test", "method"), [pin for pin in TORO_FAILURES if pin not in TORO_FIRST_ORDER_COMPLETES]
+    )
+    def test_early_deaths_see_no_slope(self, test, method, monkeypatch):
+        half_slopes = record_half_slopes(monkeypatch)
+        assert_pinned_failure(test, method)
+        assert half_slopes == [0.0] * (TORO_FAILURES[test, method][1] + 1)
+
+
+def assert_pinned_failure(test, method):
+    """The run dies as TORO_FAILURES pins it."""
+    with pytest.raises(NonPhysicalState) as excinfo:
+        run(toro_config(test, FluxMethod(method)))
+    cell, step_index = TORO_FAILURES[test, method]
+    exc = excinfo.value
+    assert (exc.cell, exc.face, exc.step) == (cell, None, step_index)
+    assert str(exc) == f"solver produced non-positive density/pressure in cell {cell} at step {step_index}"
 
 
 # The runs of Toro's matrix in which a rescan of cells lo - 1 ... hi after
@@ -1147,7 +1242,7 @@ def run_bytes(march, *args):
     try:
         final = march(*args)
     except SodbenchError as exc:
-        return type(exc), exc.args, getattr(exc, "cell", None), exc.face, exc.step
+        return type(exc), exc.args, exc.cell, exc.face, exc.step
     return final.cells.tobytes(), final.time, final.max_courant_observed
 
 

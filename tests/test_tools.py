@@ -219,6 +219,34 @@ def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
             assert float(after) == pytest.approx(float(before) + 1 / 200, abs=0.006), method
 
 
+def test_ab_sweep_times_only_runs_that_complete_on_both_sides(tmp_path):
+    # A run that fails on one side only: Lax-Friedrichs's flux made NaN on
+    # the change side, so its run dies there and completes on the parent's.
+    # It counts as differing, and its scores, times and operations are left
+    # out; the other 21 runs are unchanged
+    change = tmp_path / "src"
+    shutil.copytree(ROOT / "src", change, ignore=shutil.ignore_patterns("__pycache__"))
+    fluxes = change / "sodbench" / "fluxes.py"
+    old = "    return _central_flux(faces, speed, g)\n"
+    assert fluxes.read_text().count(old) == 1
+    fluxes.write_text(fluxes.read_text().replace(old, "    return _central_flux(faces, speed, g) * np.nan\n"))
+    result = run_ab_sweep(ROOT / "src", change, ("sod200-sweep",))
+    lines = result.stdout.splitlines()
+    assert lines[0].startswith(
+        "sod200-sweep: final cells differ in 1 of 22 runs (0 failing on both sides skipped)"
+        "; scores differ in 0 of 21 runs;"
+    ), result.stdout
+    assert lines[0].endswith("; largest change of final cells 0.00e+00 absolute, 0.00e+00 relative")
+    (by_method,) = [line for line in lines if line.startswith("method median ratio")]
+    names = [item.split()[0] for item in by_method.split(": ")[1].split(", ")]
+    assert sorted(names) == sorted(m.value for m in FluxMethod if m is not FluxMethod.LF)
+    parent, change_ops, rest = ops_lines(result.stdout)["sod200-sweep"]
+    assert "counted runs differ" not in rest
+    assert method_ops(rest) == {m: (n, n) for m, n in SOD200_METHOD_OPS.items() if m != "lf"}
+    assert parent == change_ops == pytest.approx(PINNED_OPS["sod200-sweep"][0] - SOD200_METHOD_OPS["lf"], abs=0.01)
+    assert "sod200-sweep numpy ops per step over 21 methods:" in result.stdout
+
+
 def test_perfbench_tracer_sees_every_layer_of_sod200_runs(monkeypatch):
     # perfbench/spans.py wraps seven names that the package looks up at call
     # time, and counts the exact flux's faces from the first two arguments

@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import importlib.util
 import shutil
@@ -259,6 +260,66 @@ def counting(package):
             setattr(m, k, v)
 
 
+def timed(package, cfg):
+    """The seconds one run takes on a side, and its final field or its
+    error's type and message."""
+    start = time.perf_counter()
+    try:
+        final = package.run(cfg)
+    except package.SodbenchError as exc:
+        return time.perf_counter() - start, (type(exc).__name__, str(exc))
+    return time.perf_counter() - start, final
+
+
+def untimed(package, run, workload):
+    """The untimed pass of one run on a side: its result, its operations by
+    layer, the RuntimeWarnings it raised, its scores, and whether it fails
+    its workload's check."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        with counting(package) as counts:
+            result = timed(package, run.cfg)[1]
+    warned = sum(issubclass(w.category, RuntimeWarning) for w in caught)
+    scores, failed = None, False
+    if not isinstance(result, tuple):
+        scores = package.rmse(result.primitives(run.cfg.gas), run.reference.w)
+        failed = workload.check(run, result, scores) is not None
+    return result, counts, warned, scores, failed
+
+
+def stamp(final) -> bytes:
+    # Bytes, so that -0.0 and 0.0 (equal under !=) count as differing
+    return final.cells.tobytes() + np.array([final.time, final.max_courant_observed]).tobytes()
+
+
+@dataclasses.dataclass
+class Record:
+    """A run that completes on both sides, and so is timed.  Each list holds
+    the parent's entry, then the change's: the configs, the counted runs'
+    stamps, their operations by layer over the run, the steps, and the
+    timed reps' seconds.  ``drifted`` names the sides whose first timed run
+    is not byte for byte their counted one."""
+
+    suite: str
+    method: str
+    cfgs: list
+    stamps: list
+    counts: list
+    steps: list
+    times: list = dataclasses.field(default_factory=lambda: [[], []])
+    drifted: list = dataclasses.field(default_factory=list)
+
+
+def summed(records) -> list:
+    """Each side's time of the records, summed in each rep."""
+    return [[sum(rep) for rep in zip(*(r.times[side] for r in records))] for side in (0, 1)]
+
+
+def ratios(records) -> list:
+    """The per-rep ratio change/parent of the records' summed times."""
+    return [c / p for p, c in zip(*summed(records))]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
@@ -271,46 +332,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         packages = load([args.parent_src, args.change_src], Path(tmp))
-        methods = [m.value for m in packages[0].FluxMethod]
-
-        def timed(cfg, side: int):
-            start = time.perf_counter()
-            try:
-                final = packages[side].run(cfg)
-            except packages[side].SodbenchError as exc:
-                return time.perf_counter() - start, (type(exc).__name__, str(exc))
-            return time.perf_counter() - start, final
-
-        def untimed(run, side: int, workload):
-            # The untimed pass: the result, its operations by layer, the
-            # RuntimeWarnings it raised, its scores, and whether it fails its
-            # workload's check
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", RuntimeWarning)
-                with counting(packages[side]) as counts:
-                    result = timed(run.cfg, side)[1]
-            warned = sum(issubclass(w.category, RuntimeWarning) for w in caught)
-            scores, failed = None, False
-            if not isinstance(result, tuple):
-                scores = packages[side].rmse(result.primitives(run.cfg.gas), run.reference.w)
-                failed = workload.check(run, result, scores) is not None
-            return result, counts, warned, scores, failed
-
-        def stamp(final):
-            # Bytes, so that -0.0 and 0.0 (equal under !=) count as differing
-            return final.cells.tobytes() + np.array([final.time, final.max_courant_observed]).tobytes()
-
         suite_sides, problem_sides = zip(*(side_suites(p) for p in packages))
         suites = list(suite_sides[0]) if SUITES is None else list(SUITES)
-        # suite -> (each timed run's config pair and its two stamps, runs
-        # compared, runs that differ, runs skipped, fields that differ,
-        # largest absolute and relative change of final cells, each side's
-        # RuntimeWarnings and runs failing the check)
-        kept = {}
-        # suite -> method -> each side's operations per step, in all and by
-        # layer, and the timed runs that differ from their counted one
-        ops, layer_ops = {suite: {} for suite in suites}, {suite: {} for suite in suites}
-        ops_differ = {suite: [] for suite in suites}
+        kept = []
+        # suite -> its line's text before and after the median ratio
+        lines = {}
         # suites whose two exact profiles are not byte for byte the same
         profiles_differ = 0
         for suite in suites:
@@ -321,18 +347,16 @@ def main(argv=None) -> int:
             # share all but the method, and reprs compare the sides' classes
             cfgs = [vars(r.cfg) for r in run_pairs[0]]
             moved = [k for k in cfgs[0] if repr(cfgs[0][k]) != repr(cfgs[1][k])]
-            pairs, differ, skipped, change, warned, failing = [], 0, 0, [0.0, 0.0], [0, 0], [0, 0]
-            scores_differ = 0
+            differ, skipped, scores_differ, change, warned, failing = 0, 0, 0, [0.0, 0.0], [0, 0], [0, 0]
             profiles = [r.reference.x.tobytes() + r.reference.w.tobytes() for r in run_pairs[0]]
             profiles_differ += profiles[0] != profiles[1]
+            records = []
             for run_pair in run_pairs:
-                pair = [r.cfg for r in run_pair]
                 results, counts, n_warned, scores, fails_check = zip(
-                    *(untimed(run, side, workloads[side]) for side, run in enumerate(run_pair))
+                    *(untimed(packages[side], run, workloads[side]) for side, run in enumerate(run_pair))
                 )
-                for side in (0, 1):
-                    warned[side] += n_warned[side]
-                    failing[side] += fails_check[side]
+                warned = [a + b for a, b in zip(warned, n_warned)]
+                failing = [a + b for a, b in zip(failing, fails_check)]
                 failed = [isinstance(r, tuple) for r in results]
                 if all(failed) and results[0] == results[1]:
                     skipped += 1
@@ -341,87 +365,78 @@ def main(argv=None) -> int:
                     differ += 1
                     continue
                 stamps = [stamp(r) for r in results]
-                if stamps[0] != stamps[1]:
-                    differ += 1
+                differ += stamps[0] != stamps[1]
                 # Bytes, as in stamp
                 scores_differ += np.array(scores[0]).tobytes() != np.array(scores[1]).tobytes()
                 parent, gap = results[0].cells, np.abs(results[1].cells - results[0].cells)
                 change[0] = max(change[0], float(gap.max()))
                 change[1] = max(change[1], float((gap.max(axis=1) / np.abs(parent).max(axis=1)).max()))
-                pairs.append((pair, stamps))
-                method = pair[0].method.value
+                pair = [r.cfg for r in run_pair]
                 steps = [packages[side].solver.step_count(cfg) for side, cfg in enumerate(pair)]
-                ops[suite][method] = [sum(c.values()) / n for c, n in zip(counts, steps)]
-                layer_ops[suite][method] = [{k: v / n for k, v in c.items()} for c, n in zip(counts, steps)]
-            kept[suite] = (pairs, len(run_pairs), differ, skipped, scores_differ, moved, change, warned, failing)
+                records.append(Record(suite, pair[0].method.value, pair, stamps, counts, steps))
+            kept += records
+            lines[suite] = (
+                f"{suite}: final cells differ in {differ} of {len(run_pairs) - skipped} runs"
+                f" ({skipped} failing on both sides skipped)"
+                f"; scores differ in {scores_differ} of {len(records)} runs",
+                f"; largest change of final cells {change[0]:.2e} absolute, {change[1]:.2e} relative"
+                + (f"; fields differ: {', '.join(moved)}" if moved else "")
+                + (f"; warnings differ: parent {warned[0]}, change {warned[1]}" if warned[0] != warned[1] else "")
+                + (f"; workload check fails: parent {failing[0]}, change {failing[1]}" if any(failing) else ""),
+            )
         reports = [[wave_lines(p, problem) for p, problem in zip(packages, pair)] for pair in zip(*problem_sides)]
 
-        sweeps = {suite: [[0.0] * args.reps for _ in SIDES] for suite in suites}
-        by_method = {method: [[0.0] * args.reps for _ in SIDES] for method in methods}
         for rep in range(args.reps):
-            i = 0
-            for suite, (pairs, *_) in kept.items():
-                for pair, stamps in pairs:
-                    method = pair[0].method.value
-                    first = (i + rep) % 2
-                    finals = [None, None]
-                    for side in (first, 1 - first):
-                        elapsed, finals[side] = timed(pair[side], side)
-                        sweeps[suite][side][rep] += elapsed
-                        by_method[method][side][rep] += elapsed
-                    if rep == 0:
-                        ops_differ[suite] += [
-                            f"{method} ({name})"
-                            for name, final, counted in zip(SIDES, finals, stamps)
-                            if isinstance(final, tuple) or stamp(final) != counted
-                        ]
-                    i += 1
+            for i, record in enumerate(kept):
+                first = (i + rep) % 2
+                finals = [None, None]
+                for side in (first, 1 - first):
+                    elapsed, finals[side] = timed(packages[side], record.cfgs[side])
+                    record.times[side].append(elapsed)
+                if rep == 0:
+                    record.drifted = [
+                        name
+                        for name, final, counted in zip(SIDES, finals, record.stamps)
+                        if isinstance(final, tuple) or stamp(final) != counted
+                    ]
 
-    def ratios(times):
-        return [c / p for p, c in zip(*times)]
-
-    for suite, (pairs, n_runs, differ, skipped, scores_differ, moved, change, warned, failing) in kept.items():
-        ratio = f"{statistics.median(ratios(sweeps[suite])):.4f}" if pairs else "n/a"
-        print(
-            f"{suite}: final cells differ in {differ} of {n_runs - skipped} runs"
-            f" ({skipped} failing on both sides skipped); scores differ in {scores_differ} of {len(pairs)} runs"
-            f"; median ratio change/parent {ratio}"
-            f"; largest change of final cells {change[0]:.2e} absolute, {change[1]:.2e} relative"
-            + (f"; fields differ: {', '.join(moved)}" if moved else "")
-            + (f"; warnings differ: parent {warned[0]}, change {warned[1]}" if warned[0] != warned[1] else "")
-            + (f"; workload check fails: parent {failing[0]}, change {failing[1]}" if any(failing) else "")
-        )
+    by_suite = {suite: [r for r in kept if r.suite == suite] for suite in suites}
+    for suite, (before, after) in lines.items():
+        ratio = f"{statistics.median(ratios(by_suite[suite])):.4f}" if by_suite[suite] else "n/a"
+        print(f"{before}; median ratio change/parent {ratio}{after}")
     differ = sum(parent != change for parent, change in reports)
     print(f"wave reports differ in {differ} of {len(reports)} problems")
     print(f"exact profiles differ in {profiles_differ} of {len(suites)} suites")
-    total = [
-        [sum(s[side][rep] for s in sweeps.values()) for rep in range(args.reps)] for side in (0, 1)
-    ]
+    total = summed(kept)
     for side, times in zip(SIDES, total):
         print(f"{side}: median sweep {statistics.median(times):.4f} s over {args.reps} reps")
-    overall = ratios(total)
+    overall = ratios(kept)
     print(
         f"ratio change/parent: median {statistics.median(overall):.4f}"
         f" min {min(overall):.4f} max {max(overall):.4f}"
     )
-    # A method timed in no suite (it failed everywhere) has no ratio
-    by_ratio = sorted(
-        (statistics.median(ratios(times)), method) for method, times in by_method.items() if times[0][0]
-    )
+    # Each method's time summed over the suites; a method timed in no suite
+    # (it failed everywhere) has no ratio
+    by_method = {}
+    for record in kept:
+        by_method.setdefault(record.method, []).append(record)
+    by_ratio = sorted((statistics.median(ratios(records)), method) for method, records in by_method.items())
     print("method median ratio change/parent: " + ", ".join(f"{m} {r:.4f}" for r, m in by_ratio))
-    for suite, by_method_ops in ops.items():
-        total = [sum(counts[side] for counts in by_method_ops.values()) for side in (0, 1)]
-        each = [f"{m} {p:.3f}" + (f" -> {c:.3f}" if p != c else "") for m, (p, c) in by_method_ops.items()]
+    for suite, records in by_suite.items():
+        ops = [[sum(c.values()) / n for c, n in zip(r.counts, r.steps)] for r in records]
+        total = [sum(counts[side] for counts in ops) for side in (0, 1)]
+        each = [f"{r.method} {p:.3f}" + (f" -> {c:.3f}" if p != c else "") for r, (p, c) in zip(records, ops)]
+        drifted = [f"{r.method} ({name})" for r in records for name in r.drifted]
         print(
-            f"{suite} numpy ops per step over {len(by_method_ops)} methods:"
+            f"{suite} numpy ops per step over {len(records)} methods:"
             f" parent {total[0]:.2f}, change {total[1]:.2f}"
             + (f"; by method: {', '.join(each)}" if each else "")
-            + (f"; counted runs differ: {', '.join(ops_differ[suite])}" if ops_differ[suite] else "")
+            + (f"; counted runs differ: {', '.join(drifted)}" if drifted else "")
         )
         by_layer = [Counter() for _ in SIDES]
-        for sides in layer_ops[suite].values():
-            for side, layers in enumerate(sides):
-                by_layer[side].update(layers)
+        for r in records:
+            for side, (counts, n) in enumerate(zip(r.counts, r.steps)):
+                by_layer[side].update({k: v / n for k, v in counts.items()})
         # a layer outside the five (a new module, or "outside") is listed too
         names = [*LAYERS, *sorted({k for c in by_layer for k in c} - set(LAYERS))]
         print(
