@@ -72,7 +72,6 @@ def reconstruct_faces(wp: np.ndarray) -> np.ndarray:
     bad = ~((faces[0] > 0.0) & (faces[2] > 0.0))
     side, face = divmod(int(bad.argmax()), bad.shape[1])
     raise NonPhysicalState(
-        f"reconstructed face-{('left', 'right')[side]} state has non-positive density or "
-        f"pressure at face {face}",
+        f"reconstructed face-{('left', 'right')[side]} state has non-positive density or pressure",
         face=face,
     )

@@ -156,10 +156,9 @@ def pressure_function(p, sides: _Side):
 def _check_vacuum(a_sum: np.ndarray, du: np.ndarray, gamma: float) -> None:
     vacuum = 2.0 * a_sum / (gamma - 1.0) <= du
     if np.count_nonzero(vacuum):
-        face = int(np.argmax(vacuum))
         raise VacuumGenerated(
-            f"pressure positivity condition violated: states would generate vacuum at face {face}",
-            face=face,
+            "pressure positivity condition violated: states would generate vacuum",
+            face=int(np.argmax(vacuum)),
         )
 
 
@@ -221,12 +220,10 @@ def _star_pressure(w, sides: _Side, du, a_sum):
     if np.count_nonzero(converged) == converged.size:
         return p
     face = int(np.argmin(converged))
-    residual = float(np.ravel(np.abs(dp) / p)[face])
     raise NoConvergence(
-        f"star pressure iteration did not converge within {NEWTON_MAX_ITER} steps: "
-        f"face {face} stopped at |dp|/p = {residual:.3e}",
+        f"star pressure iteration did not converge within {NEWTON_MAX_ITER} steps",
         face=face,
-        residual=residual,
+        residual=float(np.ravel(np.abs(dp) / p)[face]),
         iterations=NEWTON_MAX_ITER,
     )
 

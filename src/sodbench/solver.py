@@ -162,18 +162,19 @@ def initialize_sod(cfg: RunConfig) -> SolutionField:
     return SolutionField(time=0.0, cells=_step_data(cfg)[0][:, 1:-1], max_courant_observed=0.0)
 
 
+def _cells_hold(w: np.ndarray) -> bool:
+    # Every density and pressure of primitive cells ``w`` positive and finite (NaN fails)
+    return np.minimum.reduce(w[::2], axis=None) > 0.0 and np.maximum.reduce(w[::2], axis=None) < np.inf
+
+
 def _check_positive(w: np.ndarray, step_index: int, lo: int) -> None:
     # ``w``: the window from cell lo and a cell beyond each end, the first
-    # standing for cell 0 (see ``_march``).  A NaN fails "> 0" too.
-    if np.minimum.reduce(w[::2], axis=None) > 0.0:
+    # standing for cell 0 (see ``_march``)
+    if _cells_hold(w):
         return
-    j = int(np.argmax(~((w[0] > 0.0) & (w[2] > 0.0))))
+    j = int(np.argmin(((w[::2] > 0.0) & (w[::2] < np.inf)).all(axis=0)))
     cell = lo + j - 1 if j else 0
-    raise NonPhysicalState(
-        f"solver produced non-positive density/pressure in cell {cell} at step {step_index}",
-        cell=cell,
-        step=step_index,
-    )
+    raise NonPhysicalState("solver produced non-positive density/pressure", cell=cell, step=step_index)
 
 
 # Cells of checked windows whose Courant signal is taken in one pass
@@ -265,9 +266,9 @@ def _march(
     is its block's state.
 
     A step's cells are checked by the next step's face check, which fails
-    for any cell of non-positive or NaN density or pressure (see
-    ``reconstruct_faces``); the cells of the last step are checked once,
-    after it (notes/decisions.md section 13)."""
+    for any cell of non-positive, NaN or infinite density or pressure (see
+    ``reconstruct_faces``; an infinite one by its NaN half-slope).  The last
+    step's cells are checked after it (notes/decisions.md sections 13, 28)."""
     method, gas, dt = cfg.method, cfg.gas, cfg.dt
     gamma = gas.gamma
     dx = cfg.grid.dx
@@ -298,19 +299,14 @@ def _march(
             # A failed run's traceback keeps this frame alive, and with it
             # the batch
             batch = None
-            if k > 0 and not np.minimum.reduce(w[::2], axis=None) > 0.0:
+            if k > 0 and not _cells_hold(w):
                 # The last step made a bad cell: it is reported below, out
                 # of this handler, as that step's cell check reported it
                 break
             # Same object, bare raise: the failure still comes from muscl or
             # riemann.  A face counted from the window start becomes global.
-            message = exc.args[0]
-            face = exc.face
-            if face is not None:
-                exc.face = lo + face
-                message = message.replace(f"face {face}", f"face {exc.face}", 1)
+            exc.face += lo
             exc.step = k
-            exc.args = (f"{message} at step {k}",)
             raise
         if k > 0:
             # The last step's window has passed the face check

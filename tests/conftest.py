@@ -3,11 +3,16 @@
 import functools
 import importlib.util
 import sys
+import time
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sodbench import riemann
+from sodbench.bench import run_all_methods
+from sodbench.solver import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,6 +26,28 @@ def load_script(path: Path):
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def sides(wl, wr):
+    """Two face states, single (a length-3 array or a PrimitiveState) or
+    (3, m), as the one (3, 2, ...) array the flux kernels take."""
+    return np.stack([np.asarray(getattr(w, "array", w), dtype=float) for w in (wl, wr)], axis=1)
+
+
+def assert_same_bytes(got, expected):
+    assert (np.shape(got), np.asarray(got).dtype) == (np.shape(expected), np.asarray(expected).dtype)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.fixture(scope="session")
+def sweep():
+    """The 22-method Sod-200 sweep, run once per session, and its seconds.
+    A RuntimeWarning in it is an error, whichever test asks first."""
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        reports = run_all_methods(RunConfig())
+    return reports, time.perf_counter() - start
 
 
 @pytest.fixture

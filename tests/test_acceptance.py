@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from sodbench.bench import run_all_methods, timing_sweep, wave_report
+from conftest import sides
+from sodbench.bench import timing_sweep, wave_report
 from sodbench.fluxes import FluxMethod, compute_face_flux
 from sodbench.gas import GasModel, PrimitiveState, conserved_array, flux_array, primitive_array
 from sodbench.muscl import reconstruct_faces
@@ -50,21 +51,8 @@ TARGET_TOTALS = {
 WIDE_BAND = {FluxMethod.AUSM, FluxMethod.AUSM_PLUS, FluxMethod.AUSM_PLUS_UP, FluxMethod.AUFS}
 
 
-def sides(wl, wr):
-    """Two face states as the one (3, 2, ...) array the flux kernels take."""
-    return np.stack([wl, wr], axis=1)
-
-
 def report_line(number: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-@pytest.fixture(scope="module")
-def sweep():
-    start = time.perf_counter()
-    reports = run_all_methods(RunConfig())
-    elapsed = time.perf_counter() - start
-    return reports, elapsed
 
 
 @pytest.fixture(scope="module")

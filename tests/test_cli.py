@@ -204,6 +204,15 @@ class TestBench:
         assert parse_and_run(["bench", "--out", str(out)]) == 0
         assert_pinned(out.read_bytes(), "sod200_bench.csv", "bench")
 
+    def test_failure_texts_are_pinned_byte_for_byte(self, tmp_path, capsys):
+        # At dt = 0.002 every method but Lax-Friedrichs dies, and its row
+        # and its stderr line carry the reason, the cell and the step
+        out = tmp_path / "table3.csv"
+        assert parse_and_run(["bench", "--dt", "0.002", "--out", str(out)]) == 0
+        assert_pinned(out.read_bytes(), "sod200_dt002_bench.csv", "bench --dt 0.002")
+        err = capsys.readouterr().err.encode()
+        assert_pinned(err, "sod200_dt002_failed.txt", "bench --dt 0.002 (stderr)")
+
 
 class TestWaves:
     def test_report_contains_table_values(self, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_bytes, sides
 from sodbench.errors import InvalidConfig
 from sodbench import bench, fluxes, solver
 from sodbench.fluxes import (
@@ -96,12 +97,6 @@ KERNEL_OF = {
     FluxMethod.HLLC_PBASED: (flux_hllc, pbased_speeds),
     FluxMethod.RUSANOV: (flux_rusanov,),
 }
-
-
-def sides(wl, wr):
-    """Two face states, single (a length-3 array or a PrimitiveState) or
-    (3, m), as the one (3, 2, ...) array the flux kernels take."""
-    return np.stack([np.asarray(getattr(w, "array", w), dtype=float) for w in (wl, wr)], axis=1)
 
 
 def dispatch(method, wl, wr):
@@ -1034,11 +1029,6 @@ def face_arrays(draw):
             mach[:, i] = -speed
     faces = np.array([rho, mach * np.sqrt(G * p / rho), p])
     return faces[:, :, 0] if draw(st.booleans()) else faces
-
-
-def assert_same_bytes(got, expected):
-    assert (np.shape(got), np.asarray(got).dtype) == (np.shape(expected), np.asarray(expected).dtype)
-    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
 class TestSharedKernelsMatchTheirFormerExpressions:

@@ -296,8 +296,7 @@ def concatenated_reconstruction(w):
     bad = ~((faces[0] > 0.0) & (faces[2] > 0.0))
     side, face = divmod(int(bad.argmax()), bad.shape[1])
     raise NonPhysicalState(
-        f"reconstructed face-{('left', 'right')[side]} state has non-positive density or "
-        f"pressure at face {face}",
+        f"reconstructed face-{('left', 'right')[side]} state has non-positive density or pressure",
         face=face,
     )
 
@@ -379,8 +378,7 @@ def former_reconstruction(w):
     bad = ~((faces[0] > 0.0) & (faces[2] > 0.0))
     side, face = divmod(int(bad.argmax()), bad.shape[1])
     raise NonPhysicalState(
-        f"reconstructed face-{('left', 'right')[side]} state has non-positive density or "
-        f"pressure at face {face}",
+        f"reconstructed face-{('left', 'right')[side]} state has non-positive density or pressure",
         face=face,
     )
 

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import sodbench.riemann as riemann
-from conftest import ROOT, load_script
+from conftest import ROOT, assert_same_bytes, load_script
 from sodbench import bench
 from sodbench.errors import DegenerateJump, InvalidConfig, NoConvergence, VacuumGenerated
 from sodbench.gas import GasModel, PrimitiveState, sound_speed_array
@@ -473,11 +473,6 @@ def former_sample_arrays(wl, wr, p_star, u_star, rho_star_l, rho_star_r, xi, gam
             pick(p_k, p_star, p_fan),
         ]
     )
-
-
-def assert_same_bytes(got, expected):
-    assert (got.shape, got.dtype) == (expected.shape, expected.dtype)
-    assert got.tobytes() == expected.tobytes()
 
 
 # Toro's tests 1-5 from his Table 4.1, as the benchmark's toro-suite has

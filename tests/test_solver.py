@@ -21,7 +21,7 @@ from sodbench.errors import (
     VacuumGenerated,
 )
 from sodbench.fluxes import FluxMethod, compute_face_flux
-from sodbench.gas import GasModel, PrimitiveState, conserved_array, primitive_array, sound_speed_array
+from sodbench.gas import GasModel, PrimitiveState, conserved_array, flux_array, primitive_array, sound_speed_array
 from sodbench.muscl import reconstruct_faces
 from sodbench.riemann import RiemannInput, exact_profile
 from sodbench.solver import (
@@ -460,8 +460,7 @@ def first_order_faces(wp):
     bad = ~((faces[0] > 0.0) & (faces[2] > 0.0))
     side, face = divmod(int(bad.argmax()), bad.shape[1])
     raise NonPhysicalState(
-        f"reconstructed face-{('left', 'right')[side]} state has non-positive density or "
-        f"pressure at face {face}",
+        f"reconstructed face-{('left', 'right')[side]} state has non-positive density or pressure",
         face=face,
     )
 
@@ -544,14 +543,11 @@ class TestOneLoop:
 
 def whole_grid_check(w, step_index):
     """Raise for the first cell of the grid whose density or pressure is not
-    positive (or is NaN), as solver.advance words it."""
-    bad = ~((w[0] > 0.0) & (w[2] > 0.0))
+    positive and finite (a NaN is neither), as solver.advance words it."""
+    bad = ~((w[0] > 0.0) & (w[2] > 0.0) & (w[0] < np.inf) & (w[2] < np.inf))
     if bad.any():
-        cell = int(bad.argmax())
         raise NonPhysicalState(
-            f"solver produced non-positive density/pressure in cell {cell} at step {step_index}",
-            cell=cell,
-            step=step_index,
+            "solver produced non-positive density/pressure", cell=int(bad.argmax()), step=step_index
         )
 
 
@@ -904,6 +900,29 @@ class TestOneCheckPerStep:
         assert got.traceback[-1].path.name == "solver.py"
         assert frame_local(exc, solver._march, "batch") is None
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("call", [1, 3, 5], ids=["first step", "middle step", "last step"])
+    @pytest.mark.parametrize("row", [0, 2], ids=["mass", "energy"])
+    def test_an_infinite_cell_is_named_before_the_negative_one_after_it(self, monkeypatch, row, call):
+        # An infinite flux at face 10 makes cell 9's row +inf and cell 10's
+        # -inf.  MUSCL's face check fails on both (NaN half-slopes, with
+        # RuntimeWarnings), and the report names cell 9, the first cell
+        # that is not positive and finite, as a check after every step does
+        cfg = small_cfg(FluxMethod.LF, n=20)
+        field = layered_field(cfg, (SOD_LEFT, SOD_RIGHT, SOD_LEFT), (0, 2, 18))
+        monkeypatch.setattr(solver, "compute_face_flux", bad_cell_flux(call, row, -np.inf))
+        with pytest.raises(NonPhysicalState) as expected:
+            full_domain_advance(field, cfg, 5, flux_of=bad_cell_flux(call, row, -np.inf))
+        with pytest.raises(NonPhysicalState) as got:
+            solver.advance(field, cfg, 5)
+        exc = got.value
+        assert (exc.args, exc.cell, exc.step) == (
+            expected.value.args,
+            expected.value.cell,
+            expected.value.step,
+        )
+        assert (exc.cell, exc.step, exc.face) == (9, call - 1, None)
+
     def test_a_kernel_failure_drops_the_batch(self, monkeypatch):
         # The third step's flux fails on good cells: the error is the
         # kernel's, and a traceback that keeps the frame does not keep the
@@ -913,7 +932,7 @@ class TestOneCheckPerStep:
         def flux(method, faces, gas, dx, dt):
             calls.append(None)
             if len(calls) == 3:
-                raise VacuumGenerated("vacuum at face 2", face=2)
+                raise VacuumGenerated("vacuum", face=2)
             return compute_face_flux(method, faces, gas, dx=dx, dt=dt)
 
         monkeypatch.setattr(solver, "compute_face_flux", flux)
@@ -924,7 +943,8 @@ class TestOneCheckPerStep:
             with pytest.raises(VacuumGenerated) as excinfo:
                 solver.advance(field, cfg, 5)
         exc = excinfo.value
-        assert (exc.args, exc.face, exc.step) == (("vacuum at face 2 at step 2",), 2, 2)
+        assert (exc.args, exc.face, exc.step) == (("vacuum",), 2, 2)
+        assert str(exc) == "vacuum at face 2 at step 2"
         assert excinfo.traceback[-1].path.name == "test_solver.py"
         assert frame_local(exc, solver._march, "batch") is None
 
@@ -968,13 +988,16 @@ class TestIncomingField:
     advance reads them from the window's end cells; checks, reports and
     results equal the whole grid's (notes/decisions.md section 11)."""
 
-    # Conserved states: a NaN in q, non-positive density and pressure, and
-    # infinities whose primitives are NaN (u = inf / inf)
+    # Conserved states: a NaN in q, non-positive density and pressure,
+    # infinities whose primitives are NaN (u = inf / inf), and an infinite
+    # density or pressure
     BAD = {
         "nan": (np.nan, 0.0, 1.0),
         "zero density": (0.0, 0.0, 1.0),
         "negative pressure": (1.0, 0.0, -1.0),
         "nan primitives": (np.inf, np.inf, 1.0),
+        "infinite mass": (np.inf, 0.0, 1.0),
+        "infinite energy": (1.0, 0.0, np.inf),
     }
     # Cells that get the bad state, in a Sod field of 60 cells whose jump
     # lies between cells 29 and 30 (first window [28, 32)); a bad block
@@ -1000,6 +1023,19 @@ class TestIncomingField:
             expected.value.step,
         )
         assert got.value.cell == start
+
+    @pytest.mark.parametrize("row", [0, 2], ids=["mass", "energy"])
+    def test_an_infinite_cell_is_named_without_a_warning(self, row):
+        # inf > 0 passes a check of positivity alone, and MUSCL would then
+        # report face 31 after three RuntimeWarnings
+        cfg = small_cfg()
+        cells = initialize_sod(cfg).cells.copy()
+        cells[row, 30] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPhysicalState) as excinfo:
+                solver.advance(solver.SolutionField(time=0.0, cells=cells), cfg, 1)
+        assert str(excinfo.value) == "solver produced non-positive density/pressure in cell 30 at step 0"
 
     @pytest.mark.parametrize("shape", [(3, 50), (2, 10), (3, 0)])
     def test_cells_not_of_the_grid_are_rejected(self, shape):
@@ -1096,6 +1132,20 @@ TORO_FAILURES = {
 }
 # The pinned runs that complete with zero slopes
 TORO_FIRST_ORDER_COMPLETES = {(4, "ausm-plus"), (4, "hll-davis1"), (4, "hllc-davis1"), (5, "aufs")}
+# The nine that do not, the early deaths: the density and pressure of the
+# bad cell after the failing step, and the face of that cell whose flux,
+# alone, makes them so (notes/decisions.md sections 27 and 28)
+TORO_EARLY_DEATHS = {
+    (2, "roe"): ((0.46927916, -0.31095486), "right"),
+    (2, "aufs"): ((0.71014493, -0.08963089), "right"),
+    (2, "hll-roe"): ((0.46927916, -0.31095486), "right"),
+    (2, "hll-einfeldt"): ((0.48750263, -0.03189005), "right"),
+    (2, "hllc-roe"): ((0.46927916, -0.31095486), "right"),
+    (2, "hllc-einfeldt"): ((0.48750263, -0.03189005), "right"),
+    (3, "ausm"): ((1.0, -5.67877511), "left"),
+    (3, "ausm-plus"): ((1.0, -5.67877511), "left"),
+    (3, "ausm-plus-up"): ((-128.938364, -180913.665), "right"),
+}
 
 
 def toro_config(test: int, method: FluxMethod) -> RunConfig:
@@ -1178,15 +1228,52 @@ class TestToroFailures:
         assert_pinned_failure(test, method)
         assert half_slopes == [0.0] * (TORO_FAILURES[test, method][1] + 1)
 
+    # Toro 2's six lose pressure, not density, through the jump face on
+    # their right; Toro 3's AUSM and AUSM+ gain momentum but no mass through
+    # the jump face on their left (the mass flux is 0 at M = 0); AUSM+-up
+    # loses both through the jump face on its right
+    @pytest.mark.parametrize(
+        ("test", "method"), [pin for pin in TORO_FAILURES if pin not in TORO_FIRST_ORDER_COMPLETES]
+    )
+    def test_which_value_and_face_fail_in_an_early_death(self, test, method, monkeypatch):
+        windows, fluxes = [], []
+        for name, results in (("_window", windows), ("_grow", windows), ("compute_face_flux", fluxes)):
+
+            def recorded(*args, _f=getattr(solver, name), _results=results, **kwargs):
+                _results.append(_f(*args, **kwargs))
+                return _results[-1]
+
+            monkeypatch.setattr(solver, name, recorded)
+        exc = assert_pinned_failure(test, method)
+        cell, step_index = TORO_FAILURES[test, method]
+        # The failing step's own window, not the one _grow widened after it
+        lo = windows[step_index][0]
+        left, right = fluxes[step_index][:, cell - lo : cell - lo + 2].T
+        cfg = toro_config(test, FluxMethod(method))
+        monkeypatch.undo()
+        q = solver.advance(initialize_sod(cfg), cfg, step_index).cells[:, cell]
+        dt_dx = cfg.dt / cfg.grid.dx
+        bad = q - dt_dx * (right - left)
+        assert bad.tobytes() == frame_local(exc, solver._march, "cells")[:, cell].tobytes()
+        (rho, p), face = TORO_EARLY_DEATHS[test, method]
+        assert primitive_array(bad[:, None], GAS.gamma)[::2, 0] == pytest.approx((rho, p), rel=1e-6)
+        # Each face's flux alone, the other face passing the cell's own
+        # Euler flux, as in a uniform flow
+        own = flux_array(primitive_array(q[:, None], GAS.gamma), GAS.gamma)[:, 0]
+        alone = {"left": q - dt_dx * (own - left), "right": q - dt_dx * (right - own)}
+        rho_p = {side: primitive_array(c[:, None], GAS.gamma)[::2, 0] for side, c in alone.items()}
+        assert [side for side, w in rho_p.items() if not np.all(w > 0.0)] == [face]
+
 
 def assert_pinned_failure(test, method):
-    """The run dies as TORO_FAILURES pins it."""
+    """The run dies as TORO_FAILURES pins it; returns the error."""
     with pytest.raises(NonPhysicalState) as excinfo:
         run(toro_config(test, FluxMethod(method)))
     cell, step_index = TORO_FAILURES[test, method]
     exc = excinfo.value
     assert (exc.cell, exc.face, exc.step) == (cell, None, step_index)
     assert str(exc) == f"solver produced non-positive density/pressure in cell {cell} at step {step_index}"
+    return exc
 
 
 # The runs of Toro's matrix in which a rescan of cells lo - 1 ... hi after
