@@ -33,7 +33,19 @@ import numpy as np
 
 from . import riemann
 from .errors import InvalidConfig
-from .gas import GasModel, enthalpy_array, flux_array, sound_speed_array, state_and_flux_array
+from .gas import (
+    _EIGHTH,
+    _HALF,
+    _ONE,
+    _QUARTER,
+    _TWO,
+    _ZERO,
+    GasModel,
+    enthalpy_array,
+    flux_array,
+    sound_speed_array,
+    state_and_flux_array,
+)
 
 __all__ = [
     "FluxMethod",
@@ -104,6 +116,8 @@ AUSM_UP_CUTOFF_MACH = 0.1
 
 
 _SIGN = np.array([1.0, -1.0])
+# AUSM+-up's other literals, as 0-d arrays like gas._HALF
+_CUTOFF_MACH_SQ, _MINUS_FOUR, _FIVE = map(np.array, (AUSM_UP_CUTOFF_MACH**2, -4.0, 5.0))
 
 
 def _side_sign(faces) -> np.ndarray:
@@ -137,7 +151,7 @@ def roe_average(faces, g: float):
     s, den, u = _roe_weights(faces)
     sh = s * enthalpy_array(faces, g)
     h = (sh[0] + sh[1]) / den
-    a = np.sqrt((g - 1.0) * (h - 0.5 * u * u))
+    a = np.sqrt((g - 1.0) * (h - _HALF * u * u))
     return u, h, a
 
 
@@ -166,8 +180,10 @@ def einfeldt_speeds(faces, g: float):
     """The Roe-average velocity -+ Einfeldt's averaged sound speed."""
     s, den, u_roe = _roe_weights(faces)
     u = faces[1]
-    sa = s * sound_speed_array(faces, g) ** 2
-    d2 = (sa[0] + sa[1]) / den + 0.5 * s[0] * s[1] * ((u[1] - u[0]) / den) ** 2
+    a = sound_speed_array(faces, g)
+    sa = s * (a * a)
+    scaled_du = (u[1] - u[0]) / den
+    d2 = (sa[0] + sa[1]) / den + _HALF * s[0] * s[1] * (scaled_du * scaled_du)
     d = np.sqrt(d2)
     return u_roe - d, u_roe + d
 
@@ -182,9 +198,9 @@ def pbased_speeds(faces, g: float):
     u = faces[1]
     a = sound_speed_array(faces, g)
     rho, p = faces[0], faces[2]
-    p_star = 0.5 * (p[0] + p[1]) - 0.125 * (u[1] - u[0]) * (a[1] + a[0]) * (rho[1] + rho[0])
+    p_star = _HALF * (p[0] + p[1]) - _EIGHTH * (u[1] - u[0]) * (a[1] + a[0]) * (rho[1] + rho[0])
     shock_factor = (g + 1.0) / (2.0 * g)
-    f = np.sqrt(np.maximum(1.0 + (p_star / p - 1.0) * shock_factor, 1.0))
+    f = np.sqrt(np.maximum(_ONE + (p_star / p - _ONE) * shock_factor, _ONE))
     fa = f * a
     return u[0] - fa[0], u[1] + fa[1]
 
@@ -200,8 +216,8 @@ def aufs_speeds(faces, g: float):
     scales with S2 (1 - M^2).  Supersonic faces reduce to pure upwinding.
     """
     a = sound_speed_array(faces, g)
-    u_avg = 0.5 * (faces[1, 0] + faces[1, 1])
-    s2 = 0.5 * (a[0] + a[1])
+    u_avg = _HALF * (faces[1, 0] + faces[1, 1])
+    s2 = _HALF * (a[0] + a[1])
     return u_avg - s2, u_avg + s2
 
 
@@ -223,7 +239,7 @@ def flux_roe(faces, g: float) -> np.ndarray:
 
     fl, fr, dq = _fluxes_and_jump(faces, g)
     alpha2 = (g - 1.0) / (a * a) * (dq[0] * (h - u * u) + u * dq[1] - dq[2])
-    alpha1 = (dq[0] * u_p - dq[1] - a * alpha2) / (2.0 * a)
+    alpha1 = (dq[0] * u_p - dq[1] - a * alpha2) / (_TWO * a)
     alpha3 = dq[0] - alpha1 - alpha2
 
     # |lambda_k| alpha_k: each wave's strength times its absolute speed
@@ -232,10 +248,10 @@ def flux_roe(faces, g: float) -> np.ndarray:
         [
             s1 + s2 + s3,
             s1 * u_m + s2 * u + s3 * u_p,
-            s1 * (h - ua) + s2 * 0.5 * u * u + s3 * (h + ua),
+            s1 * (h - ua) + s2 * _HALF * u * u + s3 * (h + ua),
         ]
     )
-    return 0.5 * (fl + fr) - 0.5 * diss
+    return _HALF * (fl + fr) - _HALF * diss
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +268,15 @@ def flux_hll(faces, g: float, speeds) -> np.ndarray:
     with the Davis-1 speeds) falls back to the centered average.
     """
     s_left, s_right = speeds(faces, g)
-    sl = np.minimum(s_left, 0.0)
-    sr = np.maximum(s_right, 0.0)
+    sl = np.minimum(s_left, _ZERO)
+    sr = np.maximum(s_right, _ZERO)
     fl, fr, dq = _fluxes_and_jump(faces, g)
     spread = sr - sl
     blend = sr * fl - sl * fr + sl * sr * dq
     # NaN-ignoring: a NaN spread is not degenerate, as in the selects
     if np.fmin.reduce(spread, axis=None, initial=np.inf) < 1e-12:
         degenerate = spread < 1e-12
-        return np.where(degenerate, 0.5 * (fl + fr), blend / np.where(degenerate, 1.0, spread))
+        return np.where(degenerate, _HALF * (fl + fr), blend / np.where(degenerate, _ONE, spread))
     return blend / spread
 
 
@@ -286,7 +302,7 @@ def flux_hllc(faces, g: float, speeds) -> np.ndarray:
     energy = q[2] / rho + (s_star - u) * (s_star + p / m)
     q_star = np.array([factor, factor * s_star, factor * energy])
     f_star = f + s * (q_star - q)
-    flux = np.where(s_star >= 0.0, f_star[:, 0], f_star[:, 1])
+    flux = np.where(s_star >= _ZERO, f_star[:, 0], f_star[:, 1])
 
     # NaN-ignoring reductions: a NaN speed takes the star flux, as it does
     # in the selects, and must not hide a face that needs them
@@ -294,7 +310,7 @@ def flux_hllc(faces, g: float, speeds) -> np.ndarray:
         np.fmax.reduce(s_l, axis=None, initial=-np.inf) >= 0.0
         or np.fmin.reduce(s_r, axis=None, initial=np.inf) <= 0.0
     ):
-        flux = np.where(s_l >= 0.0, f[:, 0], np.where(s_r <= 0.0, f[:, 1], flux))
+        flux = np.where(s_l >= _ZERO, f[:, 0], np.where(s_r <= _ZERO, f[:, 1], flux))
     return flux
 
 
@@ -311,16 +327,19 @@ def _nonzero(x):
 # Central fluxes: Lax-Friedrichs, Rusanov
 # ---------------------------------------------------------------------------
 
-def _central_flux(faces, speed, g: float) -> np.ndarray:
+def _central_flux(faces, half_speed, g: float) -> np.ndarray:
+    """The average of the two sides' fluxes less ``half_speed``, half the
+    dissipation speed, times the jump."""
     fl, fr, dq = _fluxes_and_jump(faces, g)
-    return 0.5 * (fl + fr) - 0.5 * speed * dq
+    return _HALF * (fl + fr) - half_speed * dq
 
 
 def flux_lf(faces, g: float, dx: float | None, dt: float | None) -> np.ndarray:
     """Lax-Friedrichs flux; the dissipation speed is the mesh ratio dx/dt."""
     if dx is None or dt is None or not (0.0 < dx < math.inf and 0.0 < dt < math.inf):
         raise InvalidConfig(f"Lax-Friedrichs needs finite dx > 0 and dt > 0, got dx={dx}, dt={dt}")
-    speed = float(dx) / float(dt)
+    # Half the mesh ratio, as _central_flux takes it
+    speed = 0.5 * (float(dx) / float(dt))
     if speed == math.inf:
         raise InvalidConfig(f"Lax-Friedrichs needs a finite dx/dt, got dx={dx}, dt={dt}")
     return _central_flux(faces, speed, g)
@@ -329,7 +348,7 @@ def flux_lf(faces, g: float, dx: float | None, dt: float | None) -> np.ndarray:
 def flux_rusanov(faces, g: float) -> np.ndarray:
     """Single-wave flux with the local maximum signal speed."""
     s = np.abs(faces[1]) + sound_speed_array(faces, g)
-    return _central_flux(faces, np.maximum(s[0], s[1]), g)
+    return _central_flux(faces, _HALF * np.maximum(s[0], s[1]), g)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +363,7 @@ def flux_sw_fvs(faces, g: float) -> np.ndarray:
     a = sound_speed_array(faces, g)
     h = enthalpy_array(faces, g)
     u_m, u_p, ua = u - a, u + a, u * a
-    l1, l2, l3 = (0.5 * (x + sign * np.abs(x)) for x in (u_m, u, u_p))
+    l1, l2, l3 = (_HALF * (x + sign * np.abs(x)) for x in (u_m, u, u_p))
     c = rho / (2.0 * g)
     middle = 2.0 * (g - 1.0) * l2
     parts = np.array(
@@ -369,16 +388,17 @@ def flux_vanleer_fvs(faces, g: float) -> np.ndarray:
     a = sound_speed_array(faces, g)
     mach = u / a
 
-    f_mass = sign * 0.25 * rho * a * (mach + sign) ** 2
-    t = (g - 1.0) * u + sign * 2.0 * a
+    shifted = mach + sign
+    f_mass = sign * _QUARTER * rho * a * (shifted * shifted)
+    t = (g - 1.0) * u + sign * _TWO * a
     ft = f_mass * t
     parts = np.array([f_mass, ft / g, ft * t / (2.0 * (g * g - 1.0))])
 
     # NaN-ignoring: a NaN Mach number takes the subsonic part either way
     if np.fmax.reduce(np.abs(mach), axis=None, initial=0.0) >= 1.0:
         sign_mach = sign * mach
-        take_full = sign_mach >= 1.0  # wind fully through this side
-        parts = np.where(take_full, flux_array(faces, g), np.where(sign_mach <= -1.0, 0.0, parts))
+        take_full = sign_mach >= _ONE  # wind fully through this side
+        parts = np.where(take_full, flux_array(faces, g), np.where(sign_mach <= -1.0, _ZERO, parts))
     return parts[:, 0] + parts[:, 1]
 
 
@@ -392,20 +412,22 @@ def _ausm_splits(mach, sign, alpha=None):
 
     The supersonic branch is built only in a batch where some |M| > 1.
     """
-    quarter = 0.25 * (mach + sign) ** 2
+    shifted = mach + sign
+    quarter = _QUARTER * (shifted * shifted)
     m_sub = sign * quarter
-    p_sub = quarter * (2.0 - sign * mach)
+    p_sub = quarter * (_TWO - sign * mach)
     if alpha is not None:
-        bump = (mach * mach - 1.0) ** 2
+        bump = mach * mach - _ONE
+        bump = bump * bump
         m_sub = m_sub + sign * AUSM_PLUS_BETA * bump
         p_sub = p_sub + sign * alpha * mach * bump
     abs_mach = np.abs(mach)
     # NaN-propagating: a NaN Mach number takes the supersonic branch
     if np.maximum.reduce(abs_mach, axis=None, initial=0.0) <= 1.0:
         return m_sub, p_sub
-    subsonic = abs_mach <= 1.0
-    m_split = np.where(subsonic, m_sub, 0.5 * (mach + sign * abs_mach))
-    return m_split, np.where(subsonic, p_sub, 0.5 * (1.0 + sign * np.sign(mach)))
+    subsonic = abs_mach <= _ONE
+    m_split = np.where(subsonic, m_sub, _HALF * (mach + sign * abs_mach))
+    return m_split, np.where(subsonic, p_sub, _HALF * (_ONE + sign * np.sign(mach)))
 
 
 def _interface_sound_speed(u, h, sign, g: float):
@@ -419,7 +441,7 @@ def _interface_sound_speed(u, h, sign, g: float):
 def _upwind(m_half, x):
     """The face-left column of ``x`` where the interface Mach number is
     positive, the face-right one elsewhere."""
-    return np.where(m_half > 0.0, x[:, 0], x[:, 1])
+    return np.where(m_half > _ZERO, x[:, 0], x[:, 1])
 
 
 def _upwind_mass_flux(m_half, p_half, a_half, rho, u, h):
@@ -465,19 +487,19 @@ def flux_ausm_plus_up(faces, g: float) -> np.ndarray:
     h = enthalpy_array(faces, g)
     a_half = _interface_sound_speed(u, h, sign, g)
     uu = u * u
-    mach_bar_sq = (uu[0] + uu[1]) / (2.0 * a_half * a_half)
-    mach_ref = np.sqrt(np.minimum(np.maximum(mach_bar_sq, AUSM_UP_CUTOFF_MACH**2), 1.0))
-    fa = mach_ref * (2.0 - mach_ref)
-    alpha = AUSM_PLUS_ALPHA * (-4.0 + 5.0 * fa * fa)
+    mach_bar_sq = (uu[0] + uu[1]) / (_TWO * a_half * a_half)
+    mach_ref = np.sqrt(np.minimum(np.maximum(mach_bar_sq, _CUTOFF_MACH_SQ), _ONE))
+    fa = mach_ref * (_TWO - mach_ref)
+    alpha = AUSM_PLUS_ALPHA * (_MINUS_FOUR + _FIVE * fa * fa)
     m_split, p_weight = _ausm_splits(u / a_half, sign, alpha)
     p_split = p_weight * p
 
     rho_sum = rho[0] + rho[1]
-    rho_half = 0.5 * rho_sum
+    rho_half = _HALF * rho_sum
     m_p = (
         -AUSM_UP_KP
         / fa
-        * np.maximum(1.0 - AUSM_UP_SIGMA * mach_bar_sq, 0.0)
+        * np.maximum(_ONE - AUSM_UP_SIGMA * mach_bar_sq, _ZERO)
         * (p[1] - p[0])
         / (rho_half * a_half * a_half)
     )
@@ -534,10 +556,16 @@ def compute_face_flux(
     dt: float | None = None,
 ) -> np.ndarray:
     """Dispatch to the selected method on ``faces``, both sides' states as
-    one ``(3, 2, ...)`` array.  Only Lax-Friedrichs consumes dx/dt."""
+    one ``(3, 2, ...)`` array, and return a float64 flux whatever the
+    block's dtype.  Only Lax-Friedrichs consumes dx/dt."""
     entry = _KERNELS.get(method)
     if entry is None:
         raise InvalidConfig(f"unknown flux method {method!r}")
+    # The kernels' constants are float64 0-d arrays (gas._HALF), which
+    # would promote some kernels' results and not others: every block is
+    # computed as float64, converted here once (notes/decisions.md section 29)
+    if faces.dtype != np.float64:
+        faces = faces.astype(np.float64)
     kernel, *speeds = entry
     if kernel is flux_lf:
         return flux_lf(faces, gas.gamma, dx, dt)

@@ -6,6 +6,12 @@ are the vectorized kernels everything computes with, single states included;
 they take ``(3, ...)`` float arrays laid out as rows of density, velocity,
 pressure (or mass, momentum, energy for conserved data).  The conserved
 state and the Euler flux are written once, in ``_state_and_flux_rows``.
+
+The literals that meet arrays on the step path are the 0-d float64 arrays
+below: numpy takes a 0-d array operand on a faster path than a Python
+float, with the same bits (notes/decisions.md section 29).  So a kernel
+given float64 arrays returns float64; ``fluxes.compute_face_flux`` converts
+any other block once.
 """
 
 from __future__ import annotations
@@ -62,6 +68,12 @@ class PrimitiveState:
         return np.array([self.rho, self.u, self.p])
 
 
+# The step path's literals (see the module docstring)
+_ZERO, _TENTH, _EIGHTH, _QUARTER, _HALF, _ONE, _TWO = map(
+    np.array, (0.0, 0.1, 0.125, 0.25, 0.5, 1.0, 2.0)
+)
+
+
 # ---------------------------------------------------------------------------
 # Array kernels.  w is (3, ...) primitive data; q is (3, ...) conserved data.
 # ---------------------------------------------------------------------------
@@ -76,7 +88,7 @@ def _state_and_flux_rows(w: np.ndarray, gamma: float):
     rho, u, p = w[0], w[1], w[2]
     mom = rho * u
     mom_u = mom * u
-    energy = p / (gamma - 1.0) + 0.5 * mom_u
+    energy = p / (gamma - 1.0) + _HALF * mom_u
     return (rho, mom, energy), (mom, mom_u + p, (energy + p) * u)
 
 
@@ -95,7 +107,7 @@ def primitive_array(q: np.ndarray, gamma: float) -> np.ndarray:
     w = np.array(q, dtype=float)
     w[1] /= q[0]
     # p = (gamma - 1) (E - (0.5 m) u), rounded as the formula reads
-    t = 0.5 * q[1]
+    t = _HALF * q[1]
     t *= w[1]
     w[2] -= t
     w[2] *= gamma - 1.0
@@ -107,7 +119,7 @@ def flux_array(w: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def enthalpy_array(w: np.ndarray, gamma: float) -> np.ndarray:
-    return 0.5 * w[1] * w[1] + gamma / (gamma - 1.0) * w[2] / w[0]
+    return _HALF * w[1] * w[1] + gamma / (gamma - 1.0) * w[2] / w[0]
 
 
 def internal_energy_array(w: np.ndarray, gamma: float) -> np.ndarray:

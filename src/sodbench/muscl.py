@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NonPhysicalState
+from .gas import _ZERO
 
 __all__ = ["reconstruct_faces"]
 
@@ -57,13 +58,16 @@ def reconstruct_faces(wp: np.ndarray) -> np.ndarray:
     # Dividing before the product keeps differences near 1e154 from
     # overflowing it; the product in the mask may overflow (numpy warns),
     # but its sign holds.
-    np.divide(d_p, d_m + d_p, out=q, where=d_m * d_p > 0.0)
+    np.divide(d_p, d_m + d_p, out=q, where=d_m * d_p > _ZERO)
     np.multiply(d_m, q, out=q)
     half[:, :: n + 1] = _GHOST_HALVES
 
+    # w + h and w - h of every cell, ghosts included, on whole (3, n + 2)
+    # arrays, copied into place: a ghost's half-slope is a signed zero, so
+    # its extra sum raises nothing (notes/decisions.md section 29)
     faces = np.empty((3, 2, n + 1))
-    np.add(wp[:, :-1], half[:, :-1], out=faces[:, 0])
-    np.subtract(wp[:, 1:], half[:, 1:], out=faces[:, 1])
+    faces[:, 0] = (wp + half)[:, :-1]
+    faces[:, 1] = (wp - half)[:, 1:]
 
     # Density and pressure rows of both sides at once; a NaN fails "> 0" too.
     if np.minimum.reduce(faces[::2], axis=None) > 0.0:

@@ -21,7 +21,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateJump, InvalidConfig, NoConvergence, VacuumGenerated
-from .gas import GasModel, PrimitiveState, sound_speed_array
+from .gas import (
+    _EIGHTH,
+    _HALF,
+    _ONE,
+    _TENTH,
+    _TWO,
+    _ZERO,
+    GasModel,
+    PrimitiveState,
+    sound_speed_array,
+)
 
 __all__ = [
     "WaveKind",
@@ -117,10 +127,10 @@ def _side(w, gamma: float) -> _Side:
     return _Side(
         p=p,
         a=a,
-        big_a=2.0 / ((gamma + 1.0) * rho),
+        big_a=_TWO / ((gamma + 1.0) * rho),
         big_b=(gamma - 1.0) / (gamma + 1.0) * p,
-        fan=2.0 * a / (gamma - 1.0),
-        inv_rho_a=1.0 / (rho * a),
+        fan=_TWO * a / (gamma - 1.0),
+        inv_rho_a=_ONE / (rho * a),
         gamma=gamma,
         z=(gamma - 1.0) / (2.0 * gamma),
     )
@@ -140,21 +150,21 @@ def pressure_function(p, sides: _Side):
     # Rarefaction branch (isentrope), with ratio^(-(g+1)/(2g)) = ratio^z / ratio
     ratio = p / p_k
     ratio_z = ratio**sides.z
-    f = sides.fan * (ratio_z - 1.0)
+    f = sides.fan * (ratio_z - _ONE)
     df = ratio_z / ratio * sides.inv_rho_a
 
     # Shock branch (Hugoniot), f = (p - p_k) sqrt(A / (p + B)), in place where
     # p > p_k: the difference of two distinct floats is never 0
-    shock = jump > 0.0
+    shock = jump > _ZERO
     p_b = p + sides.big_b
     root = np.sqrt(sides.big_a / p_b)
     np.copyto(f, jump * root, where=shock)
-    np.copyto(df, root * (1.0 - 0.5 * jump / p_b), where=shock)
+    np.copyto(df, root * (_ONE - _HALF * jump / p_b), where=shock)
     return f, df
 
 
 def _check_vacuum(a_sum: np.ndarray, du: np.ndarray, gamma: float) -> None:
-    vacuum = 2.0 * a_sum / (gamma - 1.0) <= du
+    vacuum = _TWO * a_sum / (gamma - 1.0) <= du
     if np.count_nonzero(vacuum):
         raise VacuumGenerated(
             "pressure positivity condition violated: states would generate vacuum",
@@ -187,8 +197,8 @@ def _initial_pressure(w, sides: _Side, du, a_sum):
     p = p_l * (num / den) ** (1.0 / sides.z)
     both_shocks = p > np.maximum(p_l, p_r)
     if np.count_nonzero(both_shocks):
-        p_pv = 0.5 * (p_l + p_r) - 0.125 * du * (w[0, 0] + w[0, 1]) * a_sum
-        p_pv = np.maximum(p_pv, 0.0)
+        p_pv = _HALF * (p_l + p_r) - _EIGHTH * du * (w[0, 0] + w[0, 1]) * a_sum
+        p_pv = np.maximum(p_pv, _ZERO)
         g = np.sqrt(sides.big_a / (p_pv + sides.big_b))
         g_p = g * sides.p
         p_ts = (g_p[0] + g_p[1] - du) / (g[0] + g[1])
@@ -209,7 +219,7 @@ def _star_pressure(w, sides: _Side, du, a_sum):
         # f is concave: a step from above p* can land far below it, even
         # below zero, so no step goes under a tenth of p, from where Newton
         # climbs back in a few iterations
-        p_new = np.maximum(p - dp, 0.1 * p)
+        p_new = np.maximum(p - dp, _TENTH * p)
         converged |= np.abs(dp) <= NEWTON_RTOL * p_new
         p = p_new
         if np.count_nonzero(converged) == converged.size:
@@ -244,13 +254,13 @@ def star_state_arrays(wl: np.ndarray, wr: np.ndarray, gamma: float):
     _check_vacuum(a_sum, du, gamma)
     p_star = _star_pressure(w, sides, du, a_sum)
     f, _ = pressure_function(p_star, sides)
-    u_star = 0.5 * (w[1, 0] + w[1, 1]) + 0.5 * (f[1] - f[0])
+    u_star = _HALF * (w[1, 0] + w[1, 1]) + _HALF * (f[1] - f[0])
 
     # Star densities: the isentrope, and the Hugoniot where p* > p_k
     mu = (gamma - 1.0) / (gamma + 1.0)
     ratio = p_star / sides.p
     rho_star = w[0] * ratio ** (1.0 / gamma)
-    np.copyto(rho_star, w[0] * (ratio + mu) / (mu * ratio + 1.0), where=p_star > sides.p)
+    np.copyto(rho_star, w[0] * (ratio + mu) / (mu * ratio + _ONE), where=p_star > sides.p)
     return p_star, u_star, rho_star[0], rho_star[1]
 
 
@@ -354,7 +364,7 @@ def interface_states(wl: np.ndarray, wr: np.ndarray, gamma: float) -> np.ndarray
     (``_initial_pressure``), with a velocity of -0.0 as +0.0.
     """
     star = star_state_arrays(wl, wr, gamma)
-    w0 = _sample_arrays(wl.reshape(3, -1), wr.reshape(3, -1), *star, 0.0, gamma)
+    w0 = _sample_arrays(wl.reshape(3, -1), wr.reshape(3, -1), *star, _ZERO, gamma)
     return w0.reshape(wl.shape)
 
 

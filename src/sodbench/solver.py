@@ -272,7 +272,8 @@ def _march(
     method, gas, dt = cfg.method, cfg.gas, cfg.dt
     gamma = gas.gamma
     dx = cfg.grid.dx
-    dt_dx = dt / dx
+    # One 0-d array per run: numpy's faster operand than a Python float
+    dt_dx = np.array(dt / dx)
     cells = q[:, 1:-1]
     n = cells.shape[1]
     # Zero-gradient walls: the ghost columns copy the edge cells

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_same_bytes, sides
 from sodbench.errors import InvalidConfig
-from sodbench import bench, fluxes, solver
+from sodbench import bench, fluxes, muscl, solver
 from sodbench.fluxes import (
     FluxMethod,
     aufs_speeds,
@@ -731,6 +731,22 @@ class TestDispatcher:
         for method, (kernel, *speeds) in KERNEL_OF.items():
             got = compute_face_flux(method, faces, GAS)
             assert got.tobytes() == kernel(faces, G, *speeds).tobytes(), method
+
+    def test_a_float32_block_is_computed_as_float64(self):
+        # The faces of a Sod-200 run at t = 0.05 as MUSCL makes them, in
+        # float32.  The dispatcher converts the block once, so every method
+        # returns float64, the bytes of the block cast to float64.  Computed
+        # in float32, the exact flux's Newton tolerance of 1e-12 lies below
+        # the dtype's resolution (NoConvergence), and the kernels' float64
+        # constants would promote some results and not others.
+        w = solver.run(RunConfig(t_final=0.05)).primitives(GAS)
+        faces = muscl.reconstruct_faces(np.concatenate([w[:, :1], w, w[:, -1:]], axis=1))
+        single = faces.astype(np.float32)
+        for method in FluxMethod:
+            got = compute_face_flux(method, single, GAS, dx=0.005, dt=0.001)
+            expected = compute_face_flux(method, single.astype(np.float64), GAS, dx=0.005, dt=0.001)
+            assert got.dtype == np.float64, method
+            assert_same_bytes(got, expected)
 
 
 class TestSharedProperties:

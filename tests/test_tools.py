@@ -58,6 +58,22 @@ def method_ops(rest):
     return found
 
 
+def slow_lines(stdout):
+    """suite -> (parent, change) of the calls per step with a Python scalar
+    operand, then of those with strided or mixed-shape operands, of the
+    slow-path lines."""
+    found = {}
+    for line in stdout.splitlines():
+        match = re.fullmatch(
+            r"(\S+) slow-path calls per step: Python scalar operand (\S+) -> (\S+)"
+            r"; strided or mixed-shape operands (\S+) -> (\S+)",
+            line,
+        )
+        if match:
+            found[match[1]] = tuple(float(n) for n in match.groups()[1:])
+    return found
+
+
 def layer_lines(stdout):
     """suite -> each side's {layer: ops per step} of the operation layer lines."""
     found = {}
@@ -75,35 +91,40 @@ def layer_lines(stdout):
 # (solver, gas, muscl, fluxes, riemann).  A change that moves a count
 # declares its new one here.
 PINNED_OPS = {
-    "sod200-sweep": (1557.43, (69.78, 392.26, 242.00, 654.02, 199.37)),
-    "sod20k-bulk": (1607.25, (82.50, 418.35, 242.00, 660.25, 204.15)),
-    "toro-suite/test2": (1140.01, (51.54, 280.23, 176.00, 451.00, 181.25)),
+    "sod200-sweep": (1557.55, (69.89, 392.26, 242.00, 654.02, 199.37)),
+    "sod20k-bulk": (1608.35, (83.60, 418.35, 242.00, 660.25, 204.15)),
+    "toro-suite/test2": (1140.09, (51.61, 280.23, 176.00, 451.00, 181.25)),
 }
+# Sod-200's calls per sweep-step with a Python int or float operand, and
+# with strided or mixed-shape operands: 305.24 and 279.10 while the step
+# path's literals were Python floats and MUSCL summed strided views
+# (notes/decisions.md section 29)
+SOD200_SLOW_CALLS = (108.29, 235.10)
 # Each method's operations per Sod-200 step, exact to the printed digits:
 # a run's count over its 200 steps
 SOD200_METHOD_OPS = {
-    "riemann": 234.740,
-    "roe": 96.375,
-    "knp": 49.375,
-    "kt": 42.375,
-    "sw": 66.375,
-    "van-leer": 43.145,
-    "ausm": 57.275,
-    "ausm-plus": 70.225,
-    "ausm-plus-up": 99.405,
-    "aufs": 51.375,
-    "hll-davis1": 47.375,
-    "hll-davis2": 49.375,
-    "hll-roe": 62.375,
-    "hll-einfeldt": 64.375,
-    "hll-pbased": 63.375,
-    "hllc-davis1": 66.375,
-    "hllc-davis2": 68.375,
-    "hllc-roe": 81.375,
-    "hllc-einfeldt": 83.375,
-    "hllc-pbased": 82.375,
-    "lf": 35.645,
-    "rusanov": 42.375,
+    "riemann": 234.745,
+    "roe": 96.380,
+    "knp": 49.380,
+    "kt": 42.380,
+    "sw": 66.380,
+    "van-leer": 43.150,
+    "ausm": 57.280,
+    "ausm-plus": 70.230,
+    "ausm-plus-up": 99.410,
+    "aufs": 51.380,
+    "hll-davis1": 47.380,
+    "hll-davis2": 49.380,
+    "hll-roe": 62.380,
+    "hll-einfeldt": 64.380,
+    "hll-pbased": 63.380,
+    "hllc-davis1": 66.380,
+    "hllc-davis2": 68.380,
+    "hllc-roe": 81.380,
+    "hllc-einfeldt": 83.380,
+    "hllc-pbased": 82.380,
+    "lf": 35.650,
+    "rusanov": 42.380,
 }
 
 
@@ -167,6 +188,12 @@ def test_ab_sweep_same_tree_counts_equal_ops():
         assert tuple(parent.values()) == PINNED_OPS[suite][1]
         assert sum(parent.values()) == pytest.approx(found[suite][0], abs=0.03)
         assert parent["riemann"] > 0.0
+    # one slow-path line per suite, its counts equal on the two sides
+    slow = slow_lines(result.stdout)
+    assert tuple(slow) == suites, result.stdout
+    for scalar_p, scalar_c, strided_p, strided_c in slow.values():
+        assert (scalar_p, strided_p) == (scalar_c, strided_c)
+    assert slow["sod200-sweep"][::2] == SOD200_SLOW_CALLS
 
 
 def test_ab_sweep_counts_runs_a_change_moves(tmp_path):

@@ -59,6 +59,14 @@ Each operation also counts toward the layer that made it: the package module
 package frame on the stack at the call.  A second line per suite gives each
 side's operations per step by layer, summed over the methods, so the exact
 flux's own ``riemann`` operations are read off it.
+A third line per suite gives, as ``parent -> change``, the operations per
+step that take one of numpy's slower paths, summed over the methods: those
+with a Python int or float operand beside an array, and those with a
+multi-dimensional array operand whose array operands (``out`` included) are
+not all C-contiguous with one shape, a strided view or a broadcast.  At 200
+cells an operation's cost is its overhead, and these two kinds of operand
+raise it (a 0-d array operand does not), so this count shows where a change
+of operands lands its saving.
 
 The host's speed drifts by tens of percent from one process to the next,
 while pairing run by run inside one process reads a gain within a few
@@ -150,12 +158,32 @@ def wave_lines(package, problem):
 LAYERS = ("solver", "gas", "muscl", "fluxes", "riemann")
 
 
+def slow_paths(args, out) -> tuple[bool, bool]:
+    """Whether a call with the positional operands ``args`` and the output
+    ``out`` (None, an array or a tuple of them) takes numpy's slower paths:
+    a Python int or float operand beside an array, and, where an array
+    operand is multi-dimensional, array operands that are not all
+    C-contiguous with one shape (strided views, broadcasting).  A 0-d array
+    is neither."""
+    outs = out if isinstance(out, tuple) else (out,)
+    arrays = [x for x in (*args, *outs) if isinstance(x, np.ndarray)]
+    scalar = bool(arrays) and any(type(x) in (int, float) for x in args)
+    shaped = [x for x in arrays if x.ndim]
+    strided = any(x.ndim > 1 for x in shaped) and any(
+        not x.flags.c_contiguous or x.shape != shaped[0].shape for x in shaped
+    )
+    return scalar, strided
+
+
 class OpCounter:
     """Counts operations by layer, the module of the innermost frame of the
-    counted package; a call made inside a counted one is not counted."""
+    counted package, and the operations that take a slow path (``slow``:
+    "scalar" and "strided", as ``slow_paths`` reads their operands); a call
+    made inside a counted one is not counted."""
 
     def __init__(self):
         self.ops = Counter()
+        self.slow = Counter()
         self.depth = 0
         self.package = ""
 
@@ -170,10 +198,13 @@ class OpCounter:
         return "outside"
 
     def call(self, f, *args, **kwargs):
-        """``f(*args, **kwargs)`` as one operation, its arrays returned as
-        Counted views, so that what is computed from them counts too."""
+        """``f(*args, **kwargs)`` as one operation on the operands ``args``
+        and ``out``, its arrays returned as Counted views, so that what is
+        computed from them counts too."""
         if self.depth == 0:
             self.ops[self.layer()] += 1
+            scalar, strided = slow_paths(args, kwargs.get("out"))
+            self.slow.update(scalar=scalar, strided=strided)
         self.depth += 1
         try:
             result = f(*args, **kwargs)
@@ -239,7 +270,8 @@ class CountedNumpy:
 def counting(package):
     """Numpy counted in every module of the package while the block runs,
     and each module-level array viewed as Counted; yields the counts by
-    layer, which stop growing when the block ends."""
+    layer and the slow-path counts, which stop growing when the block
+    ends."""
     modules = [m for name, m in list(sys.modules.items()) if name.startswith(package.__name__ + ".")]
     users = [m for m in modules if getattr(m, "np", None) is np]
     arrays = [(m, k, v) for m in modules for k, v in vars(m).items() if type(v) is np.ndarray]
@@ -247,13 +279,13 @@ def counting(package):
         m.np = CountedNumpy()
     for m, k, v in arrays:
         setattr(m, k, v.view(Counted))
-    COUNTER.package, COUNTER.ops = package.__name__, Counter()
+    COUNTER.package, COUNTER.ops, COUNTER.slow = package.__name__, Counter(), Counter()
     try:
-        yield COUNTER.ops
+        yield COUNTER.ops, COUNTER.slow
     finally:
         # What is computed later from the block's Counted arrays (a run's
-        # scoring) counts into a counter that nothing reads
-        COUNTER.ops = Counter()
+        # scoring) counts into counters that nothing reads
+        COUNTER.ops, COUNTER.slow = Counter(), Counter()
         for m in users:
             m.np = np
         for m, k, v in arrays:
@@ -273,18 +305,18 @@ def timed(package, cfg):
 
 def untimed(package, run, workload):
     """The untimed pass of one run on a side: its result, its operations by
-    layer, the RuntimeWarnings it raised, its scores, and whether it fails
-    its workload's check."""
+    layer and by slow path, the RuntimeWarnings it raised, its scores, and
+    whether it fails its workload's check."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RuntimeWarning)
-        with counting(package) as counts:
+        with counting(package) as (counts, slow):
             result = timed(package, run.cfg)[1]
     warned = sum(issubclass(w.category, RuntimeWarning) for w in caught)
     scores, failed = None, False
     if not isinstance(result, tuple):
         scores = package.rmse(result.primitives(run.cfg.gas), run.reference.w)
         failed = workload.check(run, result, scores) is not None
-    return result, counts, warned, scores, failed
+    return result, counts, slow, warned, scores, failed
 
 
 def stamp(final) -> bytes:
@@ -296,15 +328,16 @@ def stamp(final) -> bytes:
 class Record:
     """A run that completes on both sides, and so is timed.  Each list holds
     the parent's entry, then the change's: the configs, the counted runs'
-    stamps, their operations by layer over the run, the steps, and the
-    timed reps' seconds.  ``drifted`` names the sides whose first timed run
-    is not byte for byte their counted one."""
+    stamps, their operations by layer and by slow path over the run, the
+    steps, and the timed reps' seconds.  ``drifted`` names the sides whose
+    first timed run is not byte for byte their counted one."""
 
     suite: str
     method: str
     cfgs: list
     stamps: list
     counts: list
+    slow: list
     steps: list
     times: list = dataclasses.field(default_factory=lambda: [[], []])
     drifted: list = dataclasses.field(default_factory=list)
@@ -352,7 +385,7 @@ def main(argv=None) -> int:
             profiles_differ += profiles[0] != profiles[1]
             records = []
             for run_pair in run_pairs:
-                results, counts, n_warned, scores, fails_check = zip(
+                results, counts, slow, n_warned, scores, fails_check = zip(
                     *(untimed(packages[side], run, workloads[side]) for side, run in enumerate(run_pair))
                 )
                 warned = [a + b for a, b in zip(warned, n_warned)]
@@ -373,7 +406,7 @@ def main(argv=None) -> int:
                 change[1] = max(change[1], float((gap.max(axis=1) / np.abs(parent).max(axis=1)).max()))
                 pair = [r.cfg for r in run_pair]
                 steps = [packages[side].solver.step_count(cfg) for side, cfg in enumerate(pair)]
-                records.append(Record(suite, pair[0].method.value, pair, stamps, counts, steps))
+                records.append(Record(suite, pair[0].method.value, pair, stamps, counts, slow, steps))
             kept += records
             lines[suite] = (
                 f"{suite}: final cells differ in {differ} of {len(run_pairs) - skipped} runs"
@@ -445,6 +478,14 @@ def main(argv=None) -> int:
                 f"{name} " + ", ".join(f"{layer} {counts[layer]:.2f}" for layer in names)
                 for name, counts in zip(SIDES, by_layer)
             )
+        )
+        slow = [
+            [sum(r.slow[side][path] / r.steps[side] for r in records) for side in (0, 1)]
+            for path in ("scalar", "strided")
+        ]
+        print(
+            f"{suite} slow-path calls per step: Python scalar operand {slow[0][0]:.2f} -> {slow[0][1]:.2f}"
+            f"; strided or mixed-shape operands {slow[1][0]:.2f} -> {slow[1][1]:.2f}"
         )
     return 0
 
