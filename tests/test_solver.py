@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ROOT, load_script
-from sodbench import bench, riemann, solver
+from conftest import ROOT, load_script, sides
+from sodbench import bench, fluxes, riemann, solver
 from sodbench.errors import (
     InvalidConfig,
     NoConvergence,
@@ -1263,6 +1263,39 @@ class TestToroFailures:
         alone = {"left": q - dt_dx * (own - left), "right": q - dt_dx * (right - own)}
         rho_p = {side: primitive_array(c[:, None], GAS.gamma)[::2, 0] for side, c in alone.items()}
         assert [side for side, w in rho_p.items() if not np.all(w > 0.0)] == [face]
+
+    def test_toro2_deaths_are_the_estimates_inside_the_exact_waves(self):
+        # The face every Toro 2 death fluxes first, with zero slopes, holds
+        # the two data states.  Their exact outer waves are the fans' heads
+        # at -+2.74833.  Roe's u~ -+ a~, Einfeldt's speeds and AUFS's
+        # u_avg -+ mean(a) lie strictly inside them; Davis-1, Davis-2 and
+        # p-based reach them exactly.  The six Toro 2 pins are exactly the
+        # methods built on the three inside estimates: the linearised-solver
+        # mechanism of Einfeldt, Munz, Roe and Sjogreen, J. Comput. Phys. 92
+        # (1991) (notes/decisions.md section 27)
+        left, right = TORO_TESTS[2][:2]
+        waves = riemann.solve_star(RiemannInput(left, right)).speeds
+        heads = (waves.left_head, waves.right_head)
+        assert heads == pytest.approx((-2.74833, 2.74833), abs=5e-6)
+        estimates = {
+            speeds: tuple(float(s) for s in speeds(sides(left, right), GAS.gamma))
+            for speeds in {entry[1] for entry in fluxes._KERNELS.values() if len(entry) == 2}
+        }
+        assert len(estimates) == 6
+        inside = {f: s for f, s in estimates.items() if heads[0] < s[0] and s[1] < heads[1]}
+        assert {f.__name__: s for f, s in inside.items()} == {
+            "roe_speeds": pytest.approx((-1.16619, 1.16619), abs=5e-6),
+            "einfeldt_speeds": pytest.approx((-1.6, 1.6), abs=1e-12),
+            "aufs_speeds": pytest.approx((-0.74833, 0.74833), abs=5e-6),
+        }
+        assert {f.__name__ for f, s in estimates.items() if s == heads} == {
+            "davis1_speeds",
+            "davis2_speeds",
+            "pbased_speeds",
+        }
+        # Roe's own flux upwinds on the same Roe-average eigenvalues u~ -+ a~
+        users = {m.value for m, entry in fluxes._KERNELS.items() if entry[1:] and entry[1] in inside}
+        assert users | {"roe"} == {method for test, method in TORO_FAILURES if test == 2}
 
 
 def assert_pinned_failure(test, method):

@@ -3,7 +3,7 @@
 import json
 import re
 import shutil
-import subprocess
+import statistics
 import sys
 
 import numpy as np
@@ -15,81 +15,22 @@ from sodbench.fluxes import FluxMethod
 from sodbench.solver import RunConfig
 
 
-def run_ab_sweep(parent, change, suites):
-    """tools/ab_sweep.py on two source trees, one rep of the given suites;
-    it leaves no ``sodbench`` module behind."""
-    script = (
-        f"import sys; import ab_sweep; ab_sweep.SUITES = {tuple(suites)!r};"
-        " code = ab_sweep.main(sys.argv[1:]);"
-        " assert not [m for m in sys.modules if m.split('.')[0] == 'sodbench'];"
-        " sys.exit(code)"
-    )
-    return subprocess.run(
-        [sys.executable, "-c", script, str(parent), str(change), "--reps", "1"],
-        cwd=ROOT / "tools",
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=300,
-    )
+AB_SWEEP = load_script(ROOT / "tools" / "ab_sweep.py")
 
 
-def ops_lines(stdout):
-    """suite -> (parent, change, the rest) of the operation count lines."""
-    found = {}
-    for line in stdout.splitlines():
-        match = re.fullmatch(
-            r"(\S+) numpy ops per step over \d+ methods: parent (\S+), change ([^;]+)(.*)", line
-        )
-        if match:
-            found[match[1]] = (float(match[2]), float(match[3]), match[4])
-    return found
-
-
-def method_ops(rest):
-    """method -> (parent, change) of an operation count line's by-method
-    part, each method listed once, as ``m p`` or, where its count moved,
-    ``m p -> c``."""
-    by_method = rest.removeprefix("; by method: ")
-    found = {}
-    for item in by_method.split(", "):
-        method, parent, *moved = item.split()
-        found[method] = (float(parent), float(moved[-1] if moved else parent))
-    return found
-
-
-def slow_lines(stdout):
-    """suite -> (parent, change) of the calls per step with a Python scalar
-    operand, then of those with strided or mixed-shape operands, of the
-    slow-path lines."""
-    found = {}
-    for line in stdout.splitlines():
-        match = re.fullmatch(
-            r"(\S+) slow-path calls per step: Python scalar operand (\S+) -> (\S+)"
-            r"; strided or mixed-shape operands (\S+) -> (\S+)",
-            line,
-        )
-        if match:
-            found[match[1]] = tuple(float(n) for n in match.groups()[1:])
-    return found
-
-
-def layer_lines(stdout):
-    """suite -> each side's {layer: ops per step} of the operation layer lines."""
-    found = {}
-    for line in stdout.splitlines():
-        match = re.fullmatch(r"(\S+) numpy ops per step by layer: parent (.*); change (.*)", line)
-        if match:
-            found[match[1]] = tuple(
-                {layer: float(n) for layer, n in (item.split() for item in side.split(", "))}
-                for side in (match[2], match[3])
-            )
-    return found
+def compare(parent, change, suites):
+    """tools/ab_sweep.py's report on two source trees, one rep of the given
+    suites; it leaves sys.path and the ``sodbench*`` modules as they were."""
+    state = lambda: (list(sys.path), {k: m for k, m in sys.modules.items() if k.startswith("sodbench")})
+    before = state()
+    report = AB_SWEEP.compare(parent, change, 1, suites)
+    assert state() == before
+    return report
 
 
 # Operations per step over the methods of a suite, in all and by layer
-# (solver, gas, muscl, fluxes, riemann).  A change that moves a count
-# declares its new one here.
+# (solver, gas, muscl, fluxes, riemann), to the printed digits.  A change
+# that moves a count declares its new one here.
 PINNED_OPS = {
     "sod200-sweep": (1557.55, (69.89, 392.26, 242.00, 654.02, 199.37)),
     "sod20k-bulk": (1608.35, (83.60, 418.35, 242.00, 660.25, 204.15)),
@@ -100,8 +41,8 @@ PINNED_OPS = {
 # path's literals were Python floats and MUSCL summed strided views
 # (notes/decisions.md section 29)
 SOD200_SLOW_CALLS = (108.29, 235.10)
-# Each method's operations per Sod-200 step, exact to the printed digits:
-# a run's count over its 200 steps
+# Each method's operations per Sod-200 step, exact: a run's count over its
+# 200 steps
 SOD200_METHOD_OPS = {
     "riemann": 234.745,
     "roe": 96.380,
@@ -133,69 +74,69 @@ def test_ab_sweep_same_tree_counts_equal_ops():
     # The full seven suites take minutes; one of each workload covers the
     # three kinds.
     suites = ("sod200-sweep", "sod20k-bulk", "toro-suite/test2")
-    result = run_ab_sweep(src, src, suites)
-    # Toro's test 2 kills six methods (tests/test_solver.py, TORO_FAILURES)
-    lines = result.stdout.splitlines()
-    assert lines[0].startswith(
-        "sod200-sweep: final cells differ in 0 of 22 runs (0 failing on both sides skipped)"
-        "; scores differ in 0 of 22 runs;"
-    )
-    assert lines[1].startswith(
-        "sod20k-bulk: final cells differ in 0 of 22 runs (0 failing on both sides skipped)"
-        "; scores differ in 0 of 22 runs;"
-    )
-    assert lines[2].startswith(
-        "toro-suite/test2: final cells differ in 0 of 16 runs (6 failing on both sides skipped)"
-        "; scores differ in 0 of 16 runs;"
-    )
-    assert "fields differ" not in result.stdout
-    assert "warnings differ" not in result.stdout
-    for line in lines[:3]:
-        assert line.endswith("; largest change of final cells 0.00e+00 absolute, 0.00e+00 relative")
-    assert lines[3] == "wave reports differ in 0 of 6 problems"
-    assert lines[4] == "exact profiles differ in 0 of 3 suites"
-    assert "ratio change/parent: median" in result.stdout
-    # the operation count lines follow the method ratio line, which names
-    # all 22 methods, lowest ratio first
-    (by_method,) = [line for line in lines if line.startswith("method median ratio")]
-    match = re.fullmatch(
-        r"method median ratio change/parent: " + ", ".join([r"([a-z0-9-]+) (\d\.\d{4})"] * 22),
-        by_method,
-    )
-    assert match is not None, by_method
-    names, ratios = match.groups()[::2], [float(r) for r in match.groups()[1::2]]
-    assert sorted(names) == sorted(m.value for m in FluxMethod)
-    assert ratios == sorted(ratios)
-    found = ops_lines(result.stdout)
-    assert tuple(found) == suites, result.stdout
-    for suite, (parent, change, rest) in found.items():
-        # every method is listed, no method's count differs, and every timed
-        # run of the first rep gave its counted run's bytes
-        assert "counted runs differ" not in rest
-        counts = method_ops(rest)
-        assert len(counts) == (16 if suite == "toro-suite/test2" else 22)
-        assert all(p == c for p, c in counts.values()), rest
-        if suite == "sod200-sweep":
-            assert {m: p for m, (p, _) in counts.items()} == SOD200_METHOD_OPS
-        assert parent == change == PINNED_OPS[suite][0]
-    # each operation counts toward the package module that made it, and
-    # the five layers make up the total
-    layers = layer_lines(result.stdout)
-    assert tuple(layers) == suites, result.stdout
-    for suite, (parent, change) in layers.items():
-        assert parent == change
-        assert list(parent) == ["solver", "gas", "muscl", "fluxes", "riemann"]
-        assert tuple(parent.values()) == PINNED_OPS[suite][1]
-        assert sum(parent.values()) == pytest.approx(found[suite][0], abs=0.03)
-        assert parent["riemann"] > 0.0
-    # one slow-path line per suite, its counts equal on the two sides
-    slow = slow_lines(result.stdout)
-    assert tuple(slow) == suites, result.stdout
-    for scalar_p, scalar_c, strided_p, strided_c in slow.values():
-        assert (scalar_p, strided_p) == (scalar_c, strided_c)
-    assert slow["sod200-sweep"][::2] == SOD200_SLOW_CALLS
+    report = compare(src, src, suites)
+    assert tuple(report.suites) == suites
+    for name, suite in report.suites.items():
+        # Toro's test 2 kills six methods (tests/test_solver.py, TORO_FAILURES)
+        skipped = 6 if name == "toro-suite/test2" else 0
+        tallies = (suite.runs, suite.skipped, suite.differ, suite.scores_differ, len(suite.records), suite.change)
+        assert tallies == (22, skipped, 0, 0, 22 - skipped, [0.0, 0.0])
+        assert (suite.moved, suite.failing, suite.profiles_differ) == ([], [0, 0], False)
+        assert suite.warned[0] == suite.warned[1]
+        # no method's count differs, and every timed run of the first rep
+        # gave its counted run's bytes
+        assert all(r.ops()[0] == r.ops()[1] and r.drifted == [] for r in suite.records)
+        ops, layers = suite.ops(), suite.layers()
+        assert ops[0] == ops[1] and round(ops[0], 2) == PINNED_OPS[name][0]
+        # each operation counts toward the package module that made it, and
+        # the five layers make up the total
+        assert layers[0] == layers[1] and set(layers[0]) == set(AB_SWEEP.LAYERS)
+        assert tuple(round(layers[0][k], 2) for k in AB_SWEEP.LAYERS) == PINNED_OPS[name][1]
+        assert sum(layers[0].values()) == pytest.approx(ops[0], rel=1e-12)
+        assert layers[0]["riemann"] > 0.0
+        assert all(p == c for p, c in suite.slow_calls().values())
+    sod = report.suites["sod200-sweep"]
+    assert {r.method: r.ops()[0] for r in sod.records} == SOD200_METHOD_OPS
+    assert tuple(round(p, 2) for p, _ in sod.slow_calls().values()) == SOD200_SLOW_CALLS
+    assert len(report.waves) == 6 and all(p == c for p, c in report.waves)
+    # every method has a ratio, lowest first
+    by_ratio = report.method_ratios()
+    assert sorted(m for _, m in by_ratio) == sorted(m.value for m in FluxMethod)
+    assert by_ratio == sorted(by_ratio)
+
+    # The printed lines, from these values
+    median = lambda records: statistics.median(AB_SWEEP.ratios(records))
+    expected = [
+        f"{name}: final cells differ in 0 of {len(s.records)} runs ({s.skipped} failing on both sides skipped)"
+        f"; scores differ in 0 of {len(s.records)} runs; median ratio change/parent {median(s.records):.4f}"
+        "; largest change of final cells 0.00e+00 absolute, 0.00e+00 relative"
+        for name, s in report.suites.items()
+    ]
+    sweeps, overall = AB_SWEEP.summed(report.records), median(report.records)
+    expected += [
+        "wave reports differ in 0 of 6 problems",
+        "exact profiles differ in 0 of 3 suites",
+        f"parent: median sweep {sweeps[0][0]:.4f} s over 1 reps",
+        f"change: median sweep {sweeps[1][0]:.4f} s over 1 reps",
+        f"ratio change/parent: median {overall:.4f} min {overall:.4f} max {overall:.4f}",
+        "method median ratio change/parent: " + ", ".join(f"{m} {r:.4f}" for r, m in by_ratio),
+    ]
+    for name, s in report.suites.items():
+        total, layers = PINNED_OPS[name]
+        layers = ", ".join(f"{k} {n:.2f}" for k, n in zip(AB_SWEEP.LAYERS, layers))
+        scalar, strided = (f"{p:.2f} -> {p:.2f}" for p, _ in s.slow_calls().values())
+        expected += [
+            f"{name} numpy ops per step over {len(s.records)} methods: parent {total:.2f}, change {total:.2f}"
+            "; by method: " + ", ".join(f"{r.method} {r.ops()[0]:.3f}" for r in s.records),
+            f"{name} numpy ops per step by layer: parent {layers}; change {layers}",
+            f"{name} slow-path calls per step: Python scalar operand {scalar}"
+            f"; strided or mixed-shape operands {strided}",
+        ]
+    assert AB_SWEEP.render(report) == expected
 
 
+# The timed runs of the change warn outside the counted pass
+@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
 def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
     # A negative control of the bitwise gate, of the score comparison, of the
     # warning count and of the workload check: a looser Newton tolerance in
@@ -218,32 +159,25 @@ def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
     assert solver.read_text().count(old) == 1
     perturb = "    if isinstance(np, type(math)):\n        q[0, 1] *= 2.0\n"
     solver.write_text(solver.read_text().replace(old, "    np.sqrt(-1.0)\n" + perturb + old))
-    result = run_ab_sweep(ROOT / "src", change, ("sod200-sweep",))
-    line = re.match(
-        r"sod200-sweep: final cells differ in (\d+) of 22 runs \(0 failing on both sides skipped\)"
-        r"; scores differ in 22 of 22 runs; .*; largest change of final cells"
-        r" (\S+) absolute, (\S+) relative; warnings differ: parent 0, change 22"
-        r"; workload check fails: parent 0, change 1$",
-        result.stdout.splitlines()[0],
-    )
-    assert line is not None, result.stdout
-    assert int(line[1]) > 0
-    assert float(line[2]) > 0.0 and float(line[3]) > 0.0
+    # A negative control of the unload: a call on the same tree first (on
+    # the cheapest suite), whose packages the second call must not measure
+    compare(ROOT / "src", ROOT / "src", ("sod20k-bulk",))
+    sod = compare(ROOT / "src", change, ("sod200-sweep",)).suites["sod200-sweep"]
+    assert (sod.runs, sod.skipped, sod.scores_differ, len(sod.records)) == (22, 0, 22, 22)
+    assert sod.differ > 0 and min(sod.change) > 0.0
+    assert (sod.moved, sod.warned, sod.failing) == ([], [0, 22], [0, 1])
     # the looser tolerance moves the star state the profile is sampled from
-    assert "exact profiles differ in 1 of 1 suites" in result.stdout.splitlines()
+    assert sod.profiles_differ
+    # Every timed run of the change differs from its counted run
+    assert [(r.method, r.drifted) for r in sod.records] == [(m.value, ["change"]) for m in FluxMethod]
     # Fewer Newton iterations are fewer operations of the exact flux; the
     # square root adds one operation to each run of every method
-    parent, change, rest = ops_lines(result.stdout)["sod200-sweep"]
-    rest, _, counted_differ = rest.partition("; counted runs differ: ")
-    assert counted_differ == ", ".join(f"{m.value} (change)" for m in FluxMethod)
-    exact = re.search(r"riemann (\S+) -> (\S+?)(,|$)", rest)
-    assert exact is not None, rest
-    assert float(exact[2]) < float(exact[1])
-    others = re.findall(r"([a-z0-9-]+) (\S+) -> (\S+?)(?:,|$)", rest)
-    assert len(others) == 22
-    for method, before, after in others:
-        if method != "riemann":
-            assert float(after) == pytest.approx(float(before) + 1 / 200, abs=0.006), method
+    for r in sod.records:
+        before, after = (sum(c.values()) for c in r.counts)
+        if r.method == "riemann":
+            assert after < before
+        else:
+            assert after == before + 1, r.method
 
 
 def test_ab_sweep_times_only_runs_that_complete_on_both_sides(tmp_path):
@@ -257,21 +191,18 @@ def test_ab_sweep_times_only_runs_that_complete_on_both_sides(tmp_path):
     old = "    return _central_flux(faces, speed, g)\n"
     assert fluxes.read_text().count(old) == 1
     fluxes.write_text(fluxes.read_text().replace(old, "    return _central_flux(faces, speed, g) * np.nan\n"))
-    result = run_ab_sweep(ROOT / "src", change, ("sod200-sweep",))
-    lines = result.stdout.splitlines()
-    assert lines[0].startswith(
-        "sod200-sweep: final cells differ in 1 of 22 runs (0 failing on both sides skipped)"
-        "; scores differ in 0 of 21 runs;"
-    ), result.stdout
-    assert lines[0].endswith("; largest change of final cells 0.00e+00 absolute, 0.00e+00 relative")
-    (by_method,) = [line for line in lines if line.startswith("method median ratio")]
-    names = [item.split()[0] for item in by_method.split(": ")[1].split(", ")]
-    assert sorted(names) == sorted(m.value for m in FluxMethod if m is not FluxMethod.LF)
-    parent, change_ops, rest = ops_lines(result.stdout)["sod200-sweep"]
-    assert "counted runs differ" not in rest
-    assert method_ops(rest) == {m: (n, n) for m, n in SOD200_METHOD_OPS.items() if m != "lf"}
-    assert parent == change_ops == pytest.approx(PINNED_OPS["sod200-sweep"][0] - SOD200_METHOD_OPS["lf"], abs=0.01)
-    assert "sod200-sweep numpy ops per step over 21 methods:" in result.stdout
+    report = compare(ROOT / "src", change, ("sod200-sweep",))
+    sod = report.suites["sod200-sweep"]
+    assert (sod.runs, sod.skipped, sod.differ, sod.scores_differ, len(sod.records)) == (22, 0, 1, 0, 21)
+    assert (sod.change, sod.moved, sod.failing) == ([0.0, 0.0], [], [0, 0])
+    assert sod.warned[0] == sod.warned[1]
+    assert sorted(m for _, m in report.method_ratios()) == sorted(m.value for m in FluxMethod if m is not FluxMethod.LF)
+    assert all(r.drifted == [] for r in sod.records)
+    assert {r.method: tuple(r.ops()) for r in sod.records} == {
+        m: (n, n) for m, n in SOD200_METHOD_OPS.items() if m != "lf"
+    }
+    ops = sod.ops()
+    assert ops[0] == ops[1] == pytest.approx(PINNED_OPS["sod200-sweep"][0] - SOD200_METHOD_OPS["lf"], abs=0.01)
 
 
 def test_perfbench_tracer_sees_every_layer_of_sod200_runs(monkeypatch):

@@ -68,6 +68,12 @@ cells an operation's cost is its overhead, and these two kinds of operand
 raise it (a 0-d array operand does not), so this count shows where a change
 of operands lands its saving.
 
+``compare(parent_src, change_src, reps, suites=None)`` returns all this as
+a ``Report``: each problem's two wave reports, and a ``Suite`` of tallies per
+suite named (all seven by default), with a ``Record`` of operations and times
+per timed run.  ``render`` makes the lines above from it, ``main`` prints
+them.  ``compare`` unloads both packages, so a second call loads its own.
+
 The host's speed drifts by tens of percent from one process to the next,
 while pairing run by run inside one process reads a gain within a few
 percent.  This sizes a change; ``perfbench/run.py`` is what measures it.
@@ -93,8 +99,6 @@ import numpy as np
 
 SIDES = ("parent", "change")
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-# The suites to run, by name; None runs all seven
-SUITES = None
 
 
 def package_dir(src: str) -> Path:
@@ -204,7 +208,8 @@ class OpCounter:
         if self.depth == 0:
             self.ops[self.layer()] += 1
             scalar, strided = slow_paths(args, kwargs.get("out"))
-            self.slow.update(scalar=scalar, strided=strided)
+            self.slow["scalar"] += scalar
+            self.slow["strided"] += strided
         self.depth += 1
         try:
             result = f(*args, **kwargs)
@@ -332,7 +337,6 @@ class Record:
     steps, and the timed reps' seconds.  ``drifted`` names the sides whose
     first timed run is not byte for byte their counted one."""
 
-    suite: str
     method: str
     cfgs: list
     stamps: list
@@ -341,6 +345,68 @@ class Record:
     steps: list
     times: list = dataclasses.field(default_factory=lambda: [[], []])
     drifted: list = dataclasses.field(default_factory=list)
+
+    def ops(self) -> list:
+        """Each side's operations per step."""
+        return [sum(c.values()) / n for c, n in zip(self.counts, self.steps)]
+
+
+@dataclasses.dataclass
+class Suite:
+    """One suite's untimed pass: its runs, the differing fields of their
+    configs, whether the exact profiles differ, the runs skipped and those
+    that differ, of the timed runs those whose scores differ, the largest
+    absolute and relative change of a final cell, each side's warnings and
+    failed checks, and the timed runs' Records."""
+
+    runs: int
+    moved: list
+    profiles_differ: bool
+    skipped: int = 0
+    differ: int = 0
+    scores_differ: int = 0
+    change: list = dataclasses.field(default_factory=lambda: [0.0, 0.0])
+    warned: list = dataclasses.field(default_factory=lambda: [0, 0])
+    failing: list = dataclasses.field(default_factory=lambda: [0, 0])
+    records: list = dataclasses.field(default_factory=list)
+
+    def ops(self) -> list:
+        """Each side's operations per step, summed over the methods."""
+        return [sum(r.ops()[side] for r in self.records) for side in (0, 1)]
+
+    def layers(self) -> list:
+        """Each side's operations per step by layer, summed over the methods."""
+        by_layer = [Counter() for _ in SIDES]
+        for r in self.records:
+            for side, (counts, n) in enumerate(zip(r.counts, r.steps)):
+                by_layer[side].update({k: v / n for k, v in counts.items()})
+        return by_layer
+
+    def slow_calls(self) -> dict:
+        """Each side's "scalar" and "strided" operations per step, summed over the methods."""
+        return {
+            path: [sum(r.slow[side][path] / r.steps[side] for r in self.records) for side in (0, 1)]
+            for path in ("scalar", "strided")
+        }
+
+
+@dataclasses.dataclass
+class Report:
+    """Each suite by name, and each Riemann problem's two wave reports."""
+
+    suites: dict
+    waves: list
+
+    @property
+    def records(self) -> list:
+        return [r for suite in self.suites.values() for r in suite.records]
+
+    def method_ratios(self) -> list:
+        """(median ratio, method) of each timed method's time over the suites, lowest first."""
+        by_method = {}
+        for record in self.records:
+            by_method.setdefault(record.method, []).append(record)
+        return sorted((statistics.median(ratios(records)), method) for method, records in by_method.items())
 
 
 def summed(records) -> list:
@@ -353,6 +419,133 @@ def ratios(records) -> list:
     return [c / p for p, c in zip(*summed(records))]
 
 
+def untimed_suite(name, packages, suite_sides) -> Suite:
+    """The untimed pass of a suite's runs on both sides."""
+    workloads = [sides[name][0] for sides in suite_sides]
+    run_pairs = list(zip(*(sides[name][1] for sides in suite_sides)))
+    # The configuration fields that differ between the sides (a Toro test's
+    # dt comes from each side's exact solver): a suite's runs share all but
+    # the method, and reprs compare the sides' classes
+    cfgs = [vars(r.cfg) for r in run_pairs[0]]
+    moved = [k for k in cfgs[0] if repr(cfgs[0][k]) != repr(cfgs[1][k])]
+    profiles = [r.reference.x.tobytes() + r.reference.w.tobytes() for r in run_pairs[0]]
+    suite = Suite(len(run_pairs), moved, profiles[0] != profiles[1])
+    for run_pair in run_pairs:
+        results, counts, slow, warned, scores, failing = zip(
+            *(untimed(packages[side], run, workloads[side]) for side, run in enumerate(run_pair))
+        )
+        suite.warned = [a + b for a, b in zip(suite.warned, warned)]
+        suite.failing = [a + b for a, b in zip(suite.failing, failing)]
+        failed = [isinstance(r, tuple) for r in results]
+        if all(failed) and results[0] == results[1]:
+            suite.skipped += 1
+            continue
+        if any(failed):
+            suite.differ += 1
+            continue
+        stamps = [stamp(r) for r in results]
+        suite.differ += stamps[0] != stamps[1]
+        # Bytes, as in stamp
+        suite.scores_differ += np.array(scores[0]).tobytes() != np.array(scores[1]).tobytes()
+        parent, gap = results[0].cells, np.abs(results[1].cells - results[0].cells)
+        suite.change[0] = max(suite.change[0], float(gap.max()))
+        suite.change[1] = max(suite.change[1], float((gap.max(axis=1) / np.abs(parent).max(axis=1)).max()))
+        pair = [r.cfg for r in run_pair]
+        steps = [packages[side].solver.step_count(cfg) for side, cfg in enumerate(pair)]
+        suite.records.append(Record(pair[0].method.value, pair, stamps, counts, slow, steps))
+    return suite
+
+
+def compare(parent_src, change_src, reps: int, suites=None) -> Report:
+    """The untimed pass and ``reps`` timed reps of the suites named (all
+    seven if None) on the two trees, the packages unloaded on return."""
+    with tempfile.TemporaryDirectory() as tmp:
+        sys.path.insert(0, tmp)
+        try:
+            packages = load([parent_src, change_src], Path(tmp))
+            suite_sides, problem_sides = zip(*(side_suites(p) for p in packages))
+            names = list(suite_sides[0]) if suites is None else list(suites)
+            report = Report(
+                {name: untimed_suite(name, packages, suite_sides) for name in names},
+                [[wave_lines(p, problem) for p, problem in zip(packages, pair)] for pair in zip(*problem_sides)],
+            )
+            for rep in range(reps):
+                for i, record in enumerate(report.records):
+                    first = (i + rep) % 2
+                    finals = [None, None]
+                    for side in (first, 1 - first):
+                        elapsed, finals[side] = timed(packages[side], record.cfgs[side])
+                        record.times[side].append(elapsed)
+                    if rep == 0:
+                        record.drifted = [
+                            name
+                            for name, final, counted in zip(SIDES, finals, record.stamps)
+                            if isinstance(final, tuple) or stamp(final) != counted
+                        ]
+        finally:
+            sys.path.remove(tmp)
+            for name in [m for m in sys.modules if m.startswith(("sodbench_parent", "sodbench_change"))]:
+                del sys.modules[name]
+    return report
+
+
+def render(report: Report) -> list:
+    """The lines the module docstring describes."""
+    lines = []
+    for name, s in report.suites.items():
+        ratio = f"{statistics.median(ratios(s.records)):.4f}" if s.records else "n/a"
+        lines.append(
+            f"{name}: final cells differ in {s.differ} of {s.runs - s.skipped} runs"
+            f" ({s.skipped} failing on both sides skipped)"
+            f"; scores differ in {s.scores_differ} of {len(s.records)} runs"
+            f"; median ratio change/parent {ratio}"
+            f"; largest change of final cells {s.change[0]:.2e} absolute, {s.change[1]:.2e} relative"
+            + (f"; fields differ: {', '.join(s.moved)}" if s.moved else "")
+            + (f"; warnings differ: parent {s.warned[0]}, change {s.warned[1]}" if s.warned[0] != s.warned[1] else "")
+            + (f"; workload check fails: parent {s.failing[0]}, change {s.failing[1]}" if any(s.failing) else "")
+        )
+    differ = sum(parent != change for parent, change in report.waves)
+    lines.append(f"wave reports differ in {differ} of {len(report.waves)} problems")
+    differ = sum(s.profiles_differ for s in report.suites.values())
+    lines.append(f"exact profiles differ in {differ} of {len(report.suites)} suites")
+    for side, times in zip(SIDES, summed(report.records)):
+        lines.append(f"{side}: median sweep {statistics.median(times):.4f} s over {len(times)} reps")
+    overall = ratios(report.records)
+    lines.append(
+        f"ratio change/parent: median {statistics.median(overall):.4f}"
+        f" min {min(overall):.4f} max {max(overall):.4f}"
+    )
+    lines.append(
+        "method median ratio change/parent: " + ", ".join(f"{m} {r:.4f}" for r, m in report.method_ratios())
+    )
+    for name, s in report.suites.items():
+        total = s.ops()
+        each = [f"{r.method} {p:.3f}" + (f" -> {c:.3f}" if p != c else "") for r in s.records for p, c in [r.ops()]]
+        drifted = [f"{r.method} ({side})" for r in s.records for side in r.drifted]
+        lines.append(
+            f"{name} numpy ops per step over {len(s.records)} methods:"
+            f" parent {total[0]:.2f}, change {total[1]:.2f}"
+            + (f"; by method: {', '.join(each)}" if each else "")
+            + (f"; counted runs differ: {', '.join(drifted)}" if drifted else "")
+        )
+        by_layer = s.layers()
+        # a layer outside the five (a new module, or "outside") is listed too
+        names = [*LAYERS, *sorted({k for c in by_layer for k in c} - set(LAYERS))]
+        lines.append(
+            f"{name} numpy ops per step by layer: "
+            + "; ".join(
+                f"{side} " + ", ".join(f"{layer} {counts[layer]:.2f}" for layer in names)
+                for side, counts in zip(SIDES, by_layer)
+            )
+        )
+        scalar, strided = (f"{p:.2f} -> {c:.2f}" for p, c in s.slow_calls().values())
+        lines.append(
+            f"{name} slow-path calls per step: Python scalar operand {scalar}"
+            f"; strided or mixed-shape operands {strided}"
+        )
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
@@ -361,132 +554,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
-
-    with tempfile.TemporaryDirectory() as tmp:
-        sys.path.insert(0, tmp)
-        packages = load([args.parent_src, args.change_src], Path(tmp))
-        suite_sides, problem_sides = zip(*(side_suites(p) for p in packages))
-        suites = list(suite_sides[0]) if SUITES is None else list(SUITES)
-        kept = []
-        # suite -> its line's text before and after the median ratio
-        lines = {}
-        # suites whose two exact profiles are not byte for byte the same
-        profiles_differ = 0
-        for suite in suites:
-            workloads = [sides[suite][0] for sides in suite_sides]
-            run_pairs = list(zip(*(sides[suite][1] for sides in suite_sides)))
-            # The configuration fields that differ between the sides (a Toro
-            # test's dt comes from each side's exact solver): a suite's runs
-            # share all but the method, and reprs compare the sides' classes
-            cfgs = [vars(r.cfg) for r in run_pairs[0]]
-            moved = [k for k in cfgs[0] if repr(cfgs[0][k]) != repr(cfgs[1][k])]
-            differ, skipped, scores_differ, change, warned, failing = 0, 0, 0, [0.0, 0.0], [0, 0], [0, 0]
-            profiles = [r.reference.x.tobytes() + r.reference.w.tobytes() for r in run_pairs[0]]
-            profiles_differ += profiles[0] != profiles[1]
-            records = []
-            for run_pair in run_pairs:
-                results, counts, slow, n_warned, scores, fails_check = zip(
-                    *(untimed(packages[side], run, workloads[side]) for side, run in enumerate(run_pair))
-                )
-                warned = [a + b for a, b in zip(warned, n_warned)]
-                failing = [a + b for a, b in zip(failing, fails_check)]
-                failed = [isinstance(r, tuple) for r in results]
-                if all(failed) and results[0] == results[1]:
-                    skipped += 1
-                    continue
-                if any(failed):
-                    differ += 1
-                    continue
-                stamps = [stamp(r) for r in results]
-                differ += stamps[0] != stamps[1]
-                # Bytes, as in stamp
-                scores_differ += np.array(scores[0]).tobytes() != np.array(scores[1]).tobytes()
-                parent, gap = results[0].cells, np.abs(results[1].cells - results[0].cells)
-                change[0] = max(change[0], float(gap.max()))
-                change[1] = max(change[1], float((gap.max(axis=1) / np.abs(parent).max(axis=1)).max()))
-                pair = [r.cfg for r in run_pair]
-                steps = [packages[side].solver.step_count(cfg) for side, cfg in enumerate(pair)]
-                records.append(Record(suite, pair[0].method.value, pair, stamps, counts, slow, steps))
-            kept += records
-            lines[suite] = (
-                f"{suite}: final cells differ in {differ} of {len(run_pairs) - skipped} runs"
-                f" ({skipped} failing on both sides skipped)"
-                f"; scores differ in {scores_differ} of {len(records)} runs",
-                f"; largest change of final cells {change[0]:.2e} absolute, {change[1]:.2e} relative"
-                + (f"; fields differ: {', '.join(moved)}" if moved else "")
-                + (f"; warnings differ: parent {warned[0]}, change {warned[1]}" if warned[0] != warned[1] else "")
-                + (f"; workload check fails: parent {failing[0]}, change {failing[1]}" if any(failing) else ""),
-            )
-        reports = [[wave_lines(p, problem) for p, problem in zip(packages, pair)] for pair in zip(*problem_sides)]
-
-        for rep in range(args.reps):
-            for i, record in enumerate(kept):
-                first = (i + rep) % 2
-                finals = [None, None]
-                for side in (first, 1 - first):
-                    elapsed, finals[side] = timed(packages[side], record.cfgs[side])
-                    record.times[side].append(elapsed)
-                if rep == 0:
-                    record.drifted = [
-                        name
-                        for name, final, counted in zip(SIDES, finals, record.stamps)
-                        if isinstance(final, tuple) or stamp(final) != counted
-                    ]
-
-    by_suite = {suite: [r for r in kept if r.suite == suite] for suite in suites}
-    for suite, (before, after) in lines.items():
-        ratio = f"{statistics.median(ratios(by_suite[suite])):.4f}" if by_suite[suite] else "n/a"
-        print(f"{before}; median ratio change/parent {ratio}{after}")
-    differ = sum(parent != change for parent, change in reports)
-    print(f"wave reports differ in {differ} of {len(reports)} problems")
-    print(f"exact profiles differ in {profiles_differ} of {len(suites)} suites")
-    total = summed(kept)
-    for side, times in zip(SIDES, total):
-        print(f"{side}: median sweep {statistics.median(times):.4f} s over {args.reps} reps")
-    overall = ratios(kept)
-    print(
-        f"ratio change/parent: median {statistics.median(overall):.4f}"
-        f" min {min(overall):.4f} max {max(overall):.4f}"
-    )
-    # Each method's time summed over the suites; a method timed in no suite
-    # (it failed everywhere) has no ratio
-    by_method = {}
-    for record in kept:
-        by_method.setdefault(record.method, []).append(record)
-    by_ratio = sorted((statistics.median(ratios(records)), method) for method, records in by_method.items())
-    print("method median ratio change/parent: " + ", ".join(f"{m} {r:.4f}" for r, m in by_ratio))
-    for suite, records in by_suite.items():
-        ops = [[sum(c.values()) / n for c, n in zip(r.counts, r.steps)] for r in records]
-        total = [sum(counts[side] for counts in ops) for side in (0, 1)]
-        each = [f"{r.method} {p:.3f}" + (f" -> {c:.3f}" if p != c else "") for r, (p, c) in zip(records, ops)]
-        drifted = [f"{r.method} ({name})" for r in records for name in r.drifted]
-        print(
-            f"{suite} numpy ops per step over {len(records)} methods:"
-            f" parent {total[0]:.2f}, change {total[1]:.2f}"
-            + (f"; by method: {', '.join(each)}" if each else "")
-            + (f"; counted runs differ: {', '.join(drifted)}" if drifted else "")
-        )
-        by_layer = [Counter() for _ in SIDES]
-        for r in records:
-            for side, (counts, n) in enumerate(zip(r.counts, r.steps)):
-                by_layer[side].update({k: v / n for k, v in counts.items()})
-        # a layer outside the five (a new module, or "outside") is listed too
-        names = [*LAYERS, *sorted({k for c in by_layer for k in c} - set(LAYERS))]
-        print(
-            f"{suite} numpy ops per step by layer: "
-            + "; ".join(
-                f"{name} " + ", ".join(f"{layer} {counts[layer]:.2f}" for layer in names)
-                for name, counts in zip(SIDES, by_layer)
-            )
-        )
-        slow = [
-            [sum(r.slow[side][path] / r.steps[side] for r in records) for side in (0, 1)]
-            for path in ("scalar", "strided")
-        ]
-        print(
-            f"{suite} slow-path calls per step: Python scalar operand {slow[0][0]:.2f} -> {slow[0][1]:.2f}"
-            f"; strided or mixed-shape operands {slow[1][0]:.2f} -> {slow[1][1]:.2f}"
-        )
+    print("\n".join(render(compare(args.parent_src, args.change_src, args.reps))))
     return 0
 
 
