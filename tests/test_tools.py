@@ -5,6 +5,7 @@ import re
 import shutil
 import statistics
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -69,140 +70,176 @@ SOD200_METHOD_OPS = {
 }
 
 
-def test_ab_sweep_same_tree_counts_equal_ops():
-    src = ROOT / "src"
-    # The full seven suites take minutes; one of each workload covers the
-    # three kinds.
-    suites = ("sod200-sweep", "sod20k-bulk", "toro-suite/test2")
-    report = compare(src, src, suites)
-    assert tuple(report.suites) == suites
-    for name, suite in report.suites.items():
-        # Toro's test 2 kills six methods (tests/test_solver.py, TORO_FAILURES)
-        skipped = 6 if name == "toro-suite/test2" else 0
-        tallies = (suite.runs, suite.skipped, suite.differ, suite.scores_differ, len(suite.records), suite.change)
-        assert tallies == (22, skipped, 0, 0, 22 - skipped, [0.0, 0.0])
-        assert (suite.moved, suite.failing, suite.profiles_differ) == ([], [0, 0], False)
-        assert suite.warned[0] == suite.warned[1]
-        # no method's count differs, and every timed run of the first rep
-        # gave its counted run's bytes
-        assert all(r.ops()[0] == r.ops()[1] and r.drifted == [] for r in suite.records)
-        ops, layers = suite.ops(), suite.layers()
-        assert ops[0] == ops[1] and round(ops[0], 2) == PINNED_OPS[name][0]
-        # each operation counts toward the package module that made it, and
-        # the five layers make up the total
-        assert layers[0] == layers[1] and set(layers[0]) == set(AB_SWEEP.LAYERS)
-        assert tuple(round(layers[0][k], 2) for k in AB_SWEEP.LAYERS) == PINNED_OPS[name][1]
-        assert sum(layers[0].values()) == pytest.approx(ops[0], rel=1e-12)
-        assert layers[0]["riemann"] > 0.0
-        assert all(p == c for p, c in suite.slow_calls().values())
-    sod = report.suites["sod200-sweep"]
-    assert {r.method: r.ops()[0] for r in sod.records} == SOD200_METHOD_OPS
-    assert tuple(round(p, 2) for p, _ in sod.slow_calls().values()) == SOD200_SLOW_CALLS
-    assert len(report.waves) == 6 and all(p == c for p, c in report.waves)
+def assert_pinned_ops(name, suite, side):
+    """A side's operations per step over the suite's methods, in all and by
+    layer, against PINNED_OPS."""
+    ops, layers = suite.ops()[side], suite.layers()[side]
+    assert round(ops, 2) == PINNED_OPS[name][0]
+    # each operation counts toward the package module that made it, and the
+    # five layers make up the total
+    assert set(layers) == set(AB_SWEEP.LAYERS)
+    assert tuple(round(layers[k], 2) for k in AB_SWEEP.LAYERS) == PINNED_OPS[name][1]
+    assert sum(layers.values()) == pytest.approx(ops, rel=1e-12)
+    assert layers["riemann"] > 0.0
+
+
+def median_ratio(records):
+    return statistics.median(AB_SWEEP.ratios(records))
+
+
+def summary_lines(report, waves_differ, profiles_differ):
+    """The lines ``render`` prints between the suites' first lines and
+    their operation lines, from the report's values at one rep."""
+    sweeps, overall = AB_SWEEP.summed(report.records), median_ratio(report.records)
+    return [
+        f"wave reports differ in {waves_differ} of 6 problems",
+        f"exact profiles differ in {profiles_differ} of {len(report.suites)} suites",
+        f"parent: median sweep {sweeps[0][0]:.4f} s over 1 reps",
+        f"change: median sweep {sweeps[1][0]:.4f} s over 1 reps",
+        f"ratio change/parent: median {overall:.4f} min {overall:.4f} max {overall:.4f}",
+        "method median ratio change/parent: " + ", ".join(f"{m} {r:.4f}" for r, m in report.method_ratios()),
+    ]
+
+
+@pytest.fixture(scope="module")
+def same_tree():
+    """The tree against itself on its cheapest suite."""
+    return compare(ROOT / "src", ROOT / "src", ("sod20k-bulk",))
+
+
+@pytest.fixture(scope="module")
+def joint(same_tree, tmp_path_factory):
+    """The tree against a copy with four changes, each a negative control,
+    on Sod and Toro's test 2 at 200 cells and on sod20k-bulk, the one suite
+    whose dx is below 1e-3, with RuntimeWarnings as errors.  Its parent side
+    is the one counted pass of the unchanged Sod-200 and Toro 2.  It is made
+    after ``same_tree``, whose packages it must not measure: a negative
+    control of ``compare``'s unload."""
+    change = tmp_path_factory.mktemp("joint") / "src"
+    shutil.copytree(ROOT / "src", change, ignore=shutil.ignore_patterns("__pycache__"))
+    march = "    return _march(q, lo, hi, cfg, n_steps, 0.0, 0.0)\n"
+    for module, old, new in (
+        # A looser tolerance stops the exact solver's Newton iteration
+        # early, which moves the exact flux's result and the exact profile
+        # a run is scored on: the Sod-200 density RMSE, 0.0079794262867,
+        # leaves the seed table's 0.00797942617047 by more than the
+        # benchmark's rtol of 1e-8
+        ("riemann", "NEWTON_RTOL = 1e-12\n", "NEWTON_RTOL = 1e-3\n"),
+        # A square root of -1 warns once per run; and where np is numpy
+        # itself, not the counter's stand-in, cell 0's density is doubled,
+        # which moves only the timed runs: a negative control of the check
+        # of the counted runs against the first timed rep
+        ("solver", march, "    np.sqrt(-1.0)\n    if isinstance(np, type(math)):\n        q[0, 1] *= 2.0\n" + march),
+        # Lax-Friedrichs's flux is NaN where dx < 1e-3, so its sod20k-bulk
+        # run fails on the change side alone, and no pinned count is lost
+        ("fluxes", "    return _central_flux(faces, speed, g)\n",
+         "    flux = _central_flux(faces, speed, g)\n    return flux * np.nan if dx < 1e-3 else flux\n"),
+    ):
+        path = change / "sodbench" / f"{module}.py"
+        assert path.read_text().count(old) == 1
+        path.write_text(path.read_text().replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return compare(ROOT / "src", change, ("sod200-sweep", "toro-suite/test2", "sod20k-bulk"))
+
+
+def test_ab_sweep_same_tree_counts_equal_ops(same_tree):
+    (name, bulk), = same_tree.suites.items()
+    assert name == "sod20k-bulk"
+    tallies = (bulk.runs, bulk.skipped, bulk.differ, bulk.scores_differ, len(bulk.records), bulk.change)
+    assert tallies == (22, 0, 0, 0, 22, [0.0, 0.0])
+    assert (bulk.moved, bulk.failing, bulk.profiles_differ) == ([], [0, 0], False)
+    assert bulk.warned[0] == bulk.warned[1]
+    # no method's count differs, and every timed run of the first rep gave
+    # its counted run's bytes
+    assert all(r.ops()[0] == r.ops()[1] and r.drifted == [] for r in bulk.records)
+    assert bulk.ops()[0] == bulk.ops()[1] and bulk.layers()[0] == bulk.layers()[1]
+    assert_pinned_ops(name, bulk, 0)
+    assert all(p == c for p, c in bulk.slow_calls().values())
+    assert len(same_tree.waves) == 6 and all(p == c for p, c in same_tree.waves)
     # every method has a ratio, lowest first
-    by_ratio = report.method_ratios()
+    by_ratio = same_tree.method_ratios()
     assert sorted(m for _, m in by_ratio) == sorted(m.value for m in FluxMethod)
     assert by_ratio == sorted(by_ratio)
 
     # The printed lines, from these values
-    median = lambda records: statistics.median(AB_SWEEP.ratios(records))
-    expected = [
-        f"{name}: final cells differ in 0 of {len(s.records)} runs ({s.skipped} failing on both sides skipped)"
-        f"; scores differ in 0 of {len(s.records)} runs; median ratio change/parent {median(s.records):.4f}"
-        "; largest change of final cells 0.00e+00 absolute, 0.00e+00 relative"
-        for name, s in report.suites.items()
+    total, layers = PINNED_OPS[name]
+    layers = ", ".join(f"{k} {n:.2f}" for k, n in zip(AB_SWEEP.LAYERS, layers))
+    scalar, strided = (f"{p:.2f} -> {p:.2f}" for p, _ in bulk.slow_calls().values())
+    assert AB_SWEEP.render(same_tree) == [
+        f"{name}: final cells differ in 0 of 22 runs (0 failing on both sides skipped)"
+        f"; scores differ in 0 of 22 runs; median ratio change/parent {median_ratio(bulk.records):.4f}"
+        "; largest change of final cells 0.00e+00 absolute, 0.00e+00 relative",
+        *summary_lines(same_tree, 0, 0),
+        f"{name} numpy ops per step over 22 methods: parent {total:.2f}, change {total:.2f}"
+        "; by method: " + ", ".join(f"{r.method} {r.ops()[0]:.3f}" for r in bulk.records),
+        f"{name} numpy ops per step by layer: parent {layers}; change {layers}",
+        f"{name} slow-path calls per step: Python scalar operand {scalar}; strided or mixed-shape operands {strided}",
     ]
-    sweeps, overall = AB_SWEEP.summed(report.records), median(report.records)
-    expected += [
-        "wave reports differ in 0 of 6 problems",
-        "exact profiles differ in 0 of 3 suites",
-        f"parent: median sweep {sweeps[0][0]:.4f} s over 1 reps",
-        f"change: median sweep {sweeps[1][0]:.4f} s over 1 reps",
-        f"ratio change/parent: median {overall:.4f} min {overall:.4f} max {overall:.4f}",
-        "method median ratio change/parent: " + ", ".join(f"{m} {r:.4f}" for r, m in by_ratio),
-    ]
-    for name, s in report.suites.items():
-        total, layers = PINNED_OPS[name]
-        layers = ", ".join(f"{k} {n:.2f}" for k, n in zip(AB_SWEEP.LAYERS, layers))
-        scalar, strided = (f"{p:.2f} -> {p:.2f}" for p, _ in s.slow_calls().values())
-        expected += [
-            f"{name} numpy ops per step over {len(s.records)} methods: parent {total:.2f}, change {total:.2f}"
-            "; by method: " + ", ".join(f"{r.method} {r.ops()[0]:.3f}" for r in s.records),
-            f"{name} numpy ops per step by layer: parent {layers}; change {layers}",
-            f"{name} slow-path calls per step: Python scalar operand {scalar}"
-            f"; strided or mixed-shape operands {strided}",
-        ]
-    assert AB_SWEEP.render(report) == expected
 
 
-# The timed runs of the change warn outside the counted pass
-@pytest.mark.filterwarnings("ignore:invalid value encountered in sqrt:RuntimeWarning")
-def test_ab_sweep_counts_runs_a_change_moves(tmp_path):
-    # A negative control of the bitwise gate, of the score comparison, of the
-    # warning count and of the workload check: a looser Newton tolerance in
-    # the exact solver stops its iteration early, which moves the Sod-200
-    # result of the exact flux and the exact profile every run is scored on.
-    # Its density RMSE, 0.0079794262867, leaves the seed table's
-    # 0.00797942617047 by more than the benchmark's rtol of 1e-8
-    change = tmp_path / "src"
-    shutil.copytree(ROOT / "src", change, ignore=shutil.ignore_patterns("__pycache__"))
-    riemann = change / "sodbench" / "riemann.py"
-    text, count = re.subn(r"^NEWTON_RTOL = .*$", "NEWTON_RTOL = 1e-3", riemann.read_text(), flags=re.M)
-    assert count == 1
-    riemann.write_text(text)
-    # and a square root of -1 warns once per run of the 22; and where np
-    # is numpy itself, not the counter's stand-in, cell 0's density is
-    # doubled, which moves only the timed runs: a negative control of the
-    # check of the counted runs against the first timed rep
-    solver = change / "sodbench" / "solver.py"
-    old = "    return _march(q, lo, hi, cfg, n_steps, 0.0, 0.0)\n"
-    assert solver.read_text().count(old) == 1
-    perturb = "    if isinstance(np, type(math)):\n        q[0, 1] *= 2.0\n"
-    solver.write_text(solver.read_text().replace(old, "    np.sqrt(-1.0)\n" + perturb + old))
-    # A negative control of the unload: a call on the same tree first (on
-    # the cheapest suite), whose packages the second call must not measure
-    compare(ROOT / "src", ROOT / "src", ("sod20k-bulk",))
-    sod = compare(ROOT / "src", change, ("sod200-sweep",)).suites["sod200-sweep"]
-    assert (sod.runs, sod.skipped, sod.scores_differ, len(sod.records)) == (22, 0, 22, 22)
-    assert sod.differ > 0 and min(sod.change) > 0.0
-    assert (sod.moved, sod.warned, sod.failing) == ([], [0, 22], [0, 1])
-    # the looser tolerance moves the star state the profile is sampled from
-    assert sod.profiles_differ
-    # Every timed run of the change differs from its counted run
-    assert [(r.method, r.drifted) for r in sod.records] == [(m.value, ["change"]) for m in FluxMethod]
-    # Fewer Newton iterations are fewer operations of the exact flux; the
-    # square root adds one operation to each run of every method
-    for r in sod.records:
+def test_ab_sweep_counts_what_a_change_moves(joint, same_tree):
+    sod, toro, bulk = joint.suites.values()
+    assert_pinned_ops("sod200-sweep", sod, 0)
+    assert_pinned_ops("toro-suite/test2", toro, 0)
+    assert {r.method: r.ops()[0] for r in sod.records} == SOD200_METHOD_OPS
+    assert tuple(round(p, 2) for p, _ in sod.slow_calls().values()) == SOD200_SLOW_CALLS
+    # Only the exact flux's final cells move (Toro 2's six pinned deaths are
+    # skipped), but the moved profiles move every Sod score, and Sod-200's
+    # exact run fails its check.  The NaN flux kills sod20k-bulk's
+    # Lax-Friedrichs run on the change side: it counts as differing, and its
+    # scores, times and operations are left out
+    tallies = [(s.runs, s.skipped, s.differ, s.scores_differ, len(s.records)) for s in (sod, toro, bulk)]
+    assert tallies == [(22, 0, 1, 22, 22), (22, 6, 1, 1, 16), (22, 0, 2, 21, 21)]
+    assert [r.method for s in (sod, toro, bulk) for r in s.records if r.stamps[0] != r.stamps[1]] == ["riemann"] * 3
+    assert [(s.moved, s.warned, s.failing, s.profiles_differ) for s in (sod, toro, bulk)] == [
+        ([], [0, 22], [0, 1], True), ([], [0, 22], [0, 0], False), ([], [0, 22], [0, 0], True)
+    ]
+    assert min(sod.change) > 0.0 and sum(p != c for p, c in joint.waves) == 3
+    same = same_tree.suites["sod20k-bulk"].records
+    assert {r.method: r.ops()[0] for r in bulk.records} == {r.method: r.ops()[0] for r in same if r.method != "lf"}
+    for r in sod.records + toro.records + bulk.records:
+        # Every timed run of the change differs from its counted run
+        assert r.drifted == ["change"]
+        # Fewer Newton iterations are fewer operations of the exact flux;
+        # the square root adds one operation to each run of every method
         before, after = (sum(c.values()) for c in r.counts)
-        if r.method == "riemann":
-            assert after < before
-        else:
-            assert after == before + 1, r.method
+        assert after < before if r.method == "riemann" else after == before + 1, r.method
 
 
-def test_ab_sweep_times_only_runs_that_complete_on_both_sides(tmp_path):
-    # A run that fails on one side only: Lax-Friedrichs's flux made NaN on
-    # the change side, so its run dies there and completes on the parent's.
-    # It counts as differing, and its scores, times and operations are left
-    # out; the other 21 runs are unchanged
-    change = tmp_path / "src"
-    shutil.copytree(ROOT / "src", change, ignore=shutil.ignore_patterns("__pycache__"))
-    fluxes = change / "sodbench" / "fluxes.py"
-    old = "    return _central_flux(faces, speed, g)\n"
-    assert fluxes.read_text().count(old) == 1
-    fluxes.write_text(fluxes.read_text().replace(old, "    return _central_flux(faces, speed, g) * np.nan\n"))
-    report = compare(ROOT / "src", change, ("sod200-sweep",))
-    sod = report.suites["sod200-sweep"]
-    assert (sod.runs, sod.skipped, sod.differ, sod.scores_differ, len(sod.records)) == (22, 0, 1, 0, 21)
-    assert (sod.change, sod.moved, sod.failing) == ([0.0, 0.0], [], [0, 0])
-    assert sod.warned[0] == sod.warned[1]
-    assert sorted(m for _, m in report.method_ratios()) == sorted(m.value for m in FluxMethod if m is not FluxMethod.LF)
-    assert all(r.drifted == [] for r in sod.records)
-    assert {r.method: tuple(r.ops()) for r in sod.records} == {
-        m: (n, n) for m, n in SOD200_METHOD_OPS.items() if m != "lf"
-    }
-    ops = sod.ops()
-    assert ops[0] == ops[1] == pytest.approx(PINNED_OPS["sod200-sweep"][0] - SOD200_METHOD_OPS["lf"], abs=0.01)
+def test_ab_sweep_renders_what_a_change_moves(joint):
+    # The parts of the lines that only a change prints: the warnings and
+    # failed checks, the moved counts, and the runs that drifted
+    lines = [
+        f"{name}: final cells differ in {s.differ} of {s.runs - s.skipped} runs ({s.skipped} failing on both sides"
+        f" skipped); scores differ in {s.scores_differ} of {len(s.records)} runs; median ratio change/parent"
+        f" {median_ratio(s.records):.4f}; largest change of final cells {s.change[0]:.2e} absolute,"
+        f" {s.change[1]:.2e} relative; warnings differ: parent 0, change 22"
+        + ("; workload check fails: parent 0, change 1" if name == "sod200-sweep" else "")
+        for name, s in joint.suites.items()
+    ]
+    lines += summary_lines(joint, 3, 2)
+    for name, s in joint.suites.items():
+        lines += [
+            "{} numpy ops per step over {} methods: parent {:.2f}, change {:.2f}".format(name, len(s.records), *s.ops())
+            + "; by method: " + ", ".join("{} {:.3f} -> {:.3f}".format(r.method, *r.ops()) for r in s.records)
+            + "; counted runs differ: " + ", ".join(f"{r.method} (change)" for r in s.records),
+            f"{name} numpy ops per step by layer: " + "; ".join(
+                f"{side} " + ", ".join(f"{k} {counts[k]:.2f}" for k in AB_SWEEP.LAYERS)
+                for side, counts in zip(AB_SWEEP.SIDES, s.layers())
+            ),
+            "{} slow-path calls per step: Python scalar operand {:.2f} -> {:.2f}"
+            "; strided or mixed-shape operands {:.2f} -> {:.2f}".format(name, *sum(s.slow_calls().values(), [])),
+        ]
+    assert AB_SWEEP.render(joint) == lines
+
+
+def test_ab_sweep_rejects_its_arguments_before_comparing(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        AB_SWEEP.main([str(ROOT), str(ROOT), "--reps", "0"])
+    assert exc.value.code == 2 and "--reps must be at least 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit, match=re.escape(f"no sodbench package under {tmp_path} or {tmp_path}/src")):
+        AB_SWEEP.main([str(tmp_path), str(ROOT)])
 
 
 def test_perfbench_tracer_sees_every_layer_of_sod200_runs(monkeypatch):
