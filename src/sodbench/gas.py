@@ -17,6 +17,7 @@ any other block once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,16 @@ __all__ = [
 ]
 
 
+def require_real(config, *names) -> None:
+    """Raise ``InvalidConfig`` naming the first of ``config``'s fields
+    ``names`` whose value is not a real number, before any arithmetic on it
+    fails with a bare ``TypeError``."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Real):
+            raise InvalidConfig(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GasModel:
     """Ratio of specific heats; 1.4 is diatomic air and the benchmark default."""
@@ -43,6 +54,7 @@ class GasModel:
     gamma: float = 1.4
 
     def __post_init__(self):
+        require_real(self, "gamma")
         if not (math.isfinite(self.gamma) and self.gamma > 1.0):
             raise InvalidConfig(f"gamma must be finite and > 1, got {self.gamma}")
 
@@ -56,6 +68,7 @@ class PrimitiveState:
     p: float
 
     def __post_init__(self):
+        require_real(self, "rho", "u", "p")
         if not (math.isfinite(self.rho) and math.isfinite(self.u) and math.isfinite(self.p)):
             raise InvalidConfig(f"non-finite primitive state ({self.rho}, {self.u}, {self.p})")
         if self.rho <= 0.0 or self.p <= 0.0:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidConfig, NoConvergence, NonPhysicalState, VacuumGenerated
 from .fluxes import FluxMethod, compute_face_flux
-from .gas import GasModel, PrimitiveState, conserved_array, primitive_array, sound_speed_array
+from .gas import GasModel, PrimitiveState, conserved_array, primitive_array, require_real, sound_speed_array
 from .muscl import reconstruct_faces
 
 __all__ = [
@@ -53,6 +53,7 @@ class Grid1D:
     n_cells: int = 200
 
     def __post_init__(self):
+        require_real(self, "x_min", "x_max")
         # A width that overflows also catches non-finite bounds.
         if not (self.x_max > self.x_min and math.isfinite(self.x_max - self.x_min)):
             raise InvalidConfig(
@@ -97,6 +98,7 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise InvalidConfig(f"{name} must be a {kind.__name__}, got {value!r}")
+        require_real(self, "dt", "t_final", "jump_position")
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise InvalidConfig(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.t_final) and self.t_final >= 0.0):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sodbench import riemann
 from sodbench.bench import run_all_methods
@@ -37,6 +38,33 @@ def sides(wl, wr):
 def assert_same_bytes(got, expected):
     assert (np.shape(got), np.asarray(got).dtype) == (np.shape(expected), np.asarray(expected).dtype)
     assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+# Special values: signed zeros, infinities, NaN, the smallest subnormal and
+# magnitudes whose products, or sums, overflow or underflow
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300, 1e300, -1e300, 1.7e308]
+# Those a face's density and pressure can take: the kernels run on faces
+# that passed the face check, rho > 0 and p > 0 (muscl.reconstruct_faces)
+POSITIVE_SPECIAL = [np.inf, 5e-324, 1e-300, 1e300, 1.7e308]
+
+
+@st.composite
+def special_face_arrays(draw, positive=True):
+    """A (3, 2) face or a (3, 2, m) block of 1 to 24 faces at gamma 1.4:
+    densities and pressures in 10^[-3, 3], Mach numbers in [-3, 3], and some
+    entries replaced by special values; with ``positive``, a density or
+    pressure only by a positive one."""
+    m = draw(st.integers(1, 24))
+    drawn = draw(st.lists(st.floats(-3.0, 3.0), min_size=6 * m, max_size=6 * m))
+    log_rho, mach, log_p = np.array(drawn).reshape(3, 2, m)
+    rho, p = 10.0**log_rho, 10.0**log_p
+    faces = np.array([rho, mach * np.sqrt(1.4 * p / rho), p])
+    flat = faces.reshape(-1)
+    for i in draw(st.lists(st.integers(0, flat.size - 1), max_size=flat.size)):
+        row = i // (2 * m)
+        values = POSITIVE_SPECIAL if positive and row != 1 else SPECIAL
+        flat[i] = draw(st.sampled_from(values))
+    return faces[:, :, 0] if m == 1 and draw(st.booleans()) else faces
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_bytes, sides
+from conftest import SPECIAL, assert_same_bytes, sides, special_face_arrays
 from sodbench.errors import InvalidConfig
 from sodbench import bench, fluxes, muscl, solver
 from sodbench.fluxes import (
@@ -671,6 +671,17 @@ class TestAusmFamily:
         assert f_plus[0] == pytest.approx(0.0, abs=1e-14)
         assert f_up[0] > 1e-3
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_nan_on_either_side_reaches_every_row(self, side):
+        # A NaN pressure makes its side's critical speed NaN, and the
+        # interface sound speed of AUSM+ and AUSM+-up takes it rather than
+        # the other side's
+        faces = sides(np.array([1.0, 0.3, 1.0]), np.array([0.5, 0.2, 0.4]))
+        faces[2, side] = np.nan
+        with np.errstate(invalid="ignore"):
+            for kernel in AUSM_KERNELS:
+                assert np.isnan(kernel(faces, G)).all()
+
 
 class TestAufs:
     def test_consistency(self):
@@ -853,7 +864,9 @@ class TestSharedProperties:
 
 # ---------------------------------------------------------------------------
 # Oracles: the shared kernels as they were written before each was cut to
-# fewer array operations (notes/decisions.md section 15)
+# fewer array operations (notes/decisions.md section 15).  Each kernel is
+# compared with one former form, one of these or of those further below
+# (section 32).
 # ---------------------------------------------------------------------------
 
 def former_state_and_flux(w, gamma):
@@ -866,17 +879,6 @@ def former_state_and_flux(w, gamma):
 def former_fluxes_and_jump(faces, g):
     q, f = former_state_and_flux(faces, g)
     return f[:, 0], f[:, 1], q[:, 1] - q[:, 0]
-
-
-def former_two_wave_flux(faces, s_left, s_right, g):
-    sl = np.minimum(s_left, 0.0)
-    sr = np.maximum(s_right, 0.0)
-    fl, fr, dq = former_fluxes_and_jump(faces, g)
-    spread = sr - sl
-    degenerate = spread < 1e-12
-    safe = np.where(degenerate, 1.0, spread)
-    blended = (sr * fl - sl * fr + sl * sr * dq) / safe
-    return np.where(degenerate, 0.5 * (fl + fr), blended)
 
 
 def former_flux_roe(faces, g):
@@ -933,7 +935,13 @@ def former_ausm_splits(mach, sign, alpha=None):
     )
 
 
+def former_upwind(m_half, x):
+    return np.where(m_half > 0.0, x[:, 0], x[:, 1])
+
+
 def former_flux_ausm(kernel, faces, g):
+    # Its own interface sound speed and upwinding, so that a fault in the
+    # kernels' shared helpers shows
     sign = fluxes._side_sign(faces)
     rho, u, p = faces[0], faces[1], faces[2]
     h = enthalpy_array(faces, g)
@@ -946,11 +954,13 @@ def former_flux_ausm(kernel, faces, g):
         p_split = former_pressure_split_1(mach, sign) * p
         p_half = p_split[0] + p_split[1]
         ra = rho * a
-        flux = m_half * fluxes._upwind(m_half, np.array([ra, ra * u, ra * h]))
+        flux = m_half * former_upwind(m_half, np.array([ra, ra * u, ra * h]))
         flux[1] = flux[1] + p_half
         return flux
 
-    a_half = fluxes._interface_sound_speed(u, h, sign, g)
+    crit = np.sqrt(2.0 * (g - 1.0) / (g + 1.0) * h)
+    hat = crit * crit / np.maximum(crit, sign * u)
+    a_half = np.minimum(hat[0], hat[1])
     mach = u / a_half
     m_split = former_mach_split_4(mach, sign, fluxes.AUSM_PLUS_BETA)
 
@@ -977,7 +987,7 @@ def former_flux_ausm(kernel, faces, g):
         p_u = -fluxes.AUSM_UP_KU * p_plus * p_minus * (rho[0] + rho[1]) * fa * a_half * (u[1] - u[0])
         p_half = p_plus * p[0] + p_minus * p[1] + p_u
 
-    rho_up, u_up, h_up = fluxes._upwind(m_half, np.array([rho, u, h]))
+    rho_up, u_up, h_up = former_upwind(m_half, np.array([rho, u, h]))
     mdot = a_half * m_half * rho_up
     return np.array([mdot, mdot * u_up + p_half, mdot * h_up])
 
@@ -1050,7 +1060,9 @@ def face_arrays(draw):
 class TestSharedKernelsMatchTheirFormerExpressions:
     """Each rewritten kernel gives its former expression's bytes on single
     faces and blocks of faces with signed-zero, supersonic and colliding
-    streams."""
+    streams.  Van Leer, the AUSM family and their splittings do so also on
+    faces and Mach numbers with special values, where each was once compared
+    with a second former form (notes/decisions.md section 32)."""
 
     @settings(max_examples=150, deadline=None)
     @given(face_arrays())
@@ -1060,20 +1072,6 @@ class TestSharedKernelsMatchTheirFormerExpressions:
         assert_same_bytes(q, expected_q)
         assert_same_bytes(f, expected_f)
         assert_same_bytes(flux_array(faces, G), expected_f)
-
-    @settings(max_examples=150, deadline=None)
-    @given(face_arrays())
-    def test_two_wave_flux(self, faces):
-        with np.errstate(all="ignore"):
-            for speeds in ESTIMATES:
-                s_l, s_r = speeds(faces, G)
-                expected = former_two_wave_flux(faces, s_l, s_r, G)
-                assert_same_bytes(flux_hll(faces, G, speeds), expected)
-            u_avg = 0.5 * (faces[1, 0] + faces[1, 1])
-            a = np.sqrt(G * faces[2] / faces[0])
-            s2 = 0.5 * (a[0] + a[1])
-            expected = former_two_wave_flux(faces, u_avg - s2, u_avg + s2, G)
-            assert_same_bytes(compute_face_flux(FluxMethod.AUFS, faces, GAS), expected)
 
     @settings(max_examples=150, deadline=None)
     @given(face_arrays())
@@ -1097,6 +1095,27 @@ class TestSharedKernelsMatchTheirFormerExpressions:
             for g, e in zip(got, former_ausm_splits(mach, sign, a)):
                 assert_same_bytes(g, e)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from(SPECIAL + [1.0, -1.0]), st.floats(-3.0, 3.0)), min_size=1, max_size=24
+        ),
+        st.one_of(st.just(fluxes.AUSM_PLUS_ALPHA), st.sampled_from(SPECIAL), st.floats(-0.75, 0.1875)),
+    )
+    def test_ausm_splittings_with_special_values(self, machs, alpha):
+        # One face's (2,) Mach numbers, or both sides of a block as (2, m)
+        # rows with the side sign as a column, as above
+        mach = np.array(machs * 2).reshape(2, -1)
+        single = len(machs) == 1
+        sign = np.array([1.0, -1.0]) if single else np.array([[1.0], [-1.0]])
+        if single:
+            mach = mach[:, 0]
+        with np.errstate(all="ignore"):
+            for a in (None, alpha, np.full(mach.shape[1:], alpha)):
+                got = fluxes._ausm_splits(mach, sign, a)
+                for g, e in zip(got, former_ausm_splits(mach, sign, a)):
+                    assert_same_bytes(g, e)
+
     @settings(max_examples=150, deadline=None)
     @given(face_arrays())
     def test_hllc(self, faces):
@@ -1111,9 +1130,22 @@ class TestSharedKernelsMatchTheirFormerExpressions:
         with np.errstate(all="ignore"):
             assert_same_bytes(flux_vanleer_fvs(faces, G), former_flux_vanleer(faces, G))
 
+    @settings(max_examples=200, deadline=None)
+    @given(special_face_arrays(positive=False))
+    def test_vanleer_with_special_values(self, faces):
+        with np.errstate(all="ignore"):
+            assert_same_bytes(flux_vanleer_fvs(faces, G), former_flux_vanleer(faces, G))
+
     @settings(max_examples=150, deadline=None)
     @given(face_arrays())
     def test_ausm_family(self, faces):
+        with np.errstate(all="ignore"):
+            for kernel in AUSM_KERNELS:
+                assert_same_bytes(kernel(faces, G), former_flux_ausm(kernel, faces, G))
+
+    @settings(max_examples=200, deadline=None)
+    @given(special_face_arrays(positive=False))
+    def test_ausm_family_with_special_values(self, faces):
         with np.errstate(all="ignore"):
             for kernel in AUSM_KERNELS:
                 assert_same_bytes(kernel(faces, G), former_flux_ausm(kernel, faces, G))
@@ -1154,65 +1186,6 @@ def repeated_flux_sw(faces, g):
     return parts[:, 0] + parts[:, 1]
 
 
-def repeated_flux_vanleer(faces, g):
-    sign = fluxes._side_sign(faces)
-    rho, u = faces[0], faces[1]
-    a = sound_speed_array(faces, g)
-    mach = u / a
-    f_mass = sign * 0.25 * rho * a * (mach + sign) ** 2
-    t = (g - 1.0) * u + sign * 2.0 * a
-    parts = np.array([f_mass, f_mass * t / g, f_mass * t * t / (2.0 * (g * g - 1.0))])
-    if np.fmax.reduce(np.abs(mach), axis=None, initial=0.0) >= 1.0:
-        sign_mach = sign * mach
-        take_full = sign_mach >= 1.0
-        parts = np.where(take_full, flux_array(faces, g), np.where(sign_mach <= -1.0, 0.0, parts))
-    return parts[:, 0] + parts[:, 1]
-
-
-def repeated_ausm_splits(mach, sign, alpha=None):
-    sq = (mach + sign) ** 2
-    m_sub = sign * 0.25 * sq
-    p_sub = 0.25 * sq * (2.0 - sign * mach)
-    if alpha is not None:
-        bump = (mach * mach - 1.0) ** 2
-        m_sub = m_sub + sign * fluxes.AUSM_PLUS_BETA * bump
-        p_sub = p_sub + sign * alpha * mach * bump
-    abs_mach = np.abs(mach)
-    if np.maximum.reduce(abs_mach, axis=None, initial=0.0) <= 1.0:
-        return m_sub, p_sub
-    subsonic = abs_mach <= 1.0
-    m_split = np.where(subsonic, m_sub, 0.5 * (mach + sign * abs_mach))
-    return m_split, np.where(subsonic, p_sub, 0.5 * (1.0 + sign * np.sign(mach)))
-
-
-def repeated_flux_ausm_plus_up(faces, g):
-    sign = fluxes._side_sign(faces)
-    rho, u, p = faces[0], faces[1], faces[2]
-    h = enthalpy_array(faces, g)
-    a_half = fluxes._interface_sound_speed(u, h, sign, g)
-    uu = u * u
-    mach_bar_sq = (uu[0] + uu[1]) / (2.0 * a_half * a_half)
-    mach_ref = np.sqrt(np.minimum(np.maximum(mach_bar_sq, fluxes.AUSM_UP_CUTOFF_MACH**2), 1.0))
-    fa = mach_ref * (2.0 - mach_ref)
-    alpha = fluxes.AUSM_PLUS_ALPHA * (-4.0 + 5.0 * fa * fa)
-    m_split, p_weight = repeated_ausm_splits(u / a_half, sign, alpha)
-    p_split = p_weight * p
-
-    rho_half = 0.5 * (rho[0] + rho[1])
-    m_p = (
-        -fluxes.AUSM_UP_KP
-        / fa
-        * np.maximum(1.0 - fluxes.AUSM_UP_SIGMA * mach_bar_sq, 0.0)
-        * (p[1] - p[0])
-        / (rho_half * a_half * a_half)
-    )
-    p_plus, p_minus = p_weight
-    p_u = -fluxes.AUSM_UP_KU * p_plus * p_minus * (rho[0] + rho[1]) * fa * a_half * (u[1] - u[0])
-    m_half = m_split[0] + m_split[1] + m_p
-    p_half = p_split[0] + p_split[1] + p_u
-    return fluxes._upwind_mass_flux(m_half, p_half, a_half, rho, u, h)
-
-
 def repeated_flux_hll(faces, g, speeds):
     # The guard's mask formed in every batch, and tested with an OR of it
     s_left, s_right = speeds(faces, g)
@@ -1228,49 +1201,12 @@ def repeated_flux_hll(faces, g, speeds):
     return np.where(degenerate, 0.5 * (fl + fr), flux) if guarded else flux
 
 
-def repeated_signal_peak(w, gamma):
-    # The sound speed formed a second time, in w's own rows, as p gamma
-    a = w[2]
-    a *= gamma
-    a /= w[0]
-    np.sqrt(a, out=a)
-    s = np.abs(w[1], out=w[1])
-    s += a
-    return float(np.maximum.reduce(s))
-
-
-# Special values: signed zeros, infinities, NaN, the smallest subnormal and
-# magnitudes whose products, or sums, overflow or underflow
-SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-300, 1e300, -1e300, 1.7e308]
-# Those a face's density and pressure can take: the kernels run on faces
-# that passed the face check, rho > 0 and p > 0 (muscl.reconstruct_faces)
-POSITIVE_SPECIAL = [np.inf, 5e-324, 1e-300, 1e300, 1.7e308]
-
-
-@st.composite
-def special_face_arrays(draw, positive=True):
-    """A (3, 2) face or a (3, 2, m) block of 1 to 24 faces: densities and
-    pressures in 10^[-3, 3], Mach numbers in [-3, 3], and some entries
-    replaced by special values; with ``positive``, a density or pressure
-    only by a positive one."""
-    m = draw(st.integers(1, 24))
-    drawn = draw(st.lists(st.floats(-3.0, 3.0), min_size=6 * m, max_size=6 * m))
-    log_rho, mach, log_p = np.array(drawn).reshape(3, 2, m)
-    rho, p = 10.0**log_rho, 10.0**log_p
-    faces = np.array([rho, mach * np.sqrt(G * p / rho), p])
-    flat = faces.reshape(-1)
-    for i in draw(st.lists(st.integers(0, flat.size - 1), max_size=flat.size)):
-        row = i // (2 * m)
-        values = POSITIVE_SPECIAL if positive and row != 1 else SPECIAL
-        flat[i] = draw(st.sampled_from(values))
-    return faces[:, :, 0] if m == 1 and draw(st.booleans()) else faces
-
-
 class TestEachValueOnceMatchesTheRepeatedForms:
     """The kernels that form each value once give the bytes of their former
     forms, which formed some twice, on single faces and blocks of 1 to 24
-    faces with special values; so does the Courant signal, on such cells
-    and in Sod-200 runs."""
+    faces with special values; the two-wave flux also on the blocks of
+    face_arrays, in place of its section-15 form (notes/decisions.md
+    section 32)."""
 
     @settings(max_examples=200, deadline=None)
     @given(special_face_arrays())
@@ -1308,39 +1244,20 @@ class TestEachValueOnceMatchesTheRepeatedForms:
         with np.errstate(all="ignore"):
             assert_same_bytes(flux_sw_fvs(faces, G), repeated_flux_sw(faces, G))
 
-    @settings(max_examples=200, deadline=None)
-    @given(special_face_arrays(positive=False))
-    def test_van_leer(self, faces):
+    @settings(max_examples=150, deadline=None)
+    @given(face_arrays())
+    def test_two_wave_flux(self, faces):
+        # The six estimates, and AUFS through the dispatcher with its speeds
+        # u_avg -+ S2 formed here
         with np.errstate(all="ignore"):
-            assert_same_bytes(flux_vanleer_fvs(faces, G), repeated_flux_vanleer(faces, G))
+            for speeds in ESTIMATES:
+                assert_same_bytes(flux_hll(faces, G, speeds), repeated_flux_hll(faces, G, speeds))
+            u_avg = 0.5 * (faces[1, 0] + faces[1, 1])
+            a = np.sqrt(G * faces[2] / faces[0])
+            s2 = 0.5 * (a[0] + a[1])
+            expected = repeated_flux_hll(faces, G, lambda faces, g: (u_avg - s2, u_avg + s2))
+            assert_same_bytes(compute_face_flux(FluxMethod.AUFS, faces, GAS), expected)
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(st.sampled_from(SPECIAL + [1.0, -1.0]), st.floats(-3.0, 3.0)), min_size=1, max_size=24
-        ),
-        st.one_of(st.just(fluxes.AUSM_PLUS_ALPHA), st.sampled_from(SPECIAL), st.floats(-0.75, 0.1875)),
-    )
-    def test_ausm_splits(self, machs, alpha):
-        # One face's (2,) Mach numbers, or both sides of a block as (2, m)
-        # rows with the side sign as a column; AUSM's splittings, then
-        # AUSM+'s with alpha as one value and, as AUSM+-up has it, one per face
-        mach = np.array(machs * 2).reshape(2, -1)
-        single = len(machs) == 1
-        sign = np.array([1.0, -1.0]) if single else np.array([[1.0], [-1.0]])
-        if single:
-            mach = mach[:, 0]
-        with np.errstate(all="ignore"):
-            for a in (None, alpha, np.full(mach.shape[1:], alpha)):
-                got = fluxes._ausm_splits(mach, sign, a)
-                for g, e in zip(got, repeated_ausm_splits(mach, sign, a)):
-                    assert_same_bytes(g, e)
-
-    @settings(max_examples=200, deadline=None)
-    @given(special_face_arrays(positive=False))
-    def test_ausm_plus_up(self, faces):
-        with np.errstate(all="ignore"):
-            assert_same_bytes(flux_ausm_plus_up(faces, G), repeated_flux_ausm_plus_up(faces, G))
 
     @settings(max_examples=200, deadline=None)
     @given(special_face_arrays(positive=False), st.data())
@@ -1375,43 +1292,3 @@ class TestEachValueOnceMatchesTheRepeatedForms:
             got = flux_hll(faces, G, speeds)
             assert_same_bytes(got, repeated_flux_hll(faces, G, speeds))
         assert np.isnan(got).all()
-
-    @settings(max_examples=200, deadline=None)
-    @given(special_face_arrays(positive=False))
-    def test_signal_peak(self, faces):
-        # 2 to 48 primitive cells; the argument is left as it was
-        w = faces.reshape(3, -1)
-        before = w.copy()
-        with np.errstate(all="ignore"):
-            got = solver._signal_peak(w, G)
-            expected = repeated_signal_peak(w.copy(), G)
-        assert_same_bytes(w, before)
-        assert_same_bytes(got, expected)
-
-    @pytest.mark.parametrize("method", [FluxMethod.RIEMANN, FluxMethod.HLL_DAVIS1, FluxMethod.SW])
-    def test_signal_peak_of_windows_wider_than_the_batch(self, monkeypatch, method):
-        # With a batch of 8 cells the Sod-200 windows outgrow it within a
-        # few steps, and each is reduced alone, where the former form wrote
-        # into the live window.  Each call gives the former form's bytes
-        # and leaves its window as it was, and the run ends as under the
-        # former form, Courant maximum included.
-        monkeypatch.setattr(solver, "_SIGNAL_BATCH", 8)
-        cfg = RunConfig(method=method)
-        widths = []
-        signal_peak = solver._signal_peak
-
-        def compared(w, gamma):
-            before = w.copy()
-            got = signal_peak(w, gamma)
-            assert_same_bytes(w, before)
-            assert_same_bytes(got, repeated_signal_peak(w.copy(), gamma))
-            widths.append(w.shape[1])
-            return got
-
-        monkeypatch.setattr(solver, "_signal_peak", compared)
-        got = solver.run(cfg)
-        assert max(widths) > 8
-        monkeypatch.setattr(solver, "_signal_peak", repeated_signal_peak)
-        expected = solver.run(cfg)
-        assert_same_bytes(got.cells, expected.cells)
-        assert_same_bytes(got.max_courant_observed, expected.max_courant_observed)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ROOT, load_script, sides
+from conftest import ROOT, assert_same_bytes, load_script, sides, special_face_arrays
 from sodbench import bench, fluxes, riemann, solver
 from sodbench.errors import (
     InvalidConfig,
@@ -859,6 +859,19 @@ def frame_local(exc, function, name):
     return tb.tb_frame.f_locals[name]
 
 
+def repeated_signal_peak(w, gamma):
+    """Oracle: _signal_peak as it was before it took the sound speed from
+    sound_speed_array, formed a second time in w's own rows
+    (notes/decisions.md section 26)."""
+    a = w[2]
+    a *= gamma
+    a /= w[0]
+    np.sqrt(a, out=a)
+    s = np.abs(w[1], out=w[1])
+    s += a
+    return float(np.maximum.reduce(s))
+
+
 class TestOneCheckPerStep:
     """A step's cells are checked by the next step's face check (see
     reconstruct_faces), and the last step's cells once, after it.  The
@@ -981,6 +994,47 @@ class TestOneCheckPerStep:
             # is at most 200 cells), then the last batch and the last window
             assert len(widths) < step_count(cfg) / 10
             assert all(width > cap - 200 for width in widths[:-2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(special_face_arrays(positive=False))
+    def test_signal_peak(self, faces):
+        # 2 to 48 primitive cells with special values; the argument is left
+        # as it was
+        w = faces.reshape(3, -1)
+        before = w.copy()
+        with np.errstate(all="ignore"):
+            got = solver._signal_peak(w, GAS.gamma)
+            expected = repeated_signal_peak(w.copy(), GAS.gamma)
+        assert_same_bytes(w, before)
+        assert_same_bytes(got, expected)
+
+    @pytest.mark.parametrize("method", [FluxMethod.RIEMANN, FluxMethod.HLL_DAVIS1, FluxMethod.SW])
+    def test_signal_peak_of_windows_wider_than_the_batch(self, monkeypatch, method):
+        # With a batch of 8 cells the Sod-200 windows outgrow it within a
+        # few steps, and each is reduced alone, where the former form wrote
+        # into the live window.  Each call gives the former form's bytes
+        # and leaves its window as it was, and the run ends as under the
+        # former form, Courant maximum included.
+        monkeypatch.setattr(solver, "_SIGNAL_BATCH", 8)
+        cfg = RunConfig(method=method)
+        widths = []
+        signal_peak = solver._signal_peak
+
+        def compared(w, gamma):
+            before = w.copy()
+            got = signal_peak(w, gamma)
+            assert_same_bytes(w, before)
+            assert_same_bytes(got, repeated_signal_peak(w.copy(), gamma))
+            widths.append(w.shape[1])
+            return got
+
+        monkeypatch.setattr(solver, "_signal_peak", compared)
+        got = solver.run(cfg)
+        assert max(widths) > 8
+        monkeypatch.setattr(solver, "_signal_peak", repeated_signal_peak)
+        expected = solver.run(cfg)
+        assert_same_bytes(got.cells, expected.cells)
+        assert_same_bytes(got.max_courant_observed, expected.max_courant_observed)
 
 
 class TestIncomingField:
@@ -1498,16 +1552,27 @@ class TestConfigValidation:
             RunConfig(method="roe")
 
     @pytest.mark.parametrize(
-        "field, value, kind",
+        "config, field, value, kind",
         [
-            ("left", (1.0, 0.0, 1.0), "PrimitiveState"),
-            ("right", (0.125, 0.0, 0.1), "PrimitiveState"),
-            ("grid", 200, "Grid1D"),
-            ("gas", 1.4, "GasModel"),
+            (RunConfig, "left", (1.0, 0.0, 1.0), "PrimitiveState"),
+            (RunConfig, "right", (0.125, 0.0, 0.1), "PrimitiveState"),
+            (RunConfig, "grid", 200, "Grid1D"),
+            (RunConfig, "gas", 1.4, "GasModel"),
+            (RunConfig, "dt", "0.1", "real number"),
+            (RunConfig, "t_final", None, "real number"),
+            (RunConfig, "jump_position", [0.5], "real number"),
+            (GasModel, "gamma", "1.4", "real number"),
+            (PrimitiveState, "rho", "1", "real number"),
+            (PrimitiveState, "u", 1j, "real number"),
+            (PrimitiveState, "p", None, "real number"),
+            (Grid1D, "x_min", "0", "real number"),
+            (Grid1D, "x_max", np.array([1.0]), "real number"),
         ],
     )
-    def test_fields_must_have_their_types(self, field, value, kind):
-        # each passed set-up, and bench.rmse_report died with a bare
-        # AttributeError on the first attribute it read
+    def test_fields_must_have_their_types(self, config, field, value, kind):
+        # Each object-typed field passed set-up, and bench.rmse_report died
+        # with a bare AttributeError on the first attribute it read.  Each
+        # numeric field raised a bare TypeError that did not name it.
+        fields = {"rho": 1.0, "u": 0.0, "p": 1.0} if config is PrimitiveState else {}
         with pytest.raises(InvalidConfig, match=re.escape(f"{field} must be a {kind}, got {value!r}")):
-            RunConfig(**{field: value})
+            config(**{**fields, field: value})
